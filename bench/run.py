@@ -16,11 +16,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import shutil
 import statistics
 import subprocess
 import sys
-import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
@@ -28,7 +28,6 @@ SRC = os.path.join(ROOT, "src")
 OUT = os.path.join(ROOT, ".bench_out")
 WORKLOADS = ("identities", "structures", "quasi")
 SETUP_SAMPLES = 9
-WORKER_TIMEOUT = 150
 
 
 def parse_args(argv):
@@ -73,13 +72,18 @@ def run_child(cmd, timeout: float) -> None:
         raise ChildFailed(f"{cmd[3]} failed:\n{proc.stderr.decode()[-4000:]}")
 
 
+def children_cpu() -> float:
+    use = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return use.ru_utime + use.ru_stime
+
+
 def setup_samples(args, count: int) -> list[float]:
-    """Wall times of fresh interpreters doing the workload's set-up."""
+    """CPU times of fresh interpreters doing the workload's set-up."""
     samples = []
     for _ in range(count):
-        t0 = time.perf_counter()
+        t0 = children_cpu()
         run_child(child(args, "probe"), timeout=60)
-        samples.append(time.perf_counter() - t0)
+        samples.append(children_cpu() - t0)
     return samples
 
 
@@ -114,7 +118,9 @@ def main(args) -> int:
         probes = 0 if args.trace else SETUP_SAMPLES
         setup = setup_samples(args, probes // 2)
         result_path = os.path.join(args.work, "worker.json")
-        run_child(child(args, "worker", ["--result", result_path]), WORKER_TIMEOUT)
+        # Room for the timed rounds, one whole round past --seconds and set-up.
+        run_child(child(args, "worker", ["--result", result_path]),
+                  timeout=args.seconds * 2 + 60)
         setup += setup_samples(args, probes - probes // 2)
         with open(result_path, encoding="utf-8") as fh:
             res = json.load(fh)
@@ -127,12 +133,11 @@ def main(args) -> int:
         shutil.rmtree(args.work, ignore_errors=True)
 
     rounds = res["rounds"]
-    raised = {int(i) for i, out in res["outputs"].items()
-              if isinstance(out, dict) and "error" in out}
-    wrong_output = set(wrong) - raised
-    # A job whose checked output is wrong failed in every round; a job that
-    # raised is already counted by the worker.
-    failed = res["errors"] + res["mismatches"] + rounds * len(wrong_output)
+    # A job whose first output raised or failed its check failed in every
+    # round; any other job failed in the rounds where it raised or its
+    # output differed from the first.
+    failed = sum(rounds if job["id"] in wrong
+                 else res["failed_runs"].get(str(job["id"]), 0) for job in jobs)
     attempted = res["attempted"]
     for job_id, why in sorted(wrong.items()):
         sys.stderr.write(f"job {job_id} failed: {why}\n")
@@ -146,7 +151,7 @@ def main(args) -> int:
         report["spans"] = res["spans"]
     else:
         lat = res["latencies"]
-        timed = sum(wall for _, wall in res["walls"])
+        timed = sum(cpu for _, cpu in res["round_cpu"])
         p90 = quantile(lat, 0.9)
         metrics = {
             "setup_s": {"value": statistics.median(setup), "unit": "s"},
@@ -158,17 +163,17 @@ def main(args) -> int:
         report["latency_samples"] = len(lat)
         report["beyond_p90"] = sum(1 for x in lat if x > p90)
     report["metrics"] = metrics
-    report["walls"] = res["walls"]
+    report["round_cpu"] = res["round_cpu"]
     with open(os.path.join(OUT, f"{args.workload}-seed{args.seed}-trace{args.trace}.json"),
               "w", encoding="utf-8") as fh:
         json.dump(report, fh)
     summary = {k: v for k, v in report.items()
-               if k not in ("spans", "metrics", "walls")}
+               if k not in ("spans", "metrics", "round_cpu")}
     print(json.dumps(summary))
-    correct = not wrong_output and not res["mismatches"]
+    correct = failed == 0
     print(json.dumps({"correct": correct, "attempted": attempted, "failed": failed,
                       "metrics": metrics}))
-    return 0
+    return 0 if correct else 1
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ wrapped.
 from __future__ import annotations
 
 import sys
-from time import perf_counter
+from time import process_time
 
 # (module, attribute, span name).  "Poset.from_leq" names a classmethod.
 TARGETS = [
@@ -90,11 +90,11 @@ class Tracer:
             depth[name] = depth.get(name, 0) + 1
             builds_before = tracer.counts.get("posets.poset_builds", 0)
             stack.append(frame)
-            t0 = perf_counter()
+            t0 = process_time()
             try:
                 result = fn(*args, **kwargs)
             finally:
-                t1 = perf_counter()
+                t1 = process_time()
                 stack.pop()
                 d = t1 - t0
                 if stack:

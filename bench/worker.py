@@ -16,7 +16,7 @@ import os
 import resource
 import statistics
 import sys
-from time import perf_counter
+from time import perf_counter, process_time
 
 
 def import_palgebra(src_dir: str):
@@ -72,11 +72,11 @@ def run_job(pa, fixed, job):
 
 def ref_loop_ms() -> float:
     """A fixed pure-Python loop: how fast the host runs at this moment."""
-    t0 = perf_counter()
+    t0 = process_time()
     acc = 0
     for i in range(200_000):
         acc = (acc + i * i) % 7919
-    return (perf_counter() - t0) * 1000
+    return (process_time() - t0) * 1000
 
 
 def run(workload, src_dir, work_dir, seconds, trace, result_path) -> None:
@@ -88,61 +88,61 @@ def run(workload, src_dir, work_dir, seconds, trace, result_path) -> None:
         tracer = tracing.Tracer()
     outputs: dict[int, object] = {}
     latencies: list[float] = []
-    walls: list[tuple[bool, float]] = []
+    round_cpu: list[tuple[bool, float]] = []
     ref_ms: list[float] = []
-    errors = mismatches = attempted = 0
-    timed = 0.0
+    failed_runs: dict[int, int] = {}
+    attempted = 0
+    # Jobs and rounds are timed on the process's CPU clock, which leaves out
+    # the time the host gave the CPU to others; --seconds is wall time.
     # The traced run alternates plain and traced rounds, starting plain,
     # so that the overhead is measured on neighbouring rounds.
-    while timed < seconds or (trace and len(walls) < 2):
-        traced = trace and len(walls) % 2 == 1
+    run_start = perf_counter()
+    while perf_counter() - run_start < seconds or (trace and len(round_cpu) < 2):
+        traced = trace and len(round_cpu) % 2 == 1
         ref_ms.append(ref_loop_ms())
         clear_caches()
         if traced:
             tracer.install()
-        first = not walls
-        start = perf_counter()
+        first = not round_cpu
+        start = process_time()
         for job in jobs:
             if traced:
                 tracer.job = job["id"]
-            t0 = perf_counter()
+            t0 = process_time()
             try:
                 out = run_job(pa, fixed, job)
             except Exception as exc:  # a failed job; the run goes on
                 out = {"error": f"{type(exc).__name__}: {exc}"}
-            t1 = perf_counter()
+            t1 = process_time()
             attempted += 1
             if not traced:
                 latencies.append(t1 - t0)
-            if isinstance(out, dict) and "error" in out:
-                errors += 1
             if first:
                 outputs[job["id"]] = out
-            elif out != outputs[job["id"]]:
-                mismatches += 1
-        wall = perf_counter() - start
+            # An execution fails if it raised or differs from the first one.
+            if (isinstance(out, dict) and "error" in out) or out != outputs[job["id"]]:
+                failed_runs[job["id"]] = failed_runs.get(job["id"], 0) + 1
+        cpu = process_time() - start
         if traced:
             tracer.uninstall()
-        walls.append((traced, wall))
-        timed += wall
+        round_cpu.append((traced, cpu))
     result = {
-        "rounds": len(walls),
-        "walls": walls,
+        "rounds": len(round_cpu),
+        "round_cpu": round_cpu,
         "latencies": latencies,
         "attempted": attempted,
-        "errors": errors,
-        "mismatches": mismatches,
+        "failed_runs": {str(k): v for k, v in failed_runs.items()},
         "outputs": {str(k): v for k, v in outputs.items()},
         "ref_loop_ms": statistics.median(ref_ms),
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
     if trace:
-        plain = [w for t, w in walls[1:] if not t] or [walls[0][1]]
-        traced_walls = [w for t, w in walls if t]
-        layers = tracer.layer_metrics(len(traced_walls))
+        plain = [c for t, c in round_cpu[1:] if not t] or [round_cpu[0][1]]
+        traced_cpu = [c for t, c in round_cpu if t]
+        layers = tracer.layer_metrics(len(traced_cpu))
         layers["bench.ref_loop_ms"] = result["ref_loop_ms"]
         layers["bench.trace_overhead_pct"] = 100 * (
-            statistics.median(traced_walls) / statistics.median(plain) - 1)
+            statistics.median(traced_cpu) / statistics.median(plain) - 1)
         result["layers"] = layers
         result["spans"] = tracer.spans
     with open(result_path, "w", encoding="utf-8") as fh:
