@@ -6,7 +6,9 @@ Run from the root of a checkout.  The workload's inputs are made from the
 seed; set-up time is the median of several fresh interpreters that import
 palgebra from ./src and build the workload's fixed algebras; then one
 worker process runs the workload's rounds for --seconds and every distinct
-job's output is checked.  The last line of stdout is the result as JSON:
+job's output is checked.  Times are CPU times scaled to a reference host
+speed by a calibration loop run all through the run (README.md, "Clock").
+The last line of stdout is the result as JSON:
 end-to-end metrics with --trace 0, per-layer metrics with --trace 1.
 Results and spans are also written to .bench_out/.
 """
@@ -28,6 +30,9 @@ SRC = os.path.join(ROOT, "src")
 OUT = os.path.join(ROOT, ".bench_out")
 WORKLOADS = ("identities", "structures", "quasi")
 SETUP_SAMPLES = 9
+# The calibration loop's CPU time at the reference speed the reported times
+# are scaled to: 100 ns per iteration (see "Clock" in README.md).
+CALIBRATION_REFERENCE_MS = 2.0
 
 
 def parse_args(argv):
@@ -142,16 +147,26 @@ def main(args) -> int:
     for job_id, why in sorted(wrong.items()):
         sys.stderr.write(f"job {job_id} failed: {why}\n")
 
+    # The host's speed swings by a third within seconds and from one run to
+    # the next, and every job's CPU time swings with it.  The calibration
+    # loop, run between jobs all through the run, sees the same swings, so
+    # the run's times are scaled by its mean to the reference speed.
+    speed = statistics.mean(res["calibration"])
+    scale = CALIBRATION_REFERENCE_MS / speed
     report = {"workload": args.workload, "seed": args.seed, "trace": args.trace,
               "rounds": rounds, "jobs_per_round": len(jobs),
-              "ref_loop_ms": res["ref_loop_ms"]}
+              "calibration_ms": speed, "calibration_samples": len(res["calibration"]),
+              "time_scale": scale}
     if args.trace:
+        layers = {name: value * scale if name.endswith("_ms") else value
+                  for name, value in res["layers"].items()}
+        layers["bench.ref_loop_ms"] = speed
         metrics = {name: {"value": value, "unit": layer_unit(name)}
-                   for name, value in res["layers"].items()}
+                   for name, value in layers.items()}
         report["spans"] = res["spans"]
     else:
-        lat = res["latencies"]
-        timed = sum(cpu for _, cpu in res["round_cpu"])
+        lat = [scale * x for x in res["latencies"]]
+        timed = scale * sum(cpu for _, cpu in res["round_cpu"])
         p90 = quantile(lat, 0.9)
         metrics = {
             "setup_s": {"value": statistics.median(setup), "unit": "s"},

@@ -70,11 +70,18 @@ def run_job(pa, fixed, job):
     return {"exit": code, "stdout": out.getvalue()}
 
 
-def ref_loop_ms() -> float:
-    """A fixed pure-Python loop: how fast the host runs at this moment."""
+# A calibration sample is taken after the first job that ends at least this
+# much CPU time after the previous sample, so that the samples cover the
+# run about evenly (about 4% of the run's CPU time, none of it in a job).
+CALIBRATE_EVERY_S = 0.05
+
+
+def calibrate() -> float:
+    """CPU ms of a fixed pure-Python loop of 20,000 iterations: how fast
+    the host runs this process at this moment."""
     t0 = process_time()
     acc = 0
-    for i in range(200_000):
+    for i in range(20_000):
         acc = (acc + i * i) % 7919
     return (process_time() - t0) * 1000
 
@@ -89,22 +96,24 @@ def run(workload, src_dir, work_dir, seconds, trace, result_path) -> None:
     outputs: dict[int, object] = {}
     latencies: list[float] = []
     round_cpu: list[tuple[bool, float]] = []
-    ref_ms: list[float] = []
+    calibration: list[float] = []
     failed_runs: dict[int, int] = {}
     attempted = 0
-    # Jobs and rounds are timed on the process's CPU clock, which leaves out
-    # the time the host gave the CPU to others; --seconds is wall time.
-    # The traced run alternates plain and traced rounds, starting plain,
-    # so that the overhead is measured on neighbouring rounds.
+    # Jobs are timed on the process's CPU clock, which leaves out the time
+    # the host gave the CPU to others; --seconds is wall time.  A round's
+    # time is the sum of its jobs' times.  The traced run alternates plain
+    # and traced rounds, starting plain, so that the overhead is measured
+    # on neighbouring rounds.
     run_start = perf_counter()
+    last_sample = process_time()
+    calibration.append(calibrate())
     while perf_counter() - run_start < seconds or (trace and len(round_cpu) < 2):
         traced = trace and len(round_cpu) % 2 == 1
-        ref_ms.append(ref_loop_ms())
         clear_caches()
         if traced:
             tracer.install()
         first = not round_cpu
-        start = process_time()
+        cpu = 0.0
         for job in jobs:
             if traced:
                 tracer.job = job["id"]
@@ -115,14 +124,17 @@ def run(workload, src_dir, work_dir, seconds, trace, result_path) -> None:
                 out = {"error": f"{type(exc).__name__}: {exc}"}
             t1 = process_time()
             attempted += 1
+            cpu += t1 - t0
             if not traced:
                 latencies.append(t1 - t0)
+            if t1 - last_sample >= CALIBRATE_EVERY_S:
+                calibration.append(calibrate())
+                last_sample = process_time()
             if first:
                 outputs[job["id"]] = out
             # An execution fails if it raised or differs from the first one.
             if (isinstance(out, dict) and "error" in out) or out != outputs[job["id"]]:
                 failed_runs[job["id"]] = failed_runs.get(job["id"], 0) + 1
-        cpu = process_time() - start
         if traced:
             tracer.uninstall()
         round_cpu.append((traced, cpu))
@@ -133,14 +145,13 @@ def run(workload, src_dir, work_dir, seconds, trace, result_path) -> None:
         "attempted": attempted,
         "failed_runs": {str(k): v for k, v in failed_runs.items()},
         "outputs": {str(k): v for k, v in outputs.items()},
-        "ref_loop_ms": statistics.median(ref_ms),
+        "calibration": calibration,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
     if trace:
         plain = [c for t, c in round_cpu[1:] if not t] or [round_cpu[0][1]]
         traced_cpu = [c for t, c in round_cpu if t]
         layers = tracer.layer_metrics(len(traced_cpu))
-        layers["bench.ref_loop_ms"] = result["ref_loop_ms"]
         layers["bench.trace_overhead_pct"] = 100 * (
             statistics.median(traced_cpu) / statistics.median(plain) - 1)
         result["layers"] = layers
