@@ -12,8 +12,16 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 from .config import DEFAULT
+from .congruences import Congruence
 from .errors import CapExceeded, MalformedTables, NotACongruence
-from .posets import Poset, bit_indices, downset_closure, enumerate_upsets, poset_isomorphic
+from .posets import (
+    Poset,
+    bit_indices,
+    disjoint_union,
+    downset_closure,
+    enumerate_upsets,
+    poset_isomorphic,
+)
 
 
 @dataclass(frozen=True)
@@ -230,12 +238,10 @@ def product(A: PAlgebra, B: PAlgebra, cap: int | None = None) -> PAlgebra:
     """Direct product; upset carriers combine as a disjoint union of bases."""
     cap = DEFAULT.element_cap if cap is None else cap
     if isinstance(A, UpsetAlgebra) and isinstance(B, UpsetAlgebra):
-        na = A.base.n
-        rows = list(A.base.up) + [row << na for row in B.base.up]
         labels = None
         if A.labels is not None and B.labels is not None:
             labels = A.labels + B.labels
-        return UpsetAlgebra(Poset(rows), cap=cap, labels=labels)
+        return UpsetAlgebra(disjoint_union([A.base, B.base]), cap=cap, labels=labels)
     Ta, Tb = to_table(A, cap=cap), to_table(B, cap=cap)
     size = Ta.size * Tb.size
     if size > cap:
@@ -276,7 +282,7 @@ class Quotient:
 
 def quotient(A: PAlgebra, theta, check: bool = True) -> Quotient:
     """Quotient by a congruence (a Congruence or a raw class-label array)."""
-    rep = list(theta.rep) if hasattr(theta, "rep") else _normalize_partition(theta)
+    rep = (theta if isinstance(theta, Congruence) else Congruence(theta)).rep
     if len(rep) != A.size:
         raise NotACongruence("partition size does not match the algebra")
     if check:
@@ -293,13 +299,6 @@ def quotient(A: PAlgebra, theta, check: bool = True) -> Quotient:
     alg = TableAlgebra(meet, join, star, proj[A.zero], proj[A.one],
                        labels=[str(r) for r in reps])
     return Quotient(alg, proj, tuple(reps))
-
-
-def _normalize_partition(labels: Sequence[int]) -> list[int]:
-    least: dict[int, int] = {}
-    for i, lab in enumerate(labels):
-        least.setdefault(lab, i)
-    return [least[lab] for lab in labels]
 
 
 # ------------------------------------------------------ structural inventory
@@ -350,13 +349,7 @@ def regular_elements(A: PAlgebra) -> list[int]:
 def glivenko(A: PAlgebra):
     """The congruence a ~ b iff a** = b**, and the skeleton on the regular
     elements with x join-regular y := (x v y)**; the pair (Congruence, TableAlgebra)."""
-    from .congruences import Congruence
-
-    least: dict[int, int] = {}
-    key = [A.star(A.star(a)) for a in range(A.size)]
-    for i, v in enumerate(key):
-        least.setdefault(v, i)
-    theta = Congruence([least[v] for v in key])
+    theta = Congruence([A.star(A.star(a)) for a in range(A.size)])
     regs = regular_elements(A)
     pos = {r: i for i, r in enumerate(regs)}
     meet = [[pos[A.meet(a, b)] for b in regs] for a in regs]

@@ -254,6 +254,9 @@ def main(argv=None) -> int:
     except (ValueError, MalformedTables) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    except RecursionError:
+        sys.stderr.write("error: input nested too deeply\n")
+        return 1
 
 
 if __name__ == "__main__":

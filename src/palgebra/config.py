@@ -1,4 +1,4 @@
-"""Run-wide knobs: size caps, sweep budget, RNG seed, output format."""
+"""Run-wide knobs: size caps, sweep budget, RNG seed."""
 
 import os
 from dataclasses import dataclass
@@ -11,7 +11,6 @@ class Config:
     oracle_cap: int = 12         # largest |A| for the brute-force congruence oracle
     budget: int = 10_000_000     # valuation sweeps are capped at |A|**vars <= budget
     seed: int = 0
-    fmt: str = "json"            # json | text | dot
 
 
 def from_env() -> Config:

@@ -11,7 +11,7 @@ and the subcover witness e_mu.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Hashable, Iterable, Sequence
 
 from .config import DEFAULT
 from .errors import CapExceeded, NotACongruence, NotPrime
@@ -23,11 +23,11 @@ class Congruence:
 
     __slots__ = ("rep", "_classes")
 
-    def __init__(self, labels: Sequence[int]):
-        least: dict[int, int] = {}
-        for i, lab in enumerate(labels):
-            least.setdefault(lab, i)
-        self.rep = tuple(least[lab] for lab in labels)
+    def __init__(self, labels: Iterable[Hashable]):
+        """Any class labels, e.g. tuples; each is replaced by the least
+        index that carries it."""
+        least: dict = {}
+        self.rep = tuple(least.setdefault(lab, i) for i, lab in enumerate(labels))
         self._classes: tuple[int, ...] | None = None
 
     @property
@@ -66,27 +66,13 @@ class Congruence:
 
     def join(self, other: "Congruence") -> "Congruence":
         parent = list(range(self.size))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         for i in range(self.size):
-            for r in (self.rep[i], other.rep[i]):
-                a, b = find(i), find(r)
-                if a != b:
-                    parent[max(a, b)] = min(a, b)
-        return Congruence([find(i) for i in range(self.size)])
+            _union(parent, i, self.rep[i])
+            _union(parent, i, other.rep[i])
+        return Congruence([_find(parent, i) for i in range(self.size)])
 
     def meet(self, other: "Congruence") -> "Congruence":
-        pairs = {}
-        labels = []
-        for i in range(self.size):
-            key = (self.rep[i], other.rep[i])
-            labels.append(pairs.setdefault(key, i))
-        return Congruence(labels)
+        return Congruence(zip(self.rep, other.rep))
 
     def merge_classes(self, i: int, j: int) -> "Congruence":
         """The smallest partition above self that puts i and j together
@@ -108,6 +94,24 @@ class Congruence:
         return f"Congruence({self.num_classes} classes on {self.size})"
 
 
+def _find(parent: list[int], x: int) -> int:
+    """Root of x in a union-find forest, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _union(parent: list[int], x: int, y: int) -> bool:
+    """Merge the trees of x and y under the smaller root; False if they
+    were one tree already."""
+    rx, ry = _find(parent, x), _find(parent, y)
+    if rx == ry:
+        return False
+    parent[max(rx, ry)] = min(rx, ry)
+    return True
+
+
 def identity_congruence(size: int) -> Congruence:
     return Congruence(range(size))
 
@@ -120,19 +124,10 @@ def principal_congruence(A, a: int, b: int) -> Congruence:
     """Theta(a,b): close {(a,b)} under star and under meet/join with every
     fixed side argument, interleaved with equivalence closure."""
     parent = list(range(A.size))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     pending: list[tuple[int, int]] = []
 
     def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
+        if _union(parent, x, y):
             pending.append((x, y))
 
     union(a, b)
@@ -142,7 +137,7 @@ def principal_congruence(A, a: int, b: int) -> Congruence:
         for c in range(A.size):
             union(A.meet(x, c), A.meet(y, c))
             union(A.join(x, c), A.join(y, c))
-    return Congruence([find(i) for i in range(A.size)])
+    return Congruence([_find(parent, i) for i in range(A.size)])
 
 
 def congruence_closure(A, pairs: Sequence[tuple[int, int]]) -> Congruence:
@@ -275,34 +270,24 @@ def cm_from_prime_filter(A, F: int, *, filters: Sequence[int] | None = None,
     Classes: F itself; F-bar minus F when nonempty; outside F-bar, elements
     grouped by which I-type prime filters above F-bar contain them.
     """
-    if filters is not None and F in filters:
-        pass  # already vetted by prime_filters
-    elif not is_prime_filter(A, F):
+    # members of filters were already vetted by prime_filters
+    if (filters is None or F not in filters) and not is_prime_filter(A, F):
         raise NotPrime("not a prime filter mask")
     fbar = closure_filter(A, F)
-    full_mask = (1 << A.size) - 1
     if fbar == F:
-        other = full_mask & ~F
-        lo_f, lo_o = min(bit_indices(F)), min(bit_indices(other))
-        labels = [lo_f if (F >> i) & 1 else lo_o for i in range(A.size)]
-        mu = Congruence(labels)
+        mu = Congruence([(F >> a) & 1 for a in range(A.size)])
+        lo_o = min(bit_indices(((1 << A.size) - 1) & ~F))
         record = CmRecord(mu, full_congruence(A.size), "I", F,
                           psi=_meet_fold(A, F), e_mu=lo_o)
     else:
         gees = [G for G in i_type_filters(A, filters) if not (fbar & ~G)]
-        sig: dict[int, int] = {}
-        labels = []
-        lo_f = min(bit_indices(F))
-        lo_e = min(bit_indices(fbar & ~F))
-        for a in range(A.size):
-            if (F >> a) & 1:
-                labels.append(lo_f)
-            elif (fbar >> a) & 1:
-                labels.append(lo_e)
-            else:
-                key = sum(1 << t for t, G in enumerate(gees) if (G >> a) & 1)
-                labels.append(sig.setdefault(key, a))
-        mu = Congruence(labels)
+        # labels: -1 for F, -2 for F-bar minus F, else the I-type signature
+        mu = Congruence([
+            -1 if (F >> a) & 1 else -2 if (fbar >> a) & 1
+            else sum(1 << t for t, G in enumerate(gees) if (G >> a) & 1)
+            for a in range(A.size)
+        ])
+        lo_f, lo_e = min(bit_indices(F)), min(bit_indices(fbar & ~F))
         record = CmRecord(mu, mu.merge_classes(lo_f, lo_e), "II", F,
                           psi=_meet_fold(A, F), e_mu=lo_e)
     if verify is None:
@@ -339,10 +324,6 @@ def cm_all(A, *, verify: bool | None = None, cross_check: bool | None = None) ->
         if expected != {r.mu for r in records}:
             raise RuntimeError("record construction disagrees with the lattice oracle")
     return records
-
-
-def storey(record: CmRecord) -> str:
-    return record.storey
 
 
 def cm_leq(r: CmRecord, s: CmRecord) -> bool:

@@ -28,6 +28,7 @@ from .terms import (
     ZERO,
     compile_postfix,
     eval_postfix,
+    max_var,
     parse,
     qb_system,
     term_from_json,
@@ -101,24 +102,12 @@ class Verdict:
         return out
 
 
-def _vars_sorted(*terms: Term) -> list[int]:
-    seen: set[int] = set()
-    for t in terms:
-        seen.update(vars_of(t))
-    return sorted(seen)
-
-
-def _max_var(*terms: Term) -> int:
-    vs = _vars_sorted(*terms)
-    return vs[-1] if vs else 0
-
-
 def check_identity(e: Equation, n: int | None = None, want_witness: bool = False,
                    *, budget: int | None = None,
                    poset_cap: int | None = None) -> Verdict:
     """Validity of lhs = rhs at level n (None: the whole variety)."""
     budget = DEFAULT.budget if budget is None else budget
-    k = _max_var(e.lhs, e.rhs)
+    k = max_var(e.lhs, e.rhs)
     n_eff = (1 << k) if n is None else n
     try:
         equal = (normal_form(e.lhs, n, k=k, poset_cap=poset_cap)
@@ -139,25 +128,15 @@ def _sweep_equation(e: Equation, n_eff: int, k: int, budget: int):
     """First counter-valuation of lhs = rhs over the level-n_eff generator,
     in canonical valuation order; None if the identity holds there."""
     total = ((1 << n_eff) + 1) ** k
-    if total > budget:
+    if total > budget:  # before build_si, whose size cap would fire first
         raise BudgetExceeded("valuation sweep", total, budget)
-    B = build_si(n_eff)
-    cl, cr = compile_postfix(e.lhs), compile_postfix(e.rhs)
-    used = 0
-    for tup in itertools.product(range(B.size), repeat=k):
-        used += 1
-        val = {i + 1: tup[i] for i in range(k)}
-        a = eval_postfix(cl, B, val)
-        b = eval_postfix(cr, B, val)
-        if a != b:
-            witness = {
-                "algebra": f"si:{n_eff}",
-                "valuation": {f"x{i + 1}": tup[i] for i in range(k)},
-                "lhs": a,
-                "rhs": b,
-            }
-            return witness, used
-    return None, used
+    v = _quasi_exhaustive(QuasiIdentity((), e), build_si(n_eff),
+                          tuple(range(1, k + 1)), budget)
+    if v.holds:
+        return None, v.budget_used
+    witness = {"algebra": f"si:{n_eff}", "valuation": v.witness["valuation"],
+               **v.witness["conclusion"]}
+    return witness, v.budget_used
 
 
 # ------------------------------------------------------- quasi-identities
@@ -197,7 +176,7 @@ def check_quasi_identity(q: QuasiIdentity, A: PAlgebra,
     budget = DEFAULT.budget if budget is None else budget
     terms = [t for p in q.premises for t in (p.lhs, p.rhs)]
     terms += [q.conclusion.lhs, q.conclusion.rhs]
-    variables = _vars_sorted(*terms)
+    variables = vars_of(*terms)
     if strategy == "exhaustive":
         return _quasi_exhaustive(q, A, variables, budget)
     return _quasi_pruned(q, A, variables, budget)
@@ -213,7 +192,9 @@ def _quasi_exhaustive(q, A, variables, budget) -> Verdict:
     for tup in itertools.product(range(A.size), repeat=len(variables)):
         used += 1
         val = dict(zip(variables, tup))
-        if any(eval_postfix(l, A, val) != eval_postfix(r, A, val) for l, r in prem):
+        # identity sweeps have no premises: skip building the generator
+        if prem and any(eval_postfix(l, A, val) != eval_postfix(r, A, val)
+                        for l, r in prem):
             continue
         a, b = eval_postfix(ccl, A, val), eval_postfix(ccr, A, val)
         if a != b:
@@ -239,7 +220,7 @@ def _quasi_pruned(q, A, variables, budget) -> Verdict:
     spent = _Budget(budget, "pruned search")
     prems = []
     for p in q.premises:
-        vs = frozenset(vars_of(p.lhs)) | frozenset(vars_of(p.rhs))
+        vs = frozenset(vars_of(p.lhs, p.rhs))
         prems.append((p, compile_postfix(p.lhs), compile_postfix(p.rhs), vs))
     ccl, ccr = compile_postfix(q.conclusion.lhs), compile_postfix(q.conclusion.rhs)
     star_pre: dict[int, tuple[int, ...]] | None = None
@@ -271,8 +252,11 @@ def _quasi_pruned(q, A, variables, budget) -> Verdict:
 
         def narrow(xs):
             nonlocal pool
-            xs = list(xs)
-            pool = xs if pool is None else [x for x in pool if x in set(xs)]
+            if pool is None:
+                pool = list(xs)
+            else:
+                keep = set(xs)
+                pool = [x for x in pool if x in keep]
 
         generic: list[tuple] = []
         for p, cl, cr, vs in prems:
@@ -355,7 +339,7 @@ def admissible_in_free(q: QuasiIdentity, n: int | None, k_extra: int = 0,
     budget = DEFAULT.budget if budget is None else budget
     terms = [t for p in q.premises for t in (p.lhs, p.rhs)]
     terms += [q.conclusion.lhs, q.conclusion.rhs]
-    variables = _vars_sorted(*terms)
+    variables = vars_of(*terms)
     k_want = max(1, (variables[-1] if variables else 1) + k_extra)
     F = None
     for k_try in range(k_want, 0, -1):
@@ -498,7 +482,7 @@ def random_term(rng: random.Random, max_depth: int = 6, k: int = 3) -> Term:
 
 
 def _pair_report(t1: Term, t2: Term, n: int, *, budget: int) -> dict:
-    k = _max_var(t1, t2)
+    k = max_var(t1, t2)
     nf_equal = normal_form(t1, n, k=k) == normal_form(t2, n, k=k)
     witness, _ = _sweep_equation(Equation(t1, t2), n, k, budget)
     out = {

@@ -21,21 +21,25 @@ from functools import lru_cache
 from .algebras import UpsetAlgebra, build_si, is_isomorphic, product_many, quotient
 from .config import DEFAULT
 from .errors import BadIndex, CapExceeded
-from .posets import Poset, bit_indices, downset_closure, min_elements, poset_isomorphic
+from .posets import (
+    Poset,
+    bit_indices,
+    disjoint_union,
+    downset_closure,
+    min_elements,
+    poset_isomorphic,
+)
 from .terms import (
-    ONE,
     ZERO,
-    Meet,
     Star,
     Term,
-    Var,
     atom_term,
     compile_postfix,
     eval_postfix,
-    jirr_term,
+    index_term,
     join_all,
     max_var,
-    meet_all,
+    to_text,
 )
 
 
@@ -69,7 +73,7 @@ class JIndex:
         return (len(self.tees), self.tees, self.ell)
 
     def term(self) -> Term:
-        return jirr_term(self.tees, self.ell, self.k)
+        return index_term(self.tees, self.ell, self.k)
 
     def to_json_dict(self) -> dict:
         return {
@@ -200,46 +204,21 @@ class FreeAlgebra:
                 f"jirr={len(self.indices)}, size={self.algebra.size})")
 
 
+def _gen_masks(indices, k: int) -> tuple[int, ...]:
+    """Generator x_i as an upset mask: the indices whose L contains i."""
+    return tuple(
+        sum(1 << p for p, j in enumerate(indices) if (j.ell >> i) & 1)
+        for i in range(k)
+    )
+
+
 def build_free(n: int | None, k: int, poset_cap: int | None = None,
                element_cap: int | None = None) -> FreeAlgebra:
     indices, poset = free_skeleton(n, k, poset_cap)
     element_cap = DEFAULT.element_cap if element_cap is None else element_cap
     algebra = UpsetAlgebra(poset, cap=element_cap,
-                           labels=[_emit_text(j) for j in indices])
-    gen_masks = tuple(
-        sum(1 << p for p, j in enumerate(indices) if (j.ell >> i) & 1)
-        for i in range(k)
-    )
-    return FreeAlgebra(n, k, indices, poset, algebra, gen_masks)
-
-
-def _emit(j: JIndex) -> Term:
-    """Canonical term for one index; collapses to simpler shapes when the
-    family is full (the term is 1) or a singleton (a meet of literals)."""
-    if len(j.tees) == 1 << j.k:
-        return ONE
-    if len(j.tees) == 1:
-        T = j.tees[0]
-        factors = []
-        for i in range(j.k):
-            v = Var(i + 1)
-            if (j.ell >> i) & 1:
-                factors.append(v)
-            elif (T >> i) & 1:
-                factors.append(Star(Star(v)))
-            else:
-                factors.append(Star(v))
-        return meet_all(factors)
-    head = Star(Star(join_all([atom_term(T, j.k) for T in j.tees])))
-    if not j.ell:
-        return head
-    return Meet(head, meet_all([Var(i + 1) for i in bit_indices(j.ell)]))
-
-
-def _emit_text(j: JIndex) -> str:
-    from .terms import to_text
-
-    return to_text(_emit(j))
+                           labels=[to_text(j.term()) for j in indices])
+    return FreeAlgebra(n, k, indices, poset, algebra, _gen_masks(indices, k))
 
 
 def normal_form(t: Term, n: int | None, k: int | None = None,
@@ -251,17 +230,13 @@ def normal_form(t: Term, n: int | None, k: int | None = None,
     """
     k = max(max_var(t), 0 if k is None else k)
     indices, poset = free_skeleton(n, k, poset_cap)
-    ops = _SkeletonOps(poset)
-    valuation = {
-        i + 1: sum(1 << p for p, j in enumerate(indices) if (j.ell >> i) & 1)
-        for i in range(k)
-    }
-    mask = eval_postfix(compile_postfix(t), ops, valuation)
+    valuation = dict(enumerate(_gen_masks(indices, k), 1))
+    mask = eval_postfix(compile_postfix(t), _SkeletonOps(poset), valuation)
     heads = sorted((indices[p] for p in bit_indices(min_elements(poset, mask))),
                    key=JIndex.sort_key)
     if not heads:
         return ZERO
-    return join_all([_emit(j) for j in heads])
+    return join_all([j.term() for j in heads])
 
 
 # --------------------------------------------------- free distributive D(s)
@@ -325,12 +300,7 @@ def stone_decompose(k: int, element_cap: int | None = None) -> StoneDecompositio
         iso = is_isomorphic(F.algebra, prod)
         return StoneDecomposition(k, subset_masks, factors, "elements", iso)
     _, poset = free_skeleton(1, k)
-    shift = 0
-    rows: list[int] = []
-    for f in factors:
-        rows.extend(row << shift for row in f.base.up)
-        shift += f.base.n
-    iso = poset_isomorphic(poset, Poset(rows))
+    iso = poset_isomorphic(poset, disjoint_union([f.base for f in factors]))
     return StoneDecomposition(k, subset_masks, factors, "poset", iso)
 
 

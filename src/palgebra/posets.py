@@ -107,6 +107,16 @@ class Poset:
         return f"Poset(n={self.n}, covers={self.covers()})"
 
 
+def disjoint_union(posets: Sequence[Poset]) -> Poset:
+    """The posets side by side, each shifted past the ones before it."""
+    rows: list[int] = []
+    shift = 0
+    for P in posets:
+        rows.extend(row << shift for row in P.up)
+        shift += P.n
+    return Poset(rows)
+
+
 def is_upset(P: Poset, S: int) -> bool:
     """True iff S is upward closed in P."""
     for i in bit_indices(S):

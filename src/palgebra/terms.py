@@ -221,9 +221,10 @@ def term_from_json(doc) -> Term:
 
 # ---------------------------------------------------------------- evaluation
 
-def vars_of(t: Term) -> tuple[int, ...]:
+def vars_of(*terms: Term) -> tuple[int, ...]:
+    """The variable indices occurring in any of the terms, ascending."""
     seen: set[int] = set()
-    stack = [t]
+    stack = list(terms)
     while stack:
         node = stack.pop()
         if isinstance(node, Var):
@@ -236,8 +237,9 @@ def vars_of(t: Term) -> tuple[int, ...]:
     return tuple(sorted(seen))
 
 
-def max_var(t: Term) -> int:
-    vs = vars_of(t)
+def max_var(*terms: Term) -> int:
+    """The largest variable index in any of the terms; 0 if there is none."""
+    vs = vars_of(*terms)
     return vs[-1] if vs else 0
 
 
@@ -340,7 +342,14 @@ def atom_term(T: int, k: int) -> Term:
 
 
 def jirr_term(tees: Iterable[int], ell: int, k: int) -> Term:
-    """p^L_T: (join of x_T over the family)** meet the variables of L."""
+    """p^L_T: (join of x_T over the family)** meet the variables of L.
+
+    Two families take shorter forms that are equal to p^L_T in every
+    p-algebra: the full family of all 2^k subsets gives 1, and a singleton
+    {T} gives the meet of x_i for i in L, x_i** for i in T - L and x_i* for
+    i outside T.  Rejects an empty family, masks beyond k variables, and an
+    L outside the family's intersection.
+    """
     fam = sorted(set(tees))
     if not fam:
         raise BadIndex("the family must be nonempty")
@@ -351,6 +360,27 @@ def jirr_term(tees: Iterable[int], ell: int, k: int) -> Term:
         common &= T
     if ell & ~common:
         raise BadIndex("L must be included in every member of the family")
+    return index_term(fam, ell, k)
+
+
+def index_term(fam: Sequence[int], ell: int, k: int) -> Term:
+    """jirr_term without the input checks, for an already valid index:
+    fam strictly ascending, nonempty, within k variables, and ell inside
+    every member."""
+    if len(fam) == 1 << k:
+        return ONE
+    if len(fam) == 1:
+        T = fam[0]
+        factors = []
+        for i in range(k):
+            v = Var(i + 1)
+            if (ell >> i) & 1:
+                factors.append(v)
+            elif (T >> i) & 1:
+                factors.append(Star(Star(v)))
+            else:
+                factors.append(Star(v))
+        return meet_all(factors)
     head = Star(Star(join_all([atom_term(T, k) for T in fam])))
     if not ell:
         return head

@@ -3,10 +3,14 @@
 from itertools import product as iproduct
 
 from palgebra import (
+    Star,
+    Var,
     build_chain,
     build_free,
     build_si,
     glivenko,
+    join_all,
+    meet_all,
     principal_congruence,
     product,
     quotient,
@@ -44,6 +48,19 @@ def brute_pseudocomplement(A, a):
     for b in zeros[1:]:
         best = A.join(best, b)
     return best if A.meet(a, best) == A.zero else None
+
+
+def paper_jirr_term(tees, ell, k):
+    """Reference for the index term, straight from the paper's formula
+    p^L_T = (join of x_T over T in the family)** meet (meet of x_i, i in L),
+    where x_T meets x_i for i in T and x_i* for the other i <= k; no short
+    forms."""
+    def x(T):
+        return meet_all([Var(i + 1) if (T >> i) & 1 else Star(Var(i + 1))
+                         for i in range(k)])
+
+    head = Star(Star(join_all([x(T) for T in tees])))
+    return meet_all([head] + [Var(i + 1) for i in range(k) if (ell >> i) & 1])
 
 
 def count_monotone_functions(s: int) -> int:

@@ -221,6 +221,16 @@ class TestQuotient:
             for b in range(B.size):
                 assert p[B.meet(a, b)] == q.algebra.meet(p[a], p[b])
 
+    def test_raw_labels_match_the_congruence(self):
+        C = build_chain(5)
+        theta = principal_congruence(C, 1, 3)
+        assert theta.rep == (0, 1, 1, 1, 4)
+        raw = quotient(C, ["top" if r == 4 else 7 - r for r in theta.rep])
+        ref = quotient(C, theta)
+        assert (raw.proj, raw.reps) == (ref.proj, ref.reps)
+        assert algebra_to_json_dict(raw.algebra) == algebra_to_json_dict(ref.algebra)
+        assert raw.algebra.labels == ref.algebra.labels
+
     def test_non_congruence_rejected(self):
         C = build_chain(4)
         with pytest.raises(NotACongruence):

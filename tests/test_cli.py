@@ -99,6 +99,13 @@ class TestNf:
         code, _, err = run(capsys, "nf", "-n", "2", "y1")
         assert code == 1 and "parse error" in err
 
+    def test_deep_nesting_is_a_usage_error(self, capsys):
+        term = "(" * 1200 + "x1" + ")" * 1200
+        code, out, err = run(capsys, "nf", "-n", "2", term)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
 
 class TestEq:
     def test_axiom_holds_everywhere(self, capsys):

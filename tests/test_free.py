@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -25,6 +26,7 @@ from palgebra import (
     homomorphism_g,
     is_isomorphic,
     is_pp_morphism,
+    jirr_term,
     join_irreducibles,
     normal_form,
     parse,
@@ -36,7 +38,7 @@ from palgebra import (
     validate,
 )
 from palgebra.terms import compile_postfix, eval_postfix
-from .helpers import count_monotone_functions
+from .helpers import count_monotone_functions, paper_jirr_term
 
 SIZES = {(1, 1): 6, (2, 1): 7, (3, 1): 7, (None, 1): 7,
          (1, 2): 108, (2, 2): 539, (3, 2): 625, (4, 2): 626, (None, 2): 626}
@@ -158,6 +160,23 @@ class TestBuild:
         for pos, j in enumerate(F.indices):
             e = evaluate(j.term(), F.algebra, val)
             assert F.algebra.mask(e) == F.poset.up[pos]
+
+    def test_index_terms_replay_the_paper_formula(self):
+        # the emitted short forms (1 for a full family, a meet of literals
+        # for a singleton) must equal p^L_T under every valuation into the
+        # generators si:1..3
+        targets = [build_si(s) for s in (1, 2, 3)]
+        cases = [(n, k) for k in range(3) for n in (1, 2, 3, None)] + [(2, 3)]
+        for n, k in cases:
+            for j in enumerate_jindices(n, k):
+                assert jirr_term(j.tees, j.ell, k) == j.term()
+                got = compile_postfix(j.term())
+                ref = compile_postfix(paper_jirr_term(j.tees, j.ell, k))
+                for B in targets:
+                    for tup in itertools.product(range(B.size), repeat=k):
+                        val = dict(enumerate(tup, 1))
+                        assert (eval_postfix(got, B, val)
+                                == eval_postfix(ref, B, val)), (n, j, tup)
 
     def test_element_cap(self):
         with pytest.raises(CapExceeded):
