@@ -303,18 +303,19 @@ def quotient(A: PAlgebra, theta, check: bool = True) -> Quotient:
 
 # ------------------------------------------------------ structural inventory
 
-def _above_rows(A: PAlgebra) -> list[int]:
-    """above[i] = mask over element indices j with i <= j."""
-    if isinstance(A, UpsetAlgebra):
-        masks = A.elements
-        return [sum(1 << j for j in range(A.size) if not (masks[i] & ~masks[j]))
-                for i in range(A.size)]
-    return [sum(1 << j for j in range(A.size) if A.leq(i, j)) for i in range(A.size)]
-
-
 def join_irreducibles(A: PAlgebra) -> list[int]:
     """Elements with exactly one lower cover."""
-    above = _above_rows(A)
+    return _join_irreducibles_above(A)[0]
+
+
+def _join_irreducibles_above(A: PAlgebra) -> tuple[list[int], list[int]]:
+    """(join_irreducibles(A), above) with above[i] the mask of all j >= i."""
+    if isinstance(A, UpsetAlgebra):
+        masks = A.elements
+        above = [sum(1 << j for j in range(A.size) if not (masks[i] & ~masks[j]))
+                 for i in range(A.size)]
+    else:
+        above = [sum(1 << j for j in range(A.size) if A.leq(i, j)) for i in range(A.size)]
     below = [0] * A.size
     for i in range(A.size):
         for j in bit_indices(above[i] & ~(1 << i)):
@@ -329,7 +330,7 @@ def join_irreducibles(A: PAlgebra) -> list[int]:
                     break
         if covers == 1:
             out.append(a)
-    return out
+    return out, above
 
 
 def atoms(A: PAlgebra) -> list[int]:
@@ -458,9 +459,11 @@ def algebra_from_json_dict(doc: dict, cap: int | None = None) -> PAlgebra:
         if kind == "table":
             return TableAlgebra(doc["meet"], doc["join"], doc["star"], doc["zero"], doc["one"])
         if kind == "upset":
-            poset = doc["poset"]
+            poset, labels = doc["poset"], [str(s) for s in doc["labels"]]
+            if len(labels) != poset["size"]:
+                raise ValueError(f"{len(labels)} labels for {poset['size']} points")
             base = Poset.from_covers(poset["size"], [tuple(c) for c in poset["covers"]])
-            return UpsetAlgebra(base, cap=cap, labels=[str(s) for s in doc["labels"]])
+            return UpsetAlgebra(base, cap=cap, labels=labels)
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise MalformedTables(f"bad algebra document: {exc}") from exc
     raise MalformedTables(f"unknown algebra kind {kind!r}")

@@ -193,17 +193,12 @@ def is_prime_filter(A, mask: int) -> bool:
 
 
 def prime_filters(A) -> list[int]:
-    """All prime filters, as element masks; in a finite distributive lattice
+    """All prime filters, as element masks: in a finite distributive lattice
     these are exactly the up-sets of join-irreducibles."""
-    from .algebras import join_irreducibles
+    from .algebras import _join_irreducibles_above
 
-    out = []
-    for p in join_irreducibles(A):
-        mask = sum(1 << a for a in range(A.size) if A.leq(p, a))
-        if not is_prime_filter(A, mask):
-            raise NotPrime(f"up-set of join-irreducible {p} failed the prime check")
-        out.append(mask)
-    return out
+    jirr, above = _join_irreducibles_above(A)
+    return [above[p] for p in jirr]
 
 
 def closure_filter(A, mask: int) -> int:
@@ -263,24 +258,38 @@ def _unique_subcover_check(A, mu: Congruence, one_mask: int) -> bool:
     return len(maximal) == 1
 
 
-def cm_from_prime_filter(A, F: int, *, filters: Sequence[int] | None = None,
-                         verify: bool | None = None) -> CmRecord:
-    """The unique completely meet-irreducible congruence with 1-class F.
-
-    Classes: F itself; F-bar minus F when nonempty; outside F-bar, elements
-    grouped by which I-type prime filters above F-bar contain them.
-    """
-    # members of filters were already vetted by prime_filters
-    if (filters is None or F not in filters) and not is_prime_filter(A, F):
+def cm_from_prime_filter(A, F: int, *, verify: bool = False) -> CmRecord:
+    """The unique completely meet-irreducible congruence with 1-class F,
+    taken from cm_all; raises NotPrime if F is not a prime filter."""
+    if not is_prime_filter(A, F):
         raise NotPrime("not a prime filter mask")
-    fbar = closure_filter(A, F)
-    if fbar == F:
-        mu = Congruence([(F >> a) & 1 for a in range(A.size)])
-        lo_o = min(bit_indices(((1 << A.size) - 1) & ~F))
-        record = CmRecord(mu, full_congruence(A.size), "I", F,
-                          psi=_meet_fold(A, F), e_mu=lo_o)
-    else:
-        gees = [G for G in i_type_filters(A, filters) if not (fbar & ~G)]
+    for record in cm_all(A, verify=verify):
+        if record.one_mask == F:
+            return record
+    raise NotPrime("no join-irreducible generates this filter")
+
+
+def cm_all(A, *, verify: bool = False) -> list[CmRecord]:
+    """One record per prime filter F.  Classes: F itself; F-bar minus F when
+    nonempty; outside F-bar, elements grouped by which I-type prime filters
+    above F-bar contain them.  verify=True re-proves that every filter is
+    prime, that every mu and mu+ is compatible with the operations, that
+    every quotient has a unique subcover of 1, and, for carriers within the
+    oracle cap, that the records are the lattice's meet-irreducibles."""
+    filters = prime_filters(A)
+    if verify and not all(is_prime_filter(A, F) for F in filters):
+        raise NotPrime("an up-set of a join-irreducible failed the prime check")
+    i_types = i_type_filters(A, filters)
+    records = []
+    for F in filters:
+        fbar = closure_filter(A, F)
+        if fbar == F:
+            mu = Congruence([(F >> a) & 1 for a in range(A.size)])
+            lo_o = min(bit_indices(((1 << A.size) - 1) & ~F))
+            records.append(CmRecord(mu, full_congruence(A.size), "I", F,
+                                    psi=_meet_fold(A, F), e_mu=lo_o))
+            continue
+        gees = [G for G in i_types if not (fbar & ~G)]
         # labels: -1 for F, -2 for F-bar minus F, else the I-type signature
         mu = Congruence([
             -1 if (F >> a) & 1 else -2 if (fbar >> a) & 1
@@ -288,37 +297,27 @@ def cm_from_prime_filter(A, F: int, *, filters: Sequence[int] | None = None,
             for a in range(A.size)
         ])
         lo_f, lo_e = min(bit_indices(F)), min(bit_indices(fbar & ~F))
-        record = CmRecord(mu, mu.merge_classes(lo_f, lo_e), "II", F,
-                          psi=_meet_fold(A, F), e_mu=lo_e)
-    if verify is None:
-        verify = A.size <= 256
-    if verify:
-        from .algebras import compatibility_witness
+        records.append(CmRecord(mu, mu.merge_classes(lo_f, lo_e), "II", F,
+                                psi=_meet_fold(A, F), e_mu=lo_e))
+    if not verify:
+        return records
+    from .algebras import compatibility_witness
 
-        for cong, tag in ((record.mu, "mu"), (record.mu_plus, "mu-plus")):
+    for r in records:
+        for cong, tag in ((r.mu, "mu"), (r.mu_plus, "mu-plus")):
             w = compatibility_witness(A, cong.rep)
             if w is not None:
                 raise NotACongruence(f"{tag} construction broke compatibility at {w}")
-        if not _unique_subcover_check(A, record.mu, F):
+        if not _unique_subcover_check(A, r.mu, r.one_mask):
             raise NotACongruence("quotient lacks a unique subcover of 1")
-    return record
-
-
-def cm_all(A, *, verify: bool | None = None, cross_check: bool | None = None) -> list[CmRecord]:
-    """One record per prime filter.  For small carriers the result is checked
-    against the meet-irreducibles of the enumerated congruence lattice."""
-    filters = prime_filters(A)
-    records = [cm_from_prime_filter(A, F, filters=filters, verify=verify) for F in filters]
-    if cross_check is None:
-        cross_check = A.size <= DEFAULT.oracle_cap
-    if cross_check:
-        lattice = all_congruences(A, cap=max(DEFAULT.oracle_cap, A.size))
+    if A.size <= DEFAULT.oracle_cap:
+        lattice = all_congruences(A)
         expected = set()
         for th in lattice:
-            uppers = [ph for ph in lattice if ph != th and th.refines(ph)]
             bound = full_congruence(A.size)
-            for ph in uppers:
-                bound = bound.meet(ph)
+            for ph in lattice:
+                if ph != th and th.refines(ph):
+                    bound = bound.meet(ph)
             if bound != th:
                 expected.add(th)
         if expected != {r.mu for r in records}:

@@ -174,12 +174,20 @@ def check_quasi_identity(q: QuasiIdentity, A: PAlgebra,
     if strategy not in ("exhaustive", "pruned"):
         raise ValueError(f"unknown strategy: {strategy!r}")
     budget = DEFAULT.budget if budget is None else budget
-    terms = [t for p in q.premises for t in (p.lhs, p.rhs)]
-    terms += [q.conclusion.lhs, q.conclusion.rhs]
-    variables = vars_of(*terms)
+    variables = _quasi_vars(q)
     if strategy == "exhaustive":
         return _quasi_exhaustive(q, A, variables, budget)
     return _quasi_pruned(q, A, variables, budget)
+
+
+def _quasi_vars(q: QuasiIdentity) -> tuple[int, ...]:
+    """The variables of the premises and the conclusion, ascending."""
+    return vars_of(*(t for e in (*q.premises, q.conclusion) for t in (e.lhs, e.rhs)))
+
+
+def _strategy(size: int, nvars: int, budget: int) -> str:
+    """Exhaustive when the whole sweep over the carrier fits the budget."""
+    return "exhaustive" if size ** nvars <= budget else "pruned"
 
 
 def _quasi_exhaustive(q, A, variables, budget) -> Verdict:
@@ -337,9 +345,7 @@ def admissible_in_free(q: QuasiIdentity, n: int | None, k_extra: int = 0,
     the algebra fits the caps.  Exhaustive when the sweep fits the budget,
     pruned otherwise."""
     budget = DEFAULT.budget if budget is None else budget
-    terms = [t for p in q.premises for t in (p.lhs, p.rhs)]
-    terms += [q.conclusion.lhs, q.conclusion.rhs]
-    variables = vars_of(*terms)
+    variables = _quasi_vars(q)
     k_want = max(1, (variables[-1] if variables else 1) + k_extra)
     F = None
     for k_try in range(k_want, 0, -1):
@@ -350,7 +356,7 @@ def admissible_in_free(q: QuasiIdentity, n: int | None, k_extra: int = 0,
             continue
     if F is None:
         raise CapExceeded("free algebra rank", k_want, 0)
-    strategy = "exhaustive" if F.size ** len(variables) <= budget else "pruned"
+    strategy = _strategy(F.size, len(variables), budget)
     return check_quasi_identity(q, F.algebra, strategy, budget=budget)
 
 
@@ -444,7 +450,7 @@ def structural_completeness_report(n: int, *, budget: int | None = None) -> dict
     admissible = []
     for k in (1, 2):
         F = build_free(n, k)
-        strategy = "exhaustive" if F.size ** 3 <= budget else "pruned"
+        strategy = _strategy(F.size, len(_quasi_vars(q)), budget)
         v = check_quasi_identity(q, F.algebra, strategy, budget=budget)
         admissible.append({"algebra": f"free:{n},{k}", "size": F.size,
                            "verdict": v.to_json_dict()})

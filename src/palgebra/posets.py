@@ -66,6 +66,9 @@ class Poset:
         """Build from (lower, upper) edges; the reflexive-transitive closure is taken."""
         rows = [1 << i for i in range(n)]
         edges = list(pairs)
+        for edge in edges:
+            if not all(0 <= end < n for end in edge):
+                raise ValueError(f"cover {list(edge)} mentions elements outside 0..{n - 1}")
         changed = True
         while changed:
             changed = False
@@ -167,19 +170,18 @@ def enumerate_upsets(P: Poset, cap: int | None = None) -> list[int]:
     order = sorted(range(P.n), key=lambda i: (P.up[i].bit_count(), i))
     strict_up = [P.up[i] & ~(1 << i) for i in range(P.n)]
     found: list[int] = []
-
-    def rec(pos: int, cur: int) -> None:
+    stack = [(0, 0)]  # (next position in order, upset decided so far)
+    while stack:
+        pos, cur = stack.pop()
         if pos == len(order):
             if len(found) >= cap:
                 raise CapExceeded("upset count", len(found) + 1, cap)
             found.append(cur)
-            return
+            continue
         i = order[pos]
-        rec(pos + 1, cur)
         if not (strict_up[i] & ~cur):
-            rec(pos + 1, cur | (1 << i))
-
-    rec(0, 0)
+            stack.append((pos + 1, cur | (1 << i)))
+        stack.append((pos + 1, cur))
     found.sort(key=lambda m: (m.bit_count(), m))
     return found
 

@@ -119,3 +119,22 @@ def congruences_via_cm(A):
                 closed.add(z)
                 frontier.append(z)
     return sorted(closed, key=lambda c: c.rep)
+
+
+def generated_subuniverse(B, seed) -> set[int]:
+    """The subuniverse of B generated by the seed elements: the bounds and
+    the seed, closed under meet, join and star by a worklist."""
+    out = {B.zero, B.one, *seed}
+    frontier = list(out)
+    while frontier:
+        a = frontier.pop()
+        for b in list(out):
+            for c in (B.meet(a, b), B.join(a, b)):
+                if c not in out:
+                    out.add(c)
+                    frontier.append(c)
+        st = B.star(a)
+        if st not in out:
+            out.add(st)
+            frontier.append(st)
+    return out

@@ -1,8 +1,19 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from palgebra import algebra_dumps, algebra_from_json_dict, build_si, validate
+from palgebra import (
+    algebra_dumps,
+    algebra_from_json_dict,
+    algebras,
+    build_si,
+    congruences,
+    validate,
+)
 from palgebra.cli import main
 
 QB3 = {
@@ -209,6 +220,16 @@ class TestSiDualReport:
         code, out, _ = run(capsys, "dual", "free:1,1")
         assert json.loads(out)["count"] == 3
 
+    def test_dual_reproves_nothing_by_default(self, capsys, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("self-check ran on the default path")
+
+        monkeypatch.setattr(congruences, "is_prime_filter", boom)
+        monkeypatch.setattr(algebras, "compatibility_witness", boom)
+        monkeypatch.setattr(congruences, "all_congruences", boom)
+        code, out, _ = run(capsys, "dual", "free:1,2")
+        assert code == 0 and json.loads(out)["count"] == 9
+
     def test_report(self, capsys):
         code, out, _ = run(capsys, "report", "3")
         assert code == 0
@@ -266,3 +287,47 @@ class TestConvertAndSpecifiers:
         f.write_text(json.dumps(doc))
         code, _, err = run(capsys, "convert", str(f))
         assert code == 1 and "error" in err
+
+
+class TestUpsetFiles:
+    def test_negative_cover_end_rejected(self, capsys, tmp_path):
+        f = tmp_path / "alg.json"
+        f.write_text(json.dumps({"kind": "upset", "labels": ["a", "b", "c"],
+                                 "poset": {"size": 3, "covers": [[0, -1]]}}))
+        code, _, err = run(capsys, "convert", str(f))
+        assert code == 1 and "outside 0..2" in err
+
+    def test_short_label_list_rejected(self, capsys, tmp_path):
+        f = tmp_path / "alg.json"
+        f.write_text(json.dumps({"kind": "upset", "labels": ["a"],
+                                 "poset": {"size": 3, "covers": [[0, 1]]}}))
+        code, _, err = run(capsys, "convert", str(f))
+        assert code == 1 and "1 labels for 3 points" in err
+
+    def test_long_chain_converts(self, capsys, tmp_path):
+        n = 1500
+        f = tmp_path / "chain.json"
+        f.write_text(json.dumps({
+            "kind": "upset", "labels": [f"p{i}" for i in range(n)],
+            "poset": {"size": n, "covers": [[i, i + 1] for i in range(n - 1)]}}))
+        code, out, err = run(capsys, "convert", str(f))
+        assert code == 0 and err == ""
+        assert json.loads(out)["poset"]["size"] == n
+
+    @settings(max_examples=300, deadline=None)
+    @given(size=st.integers(-1, 5),
+           covers=st.lists(st.lists(st.integers(-3, 6), min_size=1, max_size=3),
+                           max_size=6),
+           labels=st.lists(st.text(max_size=2), max_size=6))
+    def test_random_documents_exit_cleanly(self, tmp_path_factory, size, covers, labels):
+        f = tmp_path_factory.getbasetemp() / "random-upset.json"
+        f.write_text(json.dumps({"kind": "upset", "labels": labels,
+                                 "poset": {"size": size, "covers": covers}}))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["convert", str(f)])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code == 0:
+            assert all(len(c) == 2 and all(0 <= e < size for e in c) for c in covers)
+            assert len(labels) == size

@@ -36,6 +36,7 @@ from palgebra import (
     quotient,
     regular_elements,
 )
+from palgebra import congruences
 from .helpers import brute_is_congruence, small_corpus
 
 CORPUS = small_corpus()
@@ -261,6 +262,33 @@ class TestRecords:
         C = build_chain(4)
         with pytest.raises(NotPrime):
             cm_from_prime_filter(C, 0b0110)  # {1, 2} is no filter
+
+
+class TestVerifySwitch:
+    @pytest.mark.parametrize("name,A", CORPUS, ids=[n for n, _ in CORPUS])
+    def test_verified_records_equal_default(self, name, A):
+        assert cm_all(A, verify=True) == cm_all(A)
+
+    def test_single_record_agrees_with_cm_all(self):
+        B = build_si(2)
+        for r in cm_all(B):
+            assert cm_from_prime_filter(B, r.one_mask) == r
+            assert cm_from_prime_filter(B, r.one_mask, verify=True) == r
+
+    def test_planted_fault_is_caught_only_when_verifying(self, monkeypatch):
+        # with F-bar = F every filter looks I-type, so mu glues too much
+        monkeypatch.setattr(congruences, "closure_filter", lambda A, mask: mask)
+        C = build_chain(4)
+        with pytest.raises(NotACongruence):
+            cm_all(C, verify=True)
+        assert len(cm_all(C)) == 3
+
+    def test_planted_non_prime_filter_is_caught(self, monkeypatch):
+        C = build_chain(4)
+        filters = prime_filters(C)
+        monkeypatch.setattr(congruences, "prime_filters", lambda A: filters + [0b0110])
+        with pytest.raises(NotPrime):
+            cm_all(C, verify=True)
 
 
 class TestKernelCrossCheck:

@@ -38,7 +38,7 @@ from palgebra import (
     validate,
 )
 from palgebra.terms import compile_postfix, eval_postfix
-from .helpers import count_monotone_functions, paper_jirr_term
+from .helpers import count_monotone_functions, generated_subuniverse, paper_jirr_term
 
 SIZES = {(1, 1): 6, (2, 1): 7, (3, 1): 7, (None, 1): 7,
          (1, 2): 108, (2, 2): 539, (3, 2): 625, (4, 2): 626, (None, 2): 626}
@@ -369,3 +369,20 @@ class TestHomomorphisms:
     def test_family_too_large(self):
         with pytest.raises(BadIndex):
             homomorphism_g(1, 2, (0b01, 0b10), 0)
+
+    def test_assignments_generate_their_targets(self):
+        # every index at k <= 3 (levels 0 and omega) and k = 4 (levels 1-3):
+        # a non-atom index generates all of B, an atom index just the bounds
+        cases = [(n, k) for k in range(4) for n in (0, None)]
+        cases += [(n, 4) for n in (1, 2, 3)]
+        seen = 0
+        for n, k in cases:
+            for j in enumerate_jindices(n, k):
+                B, assignment = homomorphism_g(n, k, j.tees, j.ell)
+                image = generated_subuniverse(B, assignment)
+                if j.is_atom:
+                    assert image == {B.zero, B.one}, (n, j)
+                else:
+                    assert len(image) == B.size, (n, j)
+                seen += 1
+        assert seen == 1947

@@ -193,3 +193,17 @@ def test_export_dot_shape():
     assert '"bot"' in dot and '"top"' in dot
     assert "0 -> 1" in dot and "1 -> 2" in dot
     assert "0 -> 2" not in dot  # covers only
+
+
+class TestLongChains:
+    def test_upsets_of_a_1500_chain(self):
+        n = 1500
+        P = Poset.from_covers(n, [(i, i + 1) for i in range(n - 1)])
+        ups = enumerate_upsets(P)
+        assert len(ups) == n + 1
+        assert ups[0] == 0 and ups[-1] == P.universe
+
+    def test_cover_ends_must_be_points(self):
+        for bad in ([(0, -1)], [(0, 3)], [(-1, 2)]):
+            with pytest.raises(ValueError):
+                Poset.from_covers(3, bad)
