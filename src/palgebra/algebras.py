@@ -20,6 +20,7 @@ from .posets import (
     disjoint_union,
     downset_closure,
     enumerate_upsets,
+    join_irreducible_points,
     poset_isomorphic,
 )
 
@@ -303,40 +304,34 @@ def quotient(A: PAlgebra, theta, check: bool = True) -> Quotient:
 
 # ------------------------------------------------------ structural inventory
 
+def element_order(A: PAlgebra) -> Poset:
+    """The order of A on its element indices; ``up[i]`` is the mask of all j >= i."""
+    if isinstance(A, UpsetAlgebra):
+        # containing[p]: the elements whose upset holds base point p; j >= i
+        # exactly when j holds every point of i
+        containing = [0] * A.base.n
+        for j, m in enumerate(A.elements):
+            for p in bit_indices(m):
+                containing[p] |= 1 << j
+        up = []
+        for m in A.elements:
+            row = (1 << A.size) - 1  # the empty upset lies below everything
+            for p in bit_indices(m):
+                row &= containing[p]
+            up.append(row)
+    else:
+        up = [sum(1 << j for j, m in enumerate(row) if m == i)
+              for i, row in enumerate(A.meet_table)]
+    return Poset(up, cap=A.size)
+
+
 def join_irreducibles(A: PAlgebra) -> list[int]:
     """Elements with exactly one lower cover."""
-    return _join_irreducibles_above(A)[0]
-
-
-def _join_irreducibles_above(A: PAlgebra) -> tuple[list[int], list[int]]:
-    """(join_irreducibles(A), above) with above[i] the mask of all j >= i."""
-    if isinstance(A, UpsetAlgebra):
-        masks = A.elements
-        above = [sum(1 << j for j in range(A.size) if not (masks[i] & ~masks[j]))
-                 for i in range(A.size)]
-    else:
-        above = [sum(1 << j for j in range(A.size) if A.leq(i, j)) for i in range(A.size)]
-    below = [0] * A.size
-    for i in range(A.size):
-        for j in bit_indices(above[i] & ~(1 << i)):
-            below[j] |= 1 << i
-    out = []
-    for a in range(A.size):
-        covers = 0
-        for b in bit_indices(below[a]):
-            if not (above[b] & below[a] & ~(1 << b)):
-                covers += 1
-                if covers > 1:
-                    break
-        if covers == 1:
-            out.append(a)
-    return out, above
+    return join_irreducible_points(element_order(A))
 
 
 def atoms(A: PAlgebra) -> list[int]:
-    return [a for a in range(A.size)
-            if a != A.zero
-            and all(b in (a, A.zero) for b in range(A.size) if A.leq(b, a))]
+    return [hi for lo, hi in element_order(A).covers() if lo == A.zero]
 
 
 def dense_elements(A: PAlgebra) -> list[int]:

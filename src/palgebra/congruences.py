@@ -15,7 +15,7 @@ from typing import Hashable, Iterable, Sequence
 
 from .config import DEFAULT
 from .errors import CapExceeded, NotACongruence, NotPrime
-from .posets import Poset, bit_indices
+from .posets import Poset, bit_indices, join_irreducible_points
 
 
 class Congruence:
@@ -195,10 +195,10 @@ def is_prime_filter(A, mask: int) -> bool:
 def prime_filters(A) -> list[int]:
     """All prime filters, as element masks: in a finite distributive lattice
     these are exactly the up-sets of join-irreducibles."""
-    from .algebras import _join_irreducibles_above
+    from .algebras import element_order
 
-    jirr, above = _join_irreducibles_above(A)
-    return [above[p] for p in jirr]
+    P = element_order(A)
+    return [P.up[p] for p in join_irreducible_points(P)]
 
 
 def closure_filter(A, mask: int) -> int:

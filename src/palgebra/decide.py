@@ -141,16 +141,16 @@ def _sweep_equation(e: Equation, n_eff: int, k: int, budget: int):
 
 # ------------------------------------------------------- quasi-identities
 
-def _joinands(t: Term) -> list[Term]:
-    if isinstance(t, Join):
-        return _joinands(t.left) + _joinands(t.right)
-    return [t]
-
-
-def _meetands(t: Term) -> list[Term]:
-    if isinstance(t, Meet):
-        return _meetands(t.left) + _meetands(t.right)
-    return [t]
+def _operands(t: Term, op: type) -> list[Term]:
+    """The operands of a nest of ``op`` (Join or Meet) nodes, left to right."""
+    out, stack = [], [t]
+    while stack:
+        s = stack.pop()
+        if isinstance(s, op):
+            stack += (s.right, s.left)
+        else:
+            out.append(s)
+    return out
 
 
 class _Budget:
@@ -282,11 +282,11 @@ def _quasi_pruned(q, A, variables, budget) -> Verdict:
                         narrow([c])
                     elif mine == Star(Var(v)):
                         narrow(star_preimages().get(c, ()))
-                if Var(v) in _joinands(mine):
+                if Var(v) in _operands(mine, Join):
                     spent.spend(A.size if pool is None else len(pool))
                     base = range(A.size) if pool is None else pool
                     narrow([x for x in base if A.leq(x, c)])
-                elif Var(v) in _meetands(mine):
+                elif Var(v) in _operands(mine, Meet):
                     spent.spend(A.size if pool is None else len(pool))
                     base = range(A.size) if pool is None else pool
                     narrow([x for x in base if A.leq(c, x)])

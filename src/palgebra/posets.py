@@ -82,9 +82,6 @@ class Poset:
     def leq(self, i: int, j: int) -> bool:
         return bool((self.up[i] >> j) & 1)
 
-    def lt(self, i: int, j: int) -> bool:
-        return i != j and self.leq(i, j)
-
     def covers(self) -> list[tuple[int, int]]:
         """Transitive reduction as (lower, upper) pairs, sorted."""
         if self._covers is None:
@@ -118,6 +115,15 @@ def disjoint_union(posets: Sequence[Poset]) -> Poset:
         rows.extend(row << shift for row in P.up)
         shift += P.n
     return Poset(rows)
+
+
+def join_irreducible_points(P: Poset) -> list[int]:
+    """Points with exactly one lower cover (in a finite lattice, its
+    join-irreducibles), ascending."""
+    lower = [0] * P.n
+    for _, hi in P.covers():
+        lower[hi] += 1
+    return [i for i in range(P.n) if lower[i] == 1]
 
 
 def is_upset(P: Poset, S: int) -> bool:

@@ -322,16 +322,6 @@ def join_all(terms: Sequence[Term]) -> Term:
     return Join(join_all(terms[:mid]), join_all(terms[mid:]))
 
 
-def subtraction_term() -> Term:
-    """x - y over x1, x2."""
-    return Meet(Join(Var(1), Var(2)), Star(Meet(Var(1), Var(2))))
-
-
-def boolean_equiv_term() -> Term:
-    """x . y over x1, x2."""
-    return Join(Meet(Star(Var(1)), Star(Var(2))), Meet(Var(1), Var(2)))
-
-
 def atom_term(T: int, k: int) -> Term:
     """x_T: meet of x_i for i in T and x_i* outside T; T is a bitmask over
     variables 1..k (bit i-1 stands for x_i)."""

@@ -138,3 +138,20 @@ def generated_subuniverse(B, seed) -> set[int]:
             out.add(st)
             frontier.append(st)
     return out
+
+
+def brute_lower_covers(A, a) -> list[int]:
+    """The elements a covers, by pairwise leq: b < a with nothing between."""
+    below = [b for b in range(A.size) if b != a and A.leq(b, a)]
+    return [b for b in below
+            if not any(c != b and A.leq(b, c) for c in below)]
+
+
+def brute_join_irreducibles(A) -> list[int]:
+    """Reference: the elements with exactly one lower cover."""
+    return [a for a in range(A.size) if len(brute_lower_covers(A, a)) == 1]
+
+
+def brute_atoms(A) -> list[int]:
+    """Reference: the elements whose only lower cover is the zero."""
+    return [a for a in range(A.size) if brute_lower_covers(A, a) == [A.zero]]

@@ -22,7 +22,9 @@ from palgebra import (
     dense_elements,
     glivenko,
     is_isomorphic,
+    is_prime_filter,
     join_irreducibles,
+    prime_filters,
     principal_congruence,
     product,
     product_many,
@@ -33,7 +35,13 @@ from palgebra import (
     to_upset,
     validate,
 )
-from .helpers import brute_pseudocomplement, small_corpus
+from palgebra import algebras, cli
+from .helpers import (
+    brute_atoms,
+    brute_join_irreducibles,
+    brute_pseudocomplement,
+    small_corpus,
+)
 
 CORPUS = small_corpus()
 
@@ -179,6 +187,44 @@ class TestStructure:
         assert skel.size == 8
         assert theta.num_classes == 8
         assert theta.same(7, 8)  # e and top collapse
+
+
+ORDER_CORPUS = CORPUS + [
+    ("si:2 x chain:4", to_table(product(build_si(2), build_chain(4)))),
+    ("si:3 x si:2", to_table(product(build_si(3), build_si(2)))),
+]
+
+
+class TestElementOrder:
+    """The order-derived inventory replayed against pairwise-leq oracles."""
+
+    @pytest.mark.parametrize("name,A", ORDER_CORPUS, ids=[n for n, _ in ORDER_CORPUS])
+    def test_rows_are_the_order(self, name, A):
+        up = algebras.element_order(A).up
+        assert up == tuple(sum(1 << j for j in range(A.size) if A.leq(i, j))
+                           for i in range(A.size))
+
+    @pytest.mark.parametrize("name,A", ORDER_CORPUS, ids=[n for n, _ in ORDER_CORPUS])
+    def test_inventory_matches_oracles(self, name, A):
+        assert join_irreducibles(A) == brute_join_irreducibles(A)
+        assert atoms(A) == brute_atoms(A)
+        filters = prime_filters(A)
+        assert len(filters) == len(join_irreducibles(A))
+        assert all(is_prime_filter(A, F) for F in filters)
+
+    def test_inventory_reads_no_leq(self, monkeypatch, capsys):
+        specs = ("si:3", "chain:5", "free:1,2")
+        loaded = [cli.load_algebra(spec) for spec in specs]
+
+        def refuse(self, i, j):
+            raise AssertionError("leq called")
+
+        monkeypatch.setattr(TableAlgebra, "leq", refuse)
+        monkeypatch.setattr(UpsetAlgebra, "leq", refuse)
+        for A in loaded:
+            assert join_irreducibles(A) and atoms(A) and prime_filters(A)
+        assert cli.main(["dual", "si:3"]) == 0
+        assert '"count": 4' in capsys.readouterr().out
 
 
 class TestIsomorphism:

@@ -179,6 +179,18 @@ class TestQi:
         assert doc["error"] == "budget-exceeded"
         assert doc["needed"] == 625 ** 3
 
+    def test_pruned_long_join_premise(self, capsys, tmp_path):
+        f = tmp_path / "long.json"
+        f.write_text(json.dumps({
+            "premises": [{"lhs": "x1*", "rhs": " | ".join(["x2"] * 1200)}],
+            "conclusion": {"lhs": "x1", "rhs": "1"},
+        }))
+        code, out, _ = run(capsys, "qi", str(f), "--algebra", "si:1", "--strategy", "pruned")
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["witness"]["valuation"] == {"x1": 0, "x2": 2}
+        assert doc["budgetUsed"] == 11
+
     def test_malformed_file(self, capsys, tmp_path):
         f = tmp_path / "bad.json"
         f.write_text('{"premises": []}')
