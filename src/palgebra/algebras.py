@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .config import DEFAULT
+from . import config
 from .congruences import Congruence
 from .errors import CapExceeded, MalformedTables, NotACongruence
 from .posets import (
@@ -78,9 +78,9 @@ class UpsetAlgebra:
 
     __slots__ = ("base", "elements", "index", "size", "zero", "one", "labels", "_star")
 
-    def __init__(self, base: Poset, cap: int | None = None, labels: Sequence[str] | None = None):
+    def __init__(self, base: Poset, labels: Sequence[str] | None = None):
         self.base = base
-        self.elements = tuple(enumerate_upsets(base, cap=cap))
+        self.elements = tuple(enumerate_upsets(base))
         self.index = {m: i for i, m in enumerate(self.elements)}
         self.size = len(self.elements)
         self.zero = self.index[0]
@@ -177,13 +177,13 @@ def compatibility_witness(A: PAlgebra, rep: Sequence[int]):
 
 # ------------------------------------------------------------- constructions
 
-def build_si(n: int, cap: int | None = None) -> TableAlgebra:
+def build_si(n: int) -> TableAlgebra:
     """The subdirectly irreducible member with n atoms: a 2^n-element Boolean
     algebra with a new top glued above its unit e.  Indices 0..2^n-1 are the
     Boolean masks, index 2^n is the new top."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    cap = DEFAULT.element_cap if cap is None else cap
+    cap = config.DEFAULT.element_cap
     size = (1 << n) + 1
     if size > cap:
         raise CapExceeded("algebra size", size, cap)
@@ -235,16 +235,16 @@ def build_chain(m: int) -> TableAlgebra:
     return TableAlgebra(meet, join, star, 0, m - 1)
 
 
-def product(A: PAlgebra, B: PAlgebra, cap: int | None = None) -> PAlgebra:
+def product(A: PAlgebra, B: PAlgebra) -> PAlgebra:
     """Direct product; upset carriers combine as a disjoint union of bases."""
-    cap = DEFAULT.element_cap if cap is None else cap
     if isinstance(A, UpsetAlgebra) and isinstance(B, UpsetAlgebra):
         labels = None
         if A.labels is not None and B.labels is not None:
             labels = A.labels + B.labels
-        return UpsetAlgebra(disjoint_union([A.base, B.base]), cap=cap, labels=labels)
-    Ta, Tb = to_table(A, cap=cap), to_table(B, cap=cap)
+        return UpsetAlgebra(disjoint_union([A.base, B.base]), labels=labels)
+    Ta, Tb = to_table(A), to_table(B)
     size = Ta.size * Tb.size
+    cap = config.DEFAULT.element_cap
     if size > cap:
         raise CapExceeded("product size", size, cap)
 
@@ -266,10 +266,10 @@ def product(A: PAlgebra, B: PAlgebra, cap: int | None = None) -> PAlgebra:
     return TableAlgebra(meet, join, star, pair(Ta.zero, Tb.zero), pair(Ta.one, Tb.one))
 
 
-def product_many(algebras: Sequence[PAlgebra], cap: int | None = None) -> PAlgebra:
+def product_many(algebras: Sequence[PAlgebra]) -> PAlgebra:
     out = algebras[0]
     for nxt in algebras[1:]:
-        out = product(out, nxt, cap=cap)
+        out = product(out, nxt)
     return out
 
 
@@ -396,10 +396,10 @@ def is_isomorphic(A: PAlgebra, B: PAlgebra):
 
 # ----------------------------------------------------------------- carriers
 
-def to_table(A: PAlgebra, cap: int | None = None) -> TableAlgebra:
-    cap = DEFAULT.element_cap if cap is None else cap
+def to_table(A: PAlgebra) -> TableAlgebra:
     if isinstance(A, TableAlgebra):
         return A
+    cap = config.DEFAULT.element_cap
     if A.size > cap:
         raise CapExceeded("table size", A.size, cap)
     rng = range(A.size)
@@ -409,7 +409,7 @@ def to_table(A: PAlgebra, cap: int | None = None) -> TableAlgebra:
     return TableAlgebra(meet, join, star, A.zero, A.one)
 
 
-def to_upset(A: PAlgebra, cap: int | None = None) -> UpsetAlgebra:
+def to_upset(A: PAlgebra) -> UpsetAlgebra:
     """Rebuild A as the upsets of its reversed join-irreducible poset."""
     if isinstance(A, UpsetAlgebra):
         return A
@@ -419,12 +419,12 @@ def to_upset(A: PAlgebra, cap: int | None = None) -> UpsetAlgebra:
         sum(1 << p for p in range(len(ja)) if A.leq(ja[p], a))
         for a in range(A.size)
     )
-    if masks != sorted(enumerate_upsets(base, cap=cap)):
+    if masks != sorted(enumerate_upsets(base)):
         raise ValueError("carrier is not the full upset lattice of its join-irreducibles")
     labels = None
     if A.labels is not None:
         labels = [A.labels[p] for p in ja]
-    return UpsetAlgebra(base, cap=cap, labels=labels)
+    return UpsetAlgebra(base, labels=labels)
 
 
 # -------------------------------------------------------------------- JSON
@@ -448,7 +448,7 @@ def algebra_to_json_dict(A: PAlgebra) -> dict:
     }
 
 
-def algebra_from_json_dict(doc: dict, cap: int | None = None) -> PAlgebra:
+def algebra_from_json_dict(doc: dict) -> PAlgebra:
     try:
         kind = doc["kind"]
         if kind == "table":
@@ -458,7 +458,7 @@ def algebra_from_json_dict(doc: dict, cap: int | None = None) -> PAlgebra:
             if len(labels) != poset["size"]:
                 raise ValueError(f"{len(labels)} labels for {poset['size']} points")
             base = Poset.from_covers(poset["size"], [tuple(c) for c in poset["covers"]])
-            return UpsetAlgebra(base, cap=cap, labels=labels)
+            return UpsetAlgebra(base, labels=labels)
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise MalformedTables(f"bad algebra document: {exc}") from exc
     raise MalformedTables(f"unknown algebra kind {kind!r}")
@@ -468,9 +468,9 @@ def algebra_dumps(A: PAlgebra) -> str:
     return json.dumps(algebra_to_json_dict(A), indent=2) + "\n"
 
 
-def algebra_loads(text: str, cap: int | None = None) -> PAlgebra:
+def algebra_loads(text: str) -> PAlgebra:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedTables(f"bad JSON: {exc}") from exc
-    return algebra_from_json_dict(doc, cap=cap)
+    return algebra_from_json_dict(doc)

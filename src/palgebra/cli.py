@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 
+from . import config
 from .algebras import (
     TableAlgebra,
     algebra_dumps,
@@ -237,6 +238,7 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        config.DEFAULT  # read PALGEBRA_* up front: a bad value is reported as itself
         return args.fn(args)
     except CapExceeded as exc:
         sys.stderr.write(json.dumps({

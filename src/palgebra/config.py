@@ -1,7 +1,7 @@
-"""Run-wide knobs: size caps, sweep budget, RNG seed."""
+"""Run-wide knobs: size caps, sweep budget, RNG seed; DEFAULT is read on first use."""
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 
 @dataclass(frozen=True)
@@ -14,18 +14,22 @@ class Config:
 
 
 def from_env() -> Config:
-    """Defaults, overridable through PALGEBRA_* environment variables."""
-    def geti(name: str, fallback: int) -> int:
+    """Defaults, each overridable through PALGEBRA_<FIELD>."""
+    values = {}
+    for f in fields(Config):
+        name = f"PALGEBRA_{f.name.upper()}"
         raw = os.environ.get(name)
-        return fallback if raw is None else int(raw)
-
-    return Config(
-        poset_cap=geti("PALGEBRA_POSET_CAP", 2048),
-        element_cap=geti("PALGEBRA_ELEMENT_CAP", 4096),
-        oracle_cap=geti("PALGEBRA_ORACLE_CAP", 12),
-        budget=geti("PALGEBRA_BUDGET", 10_000_000),
-        seed=geti("PALGEBRA_SEED", 0),
-    )
+        if raw is not None:
+            try:
+                values[f.name] = int(raw)
+            except ValueError:
+                raise ValueError(f"{name} must be an integer, got {raw!r}") from None
+    return Config(**values)
 
 
-DEFAULT = from_env()
+def __getattr__(name: str):
+    if name == "DEFAULT":
+        global DEFAULT
+        DEFAULT = from_env()
+        return DEFAULT
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

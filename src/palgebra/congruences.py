@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
 
-from .config import DEFAULT
+from . import config
 from .errors import CapExceeded, NotACongruence, NotPrime
 from .posets import Poset, bit_indices, join_irreducible_points
 
@@ -152,7 +152,7 @@ def congruence_closure(A, pairs: Sequence[tuple[int, int]]) -> Congruence:
 def all_congruences(A, cap: int | None = None) -> list[Congruence]:
     """The whole congruence lattice, by join-closing the principal ones.
     Exponential in the worst case; guarded by the oracle cap."""
-    cap = DEFAULT.oracle_cap if cap is None else cap
+    cap = config.DEFAULT.oracle_cap if cap is None else cap
     if A.size > cap:
         raise CapExceeded("carrier for congruence-lattice enumeration", A.size, cap)
     seen = {identity_congruence(A.size)}
@@ -310,7 +310,7 @@ def cm_all(A, *, verify: bool = False) -> list[CmRecord]:
                 raise NotACongruence(f"{tag} construction broke compatibility at {w}")
         if not _unique_subcover_check(A, r.mu, r.one_mask):
             raise NotACongruence("quotient lacks a unique subcover of 1")
-    if A.size <= DEFAULT.oracle_cap:
+    if A.size <= config.DEFAULT.oracle_cap:
         lattice = all_congruences(A)
         expected = set()
         for th in lattice:

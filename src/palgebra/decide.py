@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 
 from .algebras import PAlgebra, TableAlgebra, build_chain, build_si, is_isomorphic
-from .config import DEFAULT
+from . import config
 from .errors import BudgetExceeded, CapExceeded
 from .free import build_free, normal_form
 from .terms import (
@@ -102,36 +102,32 @@ class Verdict:
         return out
 
 
-def check_identity(e: Equation, n: int | None = None, want_witness: bool = False,
-                   *, budget: int | None = None,
-                   poset_cap: int | None = None) -> Verdict:
+def check_identity(e: Equation, n: int | None = None,
+                   want_witness: bool = False) -> Verdict:
     """Validity of lhs = rhs at level n (None: the whole variety)."""
-    budget = DEFAULT.budget if budget is None else budget
     k = max_var(e.lhs, e.rhs)
     n_eff = (1 << k) if n is None else n
     try:
-        equal = (normal_form(e.lhs, n, k=k, poset_cap=poset_cap)
-                 == normal_form(e.rhs, n, k=k, poset_cap=poset_cap))
-        if equal:
+        if normal_form(e.lhs, n, k=k) == normal_form(e.rhs, n, k=k):
             return Verdict(True, None, "normal-form", 0)
         if not want_witness:
             return Verdict(False, None, "normal-form", 0)
     except CapExceeded:
         pass  # index skeleton too large; decide on the generating algebra
-    witness, used = _sweep_equation(e, n_eff, k, budget)
+    witness, used = _sweep_equation(e, n_eff, k)
     if witness is None:
         return Verdict(True, None, "exhaustive", used)
     return Verdict(False, witness, "exhaustive", used)
 
 
-def _sweep_equation(e: Equation, n_eff: int, k: int, budget: int):
+def _sweep_equation(e: Equation, n_eff: int, k: int):
     """First counter-valuation of lhs = rhs over the level-n_eff generator,
     in canonical valuation order; None if the identity holds there."""
-    total = ((1 << n_eff) + 1) ** k
+    total, budget = ((1 << n_eff) + 1) ** k, config.DEFAULT.budget
     if total > budget:  # before build_si, whose size cap would fire first
         raise BudgetExceeded("valuation sweep", total, budget)
     v = _quasi_exhaustive(QuasiIdentity((), e), build_si(n_eff),
-                          tuple(range(1, k + 1)), budget)
+                          tuple(range(1, k + 1)))
     if v.holds:
         return None, v.budget_used
     witness = {"algebra": f"si:{n_eff}", "valuation": v.witness["valuation"],
@@ -168,16 +164,14 @@ class _Budget:
 
 
 def check_quasi_identity(q: QuasiIdentity, A: PAlgebra,
-                         strategy: str = "exhaustive",
-                         *, budget: int | None = None) -> Verdict:
+                         strategy: str = "exhaustive") -> Verdict:
     """Evaluate premises => conclusion over all valuations into A."""
     if strategy not in ("exhaustive", "pruned"):
         raise ValueError(f"unknown strategy: {strategy!r}")
-    budget = DEFAULT.budget if budget is None else budget
     variables = _quasi_vars(q)
     if strategy == "exhaustive":
-        return _quasi_exhaustive(q, A, variables, budget)
-    return _quasi_pruned(q, A, variables, budget)
+        return _quasi_exhaustive(q, A, variables)
+    return _quasi_pruned(q, A, variables)
 
 
 def _quasi_vars(q: QuasiIdentity) -> tuple[int, ...]:
@@ -185,13 +179,13 @@ def _quasi_vars(q: QuasiIdentity) -> tuple[int, ...]:
     return vars_of(*(t for e in (*q.premises, q.conclusion) for t in (e.lhs, e.rhs)))
 
 
-def _strategy(size: int, nvars: int, budget: int) -> str:
+def _strategy(size: int, nvars: int) -> str:
     """Exhaustive when the whole sweep over the carrier fits the budget."""
-    return "exhaustive" if size ** nvars <= budget else "pruned"
+    return "exhaustive" if size ** nvars <= config.DEFAULT.budget else "pruned"
 
 
-def _quasi_exhaustive(q, A, variables, budget) -> Verdict:
-    total = A.size ** len(variables)
+def _quasi_exhaustive(q, A, variables) -> Verdict:
+    total, budget = A.size ** len(variables), config.DEFAULT.budget
     if total > budget:
         raise BudgetExceeded("valuation sweep", total, budget)
     prem = [(compile_postfix(p.lhs), compile_postfix(p.rhs)) for p in q.premises]
@@ -218,14 +212,14 @@ def _quasi_witness(variables, tup, a, b) -> dict:
     }
 
 
-def _quasi_pruned(q, A, variables, budget) -> Verdict:
+def _quasi_pruned(q, A, variables) -> Verdict:
     """Backtracking in ascending variable order.  Premises are checked the
     moment their last variable is assigned; a premise one variable short of
     closed either pins that variable down (bare variable / starred variable
     against a closed side) or, failing a recognizable shape, filters the
     candidate pool by direct evaluation.  Bare join/meet operands of premises
     with one closed side contribute order bounds even earlier."""
-    spent = _Budget(budget, "pruned search")
+    spent = _Budget(config.DEFAULT.budget, "pruned search")
     prems = []
     for p in q.premises:
         vs = frozenset(vars_of(p.lhs, p.rhs))
@@ -277,7 +271,7 @@ def _quasi_pruned(q, A, variables, budget) -> Verdict:
                 c = closed_value(other_code, vars_of(other))
                 if c is None:
                     continue
-                if open_vars == {v} and v not in vars_of(other):
+                if open_vars == {v}:
                     if mine == Var(v):
                         narrow([c])
                     elif mine == Star(Var(v)):
@@ -338,13 +332,11 @@ def _quasi_pruned(q, A, variables, budget) -> Verdict:
     return Verdict(False, witness, "pruned", spent.used)
 
 
-def admissible_in_free(q: QuasiIdentity, n: int | None, k_extra: int = 0,
-                       *, budget: int | None = None) -> Verdict:
+def admissible_in_free(q: QuasiIdentity, n: int | None, k_extra: int = 0) -> Verdict:
     """Necessary condition for admissibility at level n: validity of q in a
     free algebra of rank (variable count + k_extra), degrading the rank until
     the algebra fits the caps.  Exhaustive when the sweep fits the budget,
     pruned otherwise."""
-    budget = DEFAULT.budget if budget is None else budget
     variables = _quasi_vars(q)
     k_want = max(1, (variables[-1] if variables else 1) + k_extra)
     F = None
@@ -356,8 +348,7 @@ def admissible_in_free(q: QuasiIdentity, n: int | None, k_extra: int = 0,
             continue
     if F is None:
         raise CapExceeded("free algebra rank", k_want, 0)
-    strategy = _strategy(F.size, len(variables), budget)
-    return check_quasi_identity(q, F.algebra, strategy, budget=budget)
+    return check_quasi_identity(q, F.algebra, _strategy(F.size, len(variables)))
 
 
 # ----------------------------------------------- structural (in)completeness
@@ -417,14 +408,13 @@ def five_element_witness(A: PAlgebra, d: int) -> dict | None:
             "verified": iso is not None}
 
 
-def structural_completeness_report(n: int, *, budget: int | None = None) -> dict:
+def structural_completeness_report(n: int) -> dict:
     """Machine-checked witnesses for the structural completeness status of
     level n: below 3, the subquasivariety classification with its subalgebra
     constructions; from 3 on, the separating quasi-identity qb_3 (valid in
     the sampled free algebras, refuted in the level-3 generator)."""
     if n < 0:
         raise ValueError("level must be >= 0")
-    budget = DEFAULT.budget if budget is None else budget
     if n < 3:
         names = ["Pa_-1", "Pa_0", "Pa_1", "Pa_2"]
         witnesses = []
@@ -450,11 +440,10 @@ def structural_completeness_report(n: int, *, budget: int | None = None) -> dict
     admissible = []
     for k in (1, 2):
         F = build_free(n, k)
-        strategy = _strategy(F.size, len(_quasi_vars(q)), budget)
-        v = check_quasi_identity(q, F.algebra, strategy, budget=budget)
+        v = check_quasi_identity(q, F.algebra, _strategy(F.size, len(_quasi_vars(q))))
         admissible.append({"algebra": f"free:{n},{k}", "size": F.size,
                            "verdict": v.to_json_dict()})
-    refuted = check_quasi_identity(q, build_si(3), "exhaustive", budget=budget)
+    refuted = check_quasi_identity(q, build_si(3), "exhaustive")
     return {
         "variety": f"Pa_{n}",
         "n": n,
@@ -487,10 +476,10 @@ def random_term(rng: random.Random, max_depth: int = 6, k: int = 3) -> Term:
     return Meet(l, r) if kind == "meet" else Join(l, r)
 
 
-def _pair_report(t1: Term, t2: Term, n: int, *, budget: int) -> dict:
+def _pair_report(t1: Term, t2: Term, n: int) -> dict:
     k = max_var(t1, t2)
     nf_equal = normal_form(t1, n, k=k) == normal_form(t2, n, k=k)
-    witness, _ = _sweep_equation(Equation(t1, t2), n, k, budget)
+    witness, _ = _sweep_equation(Equation(t1, t2), n, k)
     out = {
         "lhs": to_text(t1),
         "rhs": to_text(t2),
@@ -505,18 +494,17 @@ def _pair_report(t1: Term, t2: Term, n: int, *, budget: int) -> dict:
 
 def oracle_equivalence(t1: Term, t2: Term, n: int, trials: int = 0,
                        *, seed: int | None = None, k: int = 3,
-                       max_depth: int = 6, budget: int | None = None) -> dict:
+                       max_depth: int = 6) -> dict:
     """Cross-validate the normal-form decision against the exhaustive sweep
     on the given pair, plus `trials` seeded random pairs."""
-    budget = DEFAULT.budget if budget is None else budget
-    report = {"pair": _pair_report(t1, t2, n, budget=budget)}
+    report = {"pair": _pair_report(t1, t2, n)}
     if trials:
-        rng = random.Random(DEFAULT.seed if seed is None else seed)
+        rng = random.Random(config.DEFAULT.seed if seed is None else seed)
         disagreements = []
         for _ in range(trials):
             a = random_term(rng, max_depth, k)
             b = random_term(rng, max_depth, k)
-            r = _pair_report(a, b, n, budget=budget)
+            r = _pair_report(a, b, n)
             if not r["agree"]:
                 disagreements.append(r)
         report["trials"] = trials

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .algebras import UpsetAlgebra, build_si, is_isomorphic, product_many, quotient
-from .config import DEFAULT
+from . import config
 from .errors import BadIndex, CapExceeded
 from .posets import (
     Poset,
@@ -117,6 +117,7 @@ def enumerate_jindices(n: int | None, k: int) -> list[JIndex]:
     return out
 
 
+@lru_cache(maxsize=None)  # free_skeleton checks it before every cache lookup
 def count_jirr(n: int | None, k: int) -> int:
     """The index count, by the binomial double sum (no enumeration)."""
     if k < 0 or (n is not None and n < 0):
@@ -132,24 +133,23 @@ def count_jirr(n: int | None, k: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _skeleton(n_key: int | None, k: int, cap: int) -> tuple[tuple[JIndex, ...], Poset]:
-    expected = count_jirr(n_key, k)
-    if expected > cap:
-        raise CapExceeded("join-irreducible index set", expected, cap)
+def _skeleton(n_key: int | None, k: int) -> tuple[tuple[JIndex, ...], Poset]:
     indices = tuple(enumerate_jindices(n_key, k))
     fams = [frozenset(j.tees) for j in indices]
 
     def leq(i, j):
         return fams[j] <= fams[i] and not (indices[i].ell & ~indices[j].ell)
 
-    return indices, Poset.from_leq(len(indices), leq, cap=cap)
+    return indices, Poset.from_leq(len(indices), leq, cap=len(indices))
 
 
-def free_skeleton(n: int | None, k: int, poset_cap: int | None = None):
+def free_skeleton(n: int | None, k: int):
     """(indices, index poset) without materializing elements."""
-    cap = DEFAULT.poset_cap if poset_cap is None else poset_cap
     n_key = None if n is None else min(n, 1 << k) if n > 0 else 0
-    return _skeleton(n_key, k, cap)
+    expected, cap = count_jirr(n_key, k), config.DEFAULT.poset_cap
+    if expected > cap:  # outside the cache, so a lowered cap still fires
+        raise CapExceeded("join-irreducible index set", expected, cap)
+    return _skeleton(n_key, k)
 
 
 class _SkeletonOps:
@@ -183,7 +183,6 @@ class FreeAlgebra:
         self.algebra = algebra
         self.gen_masks = gen_masks
         self.gens = tuple(algebra.index[m] for m in gen_masks)
-        self.position = {j: p for p, j in enumerate(indices)}
 
     @property
     def size(self) -> int:
@@ -212,24 +211,20 @@ def _gen_masks(indices, k: int) -> tuple[int, ...]:
     )
 
 
-def build_free(n: int | None, k: int, poset_cap: int | None = None,
-               element_cap: int | None = None) -> FreeAlgebra:
-    indices, poset = free_skeleton(n, k, poset_cap)
-    element_cap = DEFAULT.element_cap if element_cap is None else element_cap
-    algebra = UpsetAlgebra(poset, cap=element_cap,
-                           labels=[to_text(j.term()) for j in indices])
+def build_free(n: int | None, k: int) -> FreeAlgebra:
+    indices, poset = free_skeleton(n, k)
+    algebra = UpsetAlgebra(poset, labels=[to_text(j.term()) for j in indices])
     return FreeAlgebra(n, k, indices, poset, algebra, _gen_masks(indices, k))
 
 
-def normal_form(t: Term, n: int | None, k: int | None = None,
-                poset_cap: int | None = None) -> Term:
+def normal_form(t: Term, n: int | None, k: int | None = None) -> Term:
     """The canonical join of maximal join-irreducibles below t at level n.
 
     Idempotent, and tree-equality of normal forms decides the identity at
     that level.  k widens the ambient variable set beyond max_var(t).
     """
     k = max(max_var(t), 0 if k is None else k)
-    indices, poset = free_skeleton(n, k, poset_cap)
+    indices, poset = free_skeleton(n, k)
     valuation = dict(enumerate(_gen_masks(indices, k), 1))
     mask = eval_postfix(compile_postfix(t), _SkeletonOps(poset), valuation)
     heads = sorted((indices[p] for p in bit_indices(min_elements(poset, mask))),
@@ -241,7 +236,7 @@ def normal_form(t: Term, n: int | None, k: int | None = None,
 
 # --------------------------------------------------- free distributive D(s)
 
-def free_distributive(s: int, element_cap: int | None = None) -> UpsetAlgebra:
+def free_distributive(s: int) -> UpsetAlgebra:
     """The free bounded distributive lattice on s generators as a p-algebra:
     upsets of the subset cube ordered by inclusion.  The base has a single
     maximal node, so every nonzero element is dense."""
@@ -252,12 +247,10 @@ def free_distributive(s: int, element_cap: int | None = None) -> UpsetAlgebra:
     cube = Poset.from_leq(1 << s, lambda a, b: not (a & ~b), cap=1 << s)
     labels = ["{" + ",".join(str(i + 1) for i in bit_indices(m)) + "}"
               for m in range(1 << s)]
-    return UpsetAlgebra(cube, cap=element_cap, labels=labels)
+    return UpsetAlgebra(cube, labels=labels)
 
 
-def quotient_to_distributive(n: int | None, k: int, T: int,
-                             poset_cap: int | None = None,
-                             element_cap: int | None = None):
+def quotient_to_distributive(n: int | None, k: int, T: int):
     """Collapse 1 with the double star of the atom term of T; the quotient
     is the free distributive lattice on |T| generators.  Returns the quotient
     and the element-level isomorphism (None if the comparison fails)."""
@@ -265,12 +258,12 @@ def quotient_to_distributive(n: int | None, k: int, T: int,
 
     if T >> k:
         raise BadIndex("T exceeds the variable count")
-    F = build_free(n, k, poset_cap, element_cap)
+    F = build_free(n, k)
     target = eval_postfix(compile_postfix(Star(Star(atom_term(T, k)))),
                           F.algebra, F.valuation())
     theta = principal_congruence(F.algebra, F.algebra.one, target)
     quo = quotient(F.algebra, theta, check=False)
-    D = free_distributive(bin(T).count("1"), element_cap)
+    D = free_distributive(bin(T).count("1"))
     return quo.algebra, is_isomorphic(quo.algebra, D)
 
 
@@ -283,20 +276,18 @@ class StoneDecomposition:
     iso: tuple[int, ...] | None
 
 
-def stone_decompose(k: int, element_cap: int | None = None) -> StoneDecomposition:
+def stone_decompose(k: int) -> StoneDecomposition:
     """Match the level-1 free algebra against the product of free
     distributive lattices, one factor of rank |T| per subset T.  Element-level
     when the element count fits under the cap, index-poset-level otherwise."""
     if k < 0 or k > 3:
         raise CapExceeded("generator count for the decomposition", k, 3)
     subset_masks = tuple(range(1 << k))
-    factors = tuple(free_distributive(bin(T).count("1"), element_cap)
-                    for T in subset_masks)
-    element_cap = DEFAULT.element_cap if element_cap is None else element_cap
+    factors = tuple(free_distributive(bin(T).count("1")) for T in subset_masks)
     total = math.prod(f.size for f in factors)
-    if total <= element_cap:
-        F = build_free(1, k, element_cap=element_cap)
-        prod = product_many(list(factors), cap=element_cap)
+    if total <= config.DEFAULT.element_cap:
+        F = build_free(1, k)
+        prod = product_many(list(factors))
         iso = is_isomorphic(F.algebra, prod)
         return StoneDecomposition(k, subset_masks, factors, "elements", iso)
     _, poset = free_skeleton(1, k)
@@ -306,13 +297,13 @@ def stone_decompose(k: int, element_cap: int | None = None) -> StoneDecompositio
 
 # ------------------------------------------------------------ H3 digression
 
-def h3_poset(n: int | None, k: int, poset_cap: int | None = None):
+def h3_poset(n: int | None, k: int):
     """The two orders carried by the same index set: plain congruence
     inclusion (reflexive pairs plus non-atom-below-atom pairs where the
     atom's subset belongs to the family) and the 1-class order (the index
     poset itself).  The identity is a pp-morphism from the first onto the
     second."""
-    indices, by_one = free_skeleton(n, k, poset_cap)
+    indices, by_one = free_skeleton(n, k)
 
     def subset_leq(i, j):
         a, b = indices[i], indices[j]

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Sequence
 
-from .config import DEFAULT
+from . import config
 from .errors import CapExceeded
 
 
@@ -28,7 +28,7 @@ class Poset:
     __slots__ = ("n", "up", "down", "universe", "_covers")
 
     def __init__(self, up: Sequence[int], cap: int | None = None):
-        cap = DEFAULT.poset_cap if cap is None else cap
+        cap = config.DEFAULT.poset_cap if cap is None else cap
         n = len(up)
         if n > cap:
             raise CapExceeded("poset size", n, cap)
@@ -62,8 +62,11 @@ class Poset:
         return cls(rows, cap=cap)
 
     @classmethod
-    def from_covers(cls, n: int, pairs: Iterable[tuple[int, int]], cap: int | None = None) -> "Poset":
+    def from_covers(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Poset":
         """Build from (lower, upper) edges; the reflexive-transitive closure is taken."""
+        cap = config.DEFAULT.poset_cap
+        if n > cap:  # before the closure, which is quadratic in n
+            raise CapExceeded("poset size", n, cap)
         rows = [1 << i for i in range(n)]
         edges = list(pairs)
         for edge in edges:
@@ -77,7 +80,7 @@ class Poset:
                 if merged != rows[lo]:
                     rows[lo] = merged
                     changed = True
-        return cls(rows, cap=cap)
+        return cls(rows)
 
     def leq(self, i: int, j: int) -> bool:
         return bool((self.up[i] >> j) & 1)
@@ -170,7 +173,7 @@ def enumerate_upsets(P: Poset, cap: int | None = None) -> list[int]:
 
     Raises CapExceeded as soon as the count passes ``cap``.
     """
-    cap = DEFAULT.element_cap if cap is None else cap
+    cap = config.DEFAULT.element_cap if cap is None else cap
     # Decide membership maximal elements first: including i is legal exactly
     # when everything strictly above i is already in.
     order = sorted(range(P.n), key=lambda i: (P.up[i].bit_count(), i))

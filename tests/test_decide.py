@@ -123,7 +123,7 @@ class TestCheckIdentity:
     def test_budget_guard(self):
         with pytest.raises(BudgetExceeded):
             check_identity(eq("x1 & x2 & x3 & x4 & x5 & x6 & x7 & x8", "0"),
-                           None, want_witness=True, budget=1000)
+                           None, want_witness=True)
 
 
 class TestQuasiIdentity:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -37,6 +38,7 @@ from palgebra import (
     to_text,
     validate,
 )
+from palgebra import config
 from palgebra.terms import compile_postfix, eval_postfix
 from .helpers import count_monotone_functions, generated_subuniverse, paper_jirr_term
 
@@ -178,11 +180,13 @@ class TestBuild:
                         assert (eval_postfix(got, B, val)
                                 == eval_postfix(ref, B, val)), (n, j, tup)
 
-    def test_element_cap(self):
+    def test_element_cap(self, monkeypatch):
         with pytest.raises(CapExceeded):
             build_free(1, 3)  # 233280 elements
+        monkeypatch.setattr(config, "DEFAULT",
+                            dataclasses.replace(config.DEFAULT, poset_cap=100))
         with pytest.raises(CapExceeded):
-            build_free(3, 3, poset_cap=100)  # 144 indices
+            build_free(3, 3)  # 144 indices
 
     def test_one_generated_figure(self):
         # four indices: x (atom), x** below it, x* on the side, and the
@@ -272,7 +276,7 @@ class TestDistributive:
             assert free_distributive(s).size == count_monotone_functions(s)
 
     def test_d4(self):
-        assert free_distributive(4, element_cap=200).size == 168
+        assert free_distributive(4).size == 168
 
     def test_every_nonzero_is_dense(self):
         D = free_distributive(2)

@@ -1,0 +1,166 @@
+"""Limits come from ``config.DEFAULT`` alone, read by the check that enforces
+them; the environment is read on first use."""
+
+import dataclasses
+import inspect
+import json
+
+import pytest
+
+import palgebra
+from palgebra import (
+    BudgetExceeded,
+    CapExceeded,
+    Config,
+    Equation,
+    build_chain,
+    build_free,
+    build_si,
+    check_identity,
+    check_quasi_identity,
+    config,
+    h3_poset,
+    normal_form,
+    oracle_equivalence,
+    parse,
+    product,
+    qb_quasi_identity,
+    stone_decompose,
+    structural_completeness_report,
+    to_table,
+)
+from palgebra.cli import main
+
+LIMIT_NAMES = {"budget", "poset_cap", "element_cap"}
+# primitives that library code calls with an order's own size, and the
+# brute-force oracle that tests run past the default oracle cap
+KEEP_CAP = {"Poset.__init__", "Poset.from_leq", "enumerate_upsets",
+            "all_congruences", "compose_check_permutability"}
+
+
+def public_callables():
+    """Public functions and methods, but not the limits' own record (Config)
+    or the errors that report them."""
+    for mod in vars(palgebra).values():
+        if (not inspect.ismodule(mod) or not mod.__name__.startswith("palgebra.")
+                or mod.__name__ in ("palgebra.config", "palgebra.errors")):
+            continue
+        for name, obj in vars(mod).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            if inspect.isfunction(obj):
+                yield name, obj
+            elif inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    if isinstance(member, (classmethod, staticmethod)):
+                        member = member.__func__
+                    if inspect.isfunction(member) and (attr == "__init__"
+                                                       or not attr.startswith("_")):
+                        yield f"{name}.{attr}", member
+
+
+def lower(monkeypatch, **limits):
+    monkeypatch.setattr(config, "DEFAULT", dataclasses.replace(config.DEFAULT, **limits))
+
+
+def test_no_per_call_limit_keywords():
+    seen, bad = set(), []
+    for name, fn in public_callables():
+        seen.add(name)
+        params = set(inspect.signature(fn).parameters)
+        if params & LIMIT_NAMES or ("cap" in params and name not in KEEP_CAP):
+            bad.append(name)
+    assert bad == []
+    assert KEEP_CAP <= seen and "build_free" in seen and "UpsetAlgebra.__init__" in seen
+
+
+class TestPosetCap:
+    @pytest.mark.parametrize("call", [
+        lambda: normal_form(parse("x1 & x2*"), 2),
+        lambda: build_free(2, 2),
+        lambda: h3_poset(2, 2),
+    ], ids=["normal_form", "build_free", "h3_poset"])
+    def test_fires_after_a_default_build_is_cached(self, monkeypatch, call):
+        build_free(2, 2)  # 17 indices, now in the skeleton cache
+        lower(monkeypatch, poset_cap=16)
+        with pytest.raises(CapExceeded) as exc:
+            call()
+        assert (exc.value.what, exc.value.count, exc.value.cap) == (
+            "join-irreducible index set", 17, 16)
+
+    def test_check_identity_falls_back_to_the_sweep(self, monkeypatch):
+        e = Equation(parse("x1* | x1**"), parse("1"))
+        assert check_identity(e, 2).method == "normal-form"
+        lower(monkeypatch, poset_cap=3)  # 4 indices
+        v = check_identity(e, 2)
+        assert (v.holds, v.method) == (False, "exhaustive")
+
+
+class TestElementCap:
+    @pytest.mark.parametrize("call, what", [
+        (lambda: build_si(3), "algebra size"),
+        (lambda: product(build_chain(3), build_chain(3)), "product size"),
+    ], ids=["build_si", "product"])
+    def test_constructions(self, monkeypatch, call, what):
+        lower(monkeypatch, element_cap=8)
+        with pytest.raises(CapExceeded) as exc:
+            call()
+        assert (exc.value.what, exc.value.count, exc.value.cap) == (what, 9, 8)
+
+    def test_to_table(self, monkeypatch):
+        A = build_free(1, 2).algebra
+        lower(monkeypatch, element_cap=A.size - 1)
+        with pytest.raises(CapExceeded) as exc:
+            to_table(A)
+        assert exc.value.what == "table size"
+
+    def test_stone_decompose_drops_to_the_poset_level(self, monkeypatch):
+        assert stone_decompose(2).level == "elements"  # 108 elements
+        lower(monkeypatch, element_cap=100)
+        assert stone_decompose(2).level == "poset"
+
+
+class TestBudget:
+    @pytest.mark.parametrize("call, what", [
+        (lambda: check_quasi_identity(qb_quasi_identity(3), build_si(3)), "valuation sweep"),
+        (lambda: check_quasi_identity(qb_quasi_identity(3), build_si(3), "pruned"),
+         "pruned search"),
+        (lambda: check_identity(Equation(parse("x1 | x2"), parse("x1")), 1,
+                                want_witness=True), "valuation sweep"),
+        (lambda: structural_completeness_report(3), "pruned search"),
+        (lambda: oracle_equivalence(parse("x1 | x2"), parse("x2 | x1"), 1),
+         "valuation sweep"),
+    ], ids=["quasi-exhaustive", "quasi-pruned", "identity-witness", "report",
+            "oracle_equivalence"])
+    def test_lowered_budget_fires(self, monkeypatch, call, what):
+        call()  # fits the default budget
+        lower(monkeypatch, budget=5)
+        with pytest.raises(BudgetExceeded) as exc:
+            call()
+        assert (exc.value.what, exc.value.budget) == (what, 5)
+
+
+class TestEnvironment:
+    def test_each_field_reads_its_variable(self, monkeypatch):
+        for f in dataclasses.fields(Config):
+            monkeypatch.delenv(f"PALGEBRA_{f.name.upper()}", raising=False)
+        assert config.from_env() == Config()
+        monkeypatch.setenv("PALGEBRA_ORACLE_CAP", "5")
+        monkeypatch.setenv("PALGEBRA_SEED", "7")
+        assert config.from_env() == Config(oracle_cap=5, seed=7)
+
+    def test_bad_value_is_a_usage_error(self, monkeypatch, capsys):
+        monkeypatch.delattr(config, "DEFAULT")  # read again on first use
+        monkeypatch.setenv("PALGEBRA_BUDGET", "abc")
+        assert main(["si", "1"]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: PALGEBRA_BUDGET must be an integer, got 'abc'\n"
+
+    def test_value_is_read_on_first_use(self, monkeypatch, capsys):
+        monkeypatch.delattr(config, "DEFAULT")
+        monkeypatch.setenv("PALGEBRA_POSET_CAP", "100")
+        assert main(["free", "-n", "3", "-k", "3"]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "cap-exceeded", "what": "join-irreducible index set",
+            "count": 144, "cap": 100}

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from palgebra import CapExceeded, Poset
+from palgebra import CapExceeded, Poset, config
 from palgebra.posets import (
     bit_indices,
     downset_closure,
@@ -77,6 +77,14 @@ class TestConstruction:
     def test_cap(self):
         with pytest.raises(CapExceeded):
             Poset.from_leq(5, lambda a, b: a <= b, cap=4)
+
+    def test_from_covers_checks_cap_before_reading_covers(self):
+        def covers():
+            raise AssertionError("covers read before the size check")
+            yield
+
+        with pytest.raises(CapExceeded):
+            Poset.from_covers(config.DEFAULT.poset_cap + 1, covers())
 
 
 class TestClosures:
