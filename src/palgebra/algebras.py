@@ -41,13 +41,15 @@ class TableAlgebra:
         n = len(star)
         if len(meet) != n or len(join) != n:
             raise MalformedTables("meet/join/star tables disagree on size")
+        # entries must have type int: a float, bool or string is refused, not coerced
         for name, table in (("meet", meet), ("join", join)):
             for row in table:
-                if len(row) != n or any(not (0 <= v < n) for v in row):
+                if (len(row) != n or not {*map(type, row)} <= {int}
+                        or min(row) < 0 or max(row) >= n):
                     raise MalformedTables(f"{name} table has a bad row")
-        if any(not (0 <= v < n) for v in star):
+        if any(type(v) is not int or not 0 <= v < n for v in star):
             raise MalformedTables("star table out of range")
-        if not (0 <= zero < n and 0 <= one < n):
+        if any(type(v) is not int or not 0 <= v < n for v in (zero, one)):
             raise MalformedTables("zero/one out of range")
         self.size = n
         self.meet_table = tuple(tuple(row) for row in meet)
@@ -177,6 +179,15 @@ def compatibility_witness(A: PAlgebra, rep: Sequence[int]):
 
 # ------------------------------------------------------------- constructions
 
+def tabulate(size: int, meet, join, star, zero: int, one: int, labels=None) -> TableAlgebra:
+    """The TableAlgebra on indices 0..size-1 whose tables hold meet(i, j),
+    join(i, j) and star(i); every derived table algebra is built here."""
+    rng = range(size)
+    return TableAlgebra([[meet(i, j) for j in rng] for i in rng],
+                        [[join(i, j) for j in rng] for i in rng],
+                        [star(i) for i in rng], zero, one, labels)
+
+
 def build_si(n: int) -> TableAlgebra:
     """The subdirectly irreducible member with n atoms: a 2^n-element Boolean
     algebra with a new top glued above its unit e.  Indices 0..2^n-1 are the
@@ -189,22 +200,11 @@ def build_si(n: int) -> TableAlgebra:
         raise CapExceeded("algebra size", size, cap)
     top = size - 1
     e = top - 1
-    meet = [[0] * size for _ in range(size)]
-    join = [[0] * size for _ in range(size)]
-    for a in range(size):
-        for b in range(size):
-            if a == top:
-                meet[a][b], join[a][b] = b, top
-            elif b == top:
-                meet[a][b], join[a][b] = a, top
-            else:
-                meet[a][b], join[a][b] = a & b, a | b
-    star = [0] * size
-    star[0] = top
-    star[top] = 0
-    for a in range(1, top):
-        star[a] = e ^ a if n > 0 else 0
-    return TableAlgebra(meet, join, star, 0, top)
+    return tabulate(size,
+                    lambda a, b: b if a == top else a if b == top else a & b,
+                    lambda a, b: top if top in (a, b) else a | b,
+                    lambda a: top if a == 0 else 0 if a == top else e ^ a,
+                    0, top)
 
 
 def si_cond_check(B: TableAlgebra) -> list[tuple[int, int]]:
@@ -228,11 +228,10 @@ def build_chain(m: int) -> TableAlgebra:
     """The m-element chain with 0* = 1 and x* = 0 elsewhere (m >= 2)."""
     if m < 2:
         raise ValueError("chains need at least two elements")
-    meet = [[min(a, b) for b in range(m)] for a in range(m)]
-    join = [[max(a, b) for b in range(m)] for a in range(m)]
-    star = [0] * m
-    star[0] = m - 1
-    return TableAlgebra(meet, join, star, 0, m - 1)
+    cap = config.DEFAULT.element_cap
+    if m > cap:
+        raise CapExceeded("algebra size", m, cap)
+    return tabulate(m, min, max, lambda a: m - 1 if a == 0 else 0, 0, m - 1)
 
 
 def product(A: PAlgebra, B: PAlgebra) -> PAlgebra:
@@ -248,22 +247,12 @@ def product(A: PAlgebra, B: PAlgebra) -> PAlgebra:
     if size > cap:
         raise CapExceeded("product size", size, cap)
 
-    def pair(i, j):
-        return i * Tb.size + j
-
-    meet = [[0] * size for _ in range(size)]
-    join = [[0] * size for _ in range(size)]
-    star = [0] * size
-    for i in range(Ta.size):
-        for j in range(Tb.size):
-            p = pair(i, j)
-            star[p] = pair(Ta.star(i), Tb.star(j))
-            for x in range(Ta.size):
-                for y in range(Tb.size):
-                    q = pair(x, y)
-                    meet[p][q] = pair(Ta.meet(i, x), Tb.meet(j, y))
-                    join[p][q] = pair(Ta.join(i, x), Tb.join(j, y))
-    return TableAlgebra(meet, join, star, pair(Ta.zero, Tb.zero), pair(Ta.one, Tb.one))
+    nb = Tb.size  # the pair (i, j) is index i * nb + j
+    return tabulate(size,
+                    lambda p, q: Ta.meet(p // nb, q // nb) * nb + Tb.meet(p % nb, q % nb),
+                    lambda p, q: Ta.join(p // nb, q // nb) * nb + Tb.join(p % nb, q % nb),
+                    lambda p: Ta.star(p // nb) * nb + Tb.star(p % nb),
+                    Ta.zero * nb + Tb.zero, Ta.one * nb + Tb.one)
 
 
 def product_many(algebras: Sequence[PAlgebra]) -> PAlgebra:
@@ -293,12 +282,11 @@ def quotient(A: PAlgebra, theta, check: bool = True) -> Quotient:
     reps = sorted(set(rep))
     pos = {r: i for i, r in enumerate(reps)}
     proj = tuple(pos[r] for r in rep)
-    q = len(reps)
-    meet = [[proj[A.meet(reps[i], reps[j])] for j in range(q)] for i in range(q)]
-    join = [[proj[A.join(reps[i], reps[j])] for j in range(q)] for i in range(q)]
-    star = [proj[A.star(reps[i])] for i in range(q)]
-    alg = TableAlgebra(meet, join, star, proj[A.zero], proj[A.one],
-                       labels=[str(r) for r in reps])
+    alg = tabulate(len(reps),
+                   lambda i, j: proj[A.meet(reps[i], reps[j])],
+                   lambda i, j: proj[A.join(reps[i], reps[j])],
+                   lambda i: proj[A.star(reps[i])],
+                   proj[A.zero], proj[A.one], labels=[str(r) for r in reps])
     return Quotient(alg, proj, tuple(reps))
 
 
@@ -348,11 +336,11 @@ def glivenko(A: PAlgebra):
     theta = Congruence([A.star(A.star(a)) for a in range(A.size)])
     regs = regular_elements(A)
     pos = {r: i for i, r in enumerate(regs)}
-    meet = [[pos[A.meet(a, b)] for b in regs] for a in regs]
-    join = [[pos[A.star(A.star(A.join(a, b)))] for b in regs] for a in regs]
-    star = [pos[A.star(a)] for a in regs]
-    skeleton = TableAlgebra(meet, join, star, pos[A.zero], pos[A.one],
-                            labels=[str(r) for r in regs])
+    skeleton = tabulate(len(regs),
+                        lambda i, j: pos[A.meet(regs[i], regs[j])],
+                        lambda i, j: pos[A.star(A.star(A.join(regs[i], regs[j])))],
+                        lambda i: pos[A.star(regs[i])],
+                        pos[A.zero], pos[A.one], labels=[str(r) for r in regs])
     return theta, skeleton
 
 
@@ -402,11 +390,7 @@ def to_table(A: PAlgebra) -> TableAlgebra:
     cap = config.DEFAULT.element_cap
     if A.size > cap:
         raise CapExceeded("table size", A.size, cap)
-    rng = range(A.size)
-    meet = [[A.meet(i, j) for j in rng] for i in rng]
-    join = [[A.join(i, j) for j in rng] for i in rng]
-    star = [A.star(i) for i in rng]
-    return TableAlgebra(meet, join, star, A.zero, A.one)
+    return tabulate(A.size, A.meet, A.join, A.star, A.zero, A.one)
 
 
 def to_upset(A: PAlgebra) -> UpsetAlgebra:
@@ -455,6 +439,8 @@ def algebra_from_json_dict(doc: dict) -> PAlgebra:
             return TableAlgebra(doc["meet"], doc["join"], doc["star"], doc["zero"], doc["one"])
         if kind == "upset":
             poset, labels = doc["poset"], [str(s) for s in doc["labels"]]
+            if type(poset["size"]) is not int:
+                raise ValueError(f"poset size must be an integer, got {poset['size']!r}")
             if len(labels) != poset["size"]:
                 raise ValueError(f"{len(labels)} labels for {poset['size']} points")
             base = Poset.from_covers(poset["size"], [tuple(c) for c in poset["covers"]])

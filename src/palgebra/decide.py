@@ -14,7 +14,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .algebras import PAlgebra, TableAlgebra, build_chain, build_si, is_isomorphic
+from .algebras import PAlgebra, TableAlgebra, build_chain, build_si, is_isomorphic, tabulate
 from . import config
 from .errors import BudgetExceeded, CapExceeded
 from .free import build_free, normal_form
@@ -360,22 +360,17 @@ def subalgebra(A: PAlgebra, subset) -> tuple[TableAlgebra, tuple[int, ...]]:
     pos = {e: i for i, e in enumerate(elems)}
     if A.zero not in pos or A.one not in pos:
         raise ValueError("subuniverse must contain the bounds")
-    m = len(elems)
-    meet = [[0] * m for _ in range(m)]
-    join = [[0] * m for _ in range(m)]
-    star = [0] * m
-    for i, x in enumerate(elems):
-        sx = A.star(x)
-        if sx not in pos:
+    for x in elems:
+        if A.star(x) not in pos:
             raise ValueError(f"not closed under star at {x}")
-        star[i] = pos[sx]
-        for j, y in enumerate(elems):
-            mv, jv = A.meet(x, y), A.join(x, y)
-            if mv not in pos or jv not in pos:
+        for y in elems:
+            if A.meet(x, y) not in pos or A.join(x, y) not in pos:
                 raise ValueError(f"not closed under meet/join at ({x}, {y})")
-            meet[i][j] = pos[mv]
-            join[i][j] = pos[jv]
-    return TableAlgebra(meet, join, star, pos[A.zero], pos[A.one]), elems
+    return tabulate(len(elems),
+                    lambda i, j: pos[A.meet(elems[i], elems[j])],
+                    lambda i, j: pos[A.join(elems[i], elems[j])],
+                    lambda i: pos[A.star(elems[i])],
+                    pos[A.zero], pos[A.one]), elems
 
 
 def three_element_witness(A: PAlgebra, c: int) -> dict | None:

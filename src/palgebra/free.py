@@ -17,9 +17,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterable
 
 from .algebras import UpsetAlgebra, build_si, is_isomorphic, product_many, quotient
 from . import config
+from .congruences import Congruence, principal_congruence
 from .errors import BadIndex, CapExceeded
 from .posets import (
     Poset,
@@ -86,6 +88,12 @@ class JIndex:
         tees = tuple(sorted(sum(1 << (i - 1) for i in T) for T in doc["T"]))
         ell = sum(1 << (i - 1) for i in doc["L"])
         return cls(k, tees, ell)
+
+
+def jirr_term(tees: Iterable[int], ell: int, k: int) -> Term:
+    """The term of the index (family tees, L = ell) over k variables, from
+    raw index data; JIndex rejects an invalid index."""
+    return JIndex(k, tuple(sorted(set(tees))), ell).term()
 
 
 def base_leq(a: JIndex, b: JIndex) -> bool:
@@ -254,8 +262,6 @@ def quotient_to_distributive(n: int | None, k: int, T: int):
     """Collapse 1 with the double star of the atom term of T; the quotient
     is the free distributive lattice on |T| generators.  Returns the quotient
     and the element-level isomorphism (None if the comparison fails)."""
-    from .congruences import principal_congruence
-
     if T >> k:
         raise BadIndex("T exceeds the variable count")
     F = build_free(n, k)
@@ -339,8 +345,6 @@ def homomorphism_g(n: int | None, k: int, tees, ell: int):
 def kernel_congruence(F: FreeAlgebra, j: JIndex):
     """The kernel of the homomorphism induced by homomorphism_g — an
     independent route to the meet-irreducible congruence of index j."""
-    from .congruences import Congruence
-
     B, assignment = homomorphism_g(F.n, F.k, j.tees, j.ell)
     valuation = {i + 1: assignment[i] for i in range(F.k)}
     per_index = [

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import BadIndex, ParseError, UnboundVariable, UnknownIdentifier
 from .posets import bit_indices
@@ -331,32 +331,17 @@ def atom_term(T: int, k: int) -> Term:
     return meet_all(factors)
 
 
-def jirr_term(tees: Iterable[int], ell: int, k: int) -> Term:
-    """p^L_T: (join of x_T over the family)** meet the variables of L.
+def index_term(fam: Sequence[int], ell: int, k: int) -> Term:
+    """p^L_T: (join of x_T over the family)** meet the variables of L, for an
+    already valid index: fam strictly ascending, nonempty, within k
+    variables, and ell inside every member (``free.jirr_term`` checks raw
+    index data first).
 
     Two families take shorter forms that are equal to p^L_T in every
     p-algebra: the full family of all 2^k subsets gives 1, and a singleton
     {T} gives the meet of x_i for i in L, x_i** for i in T - L and x_i* for
-    i outside T.  Rejects an empty family, masks beyond k variables, and an
-    L outside the family's intersection.
+    i outside T.
     """
-    fam = sorted(set(tees))
-    if not fam:
-        raise BadIndex("the family must be nonempty")
-    common = (1 << k) - 1
-    for T in fam:
-        if T >> k:
-            raise BadIndex(f"subset mask {T:#x} exceeds {k} variables")
-        common &= T
-    if ell & ~common:
-        raise BadIndex("L must be included in every member of the family")
-    return index_term(fam, ell, k)
-
-
-def index_term(fam: Sequence[int], ell: int, k: int) -> Term:
-    """jirr_term without the input checks, for an already valid index:
-    fam strictly ascending, nonempty, within k variables, and ell inside
-    every member."""
     if len(fam) == 1 << k:
         return ONE
     if len(fam) == 1:

@@ -4,6 +4,7 @@ from itertools import product as iproduct
 
 from palgebra import (
     Star,
+    TableAlgebra,
     Var,
     build_chain,
     build_free,
@@ -155,3 +156,116 @@ def brute_join_irreducibles(A) -> list[int]:
 def brute_atoms(A) -> list[int]:
     """Reference: the elements whose only lower cover is the zero."""
     return [a for a in range(A.size) if brute_lower_covers(A, a) == [A.zero]]
+
+
+# Reference table constructions: the hand-written loops that each wrote the
+# operation tables before ``algebras.tabulate`` became the one table builder.
+
+def ref_build_si(n):
+    size = (1 << n) + 1
+    top = size - 1
+    e = top - 1
+    meet = [[0] * size for _ in range(size)]
+    join = [[0] * size for _ in range(size)]
+    for a in range(size):
+        for b in range(size):
+            if a == top:
+                meet[a][b], join[a][b] = b, top
+            elif b == top:
+                meet[a][b], join[a][b] = a, top
+            else:
+                meet[a][b], join[a][b] = a & b, a | b
+    star = [0] * size
+    star[0] = top
+    star[top] = 0
+    for a in range(1, top):
+        star[a] = e ^ a if n > 0 else 0
+    return TableAlgebra(meet, join, star, 0, top)
+
+
+def ref_build_chain(m):
+    meet = [[min(a, b) for b in range(m)] for a in range(m)]
+    join = [[max(a, b) for b in range(m)] for a in range(m)]
+    star = [0] * m
+    star[0] = m - 1
+    return TableAlgebra(meet, join, star, 0, m - 1)
+
+
+def ref_product(A, B):
+    """The table branch of ``product``."""
+    Ta, Tb = ref_to_table(A), ref_to_table(B)
+    size = Ta.size * Tb.size
+
+    def pair(i, j):
+        return i * Tb.size + j
+
+    meet = [[0] * size for _ in range(size)]
+    join = [[0] * size for _ in range(size)]
+    star = [0] * size
+    for i in range(Ta.size):
+        for j in range(Tb.size):
+            p = pair(i, j)
+            star[p] = pair(Ta.star(i), Tb.star(j))
+            for x in range(Ta.size):
+                for y in range(Tb.size):
+                    q = pair(x, y)
+                    meet[p][q] = pair(Ta.meet(i, x), Tb.meet(j, y))
+                    join[p][q] = pair(Ta.join(i, x), Tb.join(j, y))
+    return TableAlgebra(meet, join, star, pair(Ta.zero, Tb.zero), pair(Ta.one, Tb.one))
+
+
+def ref_quotient(A, rep):
+    """The quotient tables for a least-member class array ``rep``."""
+    reps = sorted(set(rep))
+    pos = {r: i for i, r in enumerate(reps)}
+    proj = tuple(pos[r] for r in rep)
+    q = len(reps)
+    meet = [[proj[A.meet(reps[i], reps[j])] for j in range(q)] for i in range(q)]
+    join = [[proj[A.join(reps[i], reps[j])] for j in range(q)] for i in range(q)]
+    star = [proj[A.star(reps[i])] for i in range(q)]
+    return TableAlgebra(meet, join, star, proj[A.zero], proj[A.one],
+                        labels=[str(r) for r in reps])
+
+
+def ref_glivenko_skeleton(A):
+    regs = [a for a in range(A.size) if A.star(A.star(a)) == a]
+    pos = {r: i for i, r in enumerate(regs)}
+    meet = [[pos[A.meet(a, b)] for b in regs] for a in regs]
+    join = [[pos[A.star(A.star(A.join(a, b)))] for b in regs] for a in regs]
+    star = [pos[A.star(a)] for a in regs]
+    return TableAlgebra(meet, join, star, pos[A.zero], pos[A.one],
+                        labels=[str(r) for r in regs])
+
+
+def ref_to_table(A):
+    if isinstance(A, TableAlgebra):
+        return A
+    rng = range(A.size)
+    meet = [[A.meet(i, j) for j in rng] for i in rng]
+    join = [[A.join(i, j) for j in rng] for i in rng]
+    star = [A.star(i) for i in rng]
+    return TableAlgebra(meet, join, star, A.zero, A.one)
+
+
+def ref_subalgebra(A, subset):
+    """``decide.subalgebra`` with its closure checks inside the table loop."""
+    elems = tuple(sorted(subset))
+    pos = {e: i for i, e in enumerate(elems)}
+    if A.zero not in pos or A.one not in pos:
+        raise ValueError("subuniverse must contain the bounds")
+    m = len(elems)
+    meet = [[0] * m for _ in range(m)]
+    join = [[0] * m for _ in range(m)]
+    star = [0] * m
+    for i, x in enumerate(elems):
+        sx = A.star(x)
+        if sx not in pos:
+            raise ValueError(f"not closed under star at {x}")
+        star[i] = pos[sx]
+        for j, y in enumerate(elems):
+            mv, jv = A.meet(x, y), A.join(x, y)
+            if mv not in pos or jv not in pos:
+                raise ValueError(f"not closed under meet/join at ({x}, {y})")
+            meet[i][j] = pos[mv]
+            join[i][j] = pos[jv]
+    return TableAlgebra(meet, join, star, pos[A.zero], pos[A.one]), elems

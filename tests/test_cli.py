@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -7,10 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from palgebra import (
+    Config,
     algebra_dumps,
     algebra_from_json_dict,
+    algebra_to_json_dict,
     algebras,
+    build_chain,
     build_si,
+    config,
     congruences,
     validate,
 )
@@ -343,3 +349,184 @@ class TestUpsetFiles:
         if code == 0:
             assert all(len(c) == 2 and all(0 <= e < size for e in c) for c in covers)
             assert len(labels) == size
+
+
+class TestNonIntegerEntries:
+    """Table entries, zero, one and upset sizes must be JSON integers: a float
+    or a bool is refused with exit 1, never coerced or left to crash later."""
+
+    @staticmethod
+    def mutate(doc, path, value):
+        *head, last = path
+        target = doc
+        for key in head:
+            target = target[key]
+        target[last] = value
+        return doc
+
+    @pytest.mark.parametrize("command", ["convert", "dual"])
+    @pytest.mark.parametrize("path, value, message", [
+        (("star", 0), 1.0, "star table out of range"),
+        (("meet", 1, 0), 0.0, "meet table has a bad row"),
+        (("join", 0, 1), True, "join table has a bad row"),
+        (("one",), 1.0, "zero/one out of range"),
+        (("zero",), False, "zero/one out of range"),
+        (("one",), True, "zero/one out of range"),
+    ])
+    def test_table_documents(self, capsys, tmp_path, command, path, value, message):
+        doc = self.mutate(algebra_to_json_dict(build_si(0)), path, value)
+        f = tmp_path / "alg.json"
+        f.write_text(json.dumps(doc))
+        code, out, err = run(capsys, command, str(f))
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
+
+    def test_upset_size(self, capsys, tmp_path):
+        f = tmp_path / "alg.json"
+        f.write_text(json.dumps({"kind": "upset", "labels": ["a"],
+                                 "poset": {"size": True, "covers": []}}))
+        code, out, err = run(capsys, "convert", str(f))
+        assert (code, out) == (1, "")
+        assert err == "error: bad algebra document: poset size must be an integer, got True\n"
+
+    def test_chain_over_the_element_cap(self, capsys, monkeypatch):
+        monkeypatch.setattr(config, "DEFAULT", dataclasses.replace(config.DEFAULT,
+                                                                   element_cap=100))
+        code, out, err = run(capsys, "convert", "chain:101")
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "cap-exceeded", "what": "algebra size",
+                                   "count": 101, "cap": 100}
+
+
+def exit_code(argv):
+    """main(argv) with its output swallowed; nothing may escape it, and it
+    must end in a documented exit code without a traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    return code
+
+
+# JSON values a hand-written file may hold where an index is expected
+ENTRIES = st.one_of(st.integers(-1, 4), st.floats(), st.booleans(),
+                    st.text(max_size=2), st.none())
+TABLE_BASES = [algebra_to_json_dict(A) for A in (build_si(0), build_si(1), build_chain(3))]
+# terms over x1..x3 only: a large variable index at level omega runs into
+# free.count_jirr's unbounded index count (see CHANGES.md), not the parser
+TOKENS = ["x1", "x2", "x3", "0", "1", "&", "|", "*", "**", "(", ")", "x", "y1", "-", "x0"]
+TEXT_TERMS = st.lists(st.sampled_from(TOKENS), max_size=10).map(" ".join)
+JSON_TERMS = st.recursive(
+    st.one_of(st.sampled_from([["zero"], ["one"], [], ["nope"], {}, 7, None, "x1"]),
+              st.one_of(st.integers(-1, 3), st.sampled_from([1.5, "2", True, None]))
+              .map(lambda v: ["var", v])),
+    lambda sub: st.one_of(
+        sub.map(lambda t: ["star", t]),
+        st.tuples(st.sampled_from(["meet", "join"]), sub, sub).map(list),
+        st.tuples(st.sampled_from(["meet", "star"]), sub).map(list)),
+    max_leaves=6)
+EQUATIONS = st.one_of(
+    st.fixed_dictionaries({"lhs": st.one_of(TEXT_TERMS, JSON_TERMS),
+                           "rhs": st.one_of(TEXT_TERMS, JSON_TERMS)}),
+    st.sampled_from([{}, {"lhs": "x1"}, [], "x1 = x2", 3, None]))
+
+
+def entries(doc):
+    yield doc["zero"]
+    yield doc["one"]
+    yield from doc["star"]
+    for row in doc["meet"] + doc["join"]:
+        yield from row
+
+
+class TestFuzzEveryInputKind:
+    @settings(max_examples=200, deadline=None)
+    @given(base=st.sampled_from(range(len(TABLE_BASES))),
+           field=st.sampled_from(["meet", "join", "star", "zero", "one"]),
+           i=st.integers(0, 2), j=st.integers(0, 2), value=ENTRIES,
+           command=st.sampled_from(["convert", "dual"]))
+    def test_table_documents_with_one_entry_changed(self, tmp_path_factory, base, field,
+                                                     i, j, value, command):
+        doc = copy.deepcopy(TABLE_BASES[base])
+        n = doc["size"]
+        if field in ("zero", "one"):
+            doc[field] = value
+        elif field == "star":
+            doc["star"][i % n] = value
+        else:
+            doc[field][i % n][j % n] = value
+        f = tmp_path_factory.getbasetemp() / "fuzz-table.json"
+        f.write_text(json.dumps(doc))
+        if exit_code([command, str(f)]) == 0:
+            assert all(type(v) is int and 0 <= v < n for v in entries(doc))
+
+    @settings(max_examples=200, deadline=None)
+    @given(doc=st.fixed_dictionaries({
+        "kind": st.sampled_from(["table", "table", "upset", "heyting", 1]),
+        "meet": st.lists(st.lists(ENTRIES, max_size=3), max_size=3),
+        "join": st.one_of(st.lists(st.lists(ENTRIES, max_size=3), max_size=3), ENTRIES),
+        "star": st.one_of(st.lists(ENTRIES, max_size=3), ENTRIES),
+        "zero": ENTRIES, "one": ENTRIES}))
+    def test_table_documents_of_any_shape(self, tmp_path_factory, doc):
+        f = tmp_path_factory.getbasetemp() / "fuzz-shape.json"
+        f.write_text(json.dumps(doc))
+        if exit_code(["convert", str(f)]) == 0:
+            assert all(type(v) is int for v in entries(doc))
+
+    @settings(max_examples=300, deadline=None)
+    @given(term=TEXT_TERMS, level=st.sampled_from(["0", "1", "2", "3", "omega", "w", "-1", "two"]))
+    def test_nf_terms(self, term, level):
+        exit_code(["nf", "-n", level, "--", term])
+
+    @settings(max_examples=300, deadline=None)
+    @given(lhs=TEXT_TERMS, rhs=TEXT_TERMS,
+           variety=st.sampled_from(["pa", "pa0", "pa1", "pa2", "pa3", "pa-1", "boole"]),
+           witness=st.booleans())
+    def test_eq_terms(self, lhs, rhs, variety, witness):
+        exit_code(["eq", "--variety", variety, *(["--witness"] if witness else []),
+                   "--", lhs, rhs])
+
+    @settings(max_examples=200, deadline=None)
+    @given(doc=st.one_of(
+               st.fixed_dictionaries({"premises": st.lists(EQUATIONS, max_size=3),
+                                      "conclusion": EQUATIONS}),
+               st.fixed_dictionaries({"conclusion": EQUATIONS}),
+               st.fixed_dictionaries({"premises": st.sampled_from([5, "x1", {}, None]),
+                                      "conclusion": EQUATIONS}),
+               st.sampled_from([[], {}, "qi", 3, None])),
+           algebra=st.sampled_from(["si:1", "si:2", "chain:3"]),
+           strategy=st.sampled_from(["exhaustive", "pruned"]))
+    def test_quasi_identity_documents(self, tmp_path_factory, doc, algebra, strategy):
+        f = tmp_path_factory.getbasetemp() / "fuzz-qi.json"
+        f.write_text(json.dumps(doc))
+        exit_code(["qi", str(f), "--algebra", algebra, "--strategy", strategy])
+
+    @settings(max_examples=100, deadline=None)
+    @given(spec=st.one_of(
+               st.tuples(st.sampled_from(["si", "chain", "dist", "heyting", ""]),
+                         st.one_of(st.integers(-2, 5).map(str), st.sampled_from(["4097", "5000"]),
+                                   st.text(alphabet="0123456789+- x", max_size=5)))
+               .map(":".join),
+               st.tuples(st.sampled_from(["0", "1", "2", "omega", "w", "-1", "x", ""]),
+                         st.sampled_from(["-1", "0", "1", "2", "3", "", "x", "1,1"]))
+               .map(lambda p: f"free:{p[0]},{p[1]}")),
+           command=st.sampled_from(["convert", "dual"]))
+    def test_algebra_specs(self, spec, command):
+        exit_code([command, spec])
+
+    @settings(max_examples=200, deadline=None)
+    @given(name=st.sampled_from([f"PALGEBRA_{f.name.upper()}"
+                                 for f in dataclasses.fields(Config)]),
+           value=st.one_of(st.integers(-3, 5000).map(str),
+                           st.text(st.characters(blacklist_categories=("Cs",),
+                                                 blacklist_characters="\x00"), max_size=6)),
+           argv=st.sampled_from([["eq", "x1 & x1*", "0"], ["convert", "si:2"],
+                                 ["eq", "x1**", "x1", "--variety", "pa2", "--witness"],
+                                 ["dual", "chain:3"], ["free", "-n", "2", "-k", "2"]]))
+    def test_environment_values(self, name, value, argv):
+        config.DEFAULT  # exists before the patch, so leaving the context restores it
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv(name, value)
+            mp.delattr(config, "DEFAULT")  # read again, from the patched environment
+            exit_code(argv)

@@ -13,6 +13,7 @@ from palgebra import (
     CapExceeded,
     Config,
     Equation,
+    algebras,
     build_chain,
     build_free,
     build_si,
@@ -106,6 +107,18 @@ class TestElementCap:
         with pytest.raises(CapExceeded) as exc:
             call()
         assert (exc.value.what, exc.value.count, exc.value.cap) == (what, 9, 8)
+
+    def test_build_chain_checks_before_tabulating(self, monkeypatch):
+        lower(monkeypatch, element_cap=8)
+        assert build_chain(8).size == 8
+
+        def boom(*args):
+            raise AssertionError("tables built before the cap check")
+
+        monkeypatch.setattr(algebras, "tabulate", boom)
+        with pytest.raises(CapExceeded) as exc:
+            build_chain(9)
+        assert (exc.value.what, exc.value.count, exc.value.cap) == ("algebra size", 9, 8)
 
     def test_to_table(self, monkeypatch):
         A = build_free(1, 2).algebra
