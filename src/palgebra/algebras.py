@@ -20,6 +20,7 @@ from .posets import (
     disjoint_union,
     downset_closure,
     enumerate_upsets,
+    inclusion_order,
     join_irreducible_points,
     poset_isomorphic,
 )
@@ -295,22 +296,20 @@ def quotient(A: PAlgebra, theta, check: bool = True) -> Quotient:
 def element_order(A: PAlgebra) -> Poset:
     """The order of A on its element indices; ``up[i]`` is the mask of all j >= i."""
     if isinstance(A, UpsetAlgebra):
-        # containing[p]: the elements whose upset holds base point p; j >= i
-        # exactly when j holds every point of i
-        containing = [0] * A.base.n
-        for j, m in enumerate(A.elements):
-            for p in bit_indices(m):
-                containing[p] |= 1 << j
-        up = []
-        for m in A.elements:
-            row = (1 << A.size) - 1  # the empty upset lies below everything
-            for p in bit_indices(m):
-                row &= containing[p]
-            up.append(row)
-    else:
-        up = [sum(1 << j for j, m in enumerate(row) if m == i)
-              for i, row in enumerate(A.meet_table)]
-    return Poset(up, cap=A.size)
+        return inclusion_order(A.elements)
+    return Poset([sum(1 << j for j, m in enumerate(row) if m == i)
+                  for i, row in enumerate(A.meet_table)], cap=A.size)
+
+
+def _birkhoff_masks(A: PAlgebra) -> tuple[list[int], list[int]]:
+    """The join-irreducibles ja of A and, per element a, the mask of all t with ja[t] <= a."""
+    order = element_order(A)
+    ja = join_irreducible_points(order)
+    masks = [0] * A.size
+    for t, p in enumerate(ja):
+        for a in bit_indices(order.up[p]):
+            masks[a] |= 1 << t
+    return ja, masks
 
 
 def join_irreducibles(A: PAlgebra) -> list[int]:
@@ -352,20 +351,16 @@ def is_isomorphic(A: PAlgebra, B: PAlgebra):
     """
     if A.size != B.size:
         return None
-    ja, jb = join_irreducibles(A), join_irreducibles(B)
-    if len(ja) != len(jb):
-        return None
-    Pa = Poset.from_leq(len(ja), lambda p, q: A.leq(ja[p], ja[q]), cap=len(ja))
-    Pb = Poset.from_leq(len(jb), lambda p, q: B.leq(jb[p], jb[q]), cap=len(jb))
-    f = poset_isomorphic(Pa, Pb)
+    (ja, ma), (jb, mb) = _birkhoff_masks(A), _birkhoff_masks(B)
+    f = poset_isomorphic(inclusion_order([ma[p] for p in ja]),
+                         inclusion_order([mb[q] for q in jb]))
     if f is None:
         return None
     mapping = []
-    for a in range(A.size):
+    for m in ma:
         img = B.zero
-        for t, p in enumerate(ja):
-            if A.leq(p, a):
-                img = B.join(img, jb[f[t]])
+        for t in bit_indices(m):
+            img = B.join(img, jb[f[t]])
         mapping.append(img)
     if len(set(mapping)) != A.size:
         return None
@@ -397,13 +392,9 @@ def to_upset(A: PAlgebra) -> UpsetAlgebra:
     """Rebuild A as the upsets of its reversed join-irreducible poset."""
     if isinstance(A, UpsetAlgebra):
         return A
-    ja = join_irreducibles(A)
-    base = Poset.from_leq(len(ja), lambda p, q: A.leq(ja[q], ja[p]), cap=len(ja))
-    masks = sorted(
-        sum(1 << p for p in range(len(ja)) if A.leq(ja[p], a))
-        for a in range(A.size)
-    )
-    if masks != sorted(enumerate_upsets(base)):
+    ja, masks = _birkhoff_masks(A)
+    base = inclusion_order([masks[p] for p in ja]).dual()
+    if sorted(masks) != sorted(enumerate_upsets(base)):
         raise ValueError("carrier is not the full upset lattice of its join-irreducibles")
     labels = None
     if A.labels is not None:

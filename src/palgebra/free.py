@@ -28,6 +28,7 @@ from .posets import (
     bit_indices,
     disjoint_union,
     downset_closure,
+    inclusion_order,
     min_elements,
     poset_isomorphic,
 )
@@ -143,12 +144,10 @@ def count_jirr(n: int | None, k: int) -> int:
 @lru_cache(maxsize=None)
 def _skeleton(n_key: int | None, k: int) -> tuple[tuple[JIndex, ...], Poset]:
     indices = tuple(enumerate_jindices(n_key, k))
-    fams = [frozenset(j.tees) for j in indices]
-
-    def leq(i, j):
-        return fams[j] <= fams[i] and not (indices[i].ell & ~indices[j].ell)
-
-    return indices, Poset.from_leq(len(indices), leq, cap=len(indices))
+    # mask i within mask j iff fam_j within fam_i and L_i within L_j: base_leq
+    every = (1 << (1 << k)) - 1
+    masks = [(every & ~sum(1 << T for T in j.tees)) << k | j.ell for j in indices]
+    return indices, inclusion_order(masks)
 
 
 def free_skeleton(n: int | None, k: int):
@@ -252,7 +251,7 @@ def free_distributive(s: int) -> UpsetAlgebra:
         raise ValueError("s must be >= 0")
     if s > 4:
         raise CapExceeded("distributive generator count", s, 4)
-    cube = Poset.from_leq(1 << s, lambda a, b: not (a & ~b), cap=1 << s)
+    cube = inclusion_order(range(1 << s))
     labels = ["{" + ",".join(str(i + 1) for i in bit_indices(m)) + "}"
               for m in range(1 << s)]
     return UpsetAlgebra(cube, labels=labels)
@@ -310,12 +309,10 @@ def h3_poset(n: int | None, k: int):
     poset itself).  The identity is a pp-morphism from the first onto the
     second."""
     indices, by_one = free_skeleton(n, k)
-
-    def subset_leq(i, j):
-        a, b = indices[i], indices[j]
-        return a == b or (not a.is_atom and b.is_atom and b.tees[0] in a.tees)
-
-    by_subset = Poset.from_leq(len(indices), subset_leq, cap=len(indices))
+    atom_at = {j.tees[0]: p for p, j in enumerate(indices) if j.is_atom}
+    rows = [1 << p | (0 if j.is_atom else sum(1 << atom_at[T] for T in j.tees))
+            for p, j in enumerate(indices)]
+    by_subset = Poset(rows, cap=len(indices))
     return by_subset, by_one, tuple(range(len(indices)))
 
 

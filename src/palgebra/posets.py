@@ -69,8 +69,8 @@ class Poset:
             raise CapExceeded("poset size", n, cap)
         rows = [1 << i for i in range(n)]
         edges = list(pairs)
-        for edge in edges:
-            if not all(0 <= end < n for end in edge):
+        for edge in edges:  # a bool end is refused, not read as 0 or 1
+            if not all(type(end) is int and 0 <= end < n for end in edge):
                 raise ValueError(f"cover {list(edge)} mentions elements outside 0..{n - 1}")
         changed = True
         while changed:
@@ -108,6 +108,20 @@ class Poset:
 
     def __repr__(self) -> str:
         return f"Poset(n={self.n}, covers={self.covers()})"
+
+
+def inclusion_order(masks: Sequence[int]) -> Poset:
+    """Distinct nonnegative masks ordered by inclusion: ``up[i]`` holds every
+    j whose mask contains mask i; O(n * bits) mask operations."""
+    holding = [0] * max((m.bit_length() for m in masks), default=0)
+    for j, m in enumerate(masks):  # holding[b]: the masks that hold bit b
+        for b in bit_indices(m):
+            holding[b] |= 1 << j
+    up = [(1 << len(masks)) - 1] * len(masks)  # the empty mask is below everything
+    for i, m in enumerate(masks):
+        for b in bit_indices(m):
+            up[i] &= holding[b]
+    return Poset(up, cap=len(masks))
 
 
 def disjoint_union(posets: Sequence[Poset]) -> Poset:

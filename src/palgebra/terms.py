@@ -206,8 +206,10 @@ def term_from_json(doc) -> Term:
             return ZERO
         if tag == "one":
             return ONE
-        if tag == "var":
-            return Var(int(doc[1]))
+        if tag == "var":  # a float, bool, string or index below 1 is refused
+            if type(doc[1]) is not int or doc[1] < 1:
+                raise ParseError("variable indices start at x1", 0)
+            return Var(doc[1])
         if tag == "star":
             return Star(term_from_json(doc[1]))
         if tag == "meet":

@@ -269,3 +269,14 @@ def ref_subalgebra(A, subset):
             meet[i][j] = pos[mv]
             join[i][j] = pos[jv]
     return TableAlgebra(meet, join, star, pos[A.zero], pos[A.one]), elems
+
+
+def ref_h3_subset_leq(indices):
+    """The pairwise order ``free.h3_poset`` built its subset order from: each
+    index below itself, and a non-atom below every atom whose subset is in
+    its family."""
+    def subset_leq(i, j):
+        a, b = indices[i], indices[j]
+        return a == b or (not a.is_atom and b.is_atom and b.tees[0] in a.tees)
+
+    return subset_leq

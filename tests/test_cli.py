@@ -203,6 +203,14 @@ class TestQi:
         code, _, err = run(capsys, "qi", str(f), "--algebra", "si:1")
         assert code == 1 and "error" in err
 
+    @pytest.mark.parametrize("index", [1.5, True, "2", 0, -1])
+    def test_json_variable_must_be_an_index_from_one(self, capsys, tmp_path, index):
+        f = tmp_path / "q.json"
+        f.write_text(json.dumps({"conclusion": {"lhs": ["var", index], "rhs": "1"}}))
+        code, out, err = run(capsys, "qi", str(f), "--algebra", "si:1", "--strategy", "pruned")
+        assert (code, out) == (1, "")
+        assert err == "parse error: variable indices start at x1 (at position 0)\n"
+
 
 class TestSiDualReport:
     def test_si_tables(self, capsys):
@@ -314,6 +322,15 @@ class TestUpsetFiles:
                                  "poset": {"size": 3, "covers": [[0, -1]]}}))
         code, _, err = run(capsys, "convert", str(f))
         assert code == 1 and "outside 0..2" in err
+
+    def test_bool_cover_end_rejected(self, capsys, tmp_path):
+        f = tmp_path / "alg.json"
+        f.write_text(json.dumps({"kind": "upset", "labels": ["a", "b", "c"],
+                                 "poset": {"size": 3, "covers": [[0, True]]}}))
+        code, out, err = run(capsys, "convert", str(f))
+        assert (code, out) == (1, "")
+        assert err == ("error: bad algebra document: "
+                       "cover [0, True] mentions elements outside 0..2\n")
 
     def test_short_label_list_rejected(self, capsys, tmp_path):
         f = tmp_path / "alg.json"

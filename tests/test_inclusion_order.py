@@ -1,0 +1,119 @@
+"""One inclusion-order builder: ``posets.inclusion_order`` replayed against
+the pairwise orders it replaced, and guards that no order in the library is
+built from pairwise ``leq`` calls."""
+
+import ast
+import random
+from pathlib import Path
+
+import pytest
+
+import palgebra
+from palgebra import (
+    Poset,
+    TableAlgebra,
+    UpsetAlgebra,
+    base_leq,
+    build_free,
+    free,
+    free_distributive,
+    free_skeleton,
+    h3_poset,
+    is_isomorphic,
+    normal_form,
+    parse,
+    stone_decompose,
+    to_upset,
+)
+from palgebra.cli import main
+from palgebra.posets import inclusion_order
+from .helpers import ref_h3_subset_leq
+from .test_algebras import ORDER_CORPUS
+
+SMALL = [(n, k) for k in range(4) for n in (0, 1, 2, 3, None)]
+LEVELS = SMALL + [(2, 4), (3, 4), (2, 5)]
+
+
+def random_masks(seed):
+    """Distinct masks, the empty one included; many are drawn inside or
+    around earlier ones, so inclusions are common even at wide widths."""
+    rng = random.Random(seed)
+    size, width = rng.randint(0, 60), rng.randint(0, 70)
+    masks = {0}
+    for _ in range(size):
+        pick = rng.choice(sorted(masks))
+        masks.add(rng.choice([rng.getrandbits(width), pick & rng.getrandbits(width),
+                              pick | (1 << rng.randrange(width) if width else 0)]))
+    masks = sorted(masks)
+    rng.shuffle(masks)
+    return masks
+
+
+class TestReplay:
+    @pytest.mark.parametrize("seed", range(60))
+    def test_inclusion_order_is_the_pairwise_order(self, seed):
+        masks = random_masks(seed)
+        want = Poset.from_leq(len(masks), lambda a, b: not masks[a] & ~masks[b])
+        assert inclusion_order(masks).up == want.up
+
+    def test_edges(self):
+        assert inclusion_order([]).up == ()
+        assert inclusion_order([0]).up == (1,)
+        assert inclusion_order([3, 0, 1, 2]).up == (0b0001, 0b1111, 0b0101, 0b1001)
+
+    @pytest.mark.parametrize("n, k", LEVELS, ids=[f"{n},{k}" for n, k in LEVELS])
+    def test_skeleton_rows_are_base_leq(self, n, k):
+        indices, poset = free_skeleton(n, k)
+        assert poset.up == tuple(sum(1 << q for q, b in enumerate(indices) if base_leq(a, b))
+                                 for a in indices)
+
+    @pytest.mark.parametrize("n, k", SMALL, ids=[f"{n},{k}" for n, k in SMALL])
+    def test_h3_subset_rows_are_the_pairwise_order(self, n, k):
+        indices, _ = free_skeleton(n, k)
+        want = Poset.from_leq(len(indices), ref_h3_subset_leq(indices), cap=len(indices))
+        assert h3_poset(n, k)[0].up == want.up
+
+    def test_free_distributive_base_is_the_subset_cube(self):
+        for s in range(5):
+            cube = Poset.from_leq(1 << s, lambda a, b: not a & ~b)
+            assert free_distributive(s).base == cube
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("an order was built from pairwise calls")
+
+
+def test_orders_are_built_without_pairwise_calls(monkeypatch, capsys):
+    term = parse("x1 & x2* | x3** & x4")
+    want = normal_form(term, 3, 4)
+    free._skeleton.cache_clear()  # the skeletons below are built under the patch
+    monkeypatch.setattr(Poset, "from_leq", refuse)
+    monkeypatch.setattr(TableAlgebra, "leq", refuse)
+    monkeypatch.setattr(UpsetAlgebra, "leq", refuse)
+    assert normal_form(term, 3, 4) == want
+    assert build_free(2, 2).size == 539
+    assert free_distributive(3).size == 20
+    for name, A in ORDER_CORPUS:
+        U = to_upset(A)
+        assert is_isomorphic(A, U) is not None and is_isomorphic(U, A) is not None, name
+    assert h3_poset(2, 2)[0].n == 17
+    assert stone_decompose(2).iso is not None
+    assert main(["free", "-n", "2", "-k", "2", "--export", "-"]) == 0
+    assert capsys.readouterr().out.startswith("digraph poset {")
+
+
+def test_only_cm_posets_builds_an_order_pairwise():
+    """``Poset.from_leq`` stays public, but inside the library only
+    ``cm_posets`` calls it: a few records whose masks are as wide as the
+    algebra cost less as n^2 comparisons than as a pass over every bit."""
+    callers = set()
+    for path in sorted(Path(palgebra.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "from_leq"):
+                    callers.add(f"{path.name}:{fn.name}")
+    assert callers == {"congruences.py:cm_posets"}
