@@ -1,21 +1,35 @@
 """Exceptions shared across the package."""
 
 
+def _shown(count: int) -> int | str:
+    """count itself, or the text "2^N or more" when it has more decimal digits
+    than the interpreter converts (sys.get_int_max_str_digits)."""
+    try:
+        str(count)
+    except ValueError:
+        return f"2^{count.bit_length() - 1} or more"
+    return count
+
+
 class CapExceeded(Exception):
-    """A construction would pass its size cap; carries the count and the cap."""
+    """A construction would pass its size cap; carries the count and the cap.
+    ``shown`` is the count as error output prints it (see _shown)."""
 
     def __init__(self, what: str, count: int, cap: int):
-        super().__init__(f"{what}: {count} exceeds cap {cap}")
+        self.shown = _shown(count)
+        super().__init__(f"{what}: {self.shown} exceeds cap {cap}")
         self.what = what
         self.count = count
         self.cap = cap
 
 
 class BudgetExceeded(Exception):
-    """A valuation sweep would pass the configured budget."""
+    """A valuation sweep would pass the configured budget; ``shown`` is the
+    needed count as error output prints it (see _shown)."""
 
     def __init__(self, what: str, needed: int, budget: int):
-        super().__init__(f"{what}: {needed} valuations exceed budget {budget}")
+        self.shown = _shown(needed)
+        super().__init__(f"{what}: {self.shown} valuations exceed budget {budget}")
         self.what = what
         self.needed = needed
         self.budget = budget

@@ -128,15 +128,22 @@ def enumerate_jindices(n: int | None, k: int) -> list[JIndex]:
 
 @lru_cache(maxsize=None)  # free_skeleton checks it before every cache lookup
 def count_jirr(n: int | None, k: int) -> int:
-    """The index count, by the binomial double sum (no enumeration)."""
+    """The index count, by the binomial double sum (no enumeration): per L,
+    the families of 1 to n of the 2^(k-|L|) subsets above L."""
     if k < 0 or (n is not None and n < 0):
         raise ValueError("need k >= 0 and n >= 0")
     if n == 0:
         return 1 << k
-    n_eff = (1 << k) if n is None else n
     total = 0
     for ell in range(k + 1):
-        inner = sum(math.comb(1 << (k - ell), m) for m in range(1, n_eff + 1))
+        width = 1 << (k - ell)
+        if n is None or n >= width:  # every nonempty family: the closed form
+            inner = (1 << width) - 1
+        else:
+            inner, c = 0, 1
+            for m in range(1, n + 1):  # c = C(width, m), each from the one before
+                c = c * (width - m + 1) // m
+                inner += c
         total += math.comb(k, ell) * inner
     return total
 

@@ -85,104 +85,96 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 def parse(text: str) -> Term:
+    """The term in text.  Parentheses still open are kept on an explicit
+    stack, so nesting depth is not bounded by the recursion limit."""
     tokens = _tokenize(text)
     n = len(tokens)
     i = 0
-
-    def peek():
-        return tokens[i][0] if i < n else None
+    # per open '(': the join and the meet pending outside it
+    frames: list[tuple[Term | None, Term | None]] = []
+    join = meet = None
 
     def here():
         return tokens[i][2] if i < n else len(text)
 
-    def primary() -> Term:
-        nonlocal i
-        kind = peek()
+    while True:  # expecting a primary at token i
+        kind = tokens[i][0] if i < n else None
+        if kind == "(":
+            frames.append((join, meet))
+            join = meet = None
+            i += 1
+            continue
         if kind == "0":
-            i += 1
-            return ZERO
-        if kind == "1":
-            i += 1
-            return ONE
-        if kind == "var":
+            t = ZERO
+        elif kind == "1":
+            t = ONE
+        elif kind == "var":
             idx = int(tokens[i][1][1:])
             if idx < 1:
                 raise UnknownIdentifier("variable indices start at x1", tokens[i][2])
-            i += 1
-            return Var(idx)
-        if kind == "(":
-            i += 1
-            t = disjunct()
-            if peek() != ")":
+            t = Var(idx)
+        else:
+            raise ParseError("expected a term", here())
+        i += 1
+        while True:  # t is a whole primary: stars bind first, then & and |
+            while i < n and tokens[i][0] == "*":
+                i += 1
+                t = Star(t)
+            meet = t if meet is None else Meet(meet, t)
+            kind = tokens[i][0] if i < n else None
+            if kind == "&":
+                i += 1
+                break
+            join = meet if join is None else Join(join, meet)
+            meet = None
+            if kind == "|":
+                i += 1
+                break
+            if not frames:
+                if i < n:
+                    raise ParseError("trailing input", here())
+                return join
+            if kind != ")":
                 raise ParseError("expected ')'", here())
             i += 1
-            return t
-        raise ParseError("expected a term", here())
-
-    def starred() -> Term:
-        nonlocal i
-        t = primary()
-        while peek() == "*":
-            i += 1
-            t = Star(t)
-        return t
-
-    def conjunct() -> Term:
-        nonlocal i
-        t = starred()
-        while peek() == "&":
-            i += 1
-            t = Meet(t, starred())
-        return t
-
-    def disjunct() -> Term:
-        nonlocal i
-        t = conjunct()
-        while peek() == "|":
-            i += 1
-            t = Join(t, conjunct())
-        return t
-
-    out = disjunct()
-    if i < n:
-        raise ParseError("trailing input", here())
-    return out
+            t = join
+            join, meet = frames.pop()
 
 
 # ------------------------------------------------------------------ printing
 
-def _prec(t: Term) -> int:
-    if isinstance(t, Join):
-        return 1
-    if isinstance(t, Meet):
-        return 2
-    if isinstance(t, Star):
-        return 3
-    return 4
-
-
 def to_text(t: Term, pretty: bool = False) -> str:
-    """Minimal-parenthesis rendering; reparses to an equal tree."""
-    meet_sym, join_sym = ("∧", "∨") if pretty else ("&", "|")
+    """Minimal-parenthesis rendering; reparses to an equal tree.
 
-    def wrap(child: Term, floor: int) -> str:
-        s = walk(child)
-        return f"({s})" if _prec(child) < floor else s
-
-    def walk(node: Term) -> str:
-        if isinstance(node, Zero):
-            return "0"
-        if isinstance(node, One):
-            return "1"
-        if isinstance(node, Var):
-            return f"x{node.index}"
-        if isinstance(node, Star):
-            return wrap(node.arg, 3) + "*"
-        if isinstance(node, Meet):
-            return f"{wrap(node.left, 2)} {meet_sym} {wrap(node.right, 3)}"
-        return f"{wrap(node.left, 1)} {join_sym} {wrap(node.right, 2)}"
-
-    return walk(t)
+    Walks an explicit stack of literal text and (node, floor) pairs, where a
+    node binding looser than floor (join 1, meet 2, star 3) is parenthesised.
+    """
+    meet_sym, join_sym = (" ∧ ", " ∨ ") if pretty else (" & ", " | ")
+    out: list[str] = []
+    stack: list = [(t, 0)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        node, floor = item
+        if isinstance(node, Join):
+            if floor > 1:
+                out.append("(")
+                stack.append(")")
+            stack += ((node.right, 2), join_sym, (node.left, 1))
+        elif isinstance(node, Meet):
+            if floor > 2:
+                out.append("(")
+                stack.append(")")
+            stack += ((node.right, 3), meet_sym, (node.left, 2))
+        elif isinstance(node, Star):  # nothing binds tighter: never wrapped
+            stack += ("*", (node.arg, 3))
+        elif isinstance(node, Var):
+            out.append(f"x{node.index}")
+        else:
+            out.append("0" if isinstance(node, Zero) else "1")
+    return "".join(out)
 
 
 def term_to_json(t: Term):

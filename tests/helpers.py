@@ -3,9 +3,17 @@
 from itertools import product as iproduct
 
 from palgebra import (
+    ONE,
+    ZERO,
+    Join,
+    Meet,
+    One,
+    ParseError,
     Star,
     TableAlgebra,
+    UnknownIdentifier,
     Var,
+    Zero,
     build_chain,
     build_free,
     build_si,
@@ -16,6 +24,7 @@ from palgebra import (
     product,
     quotient,
 )
+from palgebra.terms import _tokenize
 
 
 def small_corpus():
@@ -280,3 +289,98 @@ def ref_h3_subset_leq(indices):
         return a == b or (not a.is_atom and b.is_atom and b.tees[0] in a.tees)
 
     return subset_leq
+
+
+def ref_parse(text):
+    """The recursive-descent parser ``terms.parse`` replaced: one Python frame
+    per nesting level, same tokens, results and errors."""
+    tokens = _tokenize(text)
+    n = len(tokens)
+    i = 0
+
+    def peek():
+        return tokens[i][0] if i < n else None
+
+    def here():
+        return tokens[i][2] if i < n else len(text)
+
+    def primary():
+        nonlocal i
+        kind = peek()
+        if kind == "0":
+            i += 1
+            return ZERO
+        if kind == "1":
+            i += 1
+            return ONE
+        if kind == "var":
+            idx = int(tokens[i][1][1:])
+            if idx < 1:
+                raise UnknownIdentifier("variable indices start at x1", tokens[i][2])
+            i += 1
+            return Var(idx)
+        if kind == "(":
+            i += 1
+            t = disjunct()
+            if peek() != ")":
+                raise ParseError("expected ')'", here())
+            i += 1
+            return t
+        raise ParseError("expected a term", here())
+
+    def starred():
+        nonlocal i
+        t = primary()
+        while peek() == "*":
+            i += 1
+            t = Star(t)
+        return t
+
+    def conjunct():
+        nonlocal i
+        t = starred()
+        while peek() == "&":
+            i += 1
+            t = Meet(t, starred())
+        return t
+
+    def disjunct():
+        nonlocal i
+        t = conjunct()
+        while peek() == "|":
+            i += 1
+            t = Join(t, conjunct())
+        return t
+
+    out = disjunct()
+    if i < n:
+        raise ParseError("trailing input", here())
+    return out
+
+
+def ref_to_text(t, pretty=False):
+    """The recursive printer ``terms.to_text`` replaced."""
+    meet_sym, join_sym = ("∧", "∨") if pretty else ("&", "|")
+
+    def prec(u):
+        return 1 if isinstance(u, Join) else 2 if isinstance(u, Meet) else \
+            3 if isinstance(u, Star) else 4
+
+    def wrap(child, floor):
+        s = walk(child)
+        return f"({s})" if prec(child) < floor else s
+
+    def walk(node):
+        if isinstance(node, Zero):
+            return "0"
+        if isinstance(node, One):
+            return "1"
+        if isinstance(node, Var):
+            return f"x{node.index}"
+        if isinstance(node, Star):
+            return wrap(node.arg, 3) + "*"
+        if isinstance(node, Meet):
+            return f"{wrap(node.left, 2)} {meet_sym} {wrap(node.right, 3)}"
+        return f"{wrap(node.left, 1)} {join_sym} {wrap(node.right, 2)}"
+
+    return walk(t)

@@ -116,12 +116,16 @@ class TestNf:
         code, _, err = run(capsys, "nf", "-n", "2", "y1")
         assert code == 1 and "parse error" in err
 
-    def test_deep_nesting_is_a_usage_error(self, capsys):
+    def test_deep_nesting_is_parsed(self, capsys):
         term = "(" * 1200 + "x1" + ")" * 1200
-        code, out, err = run(capsys, "nf", "-n", "2", term)
-        assert code == 1 and out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "Traceback" not in err
+        assert run(capsys, "nf", "-n", "2", term) == (0, "x1\n", "")
+
+    def test_deep_json_term_is_a_usage_error(self, capsys, tmp_path):
+        term = '["star", ' * 5000 + '["var", 1]' + "]" * 5000
+        path = tmp_path / "deep.json"
+        path.write_text('{"premises": [], "conclusion": {"lhs": %s, "rhs": "1"}}' % term)
+        code, out, err = run(capsys, "qi", str(path), "--algebra", "si:1")
+        assert (code, out, err) == (1, "", "error: input nested too deeply\n")
 
 
 class TestEq:

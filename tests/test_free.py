@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
+import json
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -39,6 +41,7 @@ from palgebra import (
     validate,
 )
 from palgebra import config
+from palgebra.cli import main
 from palgebra.terms import compile_postfix, eval_postfix
 from .helpers import count_monotone_functions, generated_subuniverse, paper_jirr_term
 
@@ -390,3 +393,33 @@ class TestHomomorphisms:
                     assert len(image) == B.size, (n, j)
                 seen += 1
         assert seen == 1947
+
+
+def accumulated_double_sum(k):
+    """count_jirr(n, k) for n = 0..2^k + 1 by the binomial double sum, one
+    term of each inner sum added per n: sum over L of C(k, |L|) times the
+    sum of C(2^(k-|L|), m) for m = 1..n."""
+    inner = [0] * (k + 1)
+    out = [1 << k]
+    for n in range(1, (1 << k) + 2):
+        for ell in range(k + 1):
+            inner[ell] += math.comb(1 << (k - ell), n)
+        out.append(sum(math.comb(k, ell) * inner[ell] for ell in range(k + 1)))
+    return out
+
+
+class TestCountClosedForm:
+    def test_matches_the_double_sum_for_every_level_up_to_k_10(self):
+        for k in range(11):
+            expected = accumulated_double_sum(k)
+            assert [count_jirr(n, k) for n in range(len(expected))] == expected, k
+            assert count_jirr(None, k) == expected[1 << k]
+
+    def test_omega_at_13_variables_is_immediate(self, capsys):
+        count_jirr.cache_clear()
+        start = time.process_time()
+        assert main(["nf", "-n", "omega", "x13"]) == 2
+        assert time.process_time() - start < 1.0
+        doc = json.loads(capsys.readouterr().err)
+        assert doc["count"] == sum(math.comb(13, ell) * ((1 << (1 << (13 - ell))) - 1)
+                                   for ell in range(14))

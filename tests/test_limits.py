@@ -177,3 +177,36 @@ class TestEnvironment:
         assert json.loads(capsys.readouterr().err) == {
             "error": "cap-exceeded", "what": "join-irreducible index set",
             "count": 144, "cap": 100}
+
+
+class TestCountsTooLongToPrint:
+    """A count with more digits than the interpreter writes as text is shown
+    as "2^N or more"; the exit code and error kind stay those of the limit."""
+
+    @pytest.mark.parametrize("argv", [["nf", "-n", "omega", "x14"],
+                                      ["free", "-n", "omega", "-k", "14"]])
+    def test_14_variables(self, argv, capsys):
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert json.loads(out.err) == {
+            "error": "cap-exceeded", "what": "join-irreducible index set",
+            "count": "2^16384 or more", "cap": 2048}
+
+    def test_20_variables(self, capsys):
+        assert main(["nf", "-n", "omega", "x20"]) == 2
+        assert json.loads(capsys.readouterr().err)["count"] == "2^1048576 or more"
+
+    def test_budget(self, tmp_path, capsys):
+        wide = " | ".join(f"x{i}" for i in range(1, 1601))  # 626^1600 valuations
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"premises": [], "conclusion": {"lhs": wide, "rhs": "1"}}))
+        assert main(["qi", str(path), "--algebra", "free:omega,2"]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "budget-exceeded", "what": "valuation sweep",
+            "needed": "2^14864 or more", "budget": 10 ** 7}
+
+    def test_printable_counts_keep_their_digits(self):
+        assert CapExceeded("x", 10 ** 4299, 1).shown == 10 ** 4299
+        assert str(CapExceeded("x", 10 ** 4300, 1)) == "x: 2^14284 or more exceeds cap 1"
+        assert str(BudgetExceeded("y", 7, 5)) == "y: 7 valuations exceed budget 5"

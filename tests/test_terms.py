@@ -29,6 +29,7 @@ from palgebra import (
 )
 from palgebra.errors import UnboundVariable
 from palgebra.terms import compile_postfix, eval_postfix
+from .helpers import ref_parse, ref_to_text
 
 
 def terms(max_depth=5, k=3):
@@ -211,3 +212,52 @@ class TestSchemes:
         assert len(premises) == 1
         with pytest.raises(ValueError):
             qb_system(0)
+
+
+# token soup: well-formed terms, and every kind of parse error
+PARSE_TOKENS = ["x1", "x2", "x10", "x0", "0", "1", "&", "|", "*", "(", ")", "∧", "∨",
+                " ", "y", "#"]
+
+
+def parse_outcome(fn, text):
+    """fn(text) as ("term", its postfix code) or ("error", type, message, pos)."""
+    try:
+        return ("term", compile_postfix(fn(text)))
+    except ParseError as exc:
+        return ("error", type(exc), str(exc), exc.pos)
+
+
+class TestNoRecursion:
+    """parse and to_text keep explicit stacks: the same results and errors
+    as the recursive versions they replaced, at any depth."""
+
+    @given(st.lists(st.sampled_from(PARSE_TOKENS), max_size=14).map("".join))
+    @settings(max_examples=600)
+    def test_parse_replays_the_recursive_parser(self, text):
+        assert parse_outcome(parse, text) == parse_outcome(ref_parse, text)
+
+    @given(terms(max_depth=7, k=4), st.booleans())
+    @settings(max_examples=300)
+    def test_to_text_replays_the_recursive_printer(self, t, pretty):
+        assert to_text(t, pretty=pretty) == ref_to_text(t, pretty=pretty)
+
+    def test_5000_nested_parentheses(self):
+        assert parse("(" * 5000 + "x1" + ")" * 5000) == Var(1)
+        deep = "(" * 5000 + "x1 | x2" + ") & x3" * 5000
+        assert compile_postfix(parse(deep))[-2:] == (("var", 3), ("meet",))
+        with pytest.raises(ParseError) as exc:
+            parse("(" * 5000 + "x1" + ")" * 4999)
+        assert str(exc.value) == "expected ')' (at position 10001)"
+
+    def test_5000_operand_join(self):
+        t = Var(1)
+        for i in range(2, 5001):
+            t = Join(t, Var(i))
+        text = to_text(t)
+        assert text == " | ".join(f"x{i}" for i in range(1, 5001))
+        assert compile_postfix(parse(text)) == compile_postfix(t)
+        nested = t
+        for _ in range(5000):
+            nested = Star(Meet(nested, ONE))
+        assert to_text(nested).startswith("(" * 5000)
+        assert compile_postfix(parse(to_text(nested))) == compile_postfix(nested)
