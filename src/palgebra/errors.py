@@ -1,14 +1,20 @@
 """Exceptions shared across the package."""
 
+import sys
+
+
+# the interpreter's default int-to-text limit, in decimal digits
+_MAX_DIGITS = 4300
+
 
 def _shown(count: int) -> int | str:
     """count itself, or the text "2^N or more" when it has more decimal digits
-    than the interpreter converts (sys.get_int_max_str_digits)."""
-    try:
-        str(count)
-    except ValueError:
-        return f"2^{count.bit_length() - 1} or more"
-    return count
+    than the default int-to-text limit (or a lower one the interpreter is set
+    to); such a count is never converted to text."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or _MAX_DIGITS
+    if abs(count) < 10 ** min(limit, _MAX_DIGITS):
+        return count
+    return f"2^{count.bit_length() - 1} or more"
 
 
 class CapExceeded(Exception):

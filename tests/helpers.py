@@ -24,6 +24,7 @@ from palgebra import (
     product,
     quotient,
 )
+from palgebra.algebras import Violation
 from palgebra.terms import _tokenize
 
 
@@ -384,3 +385,44 @@ def ref_to_text(t, pretty=False):
         return f"{wrap(node.left, 1)} {join_sym} {wrap(node.right, 2)}"
 
     return walk(t)
+
+
+def ref_law_scan(A):
+    """The element-by-element law scan ``algebras._law_scan`` replaced: the
+    first witness of each failed law, cubic in |A| through the carrier's own
+    meet, join, star and leq."""
+    out = []
+    rng = range(A.size)
+    meet, join, star = A.meet, A.join, A.star
+    zero, one = A.zero, A.one
+
+    def first(law, gen):
+        for w in gen:
+            out.append(Violation(law, w))
+            return
+
+    first("meet-idempotent", ((a,) for a in rng if meet(a, a) != a))
+    first("join-idempotent", ((a,) for a in rng if join(a, a) != a))
+    first("meet-commutative", ((a, b) for a in rng for b in rng if meet(a, b) != meet(b, a)))
+    first("join-commutative", ((a, b) for a in rng for b in rng if join(a, b) != join(b, a)))
+    first("absorption-meet", ((a, b) for a in rng for b in rng if meet(a, join(a, b)) != a))
+    first("absorption-join", ((a, b) for a in rng for b in rng if join(a, meet(a, b)) != a))
+    first("meet-associative", ((a, b, c) for a in rng for b in rng for c in rng
+                               if meet(meet(a, b), c) != meet(a, meet(b, c))))
+    first("join-associative", ((a, b, c) for a in rng for b in rng for c in rng
+                               if join(join(a, b), c) != join(a, join(b, c))))
+    first("distributive", ((a, b, c) for a in rng for b in rng for c in rng
+                           if meet(a, join(b, c)) != join(meet(a, b), meet(a, c))))
+    first("zero-meet", ((a,) for a in rng if meet(zero, a) != zero))
+    first("zero-join", ((a,) for a in rng if join(zero, a) != a))
+    first("one-meet", ((a,) for a in rng if meet(one, a) != a))
+    first("one-join", ((a,) for a in rng if join(one, a) != one))
+    if star(one) != zero:
+        out.append(Violation("star-one", (one,)))
+    if star(zero) != one:
+        out.append(Violation("star-zero", (zero,)))
+    first("star-meet", ((a, b) for a in rng for b in rng
+                        if meet(a, star(meet(a, b))) != meet(a, star(b))))
+    first("pseudocomplement", ((a, b) for a in rng for b in rng
+                               if (meet(a, b) == zero) != A.leq(a, star(b))))
+    return out

@@ -4,6 +4,7 @@ them; the environment is read on first use."""
 import dataclasses
 import inspect
 import json
+import sys
 
 import pytest
 
@@ -210,3 +211,17 @@ class TestCountsTooLongToPrint:
         assert CapExceeded("x", 10 ** 4299, 1).shown == 10 ** 4299
         assert str(CapExceeded("x", 10 ** 4300, 1)) == "x: 2^14284 or more exceeds cap 1"
         assert str(BudgetExceeded("y", 7, 5)) == "y: 7 valuations exceed budget 5"
+
+    def test_the_interpreters_limit_only_lowers_the_threshold(self):
+        # switched off, the default still applies: a huge count is never
+        # written out; set lower, counts above it are not printed either
+        saved = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(0)
+            assert CapExceeded("x", 1 << (1 << 20), 1).shown == "2^1048576 or more"
+            assert CapExceeded("x", 10 ** 4299, 1).shown == 10 ** 4299
+            sys.set_int_max_str_digits(640)
+            assert CapExceeded("x", 10 ** 639, 1).shown == 10 ** 639
+            assert CapExceeded("x", 10 ** 640, 1).shown == "2^2126 or more"
+        finally:
+            sys.set_int_max_str_digits(saved)

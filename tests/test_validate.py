@@ -1,8 +1,9 @@
 """``validate``'s row check against the per-law witness scan it replaces.
 
 ``algebras._lawful`` decides lawfulness in O(|A|^2) row equalities;
-``algebras._law_scan`` is the cubic per-law scan, run only when the check
-fails, and it is the oracle here.
+``algebras._law_scan`` is the per-law witness scan, run only when the check
+fails.  The oracle for both is ``helpers.ref_law_scan``, the element-by-element
+scan from before the row check.
 """
 
 import json
@@ -23,6 +24,8 @@ from palgebra import (
 )
 from palgebra.algebras import _law_scan, _lawful
 from palgebra.cli import main
+
+from .helpers import ref_law_scan
 
 BASES = {
     "si:1": build_si(1),
@@ -90,13 +93,14 @@ def test_row_check_replays_the_scan_on_3000_seeded_tables():
         perm = list(range(B.size))
         rng.shuffle(perm)
         A = mutate(relabel(B, perm), rng, rng.randint(0, 3))
-        scan = _law_scan(A)
+        scan = ref_law_scan(A)
+        assert _law_scan(A) == scan, (trial, name)
         assert _lawful(A) == (scan == []), (trial, name, scan)
         assert validate(A) == scan, (trial, name)
         lawless += scan != []
         if not scan:
             U = to_upset(A)
-            assert _lawful(U) and _law_scan(U) == [] and validate(U) == []
+            assert _lawful(U) and ref_law_scan(U) == _law_scan(U) == validate(U) == []
             upsets += 1
     # both outcomes are well represented
     assert 1000 < lawless < 2800 and upsets > 200
@@ -118,7 +122,8 @@ def test_checks_fail_on_each_condition_of_the_row_check():
                        [0, 0, 0], 0, 0)
     cases.append(cyc)
     for C in cases:
-        assert not _lawful(C) and _law_scan(C) != [] and validate(C) == _law_scan(C)
+        scan = ref_law_scan(C)
+        assert not _lawful(C) and scan != [] and _law_scan(C) == validate(C) == scan
 
 
 def test_single_element_algebra():
