@@ -29,10 +29,15 @@ from .decide import (
     check_quasi_identity,
     structural_completeness_report,
 )
-from .errors import BudgetExceeded, CapExceeded, MalformedTables, ParseError
-from .free import build_free, count_jirr, free_distributive, free_skeleton, normal_form
+from .errors import BudgetExceeded, CapExceeded, MalformedTables, ParseError, shown
+from .free import build_free, count_jirr_or_text, free_distributive, free_skeleton, normal_form
 from .posets import export_dot
 from .terms import parse, to_text
+
+
+# json's reader recurses once per nesting level; a quasi-identity file may
+# nest its JSON-tree terms this deep (deeper ends as "input nested too deeply")
+_JSON_DEPTH = 10_000
 
 
 def _print_json(doc) -> None:
@@ -88,7 +93,7 @@ def load_algebra(spec: str):
 def cmd_free(args) -> int:
     n = _level(args.n)
     out = {"n": "omega" if n is None else n, "k": args.k,
-           "jCount": count_jirr(n, args.k)}
+           "jCount": shown(count_jirr_or_text(n, args.k))}
     if args.export or not args.count_only:
         indices, poset = free_skeleton(n, args.k)
         if args.export:
@@ -120,7 +125,13 @@ def cmd_eq(args) -> int:
 def cmd_qi(args) -> int:
     try:
         with open(args.file, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            text = fh.read()
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(max(limit, _JSON_DEPTH))
+        try:
+            doc = json.loads(text)
+        finally:
+            sys.setrecursionlimit(limit)
     except OSError as exc:
         raise ValueError(f"cannot read quasi-identity file {args.file!r}: {exc}")
     except json.JSONDecodeError as exc:

@@ -213,88 +213,90 @@ def _quasi_witness(variables, tup, a, b) -> dict:
 
 
 def _quasi_pruned(q, A, variables) -> Verdict:
-    """Backtracking in ascending variable order.  Premises are checked the
-    moment their last variable is assigned; a premise one variable short of
-    closed either pins that variable down (bare variable / starred variable
-    against a closed side) or, failing a recognizable shape, filters the
-    candidate pool by direct evaluation.  Bare join/meet operands of premises
-    with one closed side contribute order bounds even earlier."""
+    """Backtracking in ascending variable order, planned once per depth.
+
+    A depth fixes which premise sides are closed and what each closed side c
+    does to its variable v: against a bare v it pins v to c, against v* to
+    the star preimages of c (both once v is the premise's last variable),
+    and where v is a bare join (meet) operand it bounds v below (above) c,
+    even before the premise closes.  Premises whose last variable is v
+    filter the pool by evaluation and are checked again as v is assigned.
+    Bound rows are kept per search, keyed by (c, direction): a row is built
+    with |A| ``leq`` calls only where the pool is still all of A, and a
+    pinned pool is filtered by ``leq`` unless its row is kept.  The budget
+    is charged as by the search without plan or rows.
+    """
     spent = _Budget(config.DEFAULT.budget, "pruned search")
-    prems = []
-    for p in q.premises:
-        vs = frozenset(vars_of(p.lhs, p.rhs))
-        prems.append((p, compile_postfix(p.lhs), compile_postfix(p.rhs), vs))
-    ccl, ccr = compile_postfix(q.conclusion.lhs), compile_postfix(q.conclusion.rhs)
-    star_pre: dict[int, tuple[int, ...]] | None = None
     val: dict[int, int] = {}
+    prems = [(p, compile_postfix(p.lhs), compile_postfix(p.rhs), vars_of(p.lhs, p.rhs))
+             for p in q.premises]
     for _, cl, cr, vs in prems:
         if not vs:  # ground premise: decide it once up front
             spent.spend()
             if eval_postfix(cl, A, val) != eval_postfix(cr, A, val):
                 return Verdict(True, None, "pruned", spent.used)
-
-    def star_preimages() -> dict[int, tuple[int, ...]]:
-        nonlocal star_pre
-        if star_pre is None:
-            spent.spend(A.size)
-            acc: dict[int, list[int]] = {}
-            for x in range(A.size):
-                acc.setdefault(A.star(x), []).append(x)
-            star_pre = {v: tuple(xs) for v, xs in acc.items()}
-        return star_pre
-
-    def closed_value(code, term_vars) -> int | None:
-        if all(w in val for w in term_vars):
-            spent.spend()
-            return eval_postfix(code, A, val)
-        return None
-
-    def candidates(v: int) -> list[int]:
-        pool: list[int] | None = None
-
-        def narrow(xs):
-            nonlocal pool
-            if pool is None:
-                pool = list(xs)
-            else:
-                keep = set(xs)
-                pool = [x for x in pool if x in keep]
-
-        generic: list[tuple] = []
+    leq = A.leq
+    plans = []  # per depth: v, closed sides as (code, pin, bound), closing premises
+    for v in variables:
+        sides, closing = [], []
         for p, cl, cr, vs in prems:
             if v not in vs:
                 continue
-            open_vars = vs - val.keys()
-            for mine, mine_code, other, other_code in (
-                (p.lhs, cl, p.rhs, cr), (p.rhs, cr, p.lhs, cl),
-            ):
-                c = closed_value(other_code, vars_of(other))
-                if c is None:
-                    continue
-                if open_vars == {v}:
-                    if mine == Var(v):
-                        narrow([c])
-                    elif mine == Star(Var(v)):
-                        narrow(star_preimages().get(c, ()))
-                if Var(v) in _operands(mine, Join):
-                    spent.spend(A.size if pool is None else len(pool))
-                    base = range(A.size) if pool is None else pool
-                    narrow([x for x in base if A.leq(x, c)])
-                elif Var(v) in _operands(mine, Meet):
-                    spent.spend(A.size if pool is None else len(pool))
-                    base = range(A.size) if pool is None else pool
-                    narrow([x for x in base if A.leq(c, x)])
-            if open_vars == {v}:
-                generic.append((cl, cr))
+            last = vs[-1] == v
+            for mine, other, code in ((p.lhs, p.rhs, cr), (p.rhs, p.lhs, cl)):
+                if max_var(other) >= v:
+                    continue  # still open at this depth
+                pin = last and ("var" if mine == Var(v) else
+                                "star" if mine == Star(Var(v)) else None)
+                bound = ("below" if Var(v) in _operands(mine, Join) else
+                         "above" if Var(v) in _operands(mine, Meet) else None)
+                sides.append((code, pin, bound))
+            if last:
+                closing.append((cl, cr))
+        plans.append((v, sides, closing))
+    ccl, ccr = compile_postfix(q.conclusion.lhs), compile_postfix(q.conclusion.rhs)
+    rows: dict[tuple, tuple[tuple[int, ...], frozenset[int]]] = {}
+    star_pre: dict[int, tuple[tuple[int, ...], frozenset[int]]] = {}
+
+    def candidates(v, sides, closing):
+        pool = None  # all of A; otherwise ascending
+        for code, pin, bound in sides:
+            spent.spend()
+            if not (pin or bound):
+                continue
+            c = eval_postfix(code, A, val)
+            if pin == "star" and not star_pre:
+                spent.spend(A.size)
+                acc: dict[int, list[int]] = {}
+                for x in range(A.size):
+                    acc.setdefault(A.star(x), []).append(x)
+                star_pre.update((s, (tuple(xs), frozenset(xs))) for s, xs in acc.items())
+            if pin:
+                xs, keep = ((c,), (c,)) if pin == "var" else star_pre.get(c, ((), ()))
+                pool = xs if pool is None else [x for x in pool if x in keep]
+            if bound is None:
+                continue
+            row = rows.get((c, bound))
+            if pool is None:
+                spent.spend(A.size)
+                if row is None:
+                    xs = tuple(x for x in range(A.size)
+                               if (leq(x, c) if bound == "below" else leq(c, x)))
+                    row = rows[c, bound] = (xs, frozenset(xs))
+                pool = row[0]
+            else:
+                spent.spend(len(pool))
+                pool = ([x for x in pool if x in row[1]] if row else
+                        [x for x in pool if (leq(x, c) if bound == "below" else leq(c, x))])
         if pool is None:
-            pool = list(range(A.size))
-        if generic:
+            pool = range(A.size)
+        if closing:
             kept = []
             for x in pool:
                 val[v] = x
-                spent.spend(len(generic))
+                spent.spend(len(closing))
                 if all(eval_postfix(cl, A, val) == eval_postfix(cr, A, val)
-                       for cl, cr in generic):
+                       for cl, cr in closing):
                     kept.append(x)
             val.pop(v, None)
             pool = kept
@@ -308,18 +310,15 @@ def _quasi_pruned(q, A, variables) -> Verdict:
                 tup = tuple(val[v] for v in variables)
                 return _quasi_witness(variables, tup, a, b)
             return None
-        v = variables[depth]
-        for x in candidates(v):
+        v, sides, closing = plans[depth]
+        for x in candidates(v, sides, closing):
             spent.spend()
             val[v] = x
-            ok = True
-            for p, cl, cr, vs in prems:
-                if v in vs and vs <= val.keys():
-                    spent.spend()
-                    if eval_postfix(cl, A, val) != eval_postfix(cr, A, val):
-                        ok = False
-                        break
-            if ok:
+            for cl, cr in closing:
+                spent.spend()
+                if eval_postfix(cl, A, val) != eval_postfix(cr, A, val):
+                    break
+            else:
                 found = search(depth + 1)
                 if found is not None:
                     return found

@@ -7,22 +7,27 @@ import sys
 _MAX_DIGITS = 4300
 
 
-def _shown(count: int) -> int | str:
+def shown(count: int | str) -> int | str:
     """count itself, or the text "2^N or more" when it has more decimal digits
     than the default int-to-text limit (or a lower one the interpreter is set
-    to); such a count is never converted to text."""
+    to); such a count is never converted to text.  Text is a count already
+    shown (one too large to compute, see ``free.count_jirr_or_text``)."""
+    if isinstance(count, str):
+        return count
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or _MAX_DIGITS
-    if abs(count) < 10 ** min(limit, _MAX_DIGITS):
+    digits = min(limit, _MAX_DIGITS)
+    # below 2^(3 * digits) = 8^digits, printable without building 10^digits
+    if abs(count).bit_length() <= 3 * digits or abs(count) < 10 ** digits:
         return count
     return f"2^{count.bit_length() - 1} or more"
 
 
 class CapExceeded(Exception):
     """A construction would pass its size cap; carries the count and the cap.
-    ``shown`` is the count as error output prints it (see _shown)."""
+    ``shown`` is the count as error output prints it (see shown)."""
 
-    def __init__(self, what: str, count: int, cap: int):
-        self.shown = _shown(count)
+    def __init__(self, what: str, count: int | str, cap: int):
+        self.shown = shown(count)
         super().__init__(f"{what}: {self.shown} exceeds cap {cap}")
         self.what = what
         self.count = count
@@ -31,10 +36,10 @@ class CapExceeded(Exception):
 
 class BudgetExceeded(Exception):
     """A valuation sweep would pass the configured budget; ``shown`` is the
-    needed count as error output prints it (see _shown)."""
+    needed count as error output prints it (see shown)."""
 
     def __init__(self, what: str, needed: int, budget: int):
-        self.shown = _shown(needed)
+        self.shown = shown(needed)
         super().__init__(f"{what}: {self.shown} valuations exceed budget {budget}")
         self.what = what
         self.needed = needed

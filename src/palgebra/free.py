@@ -157,11 +157,23 @@ def _skeleton(n_key: int | None, k: int) -> tuple[tuple[JIndex, ...], Poset]:
     return indices, inclusion_order(masks)
 
 
+def count_jirr_or_text(n: int | None, k: int) -> int | str:
+    """count_jirr(n, k), or the text errors.shown gives it where that is known
+    without the sum: with every family allowed (level omega, or n >= 2^k)
+    and k >= 14, the count lies in [2^(2^k), 2^(2^k + 1)) and has more than
+    4,300 digits."""
+    if k >= 14 and (n is None or n.bit_length() > k):
+        return f"2^{1 << k} or more" if k < 14_000 else f"2^(2^{k}) or more"
+    return count_jirr(n, k)
+
+
 def free_skeleton(n: int | None, k: int):
     """(indices, index poset) without materializing elements."""
     n_key = None if n is None else min(n, 1 << k) if n > 0 else 0
-    expected, cap = count_jirr(n_key, k), config.DEFAULT.poset_cap
-    if expected > cap:  # outside the cache, so a lowered cap still fires
+    expected, cap = count_jirr_or_text(n_key, k), config.DEFAULT.poset_cap
+    # outside the cache, so a lowered cap still fires; a count too long to
+    # print passes any cap
+    if isinstance(expected, str) or expected > cap:
         raise CapExceeded("join-irreducible index set", expected, cap)
     return _skeleton(n_key, k)
 

@@ -178,39 +178,57 @@ def to_text(t: Term, pretty: bool = False) -> str:
 
 
 def term_to_json(t: Term):
-    if isinstance(t, Zero):
-        return ["zero"]
-    if isinstance(t, One):
-        return ["one"]
-    if isinstance(t, Var):
-        return ["var", t.index]
-    if isinstance(t, Star):
-        return ["star", term_to_json(t.arg)]
-    if isinstance(t, Meet):
-        return ["meet", term_to_json(t.left), term_to_json(t.right)]
-    return ["join", term_to_json(t.left), term_to_json(t.right)]
+    """The JSON tree of a term, built with an explicit stack."""
+    out: list = []
+    stack: list[tuple[Term, bool]] = [(t, False)]
+    while stack:
+        node, done = stack.pop()
+        if isinstance(node, (Zero, One)):
+            out.append(["zero"] if isinstance(node, Zero) else ["one"])
+        elif isinstance(node, Var):
+            out.append(["var", node.index])
+        elif isinstance(node, Star):
+            if done:
+                out[-1] = ["star", out[-1]]
+            else:
+                stack += ((node, True), (node.arg, False))
+        elif done:
+            right = out.pop()
+            out[-1] = ["meet" if isinstance(node, Meet) else "join", out[-1], right]
+        else:
+            stack += ((node, True), (node.right, False), (node.left, False))
+    return out[0]
 
 
 def term_from_json(doc) -> Term:
+    """The term of a JSON tree: ["zero"], ["one"], ["var", i], ["star", t],
+    ["meet", l, r] or ["join", l, r].  Read with an explicit stack, operands
+    left to right, so a malformed document fails where a recursive reader
+    would."""
+    out: list[Term] = []
+    stack: list = [(doc, 0)]  # a node and how many of its operands are read
     try:
-        tag = doc[0]
-        if tag == "zero":
-            return ZERO
-        if tag == "one":
-            return ONE
-        if tag == "var":  # a float, bool, string or index below 1 is refused
-            if type(doc[1]) is not int or doc[1] < 1:
-                raise ParseError("variable indices start at x1", 0)
-            return Var(doc[1])
-        if tag == "star":
-            return Star(term_from_json(doc[1]))
-        if tag == "meet":
-            return Meet(term_from_json(doc[1]), term_from_json(doc[2]))
-        if tag == "join":
-            return Join(term_from_json(doc[1]), term_from_json(doc[2]))
+        while stack:
+            node, done = stack.pop()
+            tag = node[0]
+            if tag == "zero" or tag == "one":
+                out.append(ZERO if tag == "zero" else ONE)
+            elif tag == "var":  # a float, bool, string or index below 1 is refused
+                if type(node[1]) is not int or node[1] < 1:
+                    raise ParseError("variable indices start at x1", 0)
+                out.append(Var(node[1]))
+            elif tag not in ("star", "meet", "join"):
+                raise ParseError(f"bad term tag {tag!r}", 0)
+            elif done < (1 if tag == "star" else 2):
+                stack += ((node, done + 1), (node[done + 1], 0))
+            elif tag == "star":
+                out[-1] = Star(out[-1])
+            else:
+                right = out.pop()
+                out[-1] = (Meet if tag == "meet" else Join)(out[-1], right)
     except (TypeError, IndexError, ValueError) as exc:
         raise ParseError(f"bad term document: {exc}", 0) from exc
-    raise ParseError(f"bad term tag {tag!r}", 0)
+    return out[0]
 
 
 # ---------------------------------------------------------------- evaluation

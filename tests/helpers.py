@@ -24,8 +24,10 @@ from palgebra import (
     product,
     quotient,
 )
+from palgebra import Verdict, config, vars_of
 from palgebra.algebras import Violation
-from palgebra.terms import _tokenize
+from palgebra.decide import _Budget, _operands, _quasi_witness
+from palgebra.terms import _tokenize, compile_postfix, eval_postfix
 
 
 def small_corpus():
@@ -426,3 +428,125 @@ def ref_law_scan(A):
     first("pseudocomplement", ((a, b) for a in rng for b in rng
                                if (meet(a, b) == zero) != A.leq(a, star(b))))
     return out
+
+
+# decide._quasi_pruned before its per-depth plan and order-bound rows, copied
+# unchanged: the replay oracle for that search
+def ref_quasi_pruned(q, A, variables) -> Verdict:
+    """Backtracking in ascending variable order.  Premises are checked the
+    moment their last variable is assigned; a premise one variable short of
+    closed either pins that variable down (bare variable / starred variable
+    against a closed side) or, failing a recognizable shape, filters the
+    candidate pool by direct evaluation.  Bare join/meet operands of premises
+    with one closed side contribute order bounds even earlier."""
+    spent = _Budget(config.DEFAULT.budget, "pruned search")
+    prems = []
+    for p in q.premises:
+        vs = frozenset(vars_of(p.lhs, p.rhs))
+        prems.append((p, compile_postfix(p.lhs), compile_postfix(p.rhs), vs))
+    ccl, ccr = compile_postfix(q.conclusion.lhs), compile_postfix(q.conclusion.rhs)
+    star_pre: dict[int, tuple[int, ...]] | None = None
+    val: dict[int, int] = {}
+    for _, cl, cr, vs in prems:
+        if not vs:  # ground premise: decide it once up front
+            spent.spend()
+            if eval_postfix(cl, A, val) != eval_postfix(cr, A, val):
+                return Verdict(True, None, "pruned", spent.used)
+
+    def star_preimages() -> dict[int, tuple[int, ...]]:
+        nonlocal star_pre
+        if star_pre is None:
+            spent.spend(A.size)
+            acc: dict[int, list[int]] = {}
+            for x in range(A.size):
+                acc.setdefault(A.star(x), []).append(x)
+            star_pre = {v: tuple(xs) for v, xs in acc.items()}
+        return star_pre
+
+    def closed_value(code, term_vars) -> int | None:
+        if all(w in val for w in term_vars):
+            spent.spend()
+            return eval_postfix(code, A, val)
+        return None
+
+    def candidates(v: int) -> list[int]:
+        pool: list[int] | None = None
+
+        def narrow(xs):
+            nonlocal pool
+            if pool is None:
+                pool = list(xs)
+            else:
+                keep = set(xs)
+                pool = [x for x in pool if x in keep]
+
+        generic: list[tuple] = []
+        for p, cl, cr, vs in prems:
+            if v not in vs:
+                continue
+            open_vars = vs - val.keys()
+            for mine, mine_code, other, other_code in (
+                (p.lhs, cl, p.rhs, cr), (p.rhs, cr, p.lhs, cl),
+            ):
+                c = closed_value(other_code, vars_of(other))
+                if c is None:
+                    continue
+                if open_vars == {v}:
+                    if mine == Var(v):
+                        narrow([c])
+                    elif mine == Star(Var(v)):
+                        narrow(star_preimages().get(c, ()))
+                if Var(v) in _operands(mine, Join):
+                    spent.spend(A.size if pool is None else len(pool))
+                    base = range(A.size) if pool is None else pool
+                    narrow([x for x in base if A.leq(x, c)])
+                elif Var(v) in _operands(mine, Meet):
+                    spent.spend(A.size if pool is None else len(pool))
+                    base = range(A.size) if pool is None else pool
+                    narrow([x for x in base if A.leq(c, x)])
+            if open_vars == {v}:
+                generic.append((cl, cr))
+        if pool is None:
+            pool = list(range(A.size))
+        if generic:
+            kept = []
+            for x in pool:
+                val[v] = x
+                spent.spend(len(generic))
+                if all(eval_postfix(cl, A, val) == eval_postfix(cr, A, val)
+                       for cl, cr in generic):
+                    kept.append(x)
+            val.pop(v, None)
+            pool = kept
+        return pool
+
+    def search(depth: int):
+        if depth == len(variables):
+            spent.spend()
+            a, b = eval_postfix(ccl, A, val), eval_postfix(ccr, A, val)
+            if a != b:
+                tup = tuple(val[v] for v in variables)
+                return _quasi_witness(variables, tup, a, b)
+            return None
+        v = variables[depth]
+        for x in candidates(v):
+            spent.spend()
+            val[v] = x
+            ok = True
+            for p, cl, cr, vs in prems:
+                if v in vs and vs <= val.keys():
+                    spent.spend()
+                    if eval_postfix(cl, A, val) != eval_postfix(cr, A, val):
+                        ok = False
+                        break
+            if ok:
+                found = search(depth + 1)
+                if found is not None:
+                    return found
+            del val[v]
+        return None
+
+    witness = search(0)
+    if witness is None:
+        return Verdict(True, None, "pruned", spent.used)
+    return Verdict(False, witness, "pruned", spent.used)

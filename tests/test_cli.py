@@ -120,8 +120,19 @@ class TestNf:
         term = "(" * 1200 + "x1" + ")" * 1200
         assert run(capsys, "nf", "-n", "2", term) == (0, "x1\n", "")
 
+    @pytest.mark.parametrize("strategy", ["exhaustive", "pruned"])
+    def test_deep_json_term_is_decided(self, capsys, tmp_path, strategy):
+        term = '["star", ' * 5000 + '["var", 1]' + "]" * 5000  # x1** in si:1
+        path = tmp_path / "deep.json"
+        path.write_text('{"premises": [], "conclusion": {"lhs": %s, "rhs": "1"}}' % term)
+        code, out, err = run(capsys, "qi", str(path), "--algebra", "si:1",
+                             "--strategy", strategy)
+        assert (code, err) == (1, "")
+        assert json.loads(out)["witness"] == {"valuation": {"x1": 0},
+                                              "conclusion": {"lhs": 0, "rhs": 2}}
+
     def test_deep_json_term_is_a_usage_error(self, capsys, tmp_path):
-        term = '["star", ' * 5000 + '["var", 1]' + "]" * 5000
+        term = '["star", ' * 20_000 + '["var", 1]' + "]" * 20_000
         path = tmp_path / "deep.json"
         path.write_text('{"premises": [], "conclusion": {"lhs": %s, "rhs": "1"}}' % term)
         code, out, err = run(capsys, "qi", str(path), "--algebra", "si:1")
@@ -434,10 +445,12 @@ def exit_code(argv):
 ENTRIES = st.one_of(st.integers(-1, 4), st.floats(), st.booleans(),
                     st.text(max_size=2), st.none())
 TABLE_BASES = [algebra_to_json_dict(A) for A in (build_si(0), build_si(1), build_chain(3))]
-# terms over x1..x3 only: a large variable index at level omega runs into
-# free.count_jirr's unbounded index count (see CHANGES.md), not the parser
+# terms over x1..x3: eq sweeps k variables where the index set is over the
+# cap (3^14 valuations at pa1 for x14), which is slow, not a fault
 TOKENS = ["x1", "x2", "x3", "0", "1", "&", "|", "*", "**", "(", ")", "x", "y1", "-", "x0"]
 TEXT_TERMS = st.lists(st.sampled_from(TOKENS), max_size=10).map(" ".join)
+# nf only counts indices: at omega, x14 and up give counts too long to print
+NF_TERMS = st.lists(st.sampled_from(TOKENS + ["x14", "x25", "x40"]), max_size=10).map(" ".join)
 JSON_TERMS = st.recursive(
     st.one_of(st.sampled_from([["zero"], ["one"], [], ["nope"], {}, 7, None, "x1"]),
               st.one_of(st.integers(-1, 3), st.sampled_from([1.5, "2", True, None]))
@@ -496,7 +509,7 @@ class TestFuzzEveryInputKind:
             assert all(type(v) is int for v in entries(doc))
 
     @settings(max_examples=300, deadline=None)
-    @given(term=TEXT_TERMS, level=st.sampled_from(["0", "1", "2", "3", "omega", "w", "-1", "two"]))
+    @given(term=NF_TERMS, level=st.sampled_from(["0", "1", "2", "3", "omega", "w", "-1", "two"]))
     def test_nf_terms(self, term, level):
         exit_code(["nf", "-n", level, "--", term])
 

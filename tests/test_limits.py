@@ -21,6 +21,7 @@ from palgebra import (
     check_identity,
     check_quasi_identity,
     config,
+    free,
     h3_poset,
     normal_form,
     oracle_equivalence,
@@ -197,6 +198,23 @@ class TestCountsTooLongToPrint:
     def test_20_variables(self, capsys):
         assert main(["nf", "-n", "omega", "x20"]) == 2
         assert json.loads(capsys.readouterr().err)["count"] == "2^1048576 or more"
+
+    @pytest.mark.parametrize("k", [14, 25, 33])
+    def test_cap_fires_before_the_exact_count(self, monkeypatch, capsys, k):
+        def boom(n, k):
+            raise AssertionError("exact index count taken")
+
+        monkeypatch.setattr(free, "count_jirr", boom)
+        assert main(["nf", "-n", "omega", f"x{k}"]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "cap-exceeded", "what": "join-irreducible index set",
+            "count": f"2^{1 << k} or more", "cap": 2048}
+
+    def test_count_only_prints_a_count_too_long_to_print(self, capsys):
+        assert main(["free", "-n", "omega", "-k", "14", "--count-only"]) == 0
+        out = capsys.readouterr()
+        assert (json.loads(out.out), out.err) == (
+            {"n": "omega", "k": 14, "jCount": "2^16384 or more"}, "")
 
     def test_budget(self, tmp_path, capsys):
         wide = " | ".join(f"x{i}" for i in range(1, 1601))  # 626^1600 valuations

@@ -106,6 +106,15 @@ class TestJson:
         with pytest.raises(ParseError):
             term_from_json(["quux"])
 
+    def test_round_trip_5000_deep(self):
+        # compared as text and code: == on trees this deep recurses
+        t = Var(1)
+        for i in range(5000):
+            t = (Star(t), Meet(t, Var(2)), Join(ONE, t))[i % 3]
+        back = term_from_json(term_to_json(t))
+        assert to_text(back) == to_text(t)
+        assert compile_postfix(back) == compile_postfix(t)
+
 
 class TestEval:
     def test_on_si(self):
