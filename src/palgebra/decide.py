@@ -18,6 +18,7 @@ from .algebras import PAlgebra, TableAlgebra, build_chain, build_si, is_isomorph
 from . import config
 from .errors import BudgetExceeded, CapExceeded
 from .free import build_free, normal_form
+from .posets import bit_indices
 from .terms import (
     Join,
     Meet,
@@ -123,7 +124,12 @@ def check_identity(e: Equation, n: int | None = None,
 def _sweep_equation(e: Equation, n_eff: int, k: int):
     """First counter-valuation of lhs = rhs over the level-n_eff generator,
     in canonical valuation order; None if the identity holds there."""
-    total, budget = ((1 << n_eff) + 1) ** k, config.DEFAULT.budget
+    budget = config.DEFAULT.budget
+    # the count has exactly k * n_eff + 1 bits while k < 2^(n_eff - 1), as at
+    # level omega; from 2^14285 > 10^4300 on it is shown as text, not built
+    if k * n_eff >= 14_285 and k.bit_length() < n_eff:
+        raise BudgetExceeded("valuation sweep", f"2^{k * n_eff} or more", budget)
+    total = _sweep_count(n_eff, k)
     if total > budget:  # before build_si, whose size cap would fire first
         raise BudgetExceeded("valuation sweep", total, budget)
     v = _quasi_exhaustive(QuasiIdentity((), e), build_si(n_eff),
@@ -133,6 +139,11 @@ def _sweep_equation(e: Equation, n_eff: int, k: int):
     witness = {"algebra": f"si:{n_eff}", "valuation": v.witness["valuation"],
                **v.witness["conclusion"]}
     return witness, v.budget_used
+
+
+def _sweep_count(n_eff: int, k: int) -> int:
+    """The valuations of k variables into the level-n_eff generator."""
+    return ((1 << n_eff) + 1) ** k
 
 
 # ------------------------------------------------------- quasi-identities
@@ -221,10 +232,12 @@ def _quasi_pruned(q, A, variables) -> Verdict:
     and where v is a bare join (meet) operand it bounds v below (above) c,
     even before the premise closes.  Premises whose last variable is v
     filter the pool by evaluation and are checked again as v is assigned.
-    Bound rows are kept per search, keyed by (c, direction): a row is built
-    with |A| ``leq`` calls only where the pool is still all of A, and a
-    pinned pool is filtered by ``leq`` unless its row is kept.  The budget
-    is charged as by the search without plan or rows.
+    A pool is an element mask, cut by one AND per side: a var pin by c's
+    bit, a star pin by c's star preimages, a bound by c's row, kept per
+    search under (c, direction) and built with |A| ``leq`` calls when first
+    needed.  A pool of at most one element (a bare-variable pin bounds its
+    own side too) is bounded by one ``leq`` call and builds no row.  The
+    budget is charged as by the search without plan, rows or masks.
     """
     spent = _Budget(config.DEFAULT.budget, "pruned search")
     val: dict[int, int] = {}
@@ -255,11 +268,12 @@ def _quasi_pruned(q, A, variables) -> Verdict:
                 closing.append((cl, cr))
         plans.append((v, sides, closing))
     ccl, ccr = compile_postfix(q.conclusion.lhs), compile_postfix(q.conclusion.rhs)
-    rows: dict[tuple, tuple[tuple[int, ...], frozenset[int]]] = {}
-    star_pre: dict[int, tuple[tuple[int, ...], frozenset[int]]] = {}
+    full = (1 << A.size) - 1
+    rows: dict[tuple[int, str], int] = {}  # (c, direction) -> mask of x below/above c
+    star_pre: dict[int, int] = {}  # star value -> mask of its preimages
 
     def candidates(v, sides, closing):
-        pool = None  # all of A; otherwise ascending
+        pool = full
         for code, pin, bound in sides:
             spent.spend()
             if not (pin or bound):
@@ -267,29 +281,24 @@ def _quasi_pruned(q, A, variables) -> Verdict:
             c = eval_postfix(code, A, val)
             if pin == "star" and not star_pre:
                 spent.spend(A.size)
-                acc: dict[int, list[int]] = {}
                 for x in range(A.size):
-                    acc.setdefault(A.star(x), []).append(x)
-                star_pre.update((s, (tuple(xs), frozenset(xs))) for s, xs in acc.items())
+                    s = A.star(x)
+                    star_pre[s] = star_pre.get(s, 0) | 1 << x
             if pin:
-                xs, keep = ((c,), (c,)) if pin == "var" else star_pre.get(c, ((), ()))
-                pool = xs if pool is None else [x for x in pool if x in keep]
+                pool &= 1 << c if pin == "var" else star_pre.get(c, 0)
             if bound is None:
                 continue
-            row = rows.get((c, bound))
-            if pool is None:
-                spent.spend(A.size)
-                if row is None:
-                    xs = tuple(x for x in range(A.size)
-                               if (leq(x, c) if bound == "below" else leq(c, x)))
-                    row = rows[c, bound] = (xs, frozenset(xs))
-                pool = row[0]
-            else:
-                spent.spend(len(pool))
-                pool = ([x for x in pool if x in row[1]] if row else
-                        [x for x in pool if (leq(x, c) if bound == "below" else leq(c, x))])
-        if pool is None:
-            pool = range(A.size)
+            spent.spend(pool.bit_count())  # |A| while the pool is still all of A
+            if pool & (pool - 1) == 0:  # at most one element: test it, build no row
+                x = pool.bit_length() - 1
+                if pool and not (leq(x, c) if bound == "below" else leq(c, x)):
+                    pool = 0
+                continue
+            if (c, bound) not in rows:
+                rows[c, bound] = sum(1 << x for x in range(A.size)
+                                     if (leq(x, c) if bound == "below" else leq(c, x)))
+            pool &= rows[c, bound]
+        pool = range(A.size) if pool == full else bit_indices(pool)
         if closing:
             kept = []
             for x in pool:
@@ -338,16 +347,13 @@ def admissible_in_free(q: QuasiIdentity, n: int | None, k_extra: int = 0) -> Ver
     pruned otherwise."""
     variables = _quasi_vars(q)
     k_want = max(1, (variables[-1] if variables else 1) + k_extra)
-    F = None
     for k_try in range(k_want, 0, -1):
         try:
             F = build_free(n, k_try)
-            break
         except CapExceeded:
             continue
-    if F is None:
-        raise CapExceeded("free algebra rank", k_want, 0)
-    return check_quasi_identity(q, F.algebra, _strategy(F.size, len(variables)))
+        return check_quasi_identity(q, F.algebra, _strategy(F.size, len(variables)))
+    raise CapExceeded("free algebra rank", k_want, 0)
 
 
 # ----------------------------------------------- structural (in)completeness
@@ -413,15 +419,9 @@ def structural_completeness_report(n: int) -> dict:
         names = ["Pa_-1", "Pa_0", "Pa_1", "Pa_2"]
         witnesses = []
         if n >= 1:
-            c4 = build_chain(4)
-            w = three_element_witness(c4, 1)
-            w["algebra"] = "chain:4"
-            witnesses.append(w)
+            witnesses.append({**three_element_witness(build_chain(4), 1), "algebra": "chain:4"})
         if n >= 2:
-            b2 = build_si(2)
-            w = five_element_witness(b2, 1)
-            w["algebra"] = "si:2"
-            witnesses.append(w)
+            witnesses.append({**five_element_witness(build_si(2), 1), "algebra": "si:2"})
         return {
             "variety": f"Pa_{n}",
             "n": n,

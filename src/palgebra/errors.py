@@ -38,7 +38,7 @@ class BudgetExceeded(Exception):
     """A valuation sweep would pass the configured budget; ``shown`` is the
     needed count as error output prints it (see shown)."""
 
-    def __init__(self, what: str, needed: int, budget: int):
+    def __init__(self, what: str, needed: int | str, budget: int):
         self.shown = shown(needed)
         super().__init__(f"{what}: {self.shown} valuations exceed budget {budget}")
         self.what = what

@@ -28,11 +28,7 @@ class Poset:
     __slots__ = ("n", "up", "down", "universe", "_covers")
 
     def __init__(self, up: Sequence[int], cap: int | None = None):
-        cap = config.DEFAULT.poset_cap if cap is None else cap
-        n = len(up)
-        if n > cap:
-            raise CapExceeded("poset size", n, cap)
-        self.n = n
+        self.n = n = _capped(len(up), cap)
         self.up = tuple(up)
         self.universe = (1 << n) - 1
         down = [0] * n
@@ -51,6 +47,15 @@ class Poset:
         self._covers = None
 
     @classmethod
+    def _trusted(cls, up: Sequence[int], down: Sequence[int]) -> "Poset":
+        """An order right by construction, with its transpose: no cap and
+        no per-pair check (``tests/helpers.checked_poset`` replays it)."""
+        P = cls.__new__(cls)
+        P.n, P.up, P.down = len(up), tuple(up), tuple(down)
+        P.universe, P._covers = (1 << P.n) - 1, None
+        return P
+
+    @classmethod
     def from_leq(cls, n: int, leq: Callable[[int, int], bool], cap: int | None = None) -> "Poset":
         rows = []
         for i in range(n):
@@ -64,23 +69,41 @@ class Poset:
     @classmethod
     def from_covers(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Poset":
         """Build from (lower, upper) edges; the reflexive-transitive closure is taken."""
-        cap = config.DEFAULT.poset_cap
-        if n > cap:  # before the closure, which is quadratic in n
-            raise CapExceeded("poset size", n, cap)
-        rows = [1 << i for i in range(n)]
+        _capped(n)  # before the closure, which is quadratic in n
         edges = list(pairs)
         for edge in edges:  # a bool end is refused, not read as 0 or 1
             if not all(type(end) is int and 0 <= end < n for end in edge):
                 raise ValueError(f"cover {list(edge)} mentions elements outside 0..{n - 1}")
-        changed = True
-        while changed:
-            changed = False
-            for lo, hi in edges:
-                merged = rows[lo] | rows[hi]
-                if merged != rows[lo]:
-                    rows[lo] = merged
-                    changed = True
-        return cls(rows)
+        above: list[list[int]] = [[] for _ in range(n)]
+        indegree = [0] * n  # a self-loop is a reflexive pair, not an edge
+        for lo, hi in edges:
+            if lo != hi:
+                above[lo].append(hi)
+                indegree[hi] += 1
+        order = [i for i in range(n) if not indegree[i]]
+        for i in order:  # one topological pass; it grows as points free up
+            for j in above[i]:
+                indegree[j] -= 1
+                if not indegree[j]:
+                    order.append(j)
+        up, down = [1 << i for i in range(n)], [1 << i for i in range(n)]
+        if len(order) < n:  # a cycle: close as before, and the full check names it
+            changed = True
+            while changed:
+                changed = False
+                for lo, hi in edges:
+                    merged = up[lo] | up[hi]
+                    if merged != up[lo]:
+                        up[lo] = merged
+                        changed = True
+            return cls(up)
+        for i in reversed(order):
+            for j in above[i]:
+                up[i] |= up[j]
+        for i in order:
+            for j in above[i]:
+                down[j] |= down[i]
+        return cls._trusted(up, down)
 
     def leq(self, i: int, j: int) -> bool:
         return bool((self.up[i] >> j) & 1)
@@ -98,7 +121,7 @@ class Poset:
         return self._covers
 
     def dual(self) -> "Poset":
-        return Poset(self.down, cap=self.n)
+        return Poset._trusted(self.down, self.up)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Poset) and self.up == other.up
@@ -110,28 +133,43 @@ class Poset:
         return f"Poset(n={self.n}, covers={self.covers()})"
 
 
+def _capped(n: int, cap: int | None = None) -> int:
+    cap = config.DEFAULT.poset_cap if cap is None else cap
+    if n > cap:
+        raise CapExceeded("poset size", n, cap)
+    return n
+
+
 def inclusion_order(masks: Sequence[int]) -> Poset:
     """Distinct nonnegative masks ordered by inclusion: ``up[i]`` holds every
-    j whose mask contains mask i; O(n * bits) mask operations."""
-    holding = [0] * max((m.bit_length() for m in masks), default=0)
+    j whose mask contains mask i, ``down[i]`` every j whose mask it contains;
+    O(n * bits) mask operations."""
+    width = max((m.bit_length() for m in masks), default=0)
+    every = (1 << len(masks)) - 1
+    holding = [0] * width
     for j, m in enumerate(masks):  # holding[b]: the masks that hold bit b
         for b in bit_indices(m):
             holding[b] |= 1 << j
-    up = [(1 << len(masks)) - 1] * len(masks)  # the empty mask is below everything
+    up = [every] * len(masks)  # the empty mask is below everything
+    down = [every] * len(masks)  # and the full one above everything
     for i, m in enumerate(masks):
         for b in bit_indices(m):
             up[i] &= holding[b]
-    return Poset(up, cap=len(masks))
+        for b in bit_indices(~m & ((1 << width) - 1)):
+            down[i] &= ~holding[b]
+    return Poset._trusted(up, down)
 
 
 def disjoint_union(posets: Sequence[Poset]) -> Poset:
     """The posets side by side, each shifted past the ones before it."""
-    rows: list[int] = []
-    shift = 0
+    up: list[int] = []
+    down: list[int] = []
     for P in posets:
-        rows.extend(row << shift for row in P.up)
-        shift += P.n
-    return Poset(rows)
+        shift = len(up)
+        up.extend(row << shift for row in P.up)
+        down.extend(row << shift for row in P.down)
+    _capped(len(up))
+    return Poset._trusted(up, down)
 
 
 def join_irreducible_points(P: Poset) -> list[int]:

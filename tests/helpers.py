@@ -9,6 +9,7 @@ from palgebra import (
     Meet,
     One,
     ParseError,
+    Poset,
     Star,
     TableAlgebra,
     UnknownIdentifier,
@@ -281,6 +282,29 @@ def ref_subalgebra(A, subset):
             meet[i][j] = pos[mv]
             join[i][j] = pos[jv]
     return TableAlgebra(meet, join, star, pos[A.zero], pos[A.one]), elems
+
+
+def checked_poset(P):
+    """P rebuilt from its ``up`` rows by ``Poset(up)``, which re-proves the
+    order pair by pair; the ``down`` rows P carries must be the ones that
+    check derives."""
+    Q = Poset(P.up, cap=P.n)
+    assert (Q.n, Q.universe, Q.down) == (P.n, P.universe, P.down)
+    return Q
+
+
+def ref_from_covers(n, pairs):
+    """``Poset.from_covers`` before its topological pass: close by a fixed
+    point over the edges, then check every pair."""
+    rows = [1 << i for i in range(n)]
+    changed = True
+    while changed:
+        changed = False
+        for lo, hi in pairs:
+            if rows[lo] | rows[hi] != rows[lo]:
+                rows[lo] |= rows[hi]
+                changed = True
+    return Poset(rows, cap=n)
 
 
 def ref_h3_subset_leq(indices):

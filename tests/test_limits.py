@@ -21,6 +21,7 @@ from palgebra import (
     check_identity,
     check_quasi_identity,
     config,
+    decide,
     free,
     h3_poset,
     normal_form,
@@ -224,6 +225,26 @@ class TestCountsTooLongToPrint:
         assert json.loads(capsys.readouterr().err) == {
             "error": "budget-exceeded", "what": "valuation sweep",
             "needed": "2^14864 or more", "budget": 10 ** 7}
+
+    @pytest.mark.parametrize("k", [14, 20, 33])
+    def test_sweep_budget_fires_before_the_exact_count(self, monkeypatch, capsys, k):
+        def boom(n_eff, k):
+            raise AssertionError("exact valuation count taken")
+
+        monkeypatch.setattr(decide, "_sweep_count", boom)
+        assert main(["eq", "--variety", "pa", "--", f"x{k}", "x1"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == ('{"error": "budget-exceeded", "what": "valuation sweep", '
+                           f'"needed": "2^{k << k} or more", "budget": 10000000}}\n')
+
+    @pytest.mark.parametrize("n_eff, k", [(15, 953), (15, 16383), (7143, 2), (14285, 1),
+                                          (2, 10000), (1, 20000), (16, 32768), (4, 4000)])
+    def test_sweep_count_text_is_the_exact_counts(self, n_eff, k):
+        # the shortcut (where k < 2^(n_eff - 1)) and the exact count agree
+        with pytest.raises(BudgetExceeded) as exc:
+            decide._sweep_equation(Equation(parse(f"x{k}"), parse("x1")), n_eff, k)
+        assert exc.value.shown == BudgetExceeded("", ((1 << n_eff) + 1) ** k, 1).shown
 
     def test_printable_counts_keep_their_digits(self):
         assert CapExceeded("x", 10 ** 4299, 1).shown == 10 ** 4299
