@@ -1,8 +1,9 @@
 """Finite distributive p-algebras in two carriers.
 
-UpsetAlgebra holds the upsets of a base poset (meet/join are mask and/or,
-the pseudocomplement is the complement of a down-closure); TableAlgebra holds
-explicit operation tables.  Most functions accept either carrier.
+UpsetMasks computes with the upsets of a base poset as masks (meet/join are
+and/or, the pseudocomplement is the complement of a down-closure) and
+UpsetAlgebra numbers them; TableAlgebra holds explicit operation tables.
+Most functions accept either carrier.
 """
 
 from __future__ import annotations
@@ -77,18 +78,42 @@ class TableAlgebra:
         return f"TableAlgebra(size={self.size})"
 
 
-class UpsetAlgebra:
-    """The p-algebra of all upsets of a base poset."""
+class UpsetMasks:
+    """The upsets of a base poset held as masks: meet and join are and/or,
+    and the pseudocomplement is the complement of the down-closure.  Upset
+    carriers (free algebras, products, ``dist:s``) and normal forms share it."""
 
-    __slots__ = ("base", "elements", "index", "size", "zero", "one", "labels", "_star")
+    __slots__ = ("base", "one")
+    zero = 0
+
+    def __init__(self, base: Poset):
+        self.base = base
+        self.one = base.universe
+
+    def meet(self, a: int, b: int) -> int:
+        return a & b
+
+    def join(self, a: int, b: int) -> int:
+        return a | b
+
+    def star(self, a: int) -> int:
+        return self.one & ~downset_closure(self.base, a)
+
+
+class UpsetAlgebra:
+    """The p-algebra of all upsets of a base poset: the masks of
+    ``UpsetMasks(base)``, numbered."""
+
+    __slots__ = ("base", "masks", "elements", "index", "size", "zero", "one", "labels", "_star")
 
     def __init__(self, base: Poset, labels: Sequence[str] | None = None):
         self.base = base
+        self.masks = UpsetMasks(base)
         self.elements = tuple(enumerate_upsets(base))
         self.index = {m: i for i, m in enumerate(self.elements)}
         self.size = len(self.elements)
-        self.zero = self.index[0]
-        self.one = self.index[base.universe]
+        self.zero = self.index[self.masks.zero]
+        self.one = self.index[self.masks.one]
         self.labels = tuple(labels) if labels is not None else None
         self._star: list[int | None] = [None] * self.size
 
@@ -101,13 +126,10 @@ class UpsetAlgebra:
     def join(self, i: int, j: int) -> int:
         return self.index[self.elements[i] | self.elements[j]]
 
-    def star_mask(self, m: int) -> int:
-        return self.base.universe & ~downset_closure(self.base, m)
-
     def star(self, i: int) -> int:
         cached = self._star[i]
         if cached is None:
-            cached = self.index[self.star_mask(self.elements[i])]
+            cached = self.index[self.masks.star(self.elements[i])]
             self._star[i] = cached
         return cached
 
@@ -144,8 +166,7 @@ def _lawful(A: PAlgebra) -> bool:
     with b is zero: that gives every star law, and at b = zero it puts the
     bottom above zero, so zero is the bottom.
     """
-    if not isinstance(A, TableAlgebra):
-        A = tabulate(A.size, A.meet, A.join, A.star, A.zero, A.one)
+    A = to_table(A)
     M, J, S, zero = A.meet_table, A.join_table, A.star_table, A.zero
     try:
         order = element_order(A)
@@ -169,8 +190,7 @@ def _law_scan(A: PAlgebra) -> list[Violation]:
     failed law, with witnesses in lexicographic order.  A law is compared one
     row (all values of its last variable) at a time, so the laws in three
     variables cost |A|^2 row comparisons."""
-    if not isinstance(A, TableAlgebra):
-        A = tabulate(A.size, A.meet, A.join, A.star, A.zero, A.one)
+    A = to_table(A)
     out: list[Violation] = []
     rng = range(A.size)
     M, J, S, zero, one = A.meet_table, A.join_table, A.star_table, A.zero, A.one

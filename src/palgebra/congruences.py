@@ -279,10 +279,10 @@ def cm_all(A, *, verify: bool = False) -> list[CmRecord]:
     filters = prime_filters(A)
     if verify and not all(is_prime_filter(A, F) for F in filters):
         raise NotPrime("an up-set of a join-irreducible failed the prime check")
-    i_types = i_type_filters(A, filters)
+    fbars = [closure_filter(A, F) for F in filters]
+    i_types = [F for F, fbar in zip(filters, fbars) if fbar == F]
     records = []
-    for F in filters:
-        fbar = closure_filter(A, F)
+    for F, fbar in zip(filters, fbars):
         if fbar == F:
             mu = Congruence([(F >> a) & 1 for a in range(A.size)])
             lo_o = min(bit_indices(((1 << A.size) - 1) & ~F))

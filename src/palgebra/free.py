@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .algebras import UpsetAlgebra, build_si, is_isomorphic, product_many, quotient
+from .algebras import UpsetAlgebra, UpsetMasks, build_si, is_isomorphic, product_many, quotient
 from . import config
 from .congruences import Congruence, principal_congruence
 from .errors import BadIndex, CapExceeded
@@ -27,13 +27,11 @@ from .posets import (
     Poset,
     bit_indices,
     disjoint_union,
-    downset_closure,
     inclusion_order,
     min_elements,
     poset_isomorphic,
 )
 from .terms import (
-    ZERO,
     Star,
     Term,
     atom_term,
@@ -178,26 +176,6 @@ def free_skeleton(n: int | None, k: int):
     return _skeleton(n_key, k)
 
 
-class _SkeletonOps:
-    """Upset-mask arithmetic over an index poset; quacks like an algebra."""
-
-    __slots__ = ("poset", "one")
-    zero = 0
-
-    def __init__(self, poset: Poset):
-        self.poset = poset
-        self.one = poset.universe
-
-    def meet(self, a: int, b: int) -> int:
-        return a & b
-
-    def join(self, a: int, b: int) -> int:
-        return a | b
-
-    def star(self, a: int) -> int:
-        return self.poset.universe & ~downset_closure(self.poset, a)
-
-
 class FreeAlgebra:
     """A materialized free algebra with its index layer kept visible."""
 
@@ -217,12 +195,6 @@ class FreeAlgebra:
     def valuation(self) -> dict[int, int]:
         """Generators as a ready-made valuation x_i -> element."""
         return {i + 1: g for i, g in enumerate(self.gens)}
-
-    def prime_filter_mask(self, pos: int) -> int:
-        """The prime filter of index position pos: elements whose upset
-        contains that join-irreducible."""
-        return sum(1 << e for e in range(self.algebra.size)
-                   if (self.algebra.mask(e) >> pos) & 1)
 
     def __repr__(self) -> str:
         return (f"FreeAlgebra(n={self.n}, k={self.k}, "
@@ -252,12 +224,10 @@ def normal_form(t: Term, n: int | None, k: int | None = None) -> Term:
     k = max(max_var(t), 0 if k is None else k)
     indices, poset = free_skeleton(n, k)
     valuation = dict(enumerate(_gen_masks(indices, k), 1))
-    mask = eval_postfix(compile_postfix(t), _SkeletonOps(poset), valuation)
-    heads = sorted((indices[p] for p in bit_indices(min_elements(poset, mask))),
-                   key=JIndex.sort_key)
-    if not heads:
-        return ZERO
-    return join_all([j.term() for j in heads])
+    mask = eval_postfix(compile_postfix(t), UpsetMasks(poset), valuation)
+    # the indices are in sort_key order, so ascending positions list the
+    # heads canonically; no head joins to ZERO
+    return join_all([indices[p].term() for p in bit_indices(min_elements(poset, mask))])
 
 
 # --------------------------------------------------- free distributive D(s)

@@ -174,11 +174,11 @@ def disjoint_union(posets: Sequence[Poset]) -> Poset:
 
 def join_irreducible_points(P: Poset) -> list[int]:
     """Points with exactly one lower cover (in a finite lattice, its
-    join-irreducibles), ascending."""
-    lower = [0] * P.n
-    for _, hi in P.covers():
-        lower[hi] += 1
-    return [i for i in range(P.n) if lower[i] == 1]
+    join-irreducibles), ascending.  A point has one lower cover c exactly
+    when its strict down-set is a down row, that of c; a minimal point's
+    is empty, which no down row is."""
+    rows = set(P.down)
+    return [i for i, d in enumerate(P.down) if (d ^ (1 << i)) in rows]
 
 
 def is_upset(P: Poset, S: int) -> bool:

@@ -25,9 +25,11 @@ from palgebra import (
     product,
     quotient,
 )
-from palgebra import Verdict, config, vars_of
+from palgebra import JIndex, Verdict, config, free_skeleton, max_var, vars_of
 from palgebra.algebras import Violation
 from palgebra.decide import _Budget, _operands, _quasi_witness
+from palgebra.free import _gen_masks
+from palgebra.posets import bit_indices, downset_closure, min_elements
 from palgebra.terms import _tokenize, compile_postfix, eval_postfix
 
 
@@ -282,6 +284,50 @@ def ref_subalgebra(A, subset):
             meet[i][j] = pos[mv]
             join[i][j] = pos[jv]
     return TableAlgebra(meet, join, star, pos[A.zero], pos[A.one]), elems
+
+
+def ref_join_irreducible_points(P):
+    """The points with exactly one lower cover, counted off ``P.covers()``,
+    the transitive reduction: how ``posets.join_irreducible_points`` found
+    them before it read them off the down rows."""
+    lower = [0] * P.n
+    for _, hi in P.covers():
+        lower[hi] += 1
+    return [i for i in range(P.n) if lower[i] == 1]
+
+
+class RefSkeletonOps:
+    """Upset-mask arithmetic over an index poset, as ``free.normal_form``
+    had it before ``algebras.UpsetMasks``."""
+
+    zero = 0
+
+    def __init__(self, poset):
+        self.poset = poset
+        self.one = poset.universe
+
+    def meet(self, a, b):
+        return a & b
+
+    def join(self, a, b):
+        return a | b
+
+    def star(self, a):
+        return self.poset.universe & ~downset_closure(self.poset, a)
+
+
+def ref_normal_form(t, n, k=None):
+    """``free.normal_form`` before ``UpsetMasks``: the heads re-sorted by
+    ``JIndex.sort_key`` and no head written as an explicit ZERO."""
+    k = max(max_var(t), 0 if k is None else k)
+    indices, poset = free_skeleton(n, k)
+    valuation = dict(enumerate(_gen_masks(indices, k), 1))
+    mask = eval_postfix(compile_postfix(t), RefSkeletonOps(poset), valuation)
+    heads = sorted((indices[p] for p in bit_indices(min_elements(poset, mask))),
+                   key=JIndex.sort_key)
+    if not heads:
+        return ZERO
+    return join_all([j.term() for j in heads])
 
 
 def checked_poset(P):

@@ -291,6 +291,12 @@ class TestVerifySwitch:
             cm_all(C, verify=True)
 
 
+def index_filter(F, pos):
+    """The prime filter of index position pos: the elements whose upset mask
+    holds bit pos."""
+    return sum(1 << e for e, m in enumerate(F.algebra.elements) if (m >> pos) & 1)
+
+
 class TestKernelCrossCheck:
     def test_free_2_2_records_match_kernels(self):
         # structural route (prime filter records) vs analytic route
@@ -299,19 +305,21 @@ class TestKernelCrossCheck:
         records = cm_all(F.algebra)
         assert len(records) == len(F.indices)
         by_one = {r.one_mask: r for r in records}
+        filters = set(prime_filters(F.algebra))
         for pos, j in enumerate(F.indices):
             ker = kernel_congruence(F, j)
-            pf = F.prime_filter_mask(pos)
-            assert pf in by_one, (pos, j)
+            pf = index_filter(F, pos)
+            assert pf in filters and pf in by_one, (pos, j)
             assert by_one[pf].mu == ker, (pos, j)
 
     def test_free_1_2_idem(self):
         F = build_free(1, 2)
         records = cm_all(F.algebra)
+        filters = set(prime_filters(F.algebra))
         for pos, j in enumerate(F.indices):
-            assert kernel_congruence(F, j) == \
-                next(r for r in records
-                     if r.one_mask == F.prime_filter_mask(pos)).mu
+            pf = index_filter(F, pos)
+            assert pf in filters
+            assert kernel_congruence(F, j) == next(r for r in records if r.one_mask == pf).mu
 
 
 class TestSummaryMaps:
