@@ -1,10 +1,10 @@
 """Decision procedures over varieties of distributive p-algebras.
 
-Identity validity at level n is decided on normal forms (or, when a
-counter-valuation is wanted, by sweeping the level-n subdirectly irreducible
-algebra, which generates the variety).  Level None stands for the whole
-variety; with k variables it coincides with level 2^k.  Quasi-identities are
-evaluated on a given finite algebra either exhaustively or by a pruned
+Identity validity at level n is decided on free-algebra elements (or, when
+a counter-valuation is wanted, by sweeping the level-n subdirectly
+irreducible algebra, which generates the variety).  Level None stands for the
+whole variety; with k variables it coincides with level 2^k.  Quasi-identities
+are evaluated on a given finite algebra either exhaustively or by a pruned
 backtracking search that solves premises for their last unassigned variable.
 """
 
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .algebras import PAlgebra, TableAlgebra, build_chain, build_si, is_isomorphic, tabulate
 from . import config
 from .errors import BudgetExceeded, CapExceeded
-from .free import build_free, normal_form
+from .free import build_free, free_elements
 from .posets import bit_indices
 from .terms import (
     Join,
@@ -107,24 +107,24 @@ def check_identity(e: Equation, n: int | None = None,
                    want_witness: bool = False) -> Verdict:
     """Validity of lhs = rhs at level n (None: the whole variety)."""
     k = max_var(e.lhs, e.rhs)
-    n_eff = (1 << k) if n is None else n
     try:
-        if normal_form(e.lhs, n, k=k) == normal_form(e.rhs, n, k=k):
+        lhs, rhs = free_elements((e.lhs, e.rhs), n, k)
+        if lhs == rhs:
             return Verdict(True, None, "normal-form", 0)
         if not want_witness:
             return Verdict(False, None, "normal-form", 0)
     except CapExceeded:
         pass  # index skeleton too large; decide on the generating algebra
-    witness, used = _sweep_equation(e, n_eff, k)
+    witness, used = _sweep_equation(e, n, k)
     if witness is None:
         return Verdict(True, None, "exhaustive", used)
     return Verdict(False, witness, "exhaustive", used)
 
 
-def _sweep_equation(e: Equation, n_eff: int, k: int):
-    """First counter-valuation of lhs = rhs over the level-n_eff generator,
-    in canonical valuation order; None if the identity holds there."""
-    budget = config.DEFAULT.budget
+def _sweep_equation(e: Equation, n: int | None, k: int):
+    """First counter-valuation of lhs = rhs over the level-n generator (2^k at
+    None), in canonical valuation order; None if the identity holds there."""
+    budget, n_eff = config.DEFAULT.budget, ((1 << k) if n is None else n)
     # the count has exactly k * n_eff + 1 bits while k < 2^(n_eff - 1), as at
     # level omega; from 2^14285 > 10^4300 on it is shown as text, not built
     if k * n_eff >= 14_285 and k.bit_length() < n_eff:
@@ -470,9 +470,10 @@ def random_term(rng: random.Random, max_depth: int = 6, k: int = 3) -> Term:
     return Meet(l, r) if kind == "meet" else Join(l, r)
 
 
-def _pair_report(t1: Term, t2: Term, n: int) -> dict:
+def _pair_report(t1: Term, t2: Term, n: int | None) -> dict:
     k = max_var(t1, t2)
-    nf_equal = normal_form(t1, n, k=k) == normal_form(t2, n, k=k)
+    lhs, rhs = free_elements((t1, t2), n, k)
+    nf_equal = lhs == rhs
     witness, _ = _sweep_equation(Equation(t1, t2), n, k)
     out = {
         "lhs": to_text(t1),
@@ -486,11 +487,12 @@ def _pair_report(t1: Term, t2: Term, n: int) -> dict:
     return out
 
 
-def oracle_equivalence(t1: Term, t2: Term, n: int, trials: int = 0,
+def oracle_equivalence(t1: Term, t2: Term, n: int | None, trials: int = 0,
                        *, seed: int | None = None, k: int = 3,
                        max_depth: int = 6) -> dict:
-    """Cross-validate the normal-form decision against the exhaustive sweep
-    on the given pair, plus `trials` seeded random pairs."""
+    """Cross-validate the normal-form decision against the exhaustive sweep on
+    the given pair, plus `trials` seeded random pairs; level None sweeps each
+    pair at level 2^k, and a sweep over the budget raises BudgetExceeded."""
     report = {"pair": _pair_report(t1, t2, n)}
     if trials:
         rng = random.Random(config.DEFAULT.seed if seed is None else seed)

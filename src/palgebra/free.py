@@ -167,6 +167,8 @@ def count_jirr_or_text(n: int | None, k: int) -> int | str:
 
 def free_skeleton(n: int | None, k: int):
     """(indices, index poset) without materializing elements."""
+    if k < 0 or (n is not None and n < 0):
+        raise ValueError("need k >= 0 and n >= 0")
     n_key = None if n is None else min(n, 1 << k) if n > 0 else 0
     expected, cap = count_jirr_or_text(n_key, k), config.DEFAULT.poset_cap
     # outside the cache, so a lowered cap still fires; a count too long to
@@ -215,16 +217,22 @@ def build_free(n: int | None, k: int) -> FreeAlgebra:
     return FreeAlgebra(n, k, indices, poset, algebra, _gen_masks(indices, k))
 
 
-def normal_form(t: Term, n: int | None, k: int | None = None) -> Term:
-    """The canonical join of maximal join-irreducibles below t at level n.
+def free_elements(terms: Iterable[Term], n: int | None, k: int) -> list[int]:
+    """Each term's element of the level-n free algebra on k generators: an upset
+    mask of free_skeleton's index poset.  Terms are equal there iff masks are."""
+    indices, poset = free_skeleton(n, k)
+    ops, valuation = UpsetMasks(poset), dict(enumerate(_gen_masks(indices, k), 1))
+    return [eval_postfix(compile_postfix(t), ops, valuation) for t in terms]
 
-    Idempotent, and tree-equality of normal forms decides the identity at
-    that level.  k widens the ambient variable set beyond max_var(t).
+
+def normal_form(t: Term, n: int | None, k: int | None = None) -> Term:
+    """t's element (free_elements) written out: the canonical join of the index
+    terms at its minimal indices, the maximal join-irreducibles below t at
+    level n.  Idempotent.  k widens the ambient variable set beyond max_var(t).
     """
     k = max(max_var(t), 0 if k is None else k)
     indices, poset = free_skeleton(n, k)
-    valuation = dict(enumerate(_gen_masks(indices, k), 1))
-    mask = eval_postfix(compile_postfix(t), UpsetMasks(poset), valuation)
+    [mask] = free_elements([t], n, k)
     # the indices are in sort_key order, so ascending positions list the
     # heads canonically; no head joins to ZERO
     return join_all([indices[p].term() for p in bit_indices(min_elements(poset, mask))])

@@ -5,6 +5,8 @@ from itertools import product as iproduct
 from palgebra import (
     ONE,
     ZERO,
+    CapExceeded,
+    Equation,
     Join,
     Meet,
     One,
@@ -21,13 +23,15 @@ from palgebra import (
     glivenko,
     join_all,
     meet_all,
+    normal_form,
     principal_congruence,
     product,
     quotient,
+    to_text,
 )
 from palgebra import JIndex, Verdict, config, free_skeleton, max_var, vars_of
 from palgebra.algebras import Violation
-from palgebra.decide import _Budget, _operands, _quasi_witness
+from palgebra.decide import _Budget, _operands, _quasi_witness, _sweep_equation
 from palgebra.free import _gen_masks
 from palgebra.posets import bit_indices, downset_closure, min_elements
 from palgebra.terms import _tokenize, compile_postfix, eval_postfix
@@ -328,6 +332,42 @@ def ref_normal_form(t, n, k=None):
     if not heads:
         return ZERO
     return join_all([j.term() for j in heads])
+
+
+def ref_check_identity(e, n=None, want_witness=False):
+    """``decide.check_identity`` before it compared free-algebra elements:
+    both normal forms written out as term trees and compared with ``==``,
+    and the same sweep when the index skeleton passes its cap."""
+    k = max_var(e.lhs, e.rhs)
+    n_eff = (1 << k) if n is None else n
+    try:
+        if normal_form(e.lhs, n, k=k) == normal_form(e.rhs, n, k=k):
+            return Verdict(True, None, "normal-form", 0)
+        if not want_witness:
+            return Verdict(False, None, "normal-form", 0)
+    except CapExceeded:
+        pass
+    witness, used = _sweep_equation(e, n_eff, k)
+    return Verdict(witness is None, witness, "exhaustive", used)
+
+
+def ref_pair_report(t1, t2, n):
+    """``decide._pair_report`` with ``ref_check_identity``'s tree comparison
+    as its normal-form side."""
+    e, k = Equation(t1, t2), max_var(t1, t2)
+    decided = ref_check_identity(e, n)
+    assert decided.method == "normal-form"
+    witness, _ = _sweep_equation(e, (1 << k) if n is None else n, k)
+    out = {
+        "lhs": to_text(t1),
+        "rhs": to_text(t2),
+        "normalFormEqual": decided.holds,
+        "exhaustiveEqual": witness is None,
+        "agree": decided.holds == (witness is None),
+    }
+    if witness is not None:
+        out["witness"] = witness
+    return out
 
 
 def checked_poset(P):

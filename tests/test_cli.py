@@ -314,6 +314,11 @@ class TestConvertAndSpecifiers:
         code, _, err = run(capsys, "convert", "si:-1")
         assert code == 1
 
+    def test_negative_free_rank(self, capsys):
+        code, out, err = run(capsys, "convert", "free:2,-1")
+        assert (code, out) == (1, "")
+        assert err == "error: bad algebra spec 'free:2,-1': need k >= 0 and n >= 0\n"
+
     def test_dist_specifier(self, capsys):
         code, out, _ = run(capsys, "convert", "dist:2")
         assert code == 0

@@ -307,6 +307,18 @@ class TestOracleEquivalence:
         r = oracle_equivalence(parse("x1* | x1**"), parse("1"), 2)
         assert r["agree"] is True  # both oracles say "not equal"
 
+    def test_omega_sweeps_at_level_two_to_the_k(self):
+        r = oracle_equivalence(parse("x1 | x1*"), parse("1"), None)
+        assert r["agree"] is True
+        pair = r["pair"]
+        assert (pair["normalFormEqual"], pair["exhaustiveEqual"]) == (False, False)
+        assert pair["witness"]["algebra"] == "si:2"
+
+    def test_omega_sweep_over_the_budget_raises(self):
+        # three variables at omega: (2^8 + 1)^3 valuations of si:8
+        with pytest.raises(BudgetExceeded):
+            oracle_equivalence(parse("x1 | x2 | x3"), parse("1"), None)
+
     def test_batch(self):
         r = oracle_equivalence(parse("x1"), parse("x1"), 2,
                                trials=60, k=2, seed=11)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from palgebra import (
     BadIndex,
     CapExceeded,
+    Equation,
     FreeAlgebra,
     JIndex,
     Poset,
@@ -18,12 +19,14 @@ from palgebra import (
     base_leq,
     build_free,
     build_si,
+    check_identity,
     count_jirr,
     dense_elements,
     enumerate_jindices,
     enumerate_upsets,
     evaluate,
     free_distributive,
+    free_elements,
     free_skeleton,
     h3_poset,
     homomorphism_g,
@@ -207,6 +210,19 @@ class TestBuild:
         assert poset.leq(dstar, x)
         assert not poset.leq(star, x) and not poset.leq(x, star)
         assert sorted(poset.covers()) == sorted(expected.covers())
+
+    @pytest.mark.parametrize("n, k", [(-1, 2), (2, -1), (None, -1), (-1, 0)])
+    def test_negative_level_or_rank_is_rejected(self, n, k):
+        calls = [free_skeleton, build_free, h3_poset,
+                 lambda n, k: free_elements([parse("x1")], n, k)]
+        for call in calls:
+            with pytest.raises(ValueError, match=r"need k >= 0 and n >= 0"):
+                call(n, k)
+        if n is not None and n < 0:
+            with pytest.raises(ValueError, match=r"need k >= 0 and n >= 0"):
+                normal_form(parse("x1"), n, k)
+            with pytest.raises(ValueError, match=r"need k >= 0 and n >= 0"):
+                check_identity(Equation(parse("x1 | x1*"), parse("1")), n)
 
     def test_f11_is_product_of_si1_si0(self):
         F = build_free(1, 1).algebra
