@@ -525,8 +525,50 @@ def algebra_from_json_dict(doc: dict) -> PAlgebra:
     raise MalformedTables(f"unknown algebra kind {kind!r}")
 
 
+def json_chunks(doc):
+    """Text pieces of ``json.dumps(doc, indent=2) + "\\n"``, byte for byte.
+
+    The stdlib writes an indented document with its pure-Python encoder,
+    one piece per value; here a list of plain ints (a table row) is one
+    join, and every other scalar and every key goes through ``json.dumps``.
+    """
+    yield from _json_pieces(doc, "")
+    yield "\n"
+
+
+def _json_pieces(x, pad: str):
+    if isinstance(x, dict):
+        if not x:
+            yield "{}"
+            return
+        inner = pad + "  "
+        sep = "{\n" + inner
+        for key, value in x.items():
+            # json writes a non-str key (int, float, bool, None) as the string of its value
+            yield sep + json.dumps(key if isinstance(key, str) else json.dumps(key)) + ": "
+            yield from _json_pieces(value, inner)
+            sep = ",\n" + inner
+        yield "\n" + pad + "}"
+    elif isinstance(x, (list, tuple)):
+        if not x:
+            yield "[]"
+            return
+        inner = pad + "  "
+        if all(type(v) is int for v in x):  # not isinstance: a bool is written true/false
+            yield "[\n" + inner + (",\n" + inner).join(map(str, x)) + "\n" + pad + "]"
+            return
+        sep = "[\n" + inner
+        for value in x:
+            yield sep
+            yield from _json_pieces(value, inner)
+            sep = ",\n" + inner
+        yield "\n" + pad + "]"
+    else:
+        yield json.dumps(x)
+
+
 def algebra_dumps(A: PAlgebra) -> str:
-    return json.dumps(algebra_to_json_dict(A), indent=2) + "\n"
+    return "".join(json_chunks(algebra_to_json_dict(A)))
 
 
 def algebra_loads(text: str) -> PAlgebra:

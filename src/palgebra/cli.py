@@ -1,9 +1,13 @@
 """Command-line interface.
 
 JSON results go to stdout (the nf command prints plain term text),
-diagnostics to stderr.  Exit codes: 0 success / identity or quasi-identity
-holds; 1 usage errors, parse errors, or a failing verdict; 2 a size cap or
-valuation budget was exceeded (with a machine-readable reason on stderr).
+diagnostics to stderr.  Every JSON document is written in pieces by
+``algebras.json_chunks``, byte-identical to ``json.dumps(doc, indent=2)``, so
+a large table is never held as one string.  ``main`` builds its argument
+parser once per process (``build_parser`` is cached).  Exit codes: 0 success
+/ identity or quasi-identity holds; 1 usage errors, parse errors, or a
+failing verdict; 2 a size cap or valuation budget was exceeded (with a
+machine-readable reason on stderr).
 """
 
 from __future__ import annotations
@@ -11,14 +15,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from . import config
 from .algebras import (
     TableAlgebra,
-    algebra_dumps,
     algebra_loads,
+    algebra_to_json_dict,
     build_chain,
     build_si,
+    json_chunks,
     validate,
 )
 from .congruences import cm_all, cm_posets
@@ -41,7 +47,7 @@ _JSON_DEPTH = 10_000
 
 
 def _print_json(doc) -> None:
-    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+    sys.stdout.writelines(json_chunks(doc))
 
 
 def _level(text: str) -> int | None:
@@ -144,7 +150,7 @@ def cmd_qi(args) -> int:
 
 
 def cmd_si(args) -> int:
-    sys.stdout.write(algebra_dumps(build_si(args.n)))
+    _print_json(algebra_to_json_dict(build_si(args.n)))
     return 0
 
 
@@ -173,11 +179,13 @@ def cmd_report(args) -> int:
 
 def cmd_convert(args) -> int:
     A = load_algebra(args.algebra)
-    sys.stdout.write(algebra_dumps(A))
+    _print_json(algebra_to_json_dict(A))
     return 0
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it."""
     ap = argparse.ArgumentParser(
         prog="palgebra",
         description="Finite distributive p-algebras: free algebras, normal "

@@ -282,7 +282,9 @@ def stone_decompose(k: int) -> StoneDecomposition:
     """Match the level-1 free algebra against the product of free
     distributive lattices, one factor of rank |T| per subset T.  Element-level
     when the element count fits under the cap, index-poset-level otherwise."""
-    if k < 0 or k > 3:
+    if k < 0:
+        raise ValueError("need k >= 0 and n >= 0")
+    if k > 3:
         raise CapExceeded("generator count for the decomposition", k, 3)
     subset_masks = tuple(range(1 << k))
     factors = tuple(free_distributive(bin(T).count("1")) for T in subset_masks)

@@ -2,7 +2,11 @@ import copy
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +20,7 @@ from palgebra import (
     algebras,
     build_chain,
     build_si,
+    cli,
     config,
     congruences,
     validate,
@@ -569,3 +574,54 @@ class TestFuzzEveryInputKind:
             mp.setenv(name, value)
             mp.delattr(config, "DEFAULT")  # read again, from the patched environment
             exit_code(argv)
+
+
+class TestParserReuse:
+    """main builds its parser once; a reused parser answers each call as a
+    freshly built one does."""
+
+    @staticmethod
+    def outcome(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = ("SystemExit", exc.code)
+        return code, out.getvalue(), err.getvalue()
+
+    def test_import_builds_no_parser(self):
+        src = str(Path(cli.__file__).parents[1])
+        probe = "import palgebra.cli as c; print(c.build_parser.cache_info().currsize)"
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert done.stdout == "0\n", done.stderr
+
+    def test_second_call_builds_no_parser(self, capsys):
+        cli.build_parser.cache_clear()
+        main(["free", "-n", "1", "-k", "1"])
+        main(["report", "1"])
+        info = cli.build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_replay_against_fresh_parsers(self, tmp_path, monkeypatch):
+        qb3 = tmp_path / "qb3.json"
+        qb3.write_text(json.dumps(QB3))
+        calls = [
+            ["free", "-n", "2", "-k", "2", "--count-only"],
+            ["free", "-n", "2", "-k", "2"],
+            ["eq", "x1* | x1**", "1", "--variety", "pa2", "--witness"],
+            ["eq", "x1* | x1**", "1", "--variety", "pa2"],
+            ["qi", str(qb3), "--algebra", "si:3", "--strategy", "pruned"],
+            ["qi", str(qb3), "--algebra", "si:3"],
+            ["free", "-n", "2", "--count-only"],
+            ["eq", "x1", "x1"],
+        ]
+        cli.build_parser.cache_clear()
+        reused = [self.outcome(argv) for argv in calls]
+        assert cli.build_parser.cache_info().misses == 1
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        fresh = [self.outcome(argv) for argv in calls]
+        assert reused == fresh
+        assert reused[6][0] == ("SystemExit", 2) and "required" in reused[6][2]
+        assert [r[0] for r in reused[:6]] == [0, 0, 1, 1, 1, 1]

@@ -352,6 +352,16 @@ class TestStone:
         with pytest.raises(CapExceeded):
             stone_decompose(4)
 
+    def test_negative_rank_is_a_value_error(self):
+        with pytest.raises(ValueError, match=r"^need k >= 0 and n >= 0$"):
+            stone_decompose(-1)
+
+    def test_cap_names_the_rank_and_the_limit(self):
+        with pytest.raises(CapExceeded) as info:
+            stone_decompose(5)
+        assert (info.value.what, info.value.count, info.value.cap) == (
+            "generator count for the decomposition", 5, 3)
+
 
 class TestH3:
     def test_one_generator_counts(self):

@@ -1,0 +1,106 @@
+"""``algebras.json_chunks``, the one JSON writer, replayed against
+``json.dumps(doc, indent=2)``: on random documents and on what the CLI
+prints."""
+
+import ast
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import palgebra
+from palgebra import algebra_dumps, algebras, build_chain, build_si, cli
+from palgebra.algebras import json_chunks
+
+from .test_cli import QB3
+
+
+def old_dumps(doc) -> str:
+    return json.dumps(doc, indent=2) + "\n"
+
+
+TEXT = st.text(alphabet=st.sampled_from('ax1 "\\/\n\t\x00\x7f∨∧é 😀'), max_size=6)
+SCALARS = st.one_of(st.integers(-(2**70), 2**70), st.booleans(), st.none(), TEXT)
+DOCS = st.recursive(
+    SCALARS | st.lists(st.integers(-300, 300), max_size=5),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(TEXT, inner, max_size=4),
+    max_leaves=25)
+
+
+@settings(max_examples=400, deadline=None)
+@given(DOCS)
+def test_random_documents(doc):
+    assert "".join(json_chunks(doc)) == old_dumps(doc)
+
+
+@pytest.mark.parametrize("doc", [
+    [], {}, [[]], {"a": {}}, [True, 1, False, 0], [1, None], [1, 2.5], (1, 2), [(3, 4), ()],
+    {1: "int key", 2.5: "float key", False: "bool key", None: "null key"},
+    {"∨": ["x1 ∨ x2", "tab\there"]}, 2**200, "",
+], ids=repr)
+def test_edge_documents(doc):
+    assert "".join(json_chunks(doc)) == old_dumps(doc)
+
+
+@pytest.mark.parametrize("A", [build_si(3), build_chain(5), build_si(2)], ids=repr)
+def test_algebra_dumps(A):
+    assert algebra_dumps(A) == old_dumps(algebras.algebra_to_json_dict(A))
+
+
+def _stdout(argv) -> tuple[int, str]:
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+@pytest.fixture
+def qb3_file(tmp_path):
+    f = tmp_path / "qb3.json"
+    f.write_text(json.dumps(QB3))
+    return str(f)
+
+
+@pytest.fixture
+def table_file(tmp_path):
+    f = tmp_path / "table.json"
+    f.write_text(json.dumps(algebras.algebra_to_json_dict(algebras.to_table(build_si(3)))))
+    return str(f)
+
+
+CLI_CASES = (
+    [["dual", s] for s in ("si:2", "si:3", "chain:4", "dist:2", "free:1,2", "TABLE")]
+    + [["convert", s] for s in ("si:3", "chain:5", "dist:3", "free:2,1", "TABLE")]
+    + [["si", "3"], ["free", "-n", "2", "-k", "2"],
+       ["free", "-n", "omega", "-k", "2", "--count-only"]]
+    + [["eq", "x1* | x1**", "1", "--variety", "pa2", "--witness"],
+       ["eq", "x1 ∨ x2", "x1", "--witness"],
+       ["eq", "(x1 & x2)**", "x1** & x2**", "--witness"]]
+    + [["qi", "QB3", "--algebra", s, "--strategy", strategy] for s in ("si:3", "free:2,2")
+       for strategy in ("exhaustive", "pruned")]
+    + [["report", str(n)] for n in range(1, 7)])
+
+
+@pytest.mark.parametrize("argv", CLI_CASES, ids=" ".join)
+def test_cli_output_is_the_old_encoders(argv, qb3_file, table_file, monkeypatch):
+    argv = [{"QB3": qb3_file, "TABLE": table_file}.get(a, a) for a in argv]
+    new = _stdout(argv)
+    monkeypatch.setattr(cli, "json_chunks", lambda doc: [old_dumps(doc)])
+    assert new == _stdout(argv)
+
+
+def test_one_pretty_printer():
+    """No json.dumps/json.dump call in the package passes indent=: every
+    indented document is written by json_chunks."""
+    calls = []
+    for path in sorted(Path(palgebra.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("dumps", "dump")
+                    and any(kw.arg == "indent" for kw in node.keywords)):
+                calls.append(f"{path.name}:{node.lineno}")
+    assert calls == []
