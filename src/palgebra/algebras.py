@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 from . import config
 from .congruences import Congruence
@@ -146,11 +146,14 @@ PAlgebra = Union[TableAlgebra, UpsetAlgebra]
 # ---------------------------------------------------------------- validation
 
 def validate(A: PAlgebra) -> list[Violation]:
-    """All failed bounded-distributive-p-algebra laws, one witness each.
+    """All failed bounded-distributive-p-algebra laws, one witness each."""
+    return list(violations(A))
 
-    A lawful algebra is recognised by O(|A|^2) row equalities; the per-law
-    witness scan runs only when that check fails."""
-    return [] if _lawful(A) else _law_scan(A)
+
+def violations(A: PAlgebra) -> Iterator[Violation]:
+    """``validate``'s violations, lazily: the scan runs as far as the caller reads."""
+    if not _lawful(A):
+        yield from _law_scan(A)
 
 
 def _lawful(A: PAlgebra) -> bool:
@@ -175,7 +178,7 @@ def _lawful(A: PAlgebra) -> bool:
     down = order.down
     if down[A.one] != order.universe:
         return False
-    below = _birkhoff_masks(order)[1]
+    below = birkhoff_masks(order)[1]
     for a in range(A.size):
         da, ba, Ma = down[a], below[a], M[a]
         if ([down[m] for m in Ma] != [da & d for d in down]
@@ -185,13 +188,12 @@ def _lawful(A: PAlgebra) -> bool:
     return True
 
 
-def _law_scan(A: PAlgebra) -> list[Violation]:
+def _law_scan(A: PAlgebra) -> Iterator[Violation]:
     """The per-law witness scan behind ``validate``: the first witness of each
-    failed law, with witnesses in lexicographic order.  A law is compared one
-    row (all values of its last variable) at a time, so the laws in three
-    variables cost |A|^2 row comparisons."""
+    failed law, yielded as found, with witnesses in lexicographic order.  A
+    law is compared one row (all values of its last variable) at a time, so
+    the laws in three variables cost |A|^2 row comparisons."""
     A = to_table(A)
-    out: list[Violation] = []
     rng = range(A.size)
     M, J, S, zero, one = A.meet_table, A.join_table, A.star_table, A.zero, A.one
 
@@ -201,14 +203,14 @@ def _law_scan(A: PAlgebra) -> list[Violation]:
 
     GM, GJ, GS = [pick(r) for r in M], [pick(r) for r in J], pick(S)
 
-    def first(law, rows):
+    def law(name, rows):
         """rows yields (prefix, lhs, rhs): the witness is the prefix plus the
         first position where the two rows differ."""
         for prefix, lhs, rhs in rows:
             lhs, rhs = tuple(lhs), tuple(rhs)
             if lhs != rhs:
                 c = next(c for c in rng if lhs[c] != rhs[c])
-                out.append(Violation(law, prefix + (c,)))
+                yield Violation(name, prefix + (c,))
                 return
 
     def pairs(lhs, rhs):
@@ -220,28 +222,28 @@ def _law_scan(A: PAlgebra) -> list[Violation]:
         return (((a, b), lhs(a, b), rhs(a, b)) for a in rng for b in rng)
 
     ident, n = tuple(rng), len(rng)
-    first("meet-idempotent", [((), (M[a][a] for a in rng), ident)])
-    first("join-idempotent", [((), (J[a][a] for a in rng), ident)])
+    yield from law("meet-idempotent", [((), (M[a][a] for a in rng), ident)])
+    yield from law("join-idempotent", [((), (J[a][a] for a in rng), ident)])
     MT, JT = list(zip(*M)), list(zip(*J))
-    first("meet-commutative", pairs(M.__getitem__, MT.__getitem__))
-    first("join-commutative", pairs(J.__getitem__, JT.__getitem__))
-    first("absorption-meet", pairs(lambda a: GJ[a](M[a]), lambda a: (a,) * n))
-    first("absorption-join", pairs(lambda a: GM[a](J[a]), lambda a: (a,) * n))
-    first("meet-associative", triples(lambda a, b: M[M[a][b]], lambda a, b: GM[b](M[a])))
-    first("join-associative", triples(lambda a, b: J[J[a][b]], lambda a, b: GJ[b](J[a])))
-    first("distributive", triples(lambda a, b: GJ[b](M[a]), lambda a, b: GM[a](J[M[a][b]])))
-    first("zero-meet", [((), M[zero], (zero,) * n)])
-    first("zero-join", [((), J[zero], ident)])
-    first("one-meet", [((), M[one], ident)])
-    first("one-join", [((), J[one], (one,) * n)])
+    yield from law("meet-commutative", pairs(M.__getitem__, MT.__getitem__))
+    yield from law("join-commutative", pairs(J.__getitem__, JT.__getitem__))
+    yield from law("absorption-meet", pairs(lambda a: GJ[a](M[a]), lambda a: (a,) * n))
+    yield from law("absorption-join", pairs(lambda a: GM[a](J[a]), lambda a: (a,) * n))
+    yield from law("meet-associative", triples(lambda a, b: M[M[a][b]], lambda a, b: GM[b](M[a])))
+    yield from law("join-associative", triples(lambda a, b: J[J[a][b]], lambda a, b: GJ[b](J[a])))
+    yield from law("distributive",
+                   triples(lambda a, b: GJ[b](M[a]), lambda a, b: GM[a](J[M[a][b]])))
+    yield from law("zero-meet", [((), M[zero], (zero,) * n)])
+    yield from law("zero-join", [((), J[zero], ident)])
+    yield from law("one-meet", [((), M[one], ident)])
+    yield from law("one-join", [((), J[one], (one,) * n)])
     if S[one] != zero:
-        out.append(Violation("star-one", (one,)))
+        yield Violation("star-one", (one,))
     if S[zero] != one:
-        out.append(Violation("star-zero", (zero,)))
-    first("star-meet", pairs(lambda a: pick(GM[a](S))(M[a]), lambda a: GS(M[a])))
-    first("pseudocomplement", pairs(lambda a: (m == zero for m in M[a]),
-                                    lambda a: (x == a for x in GS(M[a]))))
-    return out
+        yield Violation("star-zero", (zero,))
+    yield from law("star-meet", pairs(lambda a: pick(GM[a](S))(M[a]), lambda a: GS(M[a])))
+    yield from law("pseudocomplement", pairs(lambda a: (m == zero for m in M[a]),
+                                             lambda a: (x == a for x in GS(M[a]))))
 
 
 def compatibility_witness(A: PAlgebra, rep: Sequence[int]):
@@ -265,11 +267,19 @@ def compatibility_witness(A: PAlgebra, rep: Sequence[int]):
 
 def tabulate(size: int, meet, join, star, zero: int, one: int, labels=None) -> TableAlgebra:
     """The TableAlgebra on indices 0..size-1 whose tables hold meet(i, j),
-    join(i, j) and star(i); every derived table algebra is built here."""
+    join(i, j) and star(i); every derived table algebra is built here.  Each
+    row is a tuple of one shared int object per value."""
     rng = range(size)
-    return TableAlgebra([[meet(i, j) for j in rng] for i in rng],
-                        [[join(i, j) for j in rng] for i in rng],
-                        [star(i) for i in rng], zero, one, labels)
+    shared = {i: i for i in rng}  # CPython shares only the ints up to 256
+
+    def row(values):
+        if size > 257 and {*map(type, values)} <= {int}:  # a bool or float finds an int's key
+            return tuple(map(shared.get, values, values))
+        return tuple(values)  # TableAlgebra refuses a bad entry
+
+    return TableAlgebra([row([meet(i, j) for j in rng]) for i in rng],
+                        [row([join(i, j) for j in rng]) for i in rng],
+                        row([star(i) for i in rng]), zero, one, labels)
 
 
 def build_si(n: int) -> TableAlgebra:
@@ -384,7 +394,7 @@ def element_order(A: PAlgebra) -> Poset:
                   for i, row in enumerate(A.meet_table)], cap=A.size)
 
 
-def _birkhoff_masks(order: Poset) -> tuple[list[int], list[int]]:
+def birkhoff_masks(order: Poset) -> tuple[list[int], list[int]]:
     """The join-irreducibles ja of an element order and, per element a, the
     mask of all t with ja[t] <= a."""
     ja = join_irreducible_points(order)
@@ -434,8 +444,8 @@ def is_isomorphic(A: PAlgebra, B: PAlgebra):
     """
     if A.size != B.size:
         return None
-    ja, ma = _birkhoff_masks(element_order(A))
-    jb, mb = _birkhoff_masks(element_order(B))
+    ja, ma = birkhoff_masks(element_order(A))
+    jb, mb = birkhoff_masks(element_order(B))
     f = poset_isomorphic(inclusion_order([ma[p] for p in ja]),
                          inclusion_order([mb[q] for q in jb]))
     if f is None:
@@ -476,7 +486,7 @@ def to_upset(A: PAlgebra) -> UpsetAlgebra:
     """Rebuild A as the upsets of its reversed join-irreducible poset."""
     if isinstance(A, UpsetAlgebra):
         return A
-    ja, masks = _birkhoff_masks(element_order(A))
+    ja, masks = birkhoff_masks(element_order(A))
     base = inclusion_order([masks[p] for p in ja]).dual()
     if sorted(masks) != sorted(enumerate_upsets(base)):
         raise ValueError("carrier is not the full upset lattice of its join-irreducibles")

@@ -25,7 +25,7 @@ from .algebras import (
     build_chain,
     build_si,
     json_chunks,
-    validate,
+    violations,
 )
 from .congruences import cm_all, cm_posets
 from .decide import (
@@ -89,10 +89,9 @@ def load_algebra(spec: str):
         raise ValueError(f"cannot read algebra file {spec!r}: {exc}") from exc
     # hand-written table files get linted; upset algebras are correct by shape
     if isinstance(A, TableAlgebra):
-        problems = validate(A)
-        if problems:
-            raise ValueError(
-                f"algebra file {spec!r} violates the laws: {problems[0]}")
+        problem = next(violations(A), None)
+        if problem is not None:
+            raise ValueError(f"algebra file {spec!r} violates the laws: {problem}")
     return A
 
 

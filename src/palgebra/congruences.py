@@ -4,8 +4,8 @@ Principal congruences by Mal'cev-style closure, the congruence lattice as a
 join-closure oracle for small carriers, and the completely meet-irreducible
 records: every prime filter F determines a unique congruence whose 1-class is
 F, built from the filter F-bar = {a : a** in F} and the I-type prime filters
-above it.  Records carry the unique cover mu+, the storey tag, psi = min 1/mu,
-and the subcover witness e_mu.
+above it, all read off the Birkhoff masks.  Records carry the unique cover
+mu+, the storey tag, psi = min 1/mu, and the subcover witness e_mu.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Hashable, Iterable, Sequence
 
 from . import config
 from .errors import CapExceeded, NotACongruence, NotPrime
-from .posets import Poset, bit_indices, join_irreducible_points
+from .posets import Poset, bit_indices, inclusion_order, join_irreducible_points
 
 
 class Congruence:
@@ -206,11 +206,10 @@ def closure_filter(A, mask: int) -> int:
     return sum(1 << a for a in range(A.size) if (mask >> A.star(A.star(a))) & 1)
 
 
-def i_type_filters(A, filters: Sequence[int] | None = None) -> list[int]:
+def i_type_filters(A) -> list[int]:
     """Prime filters F with: a** in F implies a in F (the 1-classes of the
     congruences whose quotient is the 2-element algebra)."""
-    filters = prime_filters(A) if filters is None else filters
-    return [F for F in filters if closure_filter(A, F) == F]
+    return [F for F in prime_filters(A) if closure_filter(A, F) == F]
 
 
 # ---------------------------------------------------------------- Cm records
@@ -240,13 +239,6 @@ class CmRecord:
         }
 
 
-def _meet_fold(A, mask: int) -> int:
-    acc = A.one
-    for a in bit_indices(mask):
-        acc = A.meet(acc, a)
-    return acc
-
-
 def _unique_subcover_check(A, mu: Congruence, one_mask: int) -> bool:
     """The quotient must have a unique subcover of the 1-class."""
     classes = mu.classes()
@@ -270,39 +262,36 @@ def cm_from_prime_filter(A, F: int, *, verify: bool = False) -> CmRecord:
 
 
 def cm_all(A, *, verify: bool = False) -> list[CmRecord]:
-    """One record per prime filter F.  Classes: F itself; F-bar minus F when
-    nonempty; outside F-bar, elements grouped by which I-type prime filters
-    above F-bar contain them.  verify=True re-proves that every filter is
-    prime, that every mu and mu+ is compatible with the operations, that
-    every quotient has a unique subcover of 1, and, for carriers within the
-    oracle cap, that the records are the lattice's meet-irreducibles."""
-    filters = prime_filters(A)
-    if verify and not all(is_prime_filter(A, F) for F in filters):
+    """One record per prime filter F = up(p), p join-irreducible, read off the
+    Birkhoff masks.  With Q the atoms below p, F-bar = {a : a** in F} is the
+    meet of their filters, the I-type filters above it, and F is I-type iff
+    Q = {p}.  Classes: F; F-bar minus F; outside F-bar, one per set of atoms
+    of Q below.  A lawful A is assumed, as every CLI path checks on load;
+    verify=True re-proves from the operations that the filters are prime, mu
+    and mu+ compatible and each quotient's subcover of 1 unique, and, within
+    the oracle cap, that the records are the lattice's meet-irreducibles."""
+    from .algebras import birkhoff_masks, compatibility_witness, element_order
+
+    order = element_order(A)
+    ja, below = birkhoff_masks(order)
+    if verify and not all(is_prime_filter(A, order.up[p]) for p in ja):
         raise NotPrime("an up-set of a join-irreducible failed the prime check")
-    fbars = [closure_filter(A, F) for F in filters]
-    i_types = [F for F, fbar in zip(filters, fbars) if fbar == F]
+    atoms = sum(1 << t for t, p in enumerate(ja) if below[p] == 1 << t)
     records = []
-    for F, fbar in zip(filters, fbars):
-        if fbar == F:
-            mu = Congruence([(F >> a) & 1 for a in range(A.size)])
-            lo_o = min(bit_indices(((1 << A.size) - 1) & ~F))
-            records.append(CmRecord(mu, full_congruence(A.size), "I", F,
-                                    psi=_meet_fold(A, F), e_mu=lo_o))
-            continue
-        gees = [G for G in i_types if not (fbar & ~G)]
-        # labels: -1 for F, -2 for F-bar minus F, else the I-type signature
-        mu = Congruence([
-            -1 if (F >> a) & 1 else -2 if (fbar >> a) & 1
-            else sum(1 << t for t, G in enumerate(gees) if (G >> a) & 1)
-            for a in range(A.size)
-        ])
-        lo_f, lo_e = min(bit_indices(F)), min(bit_indices(fbar & ~F))
-        records.append(CmRecord(mu, mu.merge_classes(lo_f, lo_e), "II", F,
-                                psi=_meet_fold(A, F), e_mu=lo_e))
+    for t, p in enumerate(ja):
+        F, under, fbar = order.up[p], below[p] & atoms, order.universe
+        for q in bit_indices(under):
+            fbar &= order.up[ja[q]]
+        # labels: -1 for F, -2 for F-bar minus F, else the atoms of Q below a
+        mu = Congruence([-1 if (F >> a) & 1 else -2 if (fbar >> a) & 1 else m & under
+                         for a, m in enumerate(below)])
+        if under == 1 << t:
+            records.append(CmRecord(mu, full_congruence(A.size), "I", F, psi=p, e_mu=_low_bit(~F)))
+        else:
+            e = _low_bit(fbar & ~F)
+            records.append(CmRecord(mu, mu.merge_classes(_low_bit(F), e), "II", F, psi=p, e_mu=e))
     if not verify:
         return records
-    from .algebras import compatibility_witness
-
     for r in records:
         for cong, tag in ((r.mu, "mu"), (r.mu_plus, "mu-plus")):
             w = compatibility_witness(A, cong.rep)
@@ -336,11 +325,20 @@ def cm_subset(r: CmRecord, s: CmRecord) -> bool:
 
 
 def cm_posets(records: Sequence[CmRecord]) -> tuple[Poset, Poset]:
-    """(inclusion order, 1-class order) over the given records."""
-    n = len(records)
-    by_subset = Poset.from_leq(n, lambda i, j: cm_subset(records[i], records[j]), cap=n)
-    by_one = Poset.from_leq(n, lambda i, j: cm_leq(records[i], records[j]), cap=n)
+    """(inclusion order, 1-class order) over ``cm_all(A)`` for a lawful A.
+    Distinct records compare by inclusion only as a storey-II record below a
+    storey-I one whose 1-class holds its own."""
+    by_one = inclusion_order([sum(1 << s for s, t in enumerate(records) if r.one_mask >> t.psi & 1)
+                              for r in records])  # F_s lies in F_r iff psi_s is in F_r
+    i_mask = sum(1 << s for s, r in enumerate(records) if r.storey == "I")
+    by_subset = Poset([1 << i | (by_one.up[i] & i_mask if r.storey == "II" else 0)
+                       for i, r in enumerate(records)], cap=len(records))
     return by_subset, by_one
+
+
+def _low_bit(mask: int) -> int:
+    """The least i with bit i set; for ~F, the least element outside F."""
+    return (mask & -mask).bit_length() - 1
 
 
 def m_of(phi: Congruence, records: Sequence[CmRecord]) -> list[CmRecord]:

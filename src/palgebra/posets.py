@@ -57,14 +57,7 @@ class Poset:
 
     @classmethod
     def from_leq(cls, n: int, leq: Callable[[int, int], bool], cap: int | None = None) -> "Poset":
-        rows = []
-        for i in range(n):
-            row = 0
-            for j in range(n):
-                if leq(i, j):
-                    row |= 1 << j
-            rows.append(row)
-        return cls(rows, cap=cap)
+        return cls([sum(1 << j for j in range(n) if leq(i, j)) for i in range(n)], cap=cap)
 
     @classmethod
     def from_covers(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Poset":

@@ -660,3 +660,76 @@ def ref_quasi_pruned(q, A, variables) -> Verdict:
     if witness is None:
         return Verdict(True, None, "pruned", spent.used)
     return Verdict(False, witness, "pruned", spent.used)
+
+
+# congruences.cm_all and cm_posets before the records and orders were read
+# off the Birkhoff masks, copied unchanged: the replay oracles for that route
+def _ref_meet_fold(A, mask):
+    acc = A.one
+    for a in bit_indices(mask):
+        acc = A.meet(acc, a)
+    return acc
+
+
+def ref_cm_all(A, *, verify=False):
+    """One record per prime filter F, F-bar by |A| star-star calls per
+    filter and the labels by a scan of every I-type filter."""
+    from palgebra import (CmRecord, Congruence, NotACongruence, NotPrime,
+                          all_congruences, closure_filter, compatibility_witness,
+                          full_congruence, is_prime_filter, prime_filters)
+    from palgebra.congruences import _unique_subcover_check
+
+    filters = prime_filters(A)
+    if verify and not all(is_prime_filter(A, F) for F in filters):
+        raise NotPrime("an up-set of a join-irreducible failed the prime check")
+    fbars = [closure_filter(A, F) for F in filters]
+    i_types = [F for F, fbar in zip(filters, fbars) if fbar == F]
+    records = []
+    for F, fbar in zip(filters, fbars):
+        if fbar == F:
+            mu = Congruence([(F >> a) & 1 for a in range(A.size)])
+            lo_o = min(bit_indices(((1 << A.size) - 1) & ~F))
+            records.append(CmRecord(mu, full_congruence(A.size), "I", F,
+                                    psi=_ref_meet_fold(A, F), e_mu=lo_o))
+            continue
+        gees = [G for G in i_types if not (fbar & ~G)]
+        mu = Congruence([
+            -1 if (F >> a) & 1 else -2 if (fbar >> a) & 1
+            else sum(1 << t for t, G in enumerate(gees) if (G >> a) & 1)
+            for a in range(A.size)
+        ])
+        lo_f, lo_e = min(bit_indices(F)), min(bit_indices(fbar & ~F))
+        records.append(CmRecord(mu, mu.merge_classes(lo_f, lo_e), "II", F,
+                                psi=_ref_meet_fold(A, F), e_mu=lo_e))
+    if not verify:
+        return records
+    for r in records:
+        for cong, tag in ((r.mu, "mu"), (r.mu_plus, "mu-plus")):
+            w = compatibility_witness(A, cong.rep)
+            if w is not None:
+                raise NotACongruence(f"{tag} construction broke compatibility at {w}")
+        if not _unique_subcover_check(A, r.mu, r.one_mask):
+            raise NotACongruence("quotient lacks a unique subcover of 1")
+    if A.size <= config.DEFAULT.oracle_cap:
+        lattice = all_congruences(A)
+        expected = set()
+        for th in lattice:
+            bound = full_congruence(A.size)
+            for ph in lattice:
+                if ph != th and th.refines(ph):
+                    bound = bound.meet(ph)
+            if bound != th:
+                expected.add(th)
+        if expected != {r.mu for r in records}:
+            raise RuntimeError("record construction disagrees with the lattice oracle")
+    return records
+
+
+def ref_cm_posets(records):
+    """(inclusion order, 1-class order), each from n^2 pairwise calls."""
+    from palgebra import cm_leq, cm_subset
+
+    n = len(records)
+    by_subset = Poset.from_leq(n, lambda i, j: cm_subset(records[i], records[j]), cap=n)
+    by_one = Poset.from_leq(n, lambda i, j: cm_leq(records[i], records[j]), cap=n)
+    return by_subset, by_one

@@ -36,7 +36,7 @@ from palgebra import (
     quotient,
     regular_elements,
 )
-from palgebra import congruences
+from palgebra import algebras
 from .helpers import brute_is_congruence, small_corpus
 
 CORPUS = small_corpus()
@@ -276,19 +276,30 @@ class TestVerifySwitch:
             assert cm_from_prime_filter(B, r.one_mask, verify=True) == r
 
     def test_planted_fault_is_caught_only_when_verifying(self, monkeypatch):
-        # with F-bar = F every filter looks I-type, so mu glues too much
-        monkeypatch.setattr(congruences, "closure_filter", lambda A, mask: mask)
+        # with every join-irreducible read as an atom every filter looks
+        # I-type, so mu glues too much
+        masks = algebras.birkhoff_masks
+
+        def every_point_an_atom(order):
+            ja, below = masks(order)
+            below = list(below)
+            for t, p in enumerate(ja):
+                below[p] = 1 << t
+            return ja, below
+
+        monkeypatch.setattr(algebras, "birkhoff_masks", every_point_an_atom)
         C = build_chain(4)
         with pytest.raises(NotACongruence):
             cm_all(C, verify=True)
         assert len(cm_all(C)) == 3
 
     def test_planted_non_prime_filter_is_caught(self, monkeypatch):
-        C = build_chain(4)
-        filters = prime_filters(C)
-        monkeypatch.setattr(congruences, "prime_filters", lambda A: filters + [0b0110])
+        # the bottom's filter is the whole algebra, which is not prime
+        masks = algebras.birkhoff_masks
+        monkeypatch.setattr(algebras, "birkhoff_masks",
+                            lambda order: ([0] + masks(order)[0], masks(order)[1]))
         with pytest.raises(NotPrime):
-            cm_all(C, verify=True)
+            cm_all(build_chain(4), verify=True)
 
 
 def index_filter(F, pos):

@@ -9,6 +9,7 @@ import pytest
 
 import palgebra
 from palgebra import (
+    MalformedTables,
     build_chain,
     build_free,
     build_si,
@@ -50,6 +51,51 @@ def test_tabulate_fills_rows_then_columns():
     assert T.meet_table == ((0, 1, 2),) * 3
     assert T.join_table == ((0, 2, 1), (1, 0, 2), (2, 1, 0))
     assert (T.star_table, T.zero, T.one, T.labels) == ((2, 1, 0), 0, 2, ("a", "b", "c"))
+
+
+def test_tabulate_shares_one_int_object_per_value():
+    T = build_si(9)  # 513 elements: most values are past the interpreter's small ints
+    rows = T.meet_table + T.join_table + (T.star_table,)
+    assert all(type(row) is tuple for row in rows)
+    assert len({id(v) for row in rows for v in row}) == T.size
+
+
+def chain_with(size, value, where):
+    """The tables of the size-element chain with value put at meet(1, 2),
+    join(0, 1) or star(1)."""
+    top = size - 1
+    return (size,
+            lambda i, j: value if where == "meet" and (i, j) == (1, 2) else min(i, j),
+            lambda i, j: value if where == "join" and (i, j) == (0, 1) else max(i, j),
+            lambda i: value if where == "star" and i == 1 else top if i == 0 else 0,
+            0, top)
+
+
+MESSAGES = {"meet": "meet table has a bad row", "join": "join table has a bad row",
+            "star": "star table out of range"}
+SIZES = [3, 300]  # rows of a table past 257 elements are mapped to shared ints
+
+
+@pytest.mark.parametrize("size", SIZES)
+@pytest.mark.parametrize("where", sorted(MESSAGES))
+def test_tabulate_refuses_a_value_out_of_range(size, where):
+    """-1 is not read as the last index, nor size as any index."""
+    for value in (-1, size):
+        with pytest.raises(MalformedTables, match=f"^{MESSAGES[where]}$"):
+            tabulate(*chain_with(size, value, where))
+
+
+@pytest.mark.parametrize("size", SIZES)
+@pytest.mark.parametrize("where", sorted(MESSAGES))
+def test_tabulate_refuses_a_value_that_is_no_int(size, where):
+    """1.0 and True equal the index 1, but are not read as it."""
+    for value in (1.0, True):
+        with pytest.raises(MalformedTables, match=f"^{MESSAGES[where]}$"):
+            tabulate(*chain_with(size, value, where))
+
+
+def test_tabulate_builds_the_chain_it_is_given():
+    assert tables(tabulate(*chain_with(300, 0, "none"))) == tables(build_chain(300))
 
 
 @pytest.mark.parametrize("n", range(8))

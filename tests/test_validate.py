@@ -8,11 +8,13 @@ scan from before the row check.
 
 import json
 import random
+import sys
 
 import pytest
 
 from palgebra import (
     TableAlgebra,
+    algebra_loads,
     algebra_to_json_dict,
     build_chain,
     build_free,
@@ -22,6 +24,7 @@ from palgebra import (
     to_upset,
     validate,
 )
+from palgebra import algebras
 from palgebra.algebras import _law_scan, _lawful
 from palgebra.cli import main
 
@@ -94,13 +97,13 @@ def test_row_check_replays_the_scan_on_3000_seeded_tables():
         rng.shuffle(perm)
         A = mutate(relabel(B, perm), rng, rng.randint(0, 3))
         scan = ref_law_scan(A)
-        assert _law_scan(A) == scan, (trial, name)
+        assert list(_law_scan(A)) == scan, (trial, name)
         assert _lawful(A) == (scan == []), (trial, name, scan)
         assert validate(A) == scan, (trial, name)
         lawless += scan != []
         if not scan:
             U = to_upset(A)
-            assert _lawful(U) and ref_law_scan(U) == _law_scan(U) == validate(U) == []
+            assert _lawful(U) and ref_law_scan(U) == list(_law_scan(U)) == validate(U) == []
             upsets += 1
     # both outcomes are well represented
     assert 1000 < lawless < 2800 and upsets > 200
@@ -123,7 +126,7 @@ def test_checks_fail_on_each_condition_of_the_row_check():
     cases.append(cyc)
     for C in cases:
         scan = ref_law_scan(C)
-        assert not _lawful(C) and scan != [] and _law_scan(C) == validate(C) == scan
+        assert not _lawful(C) and scan != [] and list(_law_scan(C)) == validate(C) == scan
 
 
 def test_single_element_algebra():
@@ -172,16 +175,44 @@ def test_cli_checks_a_289_element_table_file(tmp_path, capsys):
     assert code == 0 and err == "" and json.loads(out) == doc
 
 
-def test_cli_refuses_a_289_element_table_file_with_one_meet_pair_changed(tmp_path, capsys):
+def bad_big_table_file(tmp_path):
     doc = big_table_doc()
     M = doc["meet"]
     a, b = doc["zero"], doc["one"]  # a & b = a; make it b both ways
     M[a][b] = M[b][a] = b
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
+    return path
+
+
+def test_cli_refuses_a_289_element_table_file_with_one_meet_pair_changed(tmp_path, capsys):
+    path = bad_big_table_file(tmp_path)
     code, out, err = run(capsys, "convert", str(path))
     assert code == 1 and out == ""
     assert err.startswith(f"error: algebra file {str(path)!r} violates the laws: Violation(")
+
+
+def test_cli_stops_the_scan_at_the_first_failed_law(tmp_path, capsys):
+    """The CLI prints only the first violation, so the laws in three
+    variables, which follow it, are never scanned: no ``triples`` call in
+    ``algebras`` is seen by a profile hook."""
+    path = bad_big_table_file(tmp_path)
+    first = validate(algebra_loads(path.read_text()))[0]
+    assert first.law == "absorption-meet"
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == algebras.__file__:
+            called.add(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        code, out, err = run(capsys, "convert", str(path))
+    finally:
+        sys.setprofile(None)
+    assert (code, out) == (1, "")
+    assert err == f"error: algebra file {str(path)!r} violates the laws: {first}\n"
+    assert {"_lawful", "pairs"} <= called and "triples" not in called
 
 
 # One table file per law that can fail first, as (base, edits) with edits
