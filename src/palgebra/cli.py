@@ -100,14 +100,17 @@ def cmd_free(args) -> int:
     out = {"n": "omega" if n is None else n, "k": args.k,
            "jCount": shown(count_jirr_or_text(n, args.k))}
     if args.export or not args.count_only:
-        indices, poset = free_skeleton(n, args.k)
+        indices, poset, _, _ = free_skeleton(n, args.k)
         if args.export:
             dot = export_dot(poset, labels=[str(j.to_json_dict()) for j in indices])
             if args.export == "-":
                 sys.stdout.write(dot)
             else:
-                with open(args.export, "w", encoding="utf-8") as fh:
-                    fh.write(dot)
+                try:
+                    with open(args.export, "w", encoding="utf-8") as fh:
+                        fh.write(dot)
+                except OSError as exc:
+                    raise ValueError(f"cannot write DOT file {args.export!r}: {exc}") from exc
         if not args.count_only:
             out["elements"] = build_free(n, args.k).size
     _print_json(out)

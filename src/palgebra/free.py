@@ -17,7 +17,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .algebras import UpsetAlgebra, UpsetMasks, build_si, is_isomorphic, product_many, quotient
 from . import config
@@ -100,10 +100,14 @@ def base_leq(a: JIndex, b: JIndex) -> bool:
     return set(b.tees) <= set(a.tees) and not (a.ell & ~b.ell)
 
 
-def enumerate_jindices(n: int | None, k: int) -> list[JIndex]:
-    """All indices at level n over k variables, canonically sorted."""
+def _check_level(n: int | None, k: int) -> None:
     if k < 0 or (n is not None and n < 0):
         raise ValueError("need k >= 0 and n >= 0")
+
+
+def enumerate_jindices(n: int | None, k: int) -> list[JIndex]:
+    """All indices at level n over k variables, canonically sorted."""
+    _check_level(n, k)
     subsets = range(1 << k)
     if n == 0:
         return [JIndex(k, (T,), T) for T in subsets]
@@ -128,12 +132,11 @@ def enumerate_jindices(n: int | None, k: int) -> list[JIndex]:
 def count_jirr(n: int | None, k: int) -> int:
     """The index count, by the binomial double sum (no enumeration): per L,
     the families of 1 to n of the 2^(k-|L|) subsets above L."""
-    if k < 0 or (n is not None and n < 0):
-        raise ValueError("need k >= 0 and n >= 0")
+    _check_level(n, k)
     if n == 0:
         return 1 << k
-    total = 0
-    for ell in range(k + 1):
+    total, choose = 0, 1
+    for ell in range(k + 1):  # choose = C(k, ell), each from the one before
         width = 1 << (k - ell)
         if n is None or n >= width:  # every nonempty family: the closed form
             inner = (1 << width) - 1
@@ -142,17 +145,32 @@ def count_jirr(n: int | None, k: int) -> int:
             for m in range(1, n + 1):  # c = C(width, m), each from the one before
                 c = c * (width - m + 1) // m
                 inner += c
-        total += math.comb(k, ell) * inner
+        total += choose * inner
+        choose = choose * (k - ell) // (ell + 1)
     return total
 
 
+class Skeleton(NamedTuple):
+    """The index layer of one free algebra, built once per level and rank."""
+    indices: tuple[JIndex, ...]  # in sort_key order
+    poset: Poset
+    ops: UpsetMasks  # the free algebra, as upset masks of the poset
+    gen_masks: tuple[int, ...]  # x_i as the mask of the indices whose L holds i
+
+    def elements(self, terms: Iterable[Term]) -> list[int]:
+        valuation = dict(enumerate(self.gen_masks, 1))
+        return [eval_postfix(compile_postfix(t), self.ops, valuation) for t in terms]
+
+
 @lru_cache(maxsize=None)
-def _skeleton(n_key: int | None, k: int) -> tuple[tuple[JIndex, ...], Poset]:
+def _skeleton(n_key: int | None, k: int) -> Skeleton:
     indices = tuple(enumerate_jindices(n_key, k))
     # mask i within mask j iff fam_j within fam_i and L_i within L_j: base_leq
     every = (1 << (1 << k)) - 1
-    masks = [(every & ~sum(1 << T for T in j.tees)) << k | j.ell for j in indices]
-    return indices, inclusion_order(masks)
+    poset = inclusion_order([(every & ~sum(1 << T for T in j.tees)) << k | j.ell for j in indices])
+    gen_masks = tuple(sum(1 << p for p, j in enumerate(indices) if (j.ell >> i) & 1)
+                      for i in range(k))
+    return Skeleton(indices, poset, UpsetMasks(poset), gen_masks)
 
 
 def count_jirr_or_text(n: int | None, k: int) -> int | str:
@@ -165,10 +183,9 @@ def count_jirr_or_text(n: int | None, k: int) -> int | str:
     return count_jirr(n, k)
 
 
-def free_skeleton(n: int | None, k: int):
-    """(indices, index poset) without materializing elements."""
-    if k < 0 or (n is not None and n < 0):
-        raise ValueError("need k >= 0 and n >= 0")
+def free_skeleton(n: int | None, k: int) -> Skeleton:
+    """The level-n, rank-k Skeleton, without materializing elements."""
+    _check_level(n, k)
     n_key = None if n is None else min(n, 1 << k) if n > 0 else 0
     expected, cap = count_jirr_or_text(n_key, k), config.DEFAULT.poset_cap
     # outside the cache, so a lowered cap still fires; a count too long to
@@ -181,14 +198,12 @@ def free_skeleton(n: int | None, k: int):
 class FreeAlgebra:
     """A materialized free algebra with its index layer kept visible."""
 
-    def __init__(self, n, k, indices, poset, algebra, gen_masks):
+    def __init__(self, n, k, skeleton: Skeleton, algebra):
         self.n = n
         self.k = k
-        self.indices = indices
-        self.poset = poset
+        self.indices, self.poset, _, self.gen_masks = skeleton
         self.algebra = algebra
-        self.gen_masks = gen_masks
-        self.gens = tuple(algebra.index[m] for m in gen_masks)
+        self.gens = tuple(algebra.index[m] for m in self.gen_masks)
 
     @property
     def size(self) -> int:
@@ -203,26 +218,16 @@ class FreeAlgebra:
                 f"jirr={len(self.indices)}, size={self.algebra.size})")
 
 
-def _gen_masks(indices, k: int) -> tuple[int, ...]:
-    """Generator x_i as an upset mask: the indices whose L contains i."""
-    return tuple(
-        sum(1 << p for p, j in enumerate(indices) if (j.ell >> i) & 1)
-        for i in range(k)
-    )
-
-
 def build_free(n: int | None, k: int) -> FreeAlgebra:
-    indices, poset = free_skeleton(n, k)
-    algebra = UpsetAlgebra(poset, labels=[to_text(j.term()) for j in indices])
-    return FreeAlgebra(n, k, indices, poset, algebra, _gen_masks(indices, k))
+    skeleton = free_skeleton(n, k)
+    algebra = UpsetAlgebra(skeleton.poset, labels=[to_text(j.term()) for j in skeleton.indices])
+    return FreeAlgebra(n, k, skeleton, algebra)
 
 
 def free_elements(terms: Iterable[Term], n: int | None, k: int) -> list[int]:
     """Each term's element of the level-n free algebra on k generators: an upset
     mask of free_skeleton's index poset.  Terms are equal there iff masks are."""
-    indices, poset = free_skeleton(n, k)
-    ops, valuation = UpsetMasks(poset), dict(enumerate(_gen_masks(indices, k), 1))
-    return [eval_postfix(compile_postfix(t), ops, valuation) for t in terms]
+    return free_skeleton(n, k).elements(terms)
 
 
 def normal_form(t: Term, n: int | None, k: int | None = None) -> Term:
@@ -231,11 +236,12 @@ def normal_form(t: Term, n: int | None, k: int | None = None) -> Term:
     level n.  Idempotent.  k widens the ambient variable set beyond max_var(t).
     """
     k = max(max_var(t), 0 if k is None else k)
-    indices, poset = free_skeleton(n, k)
-    [mask] = free_elements([t], n, k)
+    skeleton = free_skeleton(n, k)
+    [mask] = skeleton.elements([t])
     # the indices are in sort_key order, so ascending positions list the
     # heads canonically; no head joins to ZERO
-    return join_all([indices[p].term() for p in bit_indices(min_elements(poset, mask))])
+    heads = bit_indices(min_elements(skeleton.poset, mask))
+    return join_all([skeleton.indices[p].term() for p in heads])
 
 
 # --------------------------------------------------- free distributive D(s)
@@ -282,8 +288,7 @@ def stone_decompose(k: int) -> StoneDecomposition:
     """Match the level-1 free algebra against the product of free
     distributive lattices, one factor of rank |T| per subset T.  Element-level
     when the element count fits under the cap, index-poset-level otherwise."""
-    if k < 0:
-        raise ValueError("need k >= 0 and n >= 0")
+    _check_level(None, k)
     if k > 3:
         raise CapExceeded("generator count for the decomposition", k, 3)
     subset_masks = tuple(range(1 << k))
@@ -294,8 +299,7 @@ def stone_decompose(k: int) -> StoneDecomposition:
         prod = product_many(list(factors))
         iso = is_isomorphic(F.algebra, prod)
         return StoneDecomposition(k, subset_masks, factors, "elements", iso)
-    _, poset = free_skeleton(1, k)
-    iso = poset_isomorphic(poset, disjoint_union([f.base for f in factors]))
+    iso = poset_isomorphic(free_skeleton(1, k).poset, disjoint_union([f.base for f in factors]))
     return StoneDecomposition(k, subset_masks, factors, "poset", iso)
 
 
@@ -307,7 +311,7 @@ def h3_poset(n: int | None, k: int):
     atom's subset belongs to the family) and the 1-class order (the index
     poset itself).  The identity is a pp-morphism from the first onto the
     second."""
-    indices, by_one = free_skeleton(n, k)
+    indices, by_one, _, _ = free_skeleton(n, k)
     atom_at = {j.tees[0]: p for p, j in enumerate(indices) if j.is_atom}
     rows = [1 << p | (0 if j.is_atom else sum(1 << atom_at[T] for T in j.tees))
             for p, j in enumerate(indices)]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from .errors import BadIndex, ParseError, UnboundVariable, UnknownIdentifier
@@ -334,6 +335,7 @@ def join_all(terms: Sequence[Term]) -> Term:
     return Join(join_all(terms[:mid]), join_all(terms[mid:]))
 
 
+@lru_cache(maxsize=None)
 def atom_term(T: int, k: int) -> Term:
     """x_T: meet of x_i for i in T and x_i* outside T; T is a bitmask over
     variables 1..k (bit i-1 stands for x_i)."""
@@ -347,7 +349,8 @@ def index_term(fam: Sequence[int], ell: int, k: int) -> Term:
     """p^L_T: (join of x_T over the family)** meet the variables of L, for an
     already valid index: fam strictly ascending, nonempty, within k
     variables, and ell inside every member (``free.jirr_term`` checks raw
-    index data first).
+    index data first).  The atoms x_T come from the memoised atom_term, so
+    index terms share them.
 
     Two families take shorter forms that are equal to p^L_T in every
     p-algebra: the full family of all 2^k subsets gives 1, and a singleton

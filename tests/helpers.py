@@ -1,5 +1,6 @@
 """Shared fixtures: the small-algebra corpus and independent oracles."""
 
+import math
 from itertools import product as iproduct
 
 from palgebra import (
@@ -32,7 +33,6 @@ from palgebra import (
 from palgebra import JIndex, Verdict, config, free_skeleton, max_var, vars_of
 from palgebra.algebras import Violation
 from palgebra.decide import _Budget, _operands, _quasi_witness, _sweep_equation
-from palgebra.free import _gen_masks
 from palgebra.posets import bit_indices, downset_closure, min_elements
 from palgebra.terms import _tokenize, compile_postfix, eval_postfix
 
@@ -320,12 +320,43 @@ class RefSkeletonOps:
         return self.poset.universe & ~downset_closure(self.poset, a)
 
 
+def ref_gen_masks(indices, k):
+    """Generator x_i as an upset mask: the indices whose L contains i, as
+    ``free._gen_masks`` computed it before ``free.Skeleton`` held the masks."""
+    return tuple(
+        sum(1 << p for p, j in enumerate(indices) if (j.ell >> i) & 1)
+        for i in range(k)
+    )
+
+
+def ref_count_jirr(n, k):
+    """``free.count_jirr`` with ``math.comb(k, ell)`` per L, before C(k, ell)
+    was kept as a running product."""
+    if k < 0 or (n is not None and n < 0):
+        raise ValueError("need k >= 0 and n >= 0")
+    if n == 0:
+        return 1 << k
+    total = 0
+    for ell in range(k + 1):
+        width = 1 << (k - ell)
+        if n is None or n >= width:  # every nonempty family: the closed form
+            inner = (1 << width) - 1
+        else:
+            inner, c = 0, 1
+            for m in range(1, n + 1):  # c = C(width, m), each from the one before
+                c = c * (width - m + 1) // m
+                inner += c
+        total += math.comb(k, ell) * inner
+    return total
+
+
 def ref_normal_form(t, n, k=None):
     """``free.normal_form`` before ``UpsetMasks``: the heads re-sorted by
     ``JIndex.sort_key`` and no head written as an explicit ZERO."""
     k = max(max_var(t), 0 if k is None else k)
-    indices, poset = free_skeleton(n, k)
-    valuation = dict(enumerate(_gen_masks(indices, k), 1))
+    skeleton = free_skeleton(n, k)
+    indices, poset = skeleton.indices, skeleton.poset
+    valuation = dict(enumerate(ref_gen_masks(indices, k), 1))
     mask = eval_postfix(compile_postfix(t), RefSkeletonOps(poset), valuation)
     heads = sorted((indices[p] for p in bit_indices(min_elements(poset, mask))),
                    key=JIndex.sort_key)

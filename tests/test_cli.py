@@ -95,6 +95,14 @@ class TestFree:
         text = target.read_text()
         assert text.startswith("digraph") and text.rstrip().endswith("}")
 
+    def test_export_to_an_unwritable_path_is_an_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "poset.dot"
+        code, out, err = run(capsys, "free", "-n", "1", "-k", "1",
+                             "--export", str(target))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: cannot write DOT file {str(target)!r}: ")
+        assert err.count("\n") == 1 and not target.exists()
+
     def test_byte_stable(self, capsys):
         a = run(capsys, "free", "-n", "2", "-k", "2")
         b = run(capsys, "free", "-n", "2", "-k", "2")

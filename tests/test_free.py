@@ -46,7 +46,12 @@ from palgebra import (
 from palgebra import config
 from palgebra.cli import main
 from palgebra.terms import compile_postfix, eval_postfix
-from .helpers import count_monotone_functions, generated_subuniverse, paper_jirr_term
+from .helpers import (
+    count_monotone_functions,
+    generated_subuniverse,
+    paper_jirr_term,
+    ref_count_jirr,
+)
 
 SIZES = {(1, 1): 6, (2, 1): 7, (3, 1): 7, (None, 1): 7,
          (1, 2): 108, (2, 2): 539, (3, 2): 625, (4, 2): 626, (None, 2): 626}
@@ -95,6 +100,14 @@ class TestCounting:
             assert count_jirr(None, k) == sat
             assert count_jirr(1 << k, k) == sat
             assert count_jirr((1 << k) + 5, k) == sat  # saturates
+        assert count_jirr(1, 2000) == 3 ** 2000
+        assert count_jirr(2, 2000) == (5 ** 2000 + 3 ** 2000) // 2
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 8, None])
+    def test_running_binomial_replays_the_reference(self, n):
+        # the omega count at k has 2^k bits: replayed up to k = 16 only
+        for k in range(41 if n is not None else 17):
+            assert count_jirr(n, k) == ref_count_jirr(n, k), (n, k)
 
     def test_spot_values(self):
         assert count_jirr(3, 3) == 144
@@ -197,7 +210,7 @@ class TestBuild:
     def test_one_generated_figure(self):
         # four indices: x (atom), x** below it, x* on the side, and the
         # bottom index whose emitted term is the constant 1
-        indices, poset = free_skeleton(2, 1)
+        poset = free_skeleton(2, 1).poset
         labels = {}
         F = build_free(2, 1)
         for pos, j in enumerate(F.indices):
@@ -449,3 +462,12 @@ class TestCountClosedForm:
         doc = json.loads(capsys.readouterr().err)
         assert doc["count"] == sum(math.comb(13, ell) * ((1 << (1 << (13 - ell))) - 1)
                                    for ell in range(14))
+
+    def test_level_one_at_20000_variables_is_quick(self, capsys):
+        # C(k, ell) is kept as a running product, not recomputed per ell
+        count_jirr.cache_clear()
+        start = time.process_time()
+        assert main(["nf", "-n", "1", "--", "x20000"]) == 2
+        assert time.process_time() - start < 20.0
+        doc = json.loads(capsys.readouterr().err)
+        assert doc["count"] == f"2^{(3 ** 20000).bit_length() - 1} or more"

@@ -63,13 +63,14 @@ class TestReplay:
 
     @pytest.mark.parametrize("n, k", LEVELS, ids=[f"{n},{k}" for n, k in LEVELS])
     def test_skeleton_rows_are_base_leq(self, n, k):
-        indices, poset = free_skeleton(n, k)
+        skeleton = free_skeleton(n, k)
+        indices, poset = skeleton.indices, skeleton.poset
         assert poset.up == tuple(sum(1 << q for q, b in enumerate(indices) if base_leq(a, b))
                                  for a in indices)
 
     @pytest.mark.parametrize("n, k", SMALL, ids=[f"{n},{k}" for n, k in SMALL])
     def test_h3_subset_rows_are_the_pairwise_order(self, n, k):
-        indices, _ = free_skeleton(n, k)
+        indices = free_skeleton(n, k).indices
         want = Poset.from_leq(len(indices), ref_h3_subset_leq(indices), cap=len(indices))
         assert h3_poset(n, k)[0].up == want.up
 

@@ -108,7 +108,7 @@ class TestJoinIrreduciblePoints:
 
     @pytest.mark.parametrize("n, k", SKELETONS, ids=[f"{n},{k}" for n, k in SKELETONS])
     def test_skeletons(self, n, k):
-        P = free_skeleton(n, k)[1]
+        P = free_skeleton(n, k).poset
         assert join_irreducible_points(P) == ref_join_irreducible_points(P)
         assert join_irreducible_points(P.dual()) == ref_join_irreducible_points(P.dual())
 
