@@ -168,10 +168,91 @@ class _Budget:
         self.used = 0
         self.what = what
 
-    def spend(self, amount: int = 1):
-        self.used += amount
-        if self.used > self.limit:
+    def spend(self, amount: int = 1, times: int = 1):
+        """Charge ``times`` steps of ``amount`` units; the first step past the
+        limit raises with the count reached at that step."""
+        if self.used + amount * times > self.limit:
+            self.used += amount * ((self.limit - self.used) // amount + 1)
             raise BudgetExceeded(self.what, self.used, self.limit)
+        self.used += amount * times
+
+
+class _Rows:
+    """Compiled terms evaluated with every variable but v fixed, for a list of
+    candidates for v at once: a value is a row over them, or one value where
+    it does not depend on v.  Tables keep indices and map a scalar's meet or
+    join row, upset carriers keep masks (& and |, star cached per mask), any
+    other carrier uses its operations; meet and join commute in a lattice."""
+
+    def __init__(self, A):
+        if hasattr(A, "meet_table"):
+            M, J = A.meet_table, A.join_table
+            self.elem = self.index = range(A.size)
+            self.ops = {"meet": (lambda a, b: M[a][b], lambda c: M[c].__getitem__),
+                        "join": (lambda a, b: J[a][b], lambda c: J[c].__getitem__)}
+            self.star = A.star_table.__getitem__
+        elif hasattr(A, "elements"):
+            self.elem, self.index = A.elements, A.index
+            self.ops = {"meet": (int.__and__, lambda c: c.__and__),
+                        "join": (int.__or__, lambda c: c.__or__)}
+            stars: dict[int, int] = {}
+            self.star = lambda m: stars[m] if m in stars else stars.setdefault(
+                m, A.elements[A.star(A.index[m])])
+        else:
+            self.elem = self.index = range(A.size)
+            self.ops = {op: (f, lambda c, f=f: lambda x: f(c, x))
+                        for op, f in (("meet", A.meet), ("join", A.join))}
+            self.star = A.star
+        self.zero, self.one = self.elem[A.zero], self.elem[A.one]
+
+    def eval(self, code, val, v, xs):
+        """The value of code at val, with v set to each candidate in xs; a
+        single candidate is evaluated as a scalar."""
+        stack: list = []
+        push, elem, star, ops = stack.append, self.elem, self.star, self.ops
+        row = list(map(elem.__getitem__, xs)) if len(xs) != 1 else elem[xs[0]]
+        for ins in code:
+            op = ins[0]
+            if op == "var":
+                push(row if ins[1] == v else elem[val[ins[1]]])
+            elif op == "star":
+                a = stack[-1]
+                stack[-1] = list(map(star, a)) if type(a) is list else star(a)
+            elif op in ("zero", "one"):
+                push(self.zero if op == "zero" else self.one)
+            else:
+                b = stack.pop()
+                a = stack[-1]
+                both, by = ops[op]
+                if type(a) is list:
+                    stack[-1] = list(map(both, a, b) if type(b) is list else map(by(b), a))
+                else:
+                    stack[-1] = list(map(by(a), b)) if type(b) is list else both(a, b)
+        return stack[-1]
+
+    def agree(self, pairs, val, v, xs):
+        """The candidates, in order, at which both sides of every pair agree."""
+        for l, r in pairs:
+            if not xs:
+                break
+            a, b = self.eval(l, val, v, xs), self.eval(r, val, v, xs)
+            xs = [x for x, p, q in zip(xs, _each(a), _each(b)) if p == q]
+        return xs
+
+    def first_gap(self, l, r, val, v, xs):
+        """(position, lhs, rhs) at the first candidate where l and r differ,
+        the values as element indices; None if they agree on all of xs."""
+        if not xs:
+            return None
+        a, b = self.eval(l, val, v, xs), self.eval(r, val, v, xs)
+        for i, p, q in zip(range(len(xs)), _each(a), _each(b)):
+            if p != q:
+                return i, self.index[p], self.index[q]
+        return None
+
+
+def _each(value):
+    return value if type(value) is list else itertools.repeat(value)
 
 
 def check_quasi_identity(q: QuasiIdentity, A: PAlgebra,
@@ -196,24 +277,25 @@ def _strategy(size: int, nvars: int) -> str:
 
 
 def _quasi_exhaustive(q, A, variables) -> Verdict:
+    """Sweep the valuations in canonical order, the last variable as a row;
+    a ground quasi-identity sweeps the one empty valuation."""
     total, budget = A.size ** len(variables), config.DEFAULT.budget
     if total > budget:
         raise BudgetExceeded("valuation sweep", total, budget)
+    ev = _Rows(A)
     prem = [(compile_postfix(p.lhs), compile_postfix(p.rhs)) for p in q.premises]
     ccl, ccr = compile_postfix(q.conclusion.lhs), compile_postfix(q.conclusion.rhs)
-    used = 0
-    for tup in itertools.product(range(A.size), repeat=len(variables)):
-        used += 1
-        val = dict(zip(variables, tup))
-        # identity sweeps have no premises: skip building the generator
-        if prem and any(eval_postfix(l, A, val) != eval_postfix(r, A, val)
-                        for l, r in prem):
-            continue
-        a, b = eval_postfix(ccl, A, val), eval_postfix(ccr, A, val)
-        if a != b:
-            return Verdict(False, _quasi_witness(variables, tup, a, b),
-                           "exhaustive", used)
-    return Verdict(True, None, "exhaustive", used)
+    *head, v = variables or (0,)
+    width = A.size if variables else 1
+    for rank, tup in enumerate(itertools.product(range(A.size), repeat=len(head))):
+        val = dict(zip(head, tup))
+        xs = ev.agree(prem, val, v, range(width))
+        gap = ev.first_gap(ccl, ccr, val, v, xs)
+        if gap is not None:
+            i, a, b = gap
+            return Verdict(False, _quasi_witness(variables, (*tup, xs[i]), a, b),
+                           "exhaustive", rank * width + xs[i] + 1)
+    return Verdict(True, None, "exhaustive", total)
 
 
 def _quasi_witness(variables, tup, a, b) -> dict:
@@ -231,13 +313,15 @@ def _quasi_pruned(q, A, variables) -> Verdict:
     the star preimages of c (both once v is the premise's last variable),
     and where v is a bare join (meet) operand it bounds v below (above) c,
     even before the premise closes.  Premises whose last variable is v
-    filter the pool by evaluation and are checked again as v is assigned.
+    filter the pool by evaluation as a row over it (see ``_Rows``), and at
+    the last depth the conclusion is one row over the whole pool.
     A pool is an element mask, cut by one AND per side: a var pin by c's
     bit, a star pin by c's star preimages, a bound by c's row, kept per
     search under (c, direction) and built with |A| ``leq`` calls when first
     needed.  A pool of at most one element (a bare-variable pin bounds its
     own side too) is bounded by one ``leq`` call and builds no row.  The
-    budget is charged as by the search without plan, rows or masks.
+    budget is charged as by the search without plan, rows or masks, down
+    to the count at which it runs out.
     """
     spent = _Budget(config.DEFAULT.budget, "pruned search")
     val: dict[int, int] = {}
@@ -268,6 +352,7 @@ def _quasi_pruned(q, A, variables) -> Verdict:
                 closing.append((cl, cr))
         plans.append((v, sides, closing))
     ccl, ccr = compile_postfix(q.conclusion.lhs), compile_postfix(q.conclusion.rhs)
+    ev = _Rows(A)
     full = (1 << A.size) - 1
     rows: dict[tuple[int, str], int] = {}  # (c, direction) -> mask of x below/above c
     star_pre: dict[int, int] = {}  # star value -> mask of its preimages
@@ -299,42 +384,38 @@ def _quasi_pruned(q, A, variables) -> Verdict:
                                      if (leq(x, c) if bound == "below" else leq(c, x)))
             pool &= rows[c, bound]
         pool = range(A.size) if pool == full else bit_indices(pool)
-        if closing:
-            kept = []
-            for x in pool:
-                val[v] = x
-                spent.spend(len(closing))
-                if all(eval_postfix(cl, A, val) == eval_postfix(cr, A, val)
-                       for cl, cr in closing):
-                    kept.append(x)
-            val.pop(v, None)
-            pool = kept
+        if closing and pool:
+            spent.spend(len(closing), len(pool))
+            pool = ev.agree(closing, val, v, pool)
         return pool
 
-    def search(depth: int):
-        if depth == len(variables):
-            spent.spend()
-            a, b = eval_postfix(ccl, A, val), eval_postfix(ccr, A, val)
-            if a != b:
-                tup = tuple(val[v] for v in variables)
-                return _quasi_witness(variables, tup, a, b)
+    def conclude(v, pool, units):
+        """The witness at the first x in pool where the conclusion fails;
+        each x tried costs ``units``."""
+        gap = ev.first_gap(ccl, ccr, val, v, pool)
+        spent.spend(1, units * (len(pool) if gap is None else gap[0] + 1))
+        if gap is None:
             return None
+        i, a, b = gap
+        val[v] = pool[i]
+        return _quasi_witness(variables, tuple(val[w] for w in variables), a, b)
+
+    def search(depth: int):
+        # a candidate that passed the closing filter costs one unit, one per
+        # closing premise and, at the last depth, one for the conclusion
         v, sides, closing = plans[depth]
-        for x in candidates(v, sides, closing):
-            spent.spend()
+        pool = candidates(v, sides, closing)
+        if depth == len(plans) - 1:
+            return conclude(v, pool, 2 + len(closing)) if pool else None
+        for x in pool:
+            spent.spend(1, 1 + len(closing))
             val[v] = x
-            for cl, cr in closing:
-                spent.spend()
-                if eval_postfix(cl, A, val) != eval_postfix(cr, A, val):
-                    break
-            else:
-                found = search(depth + 1)
-                if found is not None:
-                    return found
-            del val[v]
+            found = search(depth + 1)
+            if found is not None:
+                return found
         return None
 
-    witness = search(0)
+    witness = search(0) if variables else conclude(0, [0], 1)
     if witness is None:
         return Verdict(True, None, "pruned", spent.used)
     return Verdict(False, witness, "pruned", spent.used)

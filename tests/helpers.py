@@ -6,6 +6,7 @@ from itertools import product as iproduct
 from palgebra import (
     ONE,
     ZERO,
+    BudgetExceeded,
     CapExceeded,
     Equation,
     Join,
@@ -569,6 +570,29 @@ def ref_law_scan(A):
     first("pseudocomplement", ((a, b) for a in rng for b in rng
                                if (meet(a, b) == zero) != A.leq(a, star(b))))
     return out
+
+
+# decide._quasi_exhaustive before it evaluated the last variable as a row,
+# copied unchanged: the replay oracle for the row sweep
+def ref_quasi_exhaustive(q, A, variables) -> Verdict:
+    total, budget = A.size ** len(variables), config.DEFAULT.budget
+    if total > budget:
+        raise BudgetExceeded("valuation sweep", total, budget)
+    prem = [(compile_postfix(p.lhs), compile_postfix(p.rhs)) for p in q.premises]
+    ccl, ccr = compile_postfix(q.conclusion.lhs), compile_postfix(q.conclusion.rhs)
+    used = 0
+    for tup in iproduct(range(A.size), repeat=len(variables)):
+        used += 1
+        val = dict(zip(variables, tup))
+        # identity sweeps have no premises: skip building the generator
+        if prem and any(eval_postfix(l, A, val) != eval_postfix(r, A, val)
+                        for l, r in prem):
+            continue
+        a, b = eval_postfix(ccl, A, val), eval_postfix(ccr, A, val)
+        if a != b:
+            return Verdict(False, _quasi_witness(variables, tup, a, b),
+                           "exhaustive", used)
+    return Verdict(True, None, "exhaustive", used)
 
 
 # decide._quasi_pruned before its per-depth plan and order-bound rows, copied

@@ -8,6 +8,7 @@ the same budget error), and the new one must call ``leq`` no more often.
 
 import dataclasses
 import random
+import sys
 
 import pytest
 
@@ -26,7 +27,8 @@ from palgebra import (
     random_term,
 )
 from palgebra.cli import load_algebra
-from palgebra.decide import _quasi_pruned, _quasi_vars
+from palgebra import decide
+from palgebra.decide import _Budget, _quasi_pruned, _quasi_vars
 
 from .helpers import ref_quasi_pruned
 
@@ -136,3 +138,50 @@ def test_bound_rows_are_reused():
     q = qb_quasi_identity(3)
     assert _quasi_pruned(q, A, (1, 2, 3)) == ref_quasi_pruned(q, ref, (1, 2, 3))
     assert A.calls * 5 < ref.calls
+
+
+def generic_closing_quasi(rng):
+    """Two or three variables, the last closing a premise of no pinned or
+    bounded shape, so it filters its pool as a row."""
+    k = rng.choice((2, 3))
+    prems = (Equation(Join(Var(k), term_over(rng, k - 1)), Star(Meet(Var(k), term_over(rng, k)))),
+             premise(rng, rng.choice(("pin", "star", "join", "meet")), rng.randint(1, k), k))
+    return QuasiIdentity(prems, Equation(term_over(rng, k), term_over(rng, k)))
+
+
+class SiteBudget(_Budget):
+    """A budget that notes the function and the step count of every charge
+    of more than one step that ran out."""
+    sites: set = set()
+
+    def spend(self, amount=1, times=1):
+        try:
+            super().spend(amount, times)
+        except BudgetExceeded:
+            if times > 1:
+                self.sites.add(sys._getframe(1).f_code.co_name)
+            raise
+
+
+@pytest.mark.parametrize("spec", ["si:3", "chain:5", "dist:3", "free:1,2"])
+def test_budget_errors_replay_at_every_crossing(spec, monkeypatch):
+    # count U with an ample budget, then replay at budgets below U (every one
+    # while U is at most 300): the error text holds the count at the step that
+    # crossed, inside the closing row filter and the last depth's conclusion
+    # row as much as anywhere else
+    monkeypatch.setattr(decide, "_Budget", SiteBudget)
+    monkeypatch.setattr(SiteBudget, "sites", set())
+    A, rng = ALGEBRAS[spec], random.Random(spec)
+    qs = [qb_quasi_identity(2), qb_quasi_identity(3)] + [generic_closing_quasi(rng)
+                                                         for _ in range(4)]
+    ample = config.DEFAULT
+    for q in qs:
+        monkeypatch.setattr(config, "DEFAULT", ample)
+        U = ref_quasi_pruned(q, A, _quasi_vars(q)).budget_used
+        for budget in {*range(1, U, 1 if U <= 300 else U // 30), *range(max(1, U - 3), U)}:
+            monkeypatch.setattr(config, "DEFAULT",
+                                dataclasses.replace(config.DEFAULT, budget=budget))
+            want = outcome(ref_quasi_pruned, q, A)
+            assert want.startswith("pruned search: ")
+            assert outcome(_quasi_pruned, q, A) == want, (q, budget)
+    assert {"candidates", "conclude"} <= SiteBudget.sites
