@@ -12,7 +12,10 @@ from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate, compress, repeat
+from operator import add, and_
 
 from .algebras import PAlgebra, TableAlgebra, build_chain, build_si, is_isomorphic, tabulate
 from . import config
@@ -29,6 +32,7 @@ from .terms import (
     ZERO,
     compile_postfix,
     eval_postfix,
+    json_kind,
     max_var,
     parse,
     qb_system,
@@ -47,12 +51,14 @@ class Equation:
         return {"lhs": to_text(self.lhs), "rhs": to_text(self.rhs)}
 
     @classmethod
-    def from_json_dict(cls, doc: dict) -> "Equation":
-        try:
-            lhs, rhs = doc["lhs"], doc["rhs"]
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"equation needs lhs and rhs: {exc}")
-        return cls(_term_in(lhs), _term_in(rhs))
+    def from_json_dict(cls, doc: dict, field: str = "equation") -> "Equation":
+        """The equation of a JSON object; an error names ``field``."""
+        if not isinstance(doc, dict):
+            raise ValueError(f"{field} must be an object with lhs and rhs, got {json_kind(doc)}")
+        for side in ("lhs", "rhs"):
+            if side not in doc:
+                raise ValueError(f"{field} has no {side}")
+        return cls(_term_in(doc["lhs"], f"{field}.lhs"), _term_in(doc["rhs"], f"{field}.rhs"))
 
 
 @dataclass(frozen=True)
@@ -68,18 +74,28 @@ class QuasiIdentity:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "QuasiIdentity":
-        try:
-            return cls(
-                tuple(Equation.from_json_dict(p)
-                      for p in doc.get("premises", [])),
-                Equation.from_json_dict(doc["conclusion"]),
-            )
-        except (KeyError, TypeError, AttributeError) as exc:
-            raise ValueError(f"malformed quasi-identity document: {exc}")
+        """The quasi-identity of a JSON object: premises, a list of equations
+        (none if absent), and a conclusion."""
+        if not isinstance(doc, dict):
+            raise ValueError("a quasi-identity document must be an object with premises "
+                             f"and conclusion, got {json_kind(doc)}")
+        premises = doc.get("premises", [])
+        if not isinstance(premises, list):
+            raise ValueError(f"premises must be a list of equations, got {json_kind(premises)}")
+        if "conclusion" not in doc:
+            raise ValueError("a quasi-identity document needs a conclusion")
+        return cls(tuple(Equation.from_json_dict(p, f"premises[{i}]")
+                         for i, p in enumerate(premises)),
+                   Equation.from_json_dict(doc["conclusion"], "conclusion"))
 
 
-def _term_in(obj) -> Term:
-    return parse(obj) if isinstance(obj, str) else term_from_json(obj)
+def _term_in(obj, field: str) -> Term:
+    if isinstance(obj, str):
+        return parse(obj)
+    if isinstance(obj, (list, tuple)):
+        return term_from_json(obj)
+    raise ValueError(f'{field} must be a term, as text or as an array such as ["var", 1], '
+                     f"got {json_kind(obj)}")
 
 
 def qb_quasi_identity(n: int) -> QuasiIdentity:
@@ -205,16 +221,22 @@ class _Rows:
             self.star = A.star
         self.zero, self.one = self.elem[A.zero], self.elem[A.one]
 
-    def eval(self, code, val, v, xs):
+    def eval(self, code, val, v=None, xs=()):
         """The value of code at val, with v set to each candidate in xs; a
-        single candidate is evaluated as a scalar."""
+        single candidate is evaluated as a scalar.  A variable of val is an
+        element index or a row of them (a list lined up with xs, or with
+        the other rows where no v is given)."""
         stack: list = []
         push, elem, star, ops = stack.append, self.elem, self.star, self.ops
         row = list(map(elem.__getitem__, xs)) if len(xs) != 1 else elem[xs[0]]
         for ins in code:
             op = ins[0]
             if op == "var":
-                push(row if ins[1] == v else elem[val[ins[1]]])
+                if ins[1] == v:
+                    push(row)
+                else:
+                    x = val[ins[1]]
+                    push(list(map(elem.__getitem__, x)) if type(x) is list else elem[x])
             elif op == "star":
                 a = stack[-1]
                 stack[-1] = list(map(star, a)) if type(a) is list else star(a)
@@ -317,11 +339,24 @@ def _quasi_pruned(q, A, variables) -> Verdict:
     the last depth the conclusion is one row over the whole pool.
     A pool is an element mask, cut by one AND per side: a var pin by c's
     bit, a star pin by c's star preimages, a bound by c's row, kept per
-    search under (c, direction) and built with |A| ``leq`` calls when first
+    search under (direction, c) and built with |A| ``leq`` calls when first
     needed.  A pool of at most one element (a bare-variable pin bounds its
-    own side too) is bounded by one ``leq`` call and builds no row.  The
-    budget is charged as by the search without plan, rows or masks, down
-    to the count at which it runs out.
+    own side too) is bounded by at most one ``leq`` call and builds no row.
+
+    Below the first variable the search runs as a frontier: the first
+    variable's candidates are taken in chunks of 1, 2, 4, ... in order, and
+    each chunk goes depth by depth over all of its live prefixes at once,
+    every closed side one row over them, every pool cut by mask ANDs, the
+    closing filter and the conclusion rows over the prefixes and their
+    candidates.  A chunk expands to at most |A|² of those at a depth, and
+    to no more than the budget has units left (each costs one at least);
+    past that it keeps only its leading candidates, and one that does not
+    fit alone is searched one node at a time.  The budget is charged as by
+    the search without plan, rows, masks or frontier: a chunk's nodes are
+    summed in search order up to its first witness, and where the sum runs
+    past the limit, the candidate whose subtree crossed is searched again
+    one node at a time, so the count at which the budget runs out, and
+    ``budgetUsed``, are the same.
     """
     spent = _Budget(config.DEFAULT.budget, "pruned search")
     val: dict[int, int] = {}
@@ -354,35 +389,43 @@ def _quasi_pruned(q, A, variables) -> Verdict:
     ccl, ccr = compile_postfix(q.conclusion.lhs), compile_postfix(q.conclusion.rhs)
     ev = _Rows(A)
     full = (1 << A.size) - 1
-    rows: dict[tuple[int, str], int] = {}  # (c, direction) -> mask of x below/above c
+    rows: dict[str, dict[int, int]] = {"below": {}, "above": {}}  # c -> mask of x below/above c
     star_pre: dict[int, int] = {}  # star value -> mask of its preimages
+    if any(pin == "star" for _, sides, _ in plans for _, pin, _ in sides):
+        for x in range(A.size):
+            s = A.star(x)
+            star_pre[s] = star_pre.get(s, 0) | 1 << x
+    star_paid = False  # the scan for the star preimages is charged once
+
+    def cut(pool, c, bound):
+        """The pool's elements below (above) c."""
+        row = rows[bound].get(c)
+        if row is None:
+            if not pool or pool == 1 << c:  # empty, or c itself: nothing to cut
+                return pool
+            if pool & (pool - 1) == 0:  # one element: test it, build no row
+                x = pool.bit_length() - 1
+                return pool if (leq(x, c) if bound == "below" else leq(c, x)) else 0
+            row = rows[bound][c] = sum(1 << x for x in range(A.size)
+                                       if (leq(x, c) if bound == "below" else leq(c, x)))
+        return pool & row
 
     def candidates(v, sides, closing):
+        nonlocal star_paid
         pool = full
         for code, pin, bound in sides:
             spent.spend()
             if not (pin or bound):
                 continue
             c = eval_postfix(code, A, val)
-            if pin == "star" and not star_pre:
+            if pin == "star" and not star_paid:
                 spent.spend(A.size)
-                for x in range(A.size):
-                    s = A.star(x)
-                    star_pre[s] = star_pre.get(s, 0) | 1 << x
+                star_paid = True
             if pin:
                 pool &= 1 << c if pin == "var" else star_pre.get(c, 0)
-            if bound is None:
-                continue
-            spent.spend(pool.bit_count())  # |A| while the pool is still all of A
-            if pool & (pool - 1) == 0:  # at most one element: test it, build no row
-                x = pool.bit_length() - 1
-                if pool and not (leq(x, c) if bound == "below" else leq(c, x)):
-                    pool = 0
-                continue
-            if (c, bound) not in rows:
-                rows[c, bound] = sum(1 << x for x in range(A.size)
-                                     if (leq(x, c) if bound == "below" else leq(c, x)))
-            pool &= rows[c, bound]
+            if bound:
+                spent.spend(pool.bit_count())  # |A| while the pool is still all of A
+                pool = cut(pool, c, bound)
         pool = range(A.size) if pool == full else bit_indices(pool)
         if closing and pool:
             spent.spend(len(closing), len(pool))
@@ -401,19 +444,143 @@ def _quasi_pruned(q, A, variables) -> Verdict:
         return _quasi_witness(variables, tuple(val[w] for w in variables), a, b)
 
     def search(depth: int):
-        # a candidate that passed the closing filter costs one unit, one per
-        # closing premise and, at the last depth, one for the conclusion
         v, sides, closing = plans[depth]
         pool = candidates(v, sides, closing)
         if depth == len(plans) - 1:
             return conclude(v, pool, 2 + len(closing)) if pool else None
-        for x in pool:
+        return descend(depth, pool) if depth else chunks(pool)
+
+    def descend(depth: int, xs):
+        # a candidate that passed the closing filter costs one unit, one per
+        # closing premise and, at the last depth, one for the conclusion
+        v, _, closing = plans[depth]
+        for x in xs:
             spent.spend(1, 1 + len(closing))
             val[v] = x
             found = search(depth + 1)
             if found is not None:
                 return found
         return None
+
+    def chunks(xs):
+        """The first variable's candidates xs in chunks of 1, 2, 4, ..., each
+        searched as a frontier."""
+        start, size = 0, 1
+        while start < len(xs):
+            done, found = frontier(xs[start:start + size])
+            if not done:  # the first candidate's frontier alone is too wide
+                done, found = 1, descend(0, xs[start:start + 1])
+            if found is not None:
+                return found
+            start, size = start + done, 2 * done
+        return None
+
+    def frontier(xs):
+        """(how many of the first variable's candidates xs were searched, the
+        witness or None), depth by depth over all their prefixes at once."""
+        nonlocal star_paid
+        cap = min(A.size ** 2, spent.limit - spent.used)
+        v, _, closing = plans[0]
+        firsts = xs = list(xs)
+        # cols: each assigned variable's values, one per prefix of the depth;
+        # levels: per depth below the first, each prefix's own cost (what the
+        # search one node at a time charges from the step into it up to its
+        # first child), its parent's position and its candidate's in firsts
+        done, cols, top = len(xs), {}, list(range(len(xs)))
+        parents, levels = top, []
+        star_level, witness, node = None, None, 0
+        for depth in range(1, len(plans)):
+            if not xs:
+                break
+            cols[v], edge = xs, 1 + len(closing)  # the previous variable set to xs
+            v, sides, closing = plans[depth]
+            n = len(xs)
+            own, pools = [edge + len(sides)] * n, [full] * n
+            for code, pin, bound in sides:
+                if not (pin or bound):
+                    continue
+                vals = ev.eval(code, cols)
+                cs = (list(map(ev.index.__getitem__, vals)) if type(vals) is list
+                      else [ev.index[vals]] * n)
+                if pin == "star" and not star_paid and star_level is None:
+                    star_level = len(levels)
+                if pin:
+                    pools = list(map(and_, pools, map(star_pre.get, cs, repeat(0))
+                                     if pin == "star" else map((1).__lshift__, cs)))
+                if bound:
+                    own = list(map(add, own, map(int.bit_count, pools)))
+                    got = rows[bound]
+                    pools = [p & r if r is not None else p if not p or p == 1 << c
+                             else cut(p, c, bound) for p, c, r in zip(pools, cs, map(got.get, cs))]
+            counts = list(map(int.bit_count, pools))
+            if sum(counts) > cap:  # keep the leading candidates whose prefixes fit
+                t = top[next(i for i, s in enumerate(accumulate(counts)) if s > cap)]
+                if not t:
+                    return 0, None
+                done, keep = t, bisect_left(top, t)
+                levels = [tuple(lst[:bisect_left(level[2], t)] for lst in level)
+                          for level in levels]
+                own, pools, counts, parents, top = (lst[:keep] for lst in
+                                                    (own, pools, counts, parents, top))
+                cols = {w: col[:keep] for w, col in cols.items()}
+            par, xs, spread = [], [], {}
+            for i in compress(range(len(pools)), counts):
+                p = pools[i]
+                got = spread.get(p)
+                if got is None:
+                    got = spread[p] = range(A.size) if p == full else bit_indices(p)
+                xs += got
+                par += repeat(i, len(got))
+            cols = {w: list(map(col.__getitem__, par)) for w, col in cols.items()}
+            if closing:
+                own = list(map(add, own, map(len(closing).__mul__, counts)))
+            for l, r in closing:
+                if not xs:
+                    break
+                a, b = ev.eval(l, cols, v, xs), ev.eval(r, cols, v, xs)
+                ok = [p == q for _, p, q in zip(xs, _each(a), _each(b))]
+                xs, par = list(compress(xs, ok)), list(compress(par, ok))
+                cols = {w: list(compress(col, ok)) for w, col in cols.items()}
+            levels.append((own, parents, top))
+            if depth == len(plans) - 1:
+                gap = ev.first_gap(ccl, ccr, cols, v, xs)
+                for i in par[:len(xs) if gap is None else gap[0] + 1]:
+                    own[i] += 2 + len(closing)
+                if gap is not None:
+                    g, a, b = gap
+                    witness = _quasi_witness(
+                        variables, (*(cols[w][g] for w in variables[:-1]), xs[g]), a, b)
+                    node = par[g]
+                break
+            top, parents = [top[i] for i in par], par
+        if star_level is not None and levels[star_level][0]:  # its first node scans
+            levels[star_level][0][0] += A.size
+        else:
+            star_level = None
+        upto = [len(level[0]) for level in levels]  # the nodes searched up to the witness
+        if witness is not None:
+            for d in reversed(range(len(levels))):
+                upto[d] = node + 1
+                node = levels[d][1][node]
+        before = spent.used
+        try:  # a chunk is charged as one sum
+            spent.spend(1, sum(sum(level[0][:u]) for level, u in zip(levels, upto)))
+        except BudgetExceeded:
+            # it ran out inside the subtree of some candidate firsts[t]: rewind
+            # to the count before that subtree and search it one node at a time
+            sub = [0] * done
+            for (own, _, tops), u in zip(levels, upto):
+                for t, c in zip(tops, own[:u]):
+                    sub[t] += c
+            spent.used, t = before, 0
+            while spent.used + sub[t] <= spent.limit:
+                spent.used += sub[t]
+                t += 1
+            if star_level is not None:
+                star_paid = levels[star_level][2][0] < t
+            return done, descend(0, firsts[t:done])
+        star_paid = star_paid or star_level is not None
+        return done, witness
 
     witness = search(0) if variables else conclude(0, [0], 1)
     if witness is None:

@@ -201,6 +201,16 @@ def term_to_json(t: Term):
     return out[0]
 
 
+def json_kind(value) -> str:
+    """What a decoded JSON value is, for error messages."""
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "a boolean"
+    return ("a number" if isinstance(value, (int, float)) else "a string" if isinstance(value, str)
+            else "an array" if isinstance(value, (list, tuple)) else "an object")
+
+
 def term_from_json(doc) -> Term:
     """The term of a JSON tree: ["zero"], ["one"], ["var", i], ["star", t],
     ["meet", l, r] or ["join", l, r].  Read with an explicit stack, operands
@@ -211,6 +221,9 @@ def term_from_json(doc) -> Term:
     try:
         while stack:
             node, done = stack.pop()
+            if not isinstance(node, (list, tuple)):
+                raise ParseError('bad term document: a term is an array such as ["var", 1], '
+                                 f"got {json_kind(node)}", 0)
             tag = node[0]
             if tag == "zero" or tag == "one":
                 out.append(ZERO if tag == "zero" else ONE)

@@ -231,6 +231,33 @@ class TestQi:
         code, _, err = run(capsys, "qi", str(f), "--algebra", "si:1")
         assert code == 1 and "error" in err
 
+    @pytest.mark.parametrize("doc, message", [
+        ([], "a quasi-identity document must be an object with premises and conclusion, "
+             "got an array"),
+        ({"premises": "oops", "conclusion": {"lhs": "x1", "rhs": "1"}},
+         "premises must be a list of equations, got a string"),
+        ({"premises": None, "conclusion": {"lhs": "x1", "rhs": "1"}},
+         "premises must be a list of equations, got null"),
+        ({"premises": [5], "conclusion": {"lhs": "x1", "rhs": "1"}},
+         "premises[0] must be an object with lhs and rhs, got a number"),
+        ({"conclusion": {"lhs": {"op": "var"}, "rhs": "1"}},
+         'conclusion.lhs must be a term, as text or as an array such as ["var", 1], '
+         "got an object"),
+    ])
+    def test_malformed_document_names_the_field(self, capsys, tmp_path, doc, message):
+        f = tmp_path / "q.json"
+        f.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "qi", str(f), "--algebra", "si:1")
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_object_inside_a_json_term(self, capsys, tmp_path):
+        f = tmp_path / "q.json"
+        f.write_text(json.dumps({"conclusion": {"lhs": ["star", {"op": "var"}], "rhs": "1"}}))
+        code, out, err = run(capsys, "qi", str(f), "--algebra", "si:1")
+        assert (code, out) == (1, "")
+        assert err == ('parse error: bad term document: a term is an array such as '
+                       '["var", 1], got an object (at position 0)\n')
+
     @pytest.mark.parametrize("index", [1.5, True, "2", 0, -1])
     def test_json_variable_must_be_an_index_from_one(self, capsys, tmp_path, index):
         f = tmp_path / "q.json"

@@ -9,6 +9,8 @@ the same budget error), and the new one must call ``leq`` no more often.
 import dataclasses
 import random
 import sys
+from bisect import bisect_right
+from collections import Counter
 
 import pytest
 
@@ -30,6 +32,7 @@ from palgebra.cli import load_algebra
 from palgebra import decide
 from palgebra.decide import _Budget, _quasi_pruned, _quasi_vars
 
+from . import helpers
 from .helpers import ref_quasi_pruned
 
 SPECS = ["si:1", "si:2", "si:3", "si:4", "chain:3", "chain:4", "chain:5", "dist:3",
@@ -184,4 +187,139 @@ def test_budget_errors_replay_at_every_crossing(spec, monkeypatch):
             want = outcome(ref_quasi_pruned, q, A)
             assert want.startswith("pruned search: ")
             assert outcome(_quasi_pruned, q, A) == want, (q, budget)
-    assert {"candidates", "conclude"} <= SiteBudget.sites
+    assert {"candidates", "conclude", "frontier"} <= SiteBudget.sites
+
+
+# ------------------------------------------------- the search as a frontier
+#
+# Below the first variable the search runs depth by depth over chunks of
+# prefixes at once and charges each chunk as one sum.  The tests below replay
+# it where the chunks are many and wide (the free algebras), at the budget
+# crossings inside them, and pin the work it leaves out.
+
+FREE = ["free:1,2", "free:2,2", "free:3,2", "free:4,2"]
+
+
+def free_corpus(spec, count):
+    """qb_2, qb_3 and ``count`` pinned quasi-identities over 2 and 3 variables."""
+    rng = random.Random(spec)
+    return [qb_quasi_identity(2), qb_quasi_identity(3)] + [pinned_quasi(rng, 2 + r % 2)
+                                                         for r in range(count)]
+
+
+@pytest.mark.parametrize("spec", FREE)
+def test_pinned_replay_on_free(spec):
+    A = ALGEBRAS[spec]
+    for q in free_corpus(spec, 10)[2:]:
+        assert outcome(_quasi_pruned, q, A) == outcome(ref_quasi_pruned, q, A), q
+
+
+def charge_steps(q, A, monkeypatch):
+    """The reference search's charges at an ample budget, in order, each as
+    (count before it, amount, times)."""
+    steps = []
+
+    class StepBudget(_Budget):
+        def spend(self, amount=1, times=1):
+            steps.append((self.used, amount, times))
+            super().spend(amount, times)
+
+    with monkeypatch.context() as m:
+        m.setattr(helpers, "_Budget", StepBudget)
+        ref_quasi_pruned(q, A, _quasi_vars(q))
+    return steps
+
+
+def error_at(steps, budget):
+    """The reference's budget error at ``budget``: the first charge whose
+    end passes it, replayed on a budget holding the count before it."""
+    i = bisect_right([used + amount * times for used, amount, times in steps], budget)
+    spent = _Budget(budget, "pruned search")
+    spent.used = steps[i][0]
+    with pytest.raises(BudgetExceeded) as exc:
+        spent.spend(*steps[i][1:])
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("spec", ["free:1,2", "free:3,2"])
+def test_budget_errors_replay_in_chunks(spec, monkeypatch):
+    # every charge of the reference is a crossing: its budget error is the one
+    # at the count before it; searches of more than 1,000 charges are replayed
+    # at 30 spread budgets and the last three below their total U instead
+    monkeypatch.setattr(decide, "_Budget", SiteBudget)
+    monkeypatch.setattr(SiteBudget, "sites", set())
+    A, ample = ALGEBRAS[spec], config.DEFAULT
+    for q in free_corpus(spec, 6):
+        monkeypatch.setattr(config, "DEFAULT", ample)
+        steps = charge_steps(q, A, monkeypatch)
+        U = steps[-1][0] + steps[-1][1] * steps[-1][2]
+        if len(steps) <= 1000:
+            budgets = {used for used, amount, times in steps if amount * times}
+        else:
+            budgets = {*range(1, U, U // 30), *range(U - 3, U)}
+        for budget in sorted(budgets):
+            monkeypatch.setattr(config, "DEFAULT", dataclasses.replace(ample, budget=budget))
+            assert outcome(_quasi_pruned, q, A) == error_at(steps, budget), (q, budget)
+    assert "frontier" in SiteBudget.sites  # a chunk's sum crossed, then its replay
+
+
+class PairLeq(CountingLeq):
+    """An algebra whose ``leq`` calls are kept as argument pairs."""
+
+    def __init__(self, A):
+        super().__init__(A)
+        self.pairs = []
+
+    def leq(self, i, j):
+        self.pairs.append((i, j))
+        return super().leq(i, j)
+
+
+def test_qb3_fast_path_counts(monkeypatch):
+    # the closed sides are evaluated as rows over the prefixes, not one
+    # scalar evaluation per node (8,290 before); each bound row is built once
+    calls = []
+    scalar = decide.eval_postfix
+    monkeypatch.setattr(decide, "eval_postfix", lambda *a: calls.append(a) or scalar(*a))
+    A, q = PairLeq(ALGEBRAS["free:3,2"]), qb_quasi_identity(3)
+    assert _quasi_pruned(q, A, (1, 2, 3)) == ref_quasi_pruned(q, ALGEBRAS["free:3,2"], (1, 2, 3))
+    assert len(calls) <= A.size
+    assert len(set(A.pairs)) == len(A.pairs)  # no order test is made twice
+    assert set(Counter(c for _, c in A.pairs).values()) == {A.size}  # whole rows only
+
+
+def widest_rows(monkeypatch):
+    """The lengths of the rows ``_Rows.eval`` is given, as it is called."""
+    widths, rows = [], decide._Rows.eval
+
+    def eval(self, code, val, v=None, xs=()):
+        widths.append(max(len(xs), *(len(x) for x in val.values() if type(x) is list), 0))
+        return rows(self, code, val, v, xs)
+
+    monkeypatch.setattr(decide._Rows, "eval", eval)
+    return widths
+
+
+# no premises: every variable ranges over all of A, so the chunk of the first
+# x1 alone fills |A|^2 (x2, x3) rows and a chunk of two would pass it; the
+# conclusion holds at x1 = 0 and fails at x1 = 1
+UNPINNED = QuasiIdentity((), Equation(Join(Var(1), Meet(Meet(Var(2), Var(3)), ZERO)), ZERO))
+
+
+def test_frontier_holds_at_most_a_squared_prefixes(monkeypatch):
+    A, widths = ALGEBRAS["free:1,2"], widest_rows(monkeypatch)
+    v = _quasi_pruned(UNPINNED, A, (1, 2, 3))
+    assert v == ref_quasi_pruned(UNPINNED, A, (1, 2, 3))
+    assert v.witness["valuation"] == {"x1": 1, "x2": 0, "x3": 0}
+    assert max(widths) == A.size ** 2
+
+
+def test_frontier_holds_no_more_prefixes_than_budget_units(monkeypatch):
+    # each prefix costs a unit at least, so a chunk never grows past the
+    # units left; here the budget runs out inside the first x1's subtree
+    monkeypatch.setattr(config, "DEFAULT", dataclasses.replace(config.DEFAULT, budget=5000))
+    A, widths = ALGEBRAS["free:1,2"], widest_rows(monkeypatch)
+    want = outcome(ref_quasi_pruned, UNPINNED, A)
+    assert want.startswith("pruned search: ")
+    assert outcome(_quasi_pruned, UNPINNED, A) == want
+    assert max(widths) <= 5000
