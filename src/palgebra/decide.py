@@ -13,9 +13,10 @@ from __future__ import annotations
 import itertools
 import random
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, compress, repeat
-from operator import add, and_
+from operator import add, and_, eq
 
 from .algebras import PAlgebra, TableAlgebra, build_chain, build_si, is_isomorphic, tabulate
 from . import config
@@ -258,7 +259,7 @@ class _Rows:
             if not xs:
                 break
             a, b = self.eval(l, val, v, xs), self.eval(r, val, v, xs)
-            xs = [x for x, p, q in zip(xs, _each(a), _each(b)) if p == q]
+            xs = list(compress(xs, _agreeing(a, b, len(xs))))
         return xs
 
     def first_gap(self, l, r, val, v, xs):
@@ -267,10 +268,24 @@ class _Rows:
         if not xs:
             return None
         a, b = self.eval(l, val, v, xs), self.eval(r, val, v, xs)
-        for i, p, q in zip(range(len(xs)), _each(a), _each(b)):
-            if p != q:
-                return i, self.index[p], self.index[q]
-        return None
+        ok = _agreeing(a, b, len(xs))
+        if all(ok):
+            return None
+        i = ok.index(False)
+        p, q = (a[i] if type(a) is list else a), (b[i] if type(b) is list else b)
+        return i, self.index[p], self.index[q]
+
+
+def _agreeing(a, b, n):
+    """Whether a and b, rows or single values, agree at each of n positions."""
+    if type(a) is not list and type(b) is not list:
+        return [a == b] * n
+    return list(map(eq, _each(a), _each(b)))
+
+
+# A row evaluation costs about as much to set up as this many elements of
+# work: above this average width, a pool is evaluated on its own.
+_WIDE = 32
 
 
 def _each(value):
@@ -348,7 +363,11 @@ def _quasi_pruned(q, A, variables) -> Verdict:
     each chunk goes depth by depth over all of its live prefixes at once,
     every closed side one row over them, every pool cut by mask ANDs, the
     closing filter and the conclusion rows over the prefixes and their
-    candidates.  A chunk expands to at most |A|² of those at a depth, and
+    candidates.  Where the pools are wide (more than ``_WIDE`` elements on
+    average), a row over one pool already pays for its evaluation, so each
+    prefix keeps its values fixed and gets its own row, as one node at a
+    time would; the prefix columns are then not spread over every
+    candidate.  A chunk expands to at most |A|² of those at a depth, and
     to no more than the budget has units left (each costs one at least);
     past that it keeps only its leading candidates, and one that does not
     fit alone is searched one node at a time.  The budget is charged as by
@@ -489,6 +508,14 @@ def _quasi_pruned(q, A, variables) -> Verdict:
         done, cols, top = len(xs), {}, list(range(len(xs)))
         parents, levels = top, []
         star_level, witness, node = None, None, 0
+        spread: dict[int, list[int] | range] = {}  # a pool mask -> its elements
+
+        def elements(p):
+            got = spread.get(p)
+            if got is None:
+                got = spread[p] = range(A.size) if p == full else bit_indices(p)
+            return got
+
         for depth in range(1, len(plans)):
             if not xs:
                 break
@@ -523,35 +550,56 @@ def _quasi_pruned(q, A, variables) -> Verdict:
                 own, pools, counts, parents, top = (lst[:keep] for lst in
                                                     (own, pools, counts, parents, top))
                 cols = {w: col[:keep] for w, col in cols.items()}
-            par, xs, spread = [], [], {}
-            for i in compress(range(len(pools)), counts):
-                p = pools[i]
-                got = spread.get(p)
-                if got is None:
-                    got = spread[p] = range(A.size) if p == full else bit_indices(p)
-                xs += got
-                par += repeat(i, len(got))
-            cols = {w: list(map(col.__getitem__, par)) for w, col in cols.items()}
             if closing:
                 own = list(map(add, own, map(len(closing).__mul__, counts)))
-            for l, r in closing:
-                if not xs:
-                    break
-                a, b = ev.eval(l, cols, v, xs), ev.eval(r, cols, v, xs)
-                ok = [p == q for _, p, q in zip(xs, _each(a), _each(b))]
-                xs, par = list(compress(xs, ok)), list(compress(par, ok))
-                cols = {w: list(compress(col, ok)) for w, col in cols.items()}
             levels.append((own, parents, top))
-            if depth == len(plans) - 1:
-                gap = ev.first_gap(ccl, ccr, cols, v, xs)
-                for i in par[:len(xs) if gap is None else gap[0] + 1]:
-                    own[i] += 2 + len(closing)
-                if gap is not None:
-                    g, a, b = gap
-                    witness = _quasi_witness(
-                        variables, (*(cols[w][g] for w in variables[:-1]), xs[g]), a, b)
-                    node = par[g]
-                break
+            last, live = depth == len(plans) - 1, list(compress(range(len(pools)), counts))
+            par, xs = [], []
+            if sum(counts) > _WIDE * len(live):
+                # wide pools: each prefix's own row, its values fixed, as the
+                # search one node at a time evaluates it
+                for i in live:
+                    fixed = {w: col[i] for w, col in cols.items()}
+                    got = ev.agree(closing, fixed, v, elements(pools[i]))
+                    if not last:
+                        xs += got
+                        par += repeat(i, len(got))
+                        continue
+                    gap = ev.first_gap(ccl, ccr, fixed, v, got)
+                    own[i] += (2 + len(closing)) * (len(got) if gap is None else gap[0] + 1)
+                    if gap is not None:
+                        g, a, b = gap
+                        witness = _quasi_witness(
+                            variables, (*(fixed[w] for w in variables[:-1]), got[g]), a, b)
+                        node = i
+                        break
+                if last:
+                    break
+                cols = {w: list(map(col.__getitem__, par)) for w, col in cols.items()}
+            else:
+                # narrow pools: rows over all prefixes and their candidates
+                for i in live:
+                    got = elements(pools[i])
+                    xs += got
+                    par += repeat(i, len(got))
+                cols = {w: list(map(col.__getitem__, par)) for w, col in cols.items()}
+                for l, r in closing:
+                    if not xs:
+                        break
+                    ok = _agreeing(ev.eval(l, cols, v, xs), ev.eval(r, cols, v, xs), len(xs))
+                    xs, par = list(compress(xs, ok)), list(compress(par, ok))
+                    cols = {w: list(compress(col, ok)) for w, col in cols.items()}
+                if last:
+                    gap = ev.first_gap(ccl, ccr, cols, v, xs)
+                    tried = Counter(par[:len(xs) if gap is None else gap[0] + 1])
+                    for i, k in tried.items():
+                        own[i] += (2 + len(closing)) * k
+                    if gap is not None:
+                        g, a, b = gap
+                        witness = _quasi_witness(
+                            variables, (*(cols[w][g] for w in variables[:-1]), xs[g]), a, b)
+                        node = par[g]
+                    break
             top, parents = [top[i] for i in par], par
         if star_level is not None and levels[star_level][0]:  # its first node scans
             levels[star_level][0][0] += A.size

@@ -300,17 +300,19 @@ def widest_rows(monkeypatch):
     return widths
 
 
-# no premises: every variable ranges over all of A, so the chunk of the first
-# x1 alone fills |A|^2 (x2, x3) rows and a chunk of two would pass it; the
-# conclusion holds at x1 = 0 and fails at x1 = 1
-UNPINNED = QuasiIdentity((), Equation(Join(Var(1), Meet(Meet(Var(2), Var(3)), ZERO)), ZERO))
+# x2 and x3 range over all of A and x4 is pinned to x1 & x2 & x3, so the
+# chunk of the first x1 alone fills |A|^2 (x2, x3) prefixes at x4's depth,
+# where an unchunked frontier would hold |A|^3 and a chunk of two would pass
+# |A|^2; the conclusion holds at x1 = 0 and fails at x1 = 1
+WIDE = QuasiIdentity((Equation(Var(4), Meet(Meet(Var(1), Var(2)), Var(3))),),
+                     Equation(Join(Var(1), Meet(Var(4), ZERO)), ZERO))
 
 
 def test_frontier_holds_at_most_a_squared_prefixes(monkeypatch):
     A, widths = ALGEBRAS["free:1,2"], widest_rows(monkeypatch)
-    v = _quasi_pruned(UNPINNED, A, (1, 2, 3))
-    assert v == ref_quasi_pruned(UNPINNED, A, (1, 2, 3))
-    assert v.witness["valuation"] == {"x1": 1, "x2": 0, "x3": 0}
+    v = _quasi_pruned(WIDE, A, (1, 2, 3, 4))
+    assert v == ref_quasi_pruned(WIDE, A, (1, 2, 3, 4))
+    assert v.witness["valuation"] == {"x1": 1, "x2": 0, "x3": 0, "x4": 0}
     assert max(widths) == A.size ** 2
 
 
@@ -319,7 +321,18 @@ def test_frontier_holds_no_more_prefixes_than_budget_units(monkeypatch):
     # units left; here the budget runs out inside the first x1's subtree
     monkeypatch.setattr(config, "DEFAULT", dataclasses.replace(config.DEFAULT, budget=5000))
     A, widths = ALGEBRAS["free:1,2"], widest_rows(monkeypatch)
-    want = outcome(ref_quasi_pruned, UNPINNED, A)
+    want = outcome(ref_quasi_pruned, WIDE, A)
     assert want.startswith("pruned search: ")
-    assert outcome(_quasi_pruned, UNPINNED, A) == want
+    assert outcome(_quasi_pruned, WIDE, A) == want
     assert max(widths) <= 5000
+
+
+def test_wide_pools_are_rows_per_prefix(monkeypatch):
+    # no premises over three variables: every pool is all of A, so each
+    # (x1, x2) prefix gets its own row over A instead of a share of one
+    # |A|^2-wide row; the conclusion holds at x1 = 0 and fails at x1 = 1
+    A, widths = ALGEBRAS["free:1,2"], widest_rows(monkeypatch)
+    q = QuasiIdentity((), Equation(Join(Var(1), Meet(Meet(Var(2), Var(3)), ZERO)), ZERO))
+    v = _quasi_pruned(q, A, (1, 2, 3))
+    assert v == ref_quasi_pruned(q, A, (1, 2, 3))
+    assert max(widths) == A.size
