@@ -83,12 +83,14 @@ class UpsetMasks:
     and the pseudocomplement is the complement of the down-closure.  Upset
     carriers (free algebras, products, ``dist:s``) and normal forms share it."""
 
-    __slots__ = ("base", "one")
+    __slots__ = ("base", "one", "tops")
     zero = 0
 
     def __init__(self, base: Poset):
         self.base = base
         self.one = base.universe
+        # the maximal points: those whose up row is the point alone
+        self.tops = sum(1 << i for i, row in enumerate(base.up) if row == 1 << i)
 
     def meet(self, a: int, b: int) -> int:
         return a & b
@@ -97,7 +99,11 @@ class UpsetMasks:
         return a | b
 
     def star(self, a: int) -> int:
-        return self.one & ~downset_closure(self.base, a)
+        """The pseudocomplement of a, which must be an upset: everything
+        outside its down-closure.  An upset holds a maximal point above each
+        of its points, so that closure is the one of its maximal points (in
+        a free skeleton, at most the 2^k atom indices)."""
+        return self.one & ~downset_closure(self.base, a & self.tops)
 
 
 class UpsetAlgebra:

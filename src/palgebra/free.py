@@ -44,7 +44,7 @@ from .terms import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JIndex:
     """One join-irreducible index: subset masks over variables 1..k."""
     k: int
@@ -61,6 +61,16 @@ class JIndex:
             common &= T
         if self.ell & ~common:
             raise BadIndex("L must be included in every family member")
+
+    @classmethod
+    def _trusted(cls, k: int, tees: tuple[int, ...], ell: int) -> "JIndex":
+        """An index valid by construction, made without the checks (as
+        ``enumerate_jindices`` makes them; its tests re-validate each one)."""
+        j = object.__new__(cls)
+        object.__setattr__(j, "k", k)
+        object.__setattr__(j, "tees", tees)
+        object.__setattr__(j, "ell", ell)
+        return j
 
     @property
     def is_atom(self) -> bool:
@@ -110,7 +120,7 @@ def enumerate_jindices(n: int | None, k: int) -> list[JIndex]:
     _check_level(n, k)
     subsets = range(1 << k)
     if n == 0:
-        return [JIndex(k, (T,), T) for T in subsets]
+        return [JIndex._trusted(k, (T,), T) for T in subsets]
     n_eff = (1 << k) if n is None else min(n, 1 << k)
     out = []
     for size in range(1, n_eff + 1):
@@ -120,7 +130,7 @@ def enumerate_jindices(n: int | None, k: int) -> list[JIndex]:
                 common &= T
             ell = common
             while True:
-                out.append(JIndex(k, fam, ell))
+                out.append(JIndex._trusted(k, fam, ell))
                 if ell == 0:
                     break
                 ell = (ell - 1) & common
@@ -131,10 +141,24 @@ def enumerate_jindices(n: int | None, k: int) -> list[JIndex]:
 @lru_cache(maxsize=None)  # free_skeleton checks it before every cache lookup
 def count_jirr(n: int | None, k: int) -> int:
     """The index count, by the binomial double sum (no enumeration): per L,
-    the families of 1 to n of the 2^(k-|L|) subsets above L."""
+    the families of 1 to n of the 2^(k-|L|) subsets above L.
+
+    Below n = k the sum over L is taken in closed form.  With W = 2^(k-|L|),
+    n! * (C(W, 1) + ... + C(W, n)) is a polynomial sum_j c_j W^j, and
+    summing C(k, |L|) W^j over L gives (2^j + 1)^k.  As C(W, m) = 0 for
+    m > W, the polynomial also counts the L with W <= n right, where every
+    nonempty family is allowed."""
     _check_level(n, k)
     if n == 0:
         return 1 << k
+    if n is not None and n < k:
+        falling, scale, poly = [1], math.factorial(n), [0] * (n + 1)
+        for m in range(1, n + 1):  # falling: W(W-1)...(W-m+1), scale: n!/m!
+            falling = [a - (m - 1) * b for a, b in zip([0] + falling, falling + [0])]
+            scale //= m
+            for j, c in enumerate(falling):
+                poly[j] += scale * c
+        return sum(c * ((1 << j) + 1) ** k for j, c in enumerate(poly) if c) // math.factorial(n)
     total, choose = 0, 1
     for ell in range(k + 1):  # choose = C(k, ell), each from the one before
         width = 1 << (k - ell)
@@ -156,6 +180,14 @@ class Skeleton(NamedTuple):
     poset: Poset
     ops: UpsetMasks  # the free algebra, as upset masks of the poset
     gen_masks: tuple[int, ...]  # x_i as the mask of the indices whose L holds i
+    terms: list[Term | None]  # index terms, filled in by term() on first use
+
+    def term(self, p: int) -> Term:
+        """The index term of indices[p], built once and then shared."""
+        t = self.terms[p]
+        if t is None:
+            t = self.terms[p] = self.indices[p].term()
+        return t
 
     def elements(self, terms: Iterable[Term]) -> list[int]:
         valuation = dict(enumerate(self.gen_masks, 1))
@@ -170,7 +202,7 @@ def _skeleton(n_key: int | None, k: int) -> Skeleton:
     poset = inclusion_order([(every & ~sum(1 << T for T in j.tees)) << k | j.ell for j in indices])
     gen_masks = tuple(sum(1 << p for p, j in enumerate(indices) if (j.ell >> i) & 1)
                       for i in range(k))
-    return Skeleton(indices, poset, UpsetMasks(poset), gen_masks)
+    return Skeleton(indices, poset, UpsetMasks(poset), gen_masks, [None] * len(indices))
 
 
 def count_jirr_or_text(n: int | None, k: int) -> int | str:
@@ -201,7 +233,7 @@ class FreeAlgebra:
     def __init__(self, n, k, skeleton: Skeleton, algebra):
         self.n = n
         self.k = k
-        self.indices, self.poset, _, self.gen_masks = skeleton
+        self.indices, self.poset, _, self.gen_masks, _ = skeleton
         self.algebra = algebra
         self.gens = tuple(algebra.index[m] for m in self.gen_masks)
 
@@ -220,7 +252,8 @@ class FreeAlgebra:
 
 def build_free(n: int | None, k: int) -> FreeAlgebra:
     skeleton = free_skeleton(n, k)
-    algebra = UpsetAlgebra(skeleton.poset, labels=[to_text(j.term()) for j in skeleton.indices])
+    labels = [to_text(skeleton.term(p)) for p in range(len(skeleton.indices))]
+    algebra = UpsetAlgebra(skeleton.poset, labels=labels)
     return FreeAlgebra(n, k, skeleton, algebra)
 
 
@@ -241,7 +274,7 @@ def normal_form(t: Term, n: int | None, k: int | None = None) -> Term:
     # the indices are in sort_key order, so ascending positions list the
     # heads canonically; no head joins to ZERO
     heads = bit_indices(min_elements(skeleton.poset, mask))
-    return join_all([skeleton.indices[p].term() for p in heads])
+    return join_all([skeleton.term(p) for p in heads])
 
 
 # --------------------------------------------------- free distributive D(s)
@@ -311,7 +344,7 @@ def h3_poset(n: int | None, k: int):
     atom's subset belongs to the family) and the 1-class order (the index
     poset itself).  The identity is a pp-morphism from the first onto the
     second."""
-    indices, by_one, _, _ = free_skeleton(n, k)
+    indices, by_one, _, _, _ = free_skeleton(n, k)
     atom_at = {j.tees[0]: p for p, j in enumerate(indices) if j.is_atom}
     rows = [1 << p | (0 if j.is_atom else sum(1 << atom_at[T] for T in j.tees))
             for p, j in enumerate(indices)]

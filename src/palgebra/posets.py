@@ -133,23 +133,40 @@ def _capped(n: int, cap: int | None = None) -> int:
     return n
 
 
+# _DIGITS[t] translates a byte to the digit b"0" or b"1" of its bit t
+_DIGITS = [bytes(48 + ((v >> t) & 1) for v in range(256)) for t in range(8)]
+
+
 def inclusion_order(masks: Sequence[int]) -> Poset:
     """Distinct nonnegative masks ordered by inclusion: ``up[i]`` holds every
-    j whose mask contains mask i, ``down[i]`` every j whose mask it contains;
-    O(n * bits) mask operations."""
-    width = max((m.bit_length() for m in masks), default=0)
-    every = (1 << len(masks)) - 1
-    holding = [0] * width
-    for j, m in enumerate(masks):  # holding[b]: the masks that hold bit b
-        for b in bit_indices(m):
-            holding[b] |= 1 << j
-    up = [every] * len(masks)  # the empty mask is below everything
-    down = [every] * len(masks)  # and the full one above everything
-    for i, m in enumerate(masks):
-        for b in bit_indices(m):
-            up[i] &= holding[b]
-        for b in bit_indices(~m & ((1 << width) - 1)):
-            down[i] &= ~holding[b]
+    j whose mask contains mask i, ``down[i]`` every j whose mask it contains.
+
+    The masks are cut into bytes.  At each byte position, the masks that
+    hold each of its 8 bits are read off the column of bytes in C, as
+    binary digits; the up and down rows of each byte value that occurs
+    there are built once and ANDed into every row: O(n * bits / 8) row
+    operations."""
+    n = len(masks)
+    nbytes = (max((m.bit_length() for m in masks), default=0) + 7) // 8
+    every = (1 << n) - 1
+    table = b"".join([m.to_bytes(nbytes, "little") for m in masks])
+    up = [every] * n  # the empty mask is below everything
+    down = [every] * n  # and the full one above everything
+    for q in range(nbytes):
+        column = table[q::nbytes]
+        backwards = column[::-1]  # digit j from the right is mask j's
+        holding = [int(backwards.translate(digits), 2) for digits in _DIGITS]
+        up_of, down_of = {}, {}
+        for v in set(column):
+            row_up = row_down = every
+            for t, h in enumerate(holding):
+                if (v >> t) & 1:
+                    row_up &= h
+                else:
+                    row_down &= ~h
+            up_of[v], down_of[v] = row_up, row_down
+        up = list(map(int.__and__, up, map(up_of.__getitem__, column)))
+        down = list(map(int.__and__, down, map(down_of.__getitem__, column)))
     return Poset._trusted(up, down)
 
 

@@ -31,24 +31,24 @@ class One(Term):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var(Term):
     index: int  # 1-based
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Meet(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Join(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Star(Term):
     arg: Term
 
@@ -149,32 +149,37 @@ def to_text(t: Term, pretty: bool = False) -> str:
 
     Walks an explicit stack of literal text and (node, floor) pairs, where a
     node binding looser than floor (join 1, meet 2, star 3) is parenthesised.
+    Nodes are told apart by their exact type: Term has no subclasses beyond
+    the six below.
     """
     meet_sym, join_sym = (" ∧ ", " ∨ ") if pretty else (" & ", " | ")
     out: list[str] = []
+    emit = out.append
     stack: list = [(t, 0)]
+    pop = stack.pop
     while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            out.append(item)
+        item = pop()
+        if type(item) is str:
+            emit(item)
             continue
         node, floor = item
-        if isinstance(node, Join):
+        kind = type(node)
+        if kind is Join:
             if floor > 1:
-                out.append("(")
+                emit("(")
                 stack.append(")")
             stack += ((node.right, 2), join_sym, (node.left, 1))
-        elif isinstance(node, Meet):
+        elif kind is Meet:
             if floor > 2:
-                out.append("(")
+                emit("(")
                 stack.append(")")
             stack += ((node.right, 3), meet_sym, (node.left, 2))
-        elif isinstance(node, Star):  # nothing binds tighter: never wrapped
+        elif kind is Star:  # nothing binds tighter: never wrapped
             stack += ("*", (node.arg, 3))
-        elif isinstance(node, Var):
-            out.append(f"x{node.index}")
+        elif kind is Var:
+            emit(f"x{node.index}")
         else:
-            out.append("0" if isinstance(node, Zero) else "1")
+            emit("0" if kind is Zero else "1")
     return "".join(out)
 
 

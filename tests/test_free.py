@@ -463,6 +463,37 @@ class TestCountClosedForm:
         assert doc["count"] == sum(math.comb(13, ell) * ((1 << (1 << (13 - ell))) - 1)
                                    for ell in range(14))
 
+    def test_below_k_replays_the_reference(self):
+        # below n = k the sum over L is taken in closed form
+        for n in range(8):
+            for k in range(12):
+                count_jirr.cache_clear()
+                assert count_jirr(n, k) == ref_count_jirr(n, k), (n, k)
+        for n, k in [(3, 40), (5, 100), (20, 9), (17, 30), (40, 41), (1, 300), (2, 301)]:
+            assert count_jirr(n, k) == ref_count_jirr(n, k), (n, k)
+
+    def test_level_three_is_a_sum_of_three_powers(self):
+        # C(W, 1) + C(W, 2) + C(W, 3) = (W^3 + 5W) / 6, summed over L
+        for k in (4, 8000, 99999):
+            assert count_jirr(3, k) == (9 ** k + 5 * 3 ** k) // 6, k
+
+    @pytest.mark.parametrize("argv", [["nf", "-n", "3", "--", "x99999"],
+                                      ["free", "-n", "3", "-k", "99999", "--count-only"]])
+    def test_level_three_at_99999_variables_is_quick(self, argv, capsys):
+        count_jirr.cache_clear()
+        start = time.process_time()
+        code = main(argv)
+        assert time.process_time() - start < 5.0
+        out = capsys.readouterr()
+        count = (9 ** 99999 + 5 * 3 ** 99999) // 6
+        text = f"2^{count.bit_length() - 1} or more"
+        if argv[0] == "nf":
+            assert (code, out.out) == (2, "")
+            assert json.loads(out.err)["count"] == text
+        else:
+            assert (code, out.err) == (0, "")
+            assert json.loads(out.out)["jCount"] == text
+
     def test_level_one_at_20000_variables_is_quick(self, capsys):
         # C(k, ell) is kept as a running product, not recomputed per ell
         count_jirr.cache_clear()

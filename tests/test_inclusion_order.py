@@ -49,17 +49,56 @@ def random_masks(seed):
     return masks
 
 
+def transpose(rows):
+    """The down rows of an order given by its up rows, bit by bit."""
+    return tuple(sum(1 << i for i, row in enumerate(rows) if (row >> j) & 1)
+                 for j in range(len(rows)))
+
+
+def masks_of_width(width, seed):
+    """Distinct masks whose widest is exactly width bits: the empty and the
+    full mask, single bits and random masks around the byte boundaries."""
+    rng = random.Random(f"width:{width}:{seed}")
+    full = (1 << width) - 1
+    masks = {0, full} | {1 << b for b in range(width)}
+    for _ in range(40):
+        pick = rng.choice(sorted(masks))
+        masks.add(rng.choice([rng.getrandbits(width), pick & rng.getrandbits(width),
+                              pick | rng.getrandbits(width)]))
+    masks = sorted(masks)
+    rng.shuffle(masks)
+    return masks
+
+
+WIDTHS = [0, 1, 7, 8, 9, 16, 17, 20, 70]
+
+
 class TestReplay:
     @pytest.mark.parametrize("seed", range(60))
     def test_inclusion_order_is_the_pairwise_order(self, seed):
         masks = random_masks(seed)
         want = Poset.from_leq(len(masks), lambda a, b: not masks[a] & ~masks[b])
-        assert inclusion_order(masks).up == want.up
+        got = inclusion_order(masks)
+        assert got.up == want.up
+        assert got.down == want.down == transpose(got.up)
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_widths_around_byte_boundaries(self, width):
+        for seed in range(3):
+            masks = masks_of_width(width, seed)
+            assert max(masks).bit_length() == width
+            want = Poset.from_leq(len(masks), lambda a, b: not masks[a] & ~masks[b])
+            got = inclusion_order(masks)
+            assert (got.up, got.down) == (want.up, want.down), (width, seed)
+            assert got.universe == (1 << len(masks)) - 1
 
     def test_edges(self):
         assert inclusion_order([]).up == ()
         assert inclusion_order([0]).up == (1,)
         assert inclusion_order([3, 0, 1, 2]).up == (0b0001, 0b1111, 0b0101, 0b1001)
+        assert inclusion_order([]).down == ()
+        assert inclusion_order([0]).down == (1,)
+        assert inclusion_order([3, 0, 1, 2]).down == (0b1111, 0b0010, 0b0110, 0b1010)
 
     @pytest.mark.parametrize("n, k", LEVELS, ids=[f"{n},{k}" for n, k in LEVELS])
     def test_skeleton_rows_are_base_leq(self, n, k):
@@ -67,6 +106,7 @@ class TestReplay:
         indices, poset = skeleton.indices, skeleton.poset
         assert poset.up == tuple(sum(1 << q for q, b in enumerate(indices) if base_leq(a, b))
                                  for a in indices)
+        assert poset.down == transpose(poset.up)
 
     @pytest.mark.parametrize("n, k", SMALL, ids=[f"{n},{k}" for n, k in SMALL])
     def test_h3_subset_rows_are_the_pairwise_order(self, n, k):

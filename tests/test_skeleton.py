@@ -1,21 +1,29 @@
 """The index layer as one object per level and rank: ``free.Skeleton``."""
 
+import random
+
 import pytest
 
 from palgebra import (
+    JIndex,
     Join,
     Meet,
     Star,
     atom_term,
     build_free,
+    enumerate_jindices,
     free,
     free_elements,
     free_skeleton,
     h3_poset,
+    max_var,
     normal_form,
     parse,
+    random_term,
+    to_text,
 )
-from .helpers import ref_gen_masks
+from .helpers import ref_gen_masks, ref_normal_form, ref_to_text
+from .test_upset_masks import TERMS_34
 
 GEN_CASES = [(n, k) for k in range(4) for n in (0, 1, 2, 3, None)] + [(3, 4)]
 
@@ -75,3 +83,78 @@ def test_index_terms_share_their_atoms():
                 assert any(sub is atom_term(T, k) for sub in subterms(j.term())), (j, T)
                 holders[T] = holders.get(T, 0) + 1
     assert max(holders.values()) >= 2  # so two index terms hold one atom object
+
+
+INDEX_LEVELS = GEN_CASES + [(2, 4)]
+
+
+@pytest.mark.parametrize("n, k", INDEX_LEVELS, ids=[f"{n},{k}" for n, k in INDEX_LEVELS])
+def test_enumerated_indices_pass_the_checks(n, k):
+    """enumerate_jindices makes its indices without JIndex's checks; each
+    one rebuilt through them is equal, field by field."""
+    indices = enumerate_jindices(n, k)
+    rebuilt = [JIndex(k, j.tees, j.ell) for j in indices]
+    assert rebuilt == indices
+    assert [hash(j) for j in rebuilt] == [hash(j) for j in indices]
+    assert all(type(j.tees) is tuple and type(j.ell) is int and j.k == k for j in indices)
+
+
+@pytest.mark.parametrize("n, k", GEN_CASES, ids=[f"{n},{k}" for n, k in GEN_CASES])
+def test_index_terms_are_built_once(n, k):
+    free._skeleton.cache_clear()
+    skeleton = free_skeleton(n, k)
+    assert skeleton.terms == [None] * len(skeleton.indices)
+    for p, j in enumerate(skeleton.indices):
+        t = skeleton.term(p)
+        assert t == j.term()
+        assert skeleton.term(p) is t
+    assert None not in skeleton.terms
+    free._skeleton.cache_clear()  # and the terms go with the skeleton
+    assert free_skeleton(n, k).terms == [None] * len(skeleton.indices)
+
+
+def test_normal_forms_and_labels_read_the_skeleton_terms():
+    free._skeleton.cache_clear()
+    skeleton = free_skeleton(2, 2)
+    form = normal_form(parse("x1 | x2*"), 2)
+    joinands = [u for u in subterms(form) if any(u is t for t in skeleton.terms)]
+    assert len(joinands) >= 2
+    F = build_free(2, 2)
+    assert None not in skeleton.terms  # filled by build_free's labels
+    assert F.algebra.labels == tuple(map(to_text, skeleton.terms))
+
+
+# The identity workload's strata (level, variables), every term mentioning
+# its top variable, and the level-3, 4-variable terms.
+STRATA = [(1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (None, 2), (None, 3)]
+
+
+def stratum_terms(n, k, count=12):
+    rng = random.Random(f"stratum:{n},{k}")
+    out = []
+    while len(out) < count:
+        t = random_term(rng, rng.randint(3, 4), k)
+        if max_var(t) == k:
+            out.append(t)
+    return out
+
+
+def corpus_forms():
+    cases = [(t, n) for n, k in STRATA for t in stratum_terms(n, k)]
+    return cases + [(parse(t), 3) for t in TERMS_34]
+
+
+def test_normal_forms_replay_the_reference_on_the_workload_strata():
+    for t, n in corpus_forms():
+        got, want = normal_form(t, n), ref_normal_form(t, n)
+        assert got == want, (to_text(t), n)
+        assert to_text(got) == ref_to_text(want), (to_text(t), n)
+
+
+@pytest.mark.parametrize("pretty", [False, True])
+def test_to_text_replays_the_recursive_printer(pretty):
+    rng = random.Random("to_text")
+    terms = [random_term(rng, rng.randint(0, 7), rng.randint(1, 5)) for _ in range(400)]
+    terms += [normal_form(t, n) for t, n in corpus_forms()]
+    for t in terms:
+        assert to_text(t, pretty=pretty) == ref_to_text(t, pretty=pretty)

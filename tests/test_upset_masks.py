@@ -27,8 +27,15 @@ from palgebra import (
     to_text,
     to_upset,
 )
-from palgebra.algebras import element_order
-from palgebra.posets import join_irreducible_points
+from palgebra.algebras import UpsetMasks, element_order
+from palgebra.posets import (
+    Poset,
+    downset_closure,
+    enumerate_upsets,
+    join_irreducible_points,
+    max_elements,
+    upset_closure,
+)
 from .helpers import (
     brute_pseudocomplement,
     ref_join_irreducible_points,
@@ -88,6 +95,53 @@ def test_upset_star_is_the_pseudocomplement(name, A):
     assert isinstance(A, UpsetAlgebra)
     for a in range(A.size):
         assert A.star(a) == brute_pseudocomplement(A, a), (name, a)
+
+
+def sampled_upsets(P, seed, count=200):
+    """Upsets of P drawn from a seeded rng: the up-closures of random sets
+    of points, so every upset can be drawn, and the empty and full ones."""
+    rng = random.Random(seed)
+    out = {0, P.universe}
+    for _ in range(count):
+        out.add(upset_closure(P, rng.getrandbits(P.n) & rng.getrandbits(P.n)))
+    return sorted(out)
+
+
+def star_bases():
+    """(name, base, upsets): every upset of the small bases, a seeded sample
+    of the large free skeletons."""
+    out = []
+    for k in range(4):
+        for n in LEVELS:
+            P = free_skeleton(n, k).poset
+            whole = k <= 2 or n == 0  # (1, 3) already has 233,280 elements
+            out.append((f"free:{n},{k}", P,
+                        enumerate_upsets(P) if whole else sampled_upsets(P, f"{n},{k}")))
+    for n, k in [(2, 4), (3, 4)]:
+        P = free_skeleton(n, k).poset
+        out.append((f"free:{n},{k}", P, sampled_upsets(P, f"{n},{k}", 100)))
+    out += [(f"dist:{s}", free_distributive(s).base, free_distributive(s).elements)
+            for s in range(5)]
+    out += [(f"to_upset(si:{n})", to_upset(build_si(n)).base, to_upset(build_si(n)).elements)
+            for n in range(1, 5)]
+    out += [(f"to_upset(chain:{m})", to_upset(build_chain(m)).base,
+             to_upset(build_chain(m)).elements) for m in range(2, 6)]
+    antichain, chain = Poset([1 << i for i in range(5)]), Poset([(1 << 5) - (1 << i) for i in range(5)])
+    empty = Poset([])
+    out += [(name, P, enumerate_upsets(P))
+            for name, P in [("antichain:5", antichain), ("chain base:5", chain), ("empty", empty)]]
+    return out
+
+
+STAR_BASES = star_bases()
+
+
+@pytest.mark.parametrize("name, P, upsets", STAR_BASES, ids=[b[0] for b in STAR_BASES])
+def test_star_from_the_maximal_points_replays_the_down_closure(name, P, upsets):
+    ops = UpsetMasks(P)
+    assert ops.tops == max_elements(P, P.universe)
+    for a in upsets:
+        assert ops.star(a) == P.universe & ~downset_closure(P, a), (name, a)
 
 
 # Element orders of si, chain, dist, free, product and table algebras.
