@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import itertools
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, compress, repeat
-from operator import add, and_, eq
+from operator import and_, eq
 
 from .algebras import PAlgebra, TableAlgebra, build_chain, build_si, is_isomorphic, tabulate
 from . import config
@@ -32,7 +32,6 @@ from .terms import (
     Var,
     ZERO,
     compile_postfix,
-    eval_postfix,
     json_kind,
     max_var,
     parse,
@@ -343,7 +342,8 @@ def _quasi_witness(variables, tup, a, b) -> dict:
 
 
 def _quasi_pruned(q, A, variables) -> Verdict:
-    """Backtracking in ascending variable order, planned once per depth.
+    """Backtracking in ascending variable order, planned once per depth and
+    run as a frontier of nodes, a node being a prefix of values.
 
     A depth fixes which premise sides are closed and what each closed side c
     does to its variable v: against a bare v it pins v to c, against v* to
@@ -351,52 +351,60 @@ def _quasi_pruned(q, A, variables) -> Verdict:
     and where v is a bare join (meet) operand it bounds v below (above) c,
     even before the premise closes.  Premises whose last variable is v
     filter the pool by evaluation as a row over it (see ``_Rows``), and at
-    the last depth the conclusion is one row over the whole pool.
-    A pool is an element mask, cut by one AND per side: a var pin by c's
-    bit, a star pin by c's star preimages, a bound by c's row, kept per
-    search under (direction, c) and built with |A| ``leq`` calls when first
-    needed.  A pool of at most one element (a bare-variable pin bounds its
-    own side too) is bounded by at most one ``leq`` call and builds no row.
+    the last depth the conclusion is one row over the pool.  A pool is an
+    element mask, cut by one AND per side: a var pin by c's bit, a star pin
+    by c's star preimages, a bound by c's row, kept per search under
+    (direction, c) and built with |A| ``leq`` calls when first needed.  A
+    pool of at most one element (a bare-variable pin bounds its own side
+    too) is bounded by at most one ``leq`` call and builds no row.
 
-    Below the first variable the search runs as a frontier: the first
-    variable's candidates are taken in chunks of 1, 2, 4, ... in order, and
-    each chunk goes depth by depth over all of its live prefixes at once,
-    every closed side one row over them, every pool cut by mask ANDs, the
-    closing filter and the conclusion rows over the prefixes and their
-    candidates.  Where the pools are wide (more than ``_WIDE`` elements on
-    average), a row over one pool already pays for its evaluation, so each
-    prefix keeps its values fixed and gets its own row, as one node at a
-    time would; the prefix columns are then not spread over every
-    candidate.  A chunk expands to at most |A|² of those at a depth, and
-    to no more than the budget has units left (each costs one at least);
-    past that it keeps only its leading candidates, and one that does not
-    fit alone is searched one node at a time.  The budget is charged as by
-    the search without plan, rows, masks or frontier: a chunk's nodes are
-    summed in search order up to its first witness, and where the sum runs
-    past the limit, the candidate whose subtree crossed is searched again
-    one node at a time, so the count at which the budget runs out, and
-    ``budgetUsed``, are the same.
+    The root is a node searched on its own; its children are taken in
+    chunks of 1, 2, 4, ... in order, and each chunk goes depth by depth over
+    all of its live prefixes at once, every closed side one row over them,
+    every pool cut by mask ANDs, the closing filter and the conclusion rows
+    over the prefixes and their candidates.  Where the pools are wide (more
+    than ``_WIDE`` elements on average), a row over one pool already pays
+    for its evaluation, so each prefix keeps its values fixed and gets its
+    own row.  A chunk expands to at most |A|² prefixes at a depth, and to no
+    more than the budget has units left (each costs one at least); past
+    that it keeps only its leading children, and a child whose subtree does
+    not fit alone becomes a node searched on its own, its children chunked
+    in turn.  Such nodes wait on a stack, not on the Python call stack.
+
+    The budget is charged as by the search without plan, rows, masks or
+    frontier: each depth keeps its nodes' charges as (amount, times)
+    columns in the order that search makes them (the edge into the node,
+    one per closed side, the star preimage scan at the first node that
+    needs it, the bound popcounts, the closing filter, the conclusion).  A
+    chunk is charged up to its first witness in search order, at once where
+    the sum fits; otherwise its nodes are charged one column at a time in
+    search order, so the budget runs out at the same step, with the same
+    count, and ``budgetUsed`` is the same.
     """
     spent = _Budget(config.DEFAULT.budget, "pruned search")
-    val: dict[int, int] = {}
-    prems = [(p, compile_postfix(p.lhs), compile_postfix(p.rhs), vars_of(p.lhs, p.rhs))
-             for p in q.premises]
-    for _, cl, cr, vs in prems:
+    ev = _Rows(A)
+    prems = [(p, compile_postfix(p.lhs), compile_postfix(p.rhs), vars_of(p.lhs, p.rhs),
+              (max_var(p.lhs), max_var(p.rhs))) for p in q.premises]
+    for _, cl, cr, vs, _ in prems:
         if not vs:  # ground premise: decide it once up front
             spent.spend()
-            if eval_postfix(cl, A, val) != eval_postfix(cr, A, val):
+            if ev.eval(cl, {}) != ev.eval(cr, {}):
                 return Verdict(True, None, "pruned", spent.used)
-    leq = A.leq
+    ccl, ccr = compile_postfix(q.conclusion.lhs), compile_postfix(q.conclusion.rhs)
+    if not variables:
+        spent.spend()
+        gap = ev.first_gap(ccl, ccr, {}, None, [0])
+        return Verdict(gap is None, gap and _quasi_witness((), (), *gap[1:]), "pruned", spent.used)
     plans = []  # per depth: v, closed sides as (code, pin, bound), closing premises
     for v in variables:
         sides, closing = [], []
-        for p, cl, cr, vs in prems:
+        for p, cl, cr, vs, tops in prems:
             if v not in vs:
                 continue
             last = vs[-1] == v
-            for mine, other, code in ((p.lhs, p.rhs, cr), (p.rhs, p.lhs, cl)):
-                if max_var(other) >= v:
-                    continue  # still open at this depth
+            for mine, top, code in ((p.lhs, tops[1], cr), (p.rhs, tops[0], cl)):
+                if top >= v:
+                    continue  # the other side is still open at this depth
                 pin = last and ("var" if mine == Var(v) else
                                 "star" if mine == Star(Var(v)) else None)
                 bound = ("below" if Var(v) in _operands(mine, Join) else
@@ -405,9 +413,7 @@ def _quasi_pruned(q, A, variables) -> Verdict:
             if last:
                 closing.append((cl, cr))
         plans.append((v, sides, closing))
-    ccl, ccr = compile_postfix(q.conclusion.lhs), compile_postfix(q.conclusion.rhs)
-    ev = _Rows(A)
-    full = (1 << A.size) - 1
+    leq, full = A.leq, (1 << A.size) - 1
     rows: dict[str, dict[int, int]] = {"below": {}, "above": {}}  # c -> mask of x below/above c
     star_pre: dict[int, int] = {}  # star value -> mask of its preimages
     if any(pin == "star" for _, sides, _ in plans for _, pin, _ in sides):
@@ -415,149 +421,104 @@ def _quasi_pruned(q, A, variables) -> Verdict:
             s = A.star(x)
             star_pre[s] = star_pre.get(s, 0) | 1 << x
     star_paid = False  # the scan for the star preimages is charged once
+    spread: dict[int, list[int] | range] = {}  # a pool mask -> its elements
 
     def cut(pool, c, bound):
-        """The pool's elements below (above) c."""
-        row = rows[bound].get(c)
-        if row is None:
-            if not pool or pool == 1 << c:  # empty, or c itself: nothing to cut
-                return pool
-            if pool & (pool - 1) == 0:  # one element: test it, build no row
-                x = pool.bit_length() - 1
-                return pool if (leq(x, c) if bound == "below" else leq(c, x)) else 0
-            row = rows[bound][c] = sum(1 << x for x in range(A.size)
-                                       if (leq(x, c) if bound == "below" else leq(c, x)))
+        """The pool's elements below (above) c, where c has no row yet."""
+        if not pool or pool == 1 << c:  # empty, or c itself: nothing to cut
+            return pool
+        if pool & (pool - 1) == 0:  # one element: test it, build no row
+            x = pool.bit_length() - 1
+            return pool if (leq(x, c) if bound == "below" else leq(c, x)) else 0
+        row = rows[bound][c] = sum(1 << x for x in range(A.size)
+                                   if (leq(x, c) if bound == "below" else leq(c, x)))
         return pool & row
 
-    def candidates(v, sides, closing):
+    def elements(p):
+        got = spread.get(p)
+        if got is None:
+            got = spread[p] = range(A.size) if p == full else bit_indices(p)
+        return got
+
+    def charge(levels, pars, upto):
+        """Charge the first upto[k] nodes of each level k: their sum at once
+        if it fits, else node by node in search order, one column at a time,
+        up to the step that runs out."""
+        total = 0
+        for cols, u in zip(levels, upto):
+            for a, t in cols:
+                total += (sum(a[:u]) * t if type(a) is list else
+                          a * sum(t[:u]) if type(t) is list else a * t * u)
+        if spent.used + total <= spent.limit:
+            spent.used += total
+            return
+        todo = [(0, i) for i in reversed(range(upto[0]))]
+        while todo:
+            k, i = todo.pop()
+            for a, t in levels[k]:
+                spent.spend(a[i] if type(a) is list else a, t[i] if type(t) is list else t)
+            if k + 1 < len(levels):
+                ps = pars[k + 1]
+                todo += ((k + 1, j) for j in reversed(range(
+                    bisect_left(ps, i), min(bisect_right(ps, i), upto[k + 1]))))
+
+    def frontier(depth, cols, n, edge, cap=None):
+        """(how many of the n prefixes at depth were searched, the witness or
+        None, the last level's candidates), depth by depth over all their
+        prefixes at once; cols holds each assigned variable's values, one per
+        prefix.  With no cap, one prefix's own depth only: a node of its own.
+        None searched (0) where the first prefix's subtree outgrows cap."""
         nonlocal star_paid
-        pool = full
-        for code, pin, bound in sides:
-            spent.spend()
-            if not (pin or bound):
-                continue
-            c = eval_postfix(code, A, val)
-            if pin == "star" and not star_paid:
-                spent.spend(A.size)
-                star_paid = True
-            if pin:
-                pool &= 1 << c if pin == "var" else star_pre.get(c, 0)
-            if bound:
-                spent.spend(pool.bit_count())  # |A| while the pool is still all of A
-                pool = cut(pool, c, bound)
-        pool = range(A.size) if pool == full else bit_indices(pool)
-        if closing and pool:
-            spent.spend(len(closing), len(pool))
-            pool = ev.agree(closing, val, v, pool)
-        return pool
-
-    def conclude(v, pool, units):
-        """The witness at the first x in pool where the conclusion fails;
-        each x tried costs ``units``."""
-        gap = ev.first_gap(ccl, ccr, val, v, pool)
-        spent.spend(1, units * (len(pool) if gap is None else gap[0] + 1))
-        if gap is None:
-            return None
-        i, a, b = gap
-        val[v] = pool[i]
-        return _quasi_witness(variables, tuple(val[w] for w in variables), a, b)
-
-    def search(depth: int):
-        v, sides, closing = plans[depth]
-        pool = candidates(v, sides, closing)
-        if depth == len(plans) - 1:
-            return conclude(v, pool, 2 + len(closing)) if pool else None
-        return descend(depth, pool) if depth else chunks(pool)
-
-    def descend(depth: int, xs):
-        # a candidate that passed the closing filter costs one unit, one per
-        # closing premise and, at the last depth, one for the conclusion
-        v, _, closing = plans[depth]
-        for x in xs:
-            spent.spend(1, 1 + len(closing))
-            val[v] = x
-            found = search(depth + 1)
-            if found is not None:
-                return found
-        return None
-
-    def chunks(xs):
-        """The first variable's candidates xs in chunks of 1, 2, 4, ..., each
-        searched as a frontier."""
-        start, size = 0, 1
-        while start < len(xs):
-            done, found = frontier(xs[start:start + size])
-            if not done:  # the first candidate's frontier alone is too wide
-                done, found = 1, descend(0, xs[start:start + 1])
-            if found is not None:
-                return found
-            start, size = start + done, 2 * done
-        return None
-
-    def frontier(xs):
-        """(how many of the first variable's candidates xs were searched, the
-        witness or None), depth by depth over all their prefixes at once."""
-        nonlocal star_paid
-        cap = min(A.size ** 2, spent.limit - spent.used)
-        v, _, closing = plans[0]
-        firsts = xs = list(xs)
-        # cols: each assigned variable's values, one per prefix of the depth;
-        # levels: per depth below the first, each prefix's own cost (what the
-        # search one node at a time charges from the step into it up to its
-        # first child), its parent's position and its candidate's in firsts
-        done, cols, top = len(xs), {}, list(range(len(xs)))
-        parents, levels = top, []
-        star_level, witness, node = None, None, 0
-        spread: dict[int, list[int] | range] = {}  # a pool mask -> its elements
-
-        def elements(p):
-            got = spread.get(p)
-            if got is None:
-                got = spread[p] = range(A.size) if p == full else bit_indices(p)
-            return got
-
-        for depth in range(1, len(plans)):
-            if not xs:
-                break
-            cols[v], edge = xs, 1 + len(closing)  # the previous variable set to xs
+        paid, done, witness, star_at = star_paid, n, None, None
+        spread.clear()
+        levels, pars, upto, par = [], [], [], range(n)  # par: each node's parent
+        while True:
             v, sides, closing = plans[depth]
-            n = len(xs)
-            own, pools = [edge + len(sides)] * n, [full] * n
+            ones, charges, pools = edge, [], [full] * n
+            levels.append(charges)
+            pars.append(par)
+            upto.append(n)
             for code, pin, bound in sides:
+                ones += 1
                 if not (pin or bound):
                     continue
                 vals = ev.eval(code, cols)
                 cs = (list(map(ev.index.__getitem__, vals)) if type(vals) is list
                       else [ev.index[vals]] * n)
-                if pin == "star" and not star_paid and star_level is None:
-                    star_level = len(levels)
-                if pin:
-                    pools = list(map(and_, pools, map(star_pre.get, cs, repeat(0))
-                                     if pin == "star" else map((1).__lshift__, cs)))
+                if pin == "star":
+                    if not star_paid:  # the first node to need them scans for them
+                        star_paid, star_at = True, len(levels) - 1
+                        charges += (1, ones), (A.size, [1] + [0] * (n - 1))
+                        ones = 0
+                    pools = list(map(and_, pools, map(star_pre.get, cs, repeat(0))))
+                elif pin:
+                    pools = list(map(and_, pools, map((1).__lshift__, cs)))
                 if bound:
-                    own = list(map(add, own, map(int.bit_count, pools)))
-                    got = rows[bound]
-                    pools = [p & r if r is not None else p if not p or p == 1 << c
-                             else cut(p, c, bound) for p, c, r in zip(pools, cs, map(got.get, cs))]
+                    charges += (1, ones), (list(map(int.bit_count, pools)), 1)
+                    ones, got = 0, rows[bound]
+                    pools = [p & r if r is not None else cut(p, c, bound)
+                             for p, c, r in zip(pools, cs, map(got.get, cs))]
             counts = list(map(int.bit_count, pools))
-            if sum(counts) > cap:  # keep the leading candidates whose prefixes fit
-                t = top[next(i for i, s in enumerate(accumulate(counts)) if s > cap)]
+            width = sum(counts)
+            if cap is not None and width > cap:
+                # keep the leading first prefixes whose subtrees fit
+                t = next(i for i, s in enumerate(accumulate(counts)) if s > cap)
+                for ps in reversed(pars):
+                    t = ps[t]
                 if not t:
-                    return 0, None
-                done, keep = t, bisect_left(top, t)
-                levels = [tuple(lst[:bisect_left(level[2], t)] for lst in level)
-                          for level in levels]
-                own, pools, counts, parents, top = (lst[:keep] for lst in
-                                                    (own, pools, counts, parents, top))
-                cols = {w: col[:keep] for w, col in cols.items()}
-            if closing:
-                own = list(map(add, own, map(len(closing).__mul__, counts)))
-            levels.append((own, parents, top))
-            last, live = depth == len(plans) - 1, list(compress(range(len(pools)), counts))
-            par, xs = [], []
-            if sum(counts) > _WIDE * len(live):
-                # wide pools: each prefix's own row, its values fixed, as the
-                # search one node at a time evaluates it
+                    star_paid = paid
+                    return 0, None, None
+                done = u = t
+                for k, ps in enumerate(pars):
+                    upto[k] = u = bisect_left(ps, u)
+                counts = counts[:u]
+                width = sum(counts)
+            last = depth == len(plans) - 1
+            live, xs, par = list(compress(range(len(counts)), counts)), [], []
+            if last:
+                unit, tried = 2 + len(closing), [0] * len(counts)
+            if width > _WIDE * len(live):
+                # wide pools: each prefix's own row, its values fixed
                 for i in live:
                     fixed = {w: col[i] for w, col in cols.items()}
                     got = ev.agree(closing, fixed, v, elements(pools[i]))
@@ -566,16 +527,15 @@ def _quasi_pruned(q, A, variables) -> Verdict:
                         par += repeat(i, len(got))
                         continue
                     gap = ev.first_gap(ccl, ccr, fixed, v, got)
-                    own[i] += (2 + len(closing)) * (len(got) if gap is None else gap[0] + 1)
+                    tried[i] = unit * (len(got) if gap is None else gap[0] + 1)
                     if gap is not None:
                         g, a, b = gap
                         witness = _quasi_witness(
                             variables, (*(fixed[w] for w in variables[:-1]), got[g]), a, b)
-                        node = i
+                        hit = i
                         break
-                if last:
-                    break
-                cols = {w: list(map(col.__getitem__, par)) for w, col in cols.items()}
+                if not last:
+                    cols = {w: list(map(col.__getitem__, par)) for w, col in cols.items()}
             else:
                 # narrow pools: rows over all prefixes and their candidates
                 for i in live:
@@ -591,49 +551,54 @@ def _quasi_pruned(q, A, variables) -> Verdict:
                     cols = {w: list(compress(col, ok)) for w, col in cols.items()}
                 if last:
                     gap = ev.first_gap(ccl, ccr, cols, v, xs)
-                    tried = Counter(par[:len(xs) if gap is None else gap[0] + 1])
-                    for i, k in tried.items():
-                        own[i] += (2 + len(closing)) * k
+                    for i, k in Counter(par[:len(xs) if gap is None else gap[0] + 1]).items():
+                        tried[i] = unit * k
                     if gap is not None:
                         g, a, b = gap
                         witness = _quasi_witness(
                             variables, (*(cols[w][g] for w in variables[:-1]), xs[g]), a, b)
-                        node = par[g]
-                    break
-            top, parents = [top[i] for i in par], par
-        if star_level is not None and levels[star_level][0]:  # its first node scans
-            levels[star_level][0][0] += A.size
-        else:
-            star_level = None
-        upto = [len(level[0]) for level in levels]  # the nodes searched up to the witness
-        if witness is not None:
-            for d in reversed(range(len(levels))):
-                upto[d] = node + 1
-                node = levels[d][1][node]
-        before = spent.used
-        try:  # a chunk is charged as one sum
-            spent.spend(1, sum(sum(level[0][:u]) for level, u in zip(levels, upto)))
-        except BudgetExceeded:
-            # it ran out inside the subtree of some candidate firsts[t]: rewind
-            # to the count before that subtree and search it one node at a time
-            sub = [0] * done
-            for (own, _, tops), u in zip(levels, upto):
-                for t, c in zip(tops, own[:u]):
-                    sub[t] += c
-            spent.used, t = before, 0
-            while spent.used + sub[t] <= spent.limit:
-                spent.used += sub[t]
-                t += 1
-            if star_level is not None:
-                star_paid = levels[star_level][2][0] < t
-            return done, descend(0, firsts[t:done])
-        star_paid = star_paid or star_level is not None
-        return done, witness
+                        hit = par[g]
+            if closing:
+                charges += (1, ones), (len(closing), counts)
+                ones = 0
+            charges.append((1, [ones + k for k in tried] if last else ones))
+            if last or cap is None or not xs:
+                break
+            depth, n, edge = depth + 1, len(xs), 1 + len(closing)
+            cols[v] = xs
+        if witness is not None:  # the nodes up to it, and its ancestors
+            for k in reversed(range(len(pars))):
+                upto[k] = hit + 1
+                hit = pars[k][hit]
+        # a cut may leave no node at the depth of the scan: the next chunk pays it
+        star_paid = paid or star_at is not None and upto[star_at] > 0
+        charge(levels, pars, upto)
+        return done, witness, [] if last else xs
 
-    witness = search(0) if variables else conclude(0, [0], 1)
-    if witness is None:
-        return Verdict(True, None, "pruned", spent.used)
-    return Verdict(False, witness, "pruned", spent.used)
+    stack = []  # nodes searched on their own: [depth, cols, children, start, chunk size]
+
+    def node(depth, cols, edge):
+        _, found, children = frontier(depth, cols, 1, edge)
+        stack.append([depth, cols, children, 0, 1])
+        return found
+
+    witness = node(0, {}, 0)
+    while stack and witness is None:
+        entry = stack[-1]
+        depth, cols, children, start, size = entry
+        if start == len(children):
+            stack.pop()
+            continue
+        v, _, closing = plans[depth]
+        xs = children[start:start + size]
+        sub = {w: col * len(xs) for w, col in cols.items()}
+        sub[v] = xs
+        done, witness, _ = frontier(depth + 1, sub, len(xs), 1 + len(closing),
+                                    min(A.size ** 2, spent.limit - spent.used))
+        if not done:  # the first child's subtree alone is too wide
+            done, witness = 1, node(depth + 1, {**cols, v: xs[:1]}, 1 + len(closing))
+        entry[3:] = start + done, 2 * done
+    return Verdict(witness is None, witness, "pruned", spent.used)
 
 
 def admissible_in_free(q: QuasiIdentity, n: int | None, k_extra: int = 0) -> Verdict:

@@ -184,25 +184,28 @@ def to_text(t: Term, pretty: bool = False) -> str:
 
 
 def term_to_json(t: Term):
-    """The JSON tree of a term, built with an explicit stack."""
+    """The JSON tree of a term, built with an explicit stack of nodes and of
+    the tags of nodes whose operands are built; nodes are told apart by
+    their exact type, as in ``to_text``."""
     out: list = []
-    stack: list[tuple[Term, bool]] = [(t, False)]
+    stack: list = [t]
     while stack:
-        node, done = stack.pop()
-        if isinstance(node, (Zero, One)):
-            out.append(["zero"] if isinstance(node, Zero) else ["one"])
-        elif isinstance(node, Var):
-            out.append(["var", node.index])
-        elif isinstance(node, Star):
-            if done:
+        node = stack.pop()
+        kind = type(node)
+        if kind is str:
+            if node == "star":
                 out[-1] = ["star", out[-1]]
             else:
-                stack += ((node, True), (node.arg, False))
-        elif done:
-            right = out.pop()
-            out[-1] = ["meet" if isinstance(node, Meet) else "join", out[-1], right]
+                right = out.pop()
+                out[-1] = [node, out[-1], right]
+        elif kind is Var:
+            out.append(["var", node.index])
+        elif kind is Star:
+            stack += ("star", node.arg)
+        elif kind is Meet or kind is Join:
+            stack += ("meet" if kind is Meet else "join", node.right, node.left)
         else:
-            stack += ((node, True), (node.right, False), (node.left, False))
+            out.append(["zero"] if kind is Zero else ["one"])
     return out[0]
 
 
@@ -256,15 +259,16 @@ def vars_of(*terms: Term) -> tuple[int, ...]:
     """The variable indices occurring in any of the terms, ascending."""
     seen: set[int] = set()
     stack = list(terms)
+    pop = stack.pop
     while stack:
-        node = stack.pop()
-        if isinstance(node, Var):
+        node = pop()
+        kind = type(node)
+        if kind is Var:
             seen.add(node.index)
-        elif isinstance(node, Star):
+        elif kind is Star:
             stack.append(node.arg)
-        elif isinstance(node, (Meet, Join)):
-            stack.append(node.left)
-            stack.append(node.right)
+        elif kind is Meet or kind is Join:
+            stack += (node.left, node.right)
     return tuple(sorted(seen))
 
 
@@ -276,27 +280,26 @@ def max_var(*terms: Term) -> int:
 
 def compile_postfix(t: Term) -> tuple[tuple, ...]:
     """Flatten to postfix instructions; avoids recursion depth limits on the
-    wide joins normal forms produce."""
+    wide joins normal forms produce.  An explicit stack holds nodes and the
+    instructions of nodes whose operands come first; nodes are told apart
+    by their exact type, as in ``to_text``."""
     out: list[tuple] = []
-    stack: list[tuple[Term, bool]] = [(t, False)]
+    emit = out.append
+    stack: list = [t]
+    pop = stack.pop
     while stack:
-        node, done = stack.pop()
-        if isinstance(node, Zero):
-            out.append(("zero",))
-        elif isinstance(node, One):
-            out.append(("one",))
-        elif isinstance(node, Var):
-            out.append(("var", node.index))
-        elif done:
-            out.append(("star",) if isinstance(node, Star) else
-                       ("meet",) if isinstance(node, Meet) else ("join",))
-        elif isinstance(node, Star):
-            stack.append((node, True))
-            stack.append((node.arg, False))
+        node = pop()
+        kind = type(node)
+        if kind is tuple:
+            emit(node)
+        elif kind is Var:
+            emit(("var", node.index))
+        elif kind is Star:
+            stack += (("star",), node.arg)
+        elif kind is Meet or kind is Join:
+            stack += (("meet",) if kind is Meet else ("join",), node.right, node.left)
         else:
-            stack.append((node, True))
-            stack.append((node.right, False))
-            stack.append((node.left, False))
+            emit(("zero",) if kind is Zero else ("one",))
     return tuple(out)
 
 

@@ -6,11 +6,14 @@ that change.  Both must give the same verdict, witness and budget count (or
 the same budget error), and the new one must call ``leq`` no more often.
 """
 
+import ast
 import dataclasses
+import json
 import random
 import sys
 from bisect import bisect_right
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -28,7 +31,7 @@ from palgebra import (
     qb_quasi_identity,
     random_term,
 )
-from palgebra.cli import load_algebra
+from palgebra.cli import load_algebra, main
 from palgebra import decide
 from palgebra.decide import _Budget, _quasi_pruned, _quasi_vars
 
@@ -153,8 +156,10 @@ def generic_closing_quasi(rng):
 
 
 class SiteBudget(_Budget):
-    """A budget that notes the function and the step count of every charge
-    of more than one step that ran out."""
+    """A budget that notes where every charge of more than one step that ran
+    out was made: the charging function, and whether it charged a chunk of
+    the frontier (a search with a cap on its width) or a node searched on
+    its own."""
     sites: set = set()
 
     def spend(self, amount=1, times=1):
@@ -162,7 +167,9 @@ class SiteBudget(_Budget):
             super().spend(amount, times)
         except BudgetExceeded:
             if times > 1:
-                self.sites.add(sys._getframe(1).f_code.co_name)
+                site = sys._getframe(1)
+                chunk = site.f_back.f_locals.get("cap") is not None
+                self.sites.add((site.f_code.co_name, "chunk" if chunk else "node"))
             raise
 
 
@@ -187,7 +194,7 @@ def test_budget_errors_replay_at_every_crossing(spec, monkeypatch):
             want = outcome(ref_quasi_pruned, q, A)
             assert want.startswith("pruned search: ")
             assert outcome(_quasi_pruned, q, A) == want, (q, budget)
-    assert {"candidates", "conclude", "frontier"} <= SiteBudget.sites
+    assert {("charge", "node"), ("charge", "chunk")} <= SiteBudget.sites
 
 
 # ------------------------------------------------- the search as a frontier
@@ -260,7 +267,7 @@ def test_budget_errors_replay_in_chunks(spec, monkeypatch):
         for budget in sorted(budgets):
             monkeypatch.setattr(config, "DEFAULT", dataclasses.replace(ample, budget=budget))
             assert outcome(_quasi_pruned, q, A) == error_at(steps, budget), (q, budget)
-    assert "frontier" in SiteBudget.sites  # a chunk's sum crossed, then its replay
+    assert ("charge", "chunk") in SiteBudget.sites  # a chunk's sum crossed, then its walk
 
 
 class PairLeq(CountingLeq):
@@ -279,13 +286,24 @@ def test_qb3_fast_path_counts(monkeypatch):
     # the closed sides are evaluated as rows over the prefixes, not one
     # scalar evaluation per node (8,290 before); each bound row is built once
     calls = []
-    scalar = decide.eval_postfix
-    monkeypatch.setattr(decide, "eval_postfix", lambda *a: calls.append(a) or scalar(*a))
+    rows = decide._Rows.eval
+    monkeypatch.setattr(decide._Rows, "eval", lambda *a: calls.append(a) or rows(*a))
     A, q = PairLeq(ALGEBRAS["free:3,2"]), qb_quasi_identity(3)
     assert _quasi_pruned(q, A, (1, 2, 3)) == ref_quasi_pruned(q, ALGEBRAS["free:3,2"], (1, 2, 3))
     assert len(calls) <= A.size
     assert len(set(A.pairs)) == len(A.pairs)  # no order test is made twice
     assert set(Counter(c for _, c in A.pairs).values()) == {A.size}  # whole rows only
+
+
+def test_decide_evaluates_terms_only_as_rows():
+    # every search and sweep evaluates through ``_Rows``: no scalar
+    # evaluator of the term layer is imported into decide or named there
+    tree = ast.parse(Path(decide.__file__).read_text(encoding="utf-8"))
+    names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             for alias in node.names}
+    names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert "eval_postfix" not in names
 
 
 def widest_rows(monkeypatch):
@@ -327,6 +345,25 @@ def test_frontier_holds_no_more_prefixes_than_budget_units(monkeypatch):
     assert max(widths) <= 5000
 
 
+# x1 | (x2 & x2*) = 1 keeps values of x2 only where x1 = 1, and x3* = x2 pins
+# x3 to the star preimages of x2: a chunk cut short by the budget right after
+# x1 = 1 has no node at x3's depth, and leaves the scan for the preimages to
+# the next chunk, where the search one node at a time makes it
+LATE_STAR = QuasiIdentity((Equation(Join(Var(1), Meet(Var(2), Star(Var(2)))), ONE),
+                           Equation(Star(Var(3)), Var(2))),
+                          Equation(Join(Var(4), Var(3)), Var(4)))
+
+
+@pytest.mark.parametrize("spec", ["si:2", "si:3"])
+def test_a_cut_chunk_leaves_the_star_scan_to_the_next(spec, monkeypatch):
+    A, ample = ALGEBRAS[spec], config.DEFAULT
+    U = ref_quasi_pruned(LATE_STAR, A, (1, 2, 3, 4)).budget_used
+    for budget in range(1, U + 1):
+        monkeypatch.setattr(config, "DEFAULT", dataclasses.replace(ample, budget=budget))
+        assert outcome(_quasi_pruned, LATE_STAR, A) == outcome(ref_quasi_pruned, LATE_STAR, A), \
+            budget
+
+
 def test_wide_pools_are_rows_per_prefix(monkeypatch):
     # no premises over three variables: every pool is all of A, so each
     # (x1, x2) prefix gets its own row over A instead of a share of one
@@ -336,3 +373,44 @@ def test_wide_pools_are_rows_per_prefix(monkeypatch):
     v = _quasi_pruned(q, A, (1, 2, 3))
     assert v == ref_quasi_pruned(q, A, (1, 2, 3))
     assert max(widths) == A.size
+
+
+# ------------------------------------------------------- deep searches
+#
+# A search hundreds of variables deep keeps its nodes on a stack of its own,
+# not on the interpreter's: it ends in its verdict or its budget error, as
+# the reference does when it is given room to recurse.
+
+def qi_file(tmp_path, premises, conclusion):
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps({
+        "premises": [{"lhs": l, "rhs": r} for l, r in premises],
+        "conclusion": {"lhs": conclusion[0], "rhs": conclusion[1]}}))
+    return str(path)
+
+
+def test_a_deep_chain_of_pins_runs_out_of_budget(tmp_path, monkeypatch, capsys):
+    # x_j = x_{j-1}* for j = 2..700: one candidate per depth below x1, so
+    # the second chunk of x1's values crosses the budget 699 depths down
+    monkeypatch.delattr(config, "DEFAULT")  # read again on first use
+    monkeypatch.setenv("PALGEBRA_BUDGET", "3000")
+    path = qi_file(tmp_path, [(f"x{j}", f"x{j - 1}*") for j in range(2, 701)], ("x700", "x1"))
+    assert main(["qi", path, "--algebra", "si:1", "--strategy", "pruned"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert json.loads(out.err) == {"error": "budget-exceeded", "what": "pruned search",
+                                   "needed": 3001, "budget": 3000}
+
+
+def test_deep_unpinned_depths_find_their_witness(tmp_path, capsys):
+    # x_j & x_j = x_j filters nothing: every depth keeps all of chain:3, so
+    # each first child's subtree outgrows |A|^2 and is searched on its own
+    path = qi_file(tmp_path, [(f"x{j} & x{j}", f"x{j}") for j in range(1, 601)], ("x600", "x1"))
+    assert main(["qi", path, "--algebra", "chain:3", "--strategy", "pruned"]) == 1
+    out = capsys.readouterr()
+    assert out.err == ""
+    verdict = json.loads(out.out)
+    assert (verdict["holds"], verdict["method"], verdict["budgetUsed"]) == (False, "pruned", 3004)
+    valuation = verdict["witness"].pop("valuation")
+    assert valuation == {**{f"x{j}": 0 for j in range(1, 600)}, "x600": 1}
+    assert verdict["witness"] == {"conclusion": {"lhs": 1, "rhs": 0}}

@@ -119,15 +119,16 @@ def test_identity_sweeps_replay(monkeypatch):
 
 
 def test_the_last_variable_is_a_row(monkeypatch):
+    # one evaluation per side and valuation of the other variables
     calls = 0
-    real = decide.eval_postfix
+    real = decide._Rows.eval
 
     def counted(*args):
         nonlocal calls
         calls += 1
         return real(*args)
 
-    monkeypatch.setattr(decide, "eval_postfix", counted)
+    monkeypatch.setattr(decide._Rows, "eval", counted)
     q, A = qb_quasi_identity(2), ALGEBRAS["free:1,2"]
     variables = _quasi_vars(q)
     v = _quasi_exhaustive(q, A, variables)
