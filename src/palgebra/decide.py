@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import random
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, compress, repeat
 from operator import and_, eq
@@ -31,6 +30,7 @@ from .terms import (
     Term,
     Var,
     ZERO,
+    code_vars,
     compile_postfix,
     json_kind,
     max_var,
@@ -122,16 +122,15 @@ class Verdict:
 def check_identity(e: Equation, n: int | None = None,
                    want_witness: bool = False) -> Verdict:
     """Validity of lhs = rhs at level n (None: the whole variety)."""
-    k = max_var(e.lhs, e.rhs)
     try:
-        lhs, rhs = free_elements((e.lhs, e.rhs), n, k)
+        lhs, rhs = free_elements((e.lhs, e.rhs), n)
         if lhs == rhs:
             return Verdict(True, None, "normal-form", 0)
         if not want_witness:
             return Verdict(False, None, "normal-form", 0)
     except CapExceeded:
         pass  # index skeleton too large; decide on the generating algebra
-    witness, used = _sweep_equation(e, n, k)
+    witness, used = _sweep_equation(e, n, max_var(e.lhs, e.rhs))
     if witness is None:
         return Verdict(True, None, "exhaustive", used)
     return Verdict(False, witness, "exhaustive", used)
@@ -252,14 +251,21 @@ class _Rows:
                     stack[-1] = list(map(by(a), b)) if type(b) is list else both(a, b)
         return stack[-1]
 
-    def agree(self, pairs, val, v, xs):
-        """The candidates, in order, at which both sides of every pair agree."""
+    def agree(self, pairs, val, v, xs, par=()):
+        """The candidates, in order, at which both sides of every pair agree.
+        Where par (each candidate's prefix) is given, it and the rows of val,
+        all lined up with xs, are cut along with them, val in place."""
+        rows = [w for w, x in val.items() if type(x) is list] if par else ()
         for l, r in pairs:
             if not xs:
                 break
-            a, b = self.eval(l, val, v, xs), self.eval(r, val, v, xs)
-            xs = list(compress(xs, _agreeing(a, b, len(xs))))
-        return xs
+            ok = _agreeing(self.eval(l, val, v, xs), self.eval(r, val, v, xs), len(xs))
+            xs = list(compress(xs, ok))
+            if par:
+                par = list(compress(par, ok))
+                for w in rows:
+                    val[w] = list(compress(val[w], ok))
+        return xs, par
 
     def first_gap(self, l, r, val, v, xs):
         """(position, lhs, rhs) at the first candidate where l and r differ,
@@ -325,7 +331,7 @@ def _quasi_exhaustive(q, A, variables) -> Verdict:
     width = A.size if variables else 1
     for rank, tup in enumerate(itertools.product(range(A.size), repeat=len(head))):
         val = dict(zip(head, tup))
-        xs = ev.agree(prem, val, v, range(width))
+        xs, _ = ev.agree(prem, val, v, range(width))
         gap = ev.first_gap(ccl, ccr, val, v, xs)
         if gap is not None:
             i, a, b = gap
@@ -361,11 +367,14 @@ def _quasi_pruned(q, A, variables) -> Verdict:
     The root is a node searched on its own; its children are taken in
     chunks of 1, 2, 4, ... in order, and each chunk goes depth by depth over
     all of its live prefixes at once, every closed side one row over them,
-    every pool cut by mask ANDs, the closing filter and the conclusion rows
-    over the prefixes and their candidates.  Where the pools are wide (more
-    than ``_WIDE`` elements on average), a row over one pool already pays
-    for its evaluation, so each prefix keeps its values fixed and gets its
-    own row.  A chunk expands to at most |A|² prefixes at a depth, and to no
+    every pool cut by mask ANDs.  Then one row step runs over groups of
+    prefixes: where the pools are wide (more than ``_WIDE`` elements on
+    average), a row over one pool already pays for its evaluation, so each
+    live prefix is a group with its values fixed; where they are narrow, all
+    live prefixes are one group, their values rows over its candidates.  A
+    group's pools are flattened and filtered by the closing premises
+    (``_Rows.agree``), and at the last depth the conclusion is one row over
+    what is left.  A chunk expands to at most |A|² prefixes at a depth, and to no
     more than the budget has units left (each costs one at least); past
     that it keeps only its leading children, and a child whose subtree does
     not fit alone becomes a node searched on its own, its children chunked
@@ -383,8 +392,11 @@ def _quasi_pruned(q, A, variables) -> Verdict:
     """
     spent = _Budget(config.DEFAULT.budget, "pruned search")
     ev = _Rows(A)
-    prems = [(p, compile_postfix(p.lhs), compile_postfix(p.rhs), vars_of(p.lhs, p.rhs),
-              (max_var(p.lhs), max_var(p.rhs))) for p in q.premises]
+    prems = []
+    for p in q.premises:
+        cl, cr = compile_postfix(p.lhs), compile_postfix(p.rhs)
+        prems.append((p, cl, cr, code_vars(cl, cr),
+                      (max(code_vars(cl), default=0), max(code_vars(cr), default=0))))
     for _, cl, cr, vs, _ in prems:
         if not vs:  # ground premise: decide it once up front
             spent.spend()
@@ -515,56 +527,42 @@ def _quasi_pruned(q, A, variables) -> Verdict:
                 width = sum(counts)
             last = depth == len(plans) - 1
             live, xs, par = list(compress(range(len(counts)), counts)), [], []
+            nxt = {w: [] for w in cols}  # the next depth's columns
             if last:
                 unit, tried = 2 + len(closing), [0] * len(counts)
-            if width > _WIDE * len(live):
-                # wide pools: each prefix's own row, its values fixed
-                for i in live:
-                    fixed = {w: col[i] for w, col in cols.items()}
-                    got = ev.agree(closing, fixed, v, elements(pools[i]))
-                    if not last:
-                        xs += got
-                        par += repeat(i, len(got))
-                        continue
-                    gap = ev.first_gap(ccl, ccr, fixed, v, got)
-                    tried[i] = unit * (len(got) if gap is None else gap[0] + 1)
-                    if gap is not None:
-                        g, a, b = gap
-                        witness = _quasi_witness(
-                            variables, (*(fixed[w] for w in variables[:-1]), got[g]), a, b)
-                        hit = i
-                        break
+            # wide pools: a group per prefix, its values fixed; narrow: one group
+            for ids in [[i] for i in live] if width > _WIDE * len(live) else [live]:
+                got, of = [], []  # the group's candidates and their prefixes
+                for i in ids:
+                    got += elements(pools[i])
+                    of += repeat(i, counts[i])
+                val = {w: col[ids[0]] if len(ids) == 1 else list(map(col.__getitem__, of))
+                       for w, col in cols.items()}
+                got, of = ev.agree(closing, val, v, got, of)
                 if not last:
-                    cols = {w: list(map(col.__getitem__, par)) for w, col in cols.items()}
-            else:
-                # narrow pools: rows over all prefixes and their candidates
-                for i in live:
-                    got = elements(pools[i])
                     xs += got
-                    par += repeat(i, len(got))
-                cols = {w: list(map(col.__getitem__, par)) for w, col in cols.items()}
-                for l, r in closing:
-                    if not xs:
-                        break
-                    ok = _agreeing(ev.eval(l, cols, v, xs), ev.eval(r, cols, v, xs), len(xs))
-                    xs, par = list(compress(xs, ok)), list(compress(par, ok))
-                    cols = {w: list(compress(col, ok)) for w, col in cols.items()}
-                if last:
-                    gap = ev.first_gap(ccl, ccr, cols, v, xs)
-                    for i, k in Counter(par[:len(xs) if gap is None else gap[0] + 1]).items():
-                        tried[i] = unit * k
-                    if gap is not None:
-                        g, a, b = gap
-                        witness = _quasi_witness(
-                            variables, (*(cols[w][g] for w in variables[:-1]), xs[g]), a, b)
-                        hit = par[g]
+                    par += of
+                    for w, x in val.items():
+                        nxt[w] += x if type(x) is list else repeat(x, len(got))
+                    continue
+                gap = ev.first_gap(ccl, ccr, val, v, got)
+                end, lo = len(got) if gap is None else gap[0] + 1, 0
+                for i in ids:  # of ascends: each prefix's candidates up to the gap
+                    hi = bisect_right(of, i, lo, end)
+                    tried[i], lo = unit * (hi - lo), hi
+                if gap is not None:
+                    g, a, b = gap
+                    hit = of[g]
+                    witness = _quasi_witness(
+                        variables, (*(cols[w][hit] for w in variables[:-1]), got[g]), a, b)
+                    break
             if closing:
                 charges += (1, ones), (len(closing), counts)
                 ones = 0
             charges.append((1, [ones + k for k in tried] if last else ones))
             if last or cap is None or not xs:
                 break
-            depth, n, edge = depth + 1, len(xs), 1 + len(closing)
+            depth, n, edge, cols = depth + 1, len(xs), 1 + len(closing), nxt
             cols[v] = xs
         if witness is not None:  # the nodes up to it, and its ancestors
             for k in reversed(range(len(pars))):
@@ -573,7 +571,7 @@ def _quasi_pruned(q, A, variables) -> Verdict:
         # a cut may leave no node at the depth of the scan: the next chunk pays it
         star_paid = paid or star_at is not None and upto[star_at] > 0
         charge(levels, pars, upto)
-        return done, witness, [] if last else xs
+        return done, witness, xs
 
     stack = []  # nodes searched on their own: [depth, cols, children, start, chunk size]
 
@@ -732,10 +730,9 @@ def random_term(rng: random.Random, max_depth: int = 6, k: int = 3) -> Term:
 
 
 def _pair_report(t1: Term, t2: Term, n: int | None) -> dict:
-    k = max_var(t1, t2)
-    lhs, rhs = free_elements((t1, t2), n, k)
+    lhs, rhs = free_elements((t1, t2), n)
     nf_equal = lhs == rhs
-    witness, _ = _sweep_equation(Equation(t1, t2), n, k)
+    witness, _ = _sweep_equation(Equation(t1, t2), n, max_var(t1, t2))
     out = {
         "lhs": to_text(t1),
         "rhs": to_text(t2),

@@ -17,7 +17,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .algebras import UpsetAlgebra, UpsetMasks, build_si, is_isomorphic, product_many, quotient
 from . import config
@@ -35,11 +35,11 @@ from .terms import (
     Star,
     Term,
     atom_term,
+    code_vars,
     compile_postfix,
     eval_postfix,
     index_term,
     join_all,
-    max_var,
     to_text,
 )
 
@@ -189,9 +189,10 @@ class Skeleton(NamedTuple):
             t = self.terms[p] = self.indices[p].term()
         return t
 
-    def elements(self, terms: Iterable[Term]) -> list[int]:
+    def elements(self, codes: Iterable[Sequence[tuple]]) -> list[int]:
+        """The upset mask of each compiled term."""
         valuation = dict(enumerate(self.gen_masks, 1))
-        return [eval_postfix(compile_postfix(t), self.ops, valuation) for t in terms]
+        return [eval_postfix(code, self.ops, valuation) for code in codes]
 
 
 @lru_cache(maxsize=None)
@@ -257,10 +258,14 @@ def build_free(n: int | None, k: int) -> FreeAlgebra:
     return FreeAlgebra(n, k, skeleton, algebra)
 
 
-def free_elements(terms: Iterable[Term], n: int | None, k: int) -> list[int]:
-    """Each term's element of the level-n free algebra on k generators: an upset
-    mask of free_skeleton's index poset.  Terms are equal there iff masks are."""
-    return free_skeleton(n, k).elements(terms)
+def free_elements(terms: Iterable[Term], n: int | None, k: int | None = None) -> list[int]:
+    """Each term's element of the level-n free algebra on k generators (by
+    default the largest variable index among the terms): an upset mask of
+    free_skeleton's index poset.  Terms are equal there iff masks are."""
+    codes = [compile_postfix(t) for t in terms]
+    if k is None:
+        k = max(code_vars(*codes), default=0)
+    return free_skeleton(n, k).elements(codes)
 
 
 def normal_form(t: Term, n: int | None, k: int | None = None) -> Term:
@@ -268,9 +273,10 @@ def normal_form(t: Term, n: int | None, k: int | None = None) -> Term:
     terms at its minimal indices, the maximal join-irreducibles below t at
     level n.  Idempotent.  k widens the ambient variable set beyond max_var(t).
     """
-    k = max(max_var(t), 0 if k is None else k)
+    code = compile_postfix(t)
+    k = max(max(code_vars(code), default=0), 0 if k is None else k)
     skeleton = free_skeleton(n, k)
-    [mask] = skeleton.elements([t])
+    [mask] = skeleton.elements([code])
     # the indices are in sort_key order, so ascending positions list the
     # heads canonically; no head joins to ZERO
     heads = bit_indices(min_elements(skeleton.poset, mask))

@@ -324,30 +324,27 @@ def poset_isomorphic(P: Poset, Q: Poset) -> tuple[int, ...] | None:
 
     mapping = [-1] * P.n
     used = [False] * Q.n
-
-    def rec(pos: int) -> bool:
-        if pos == P.n:
-            return True
+    tried = [0] * P.n  # per position: how many of its candidates were tried
+    pos = 0  # positions are matched on an explicit stack, not by recursion
+    while 0 <= pos < P.n:
         i = order[pos]
-        for j in by_color.get(cp[i], ()):
-            if used[j]:
-                continue
-            ok = True
-            for i0 in order[:pos]:
-                j0 = mapping[i0]
-                if P.leq(i, i0) != Q.leq(j, j0) or P.leq(i0, i) != Q.leq(j0, j):
-                    ok = False
-                    break
-            if ok:
+        if mapping[i] >= 0:  # back from a dead end: free this position's match
+            used[mapping[i]] = False
+            mapping[i] = -1
+        cands = by_color.get(cp[i], ())
+        while tried[pos] < len(cands):
+            j = cands[tried[pos]]
+            tried[pos] += 1
+            if not used[j] and all(P.leq(i, i0) == Q.leq(j, mapping[i0]) and
+                                   P.leq(i0, i) == Q.leq(mapping[i0], j) for i0 in order[:pos]):
                 mapping[i] = j
                 used[j] = True
-                if rec(pos + 1):
-                    return True
-                mapping[i] = -1
-                used[j] = False
-        return False
-
-    return tuple(mapping) if rec(0) else None
+                pos += 1
+                break
+        else:
+            tried[pos] = 0
+            pos -= 1
+    return tuple(mapping) if pos == P.n else None
 
 
 def export_dot(P: Poset, labels: Sequence[str] | None = None, name: str = "poset") -> str:

@@ -184,28 +184,20 @@ def to_text(t: Term, pretty: bool = False) -> str:
 
 
 def term_to_json(t: Term):
-    """The JSON tree of a term, built with an explicit stack of nodes and of
-    the tags of nodes whose operands are built; nodes are told apart by
-    their exact type, as in ``to_text``."""
+    """The JSON tree of a term, folded from its postfix code, whose
+    instruction names are the JSON tags."""
     out: list = []
-    stack: list = [t]
-    while stack:
-        node = stack.pop()
-        kind = type(node)
-        if kind is str:
-            if node == "star":
-                out[-1] = ["star", out[-1]]
-            else:
-                right = out.pop()
-                out[-1] = [node, out[-1], right]
-        elif kind is Var:
-            out.append(["var", node.index])
-        elif kind is Star:
-            stack += ("star", node.arg)
-        elif kind is Meet or kind is Join:
-            stack += ("meet" if kind is Meet else "join", node.right, node.left)
+    for ins in compile_postfix(t):
+        op = ins[0]
+        if op == "var":
+            out.append(["var", ins[1]])
+        elif op == "star":
+            out[-1] = ["star", out[-1]]
+        elif op == "meet" or op == "join":
+            right = out.pop()
+            out[-1] = [op, out[-1], right]
         else:
-            out.append(["zero"] if kind is Zero else ["one"])
+            out.append([op])
     return out[0]
 
 
@@ -255,27 +247,19 @@ def term_from_json(doc) -> Term:
 
 # ---------------------------------------------------------------- evaluation
 
+def code_vars(*codes: Sequence[tuple]) -> tuple[int, ...]:
+    """The variable indices occurring in any of the compiled codes, ascending."""
+    return tuple(sorted({ins[1] for code in codes for ins in code if ins[0] == "var"}))
+
+
 def vars_of(*terms: Term) -> tuple[int, ...]:
     """The variable indices occurring in any of the terms, ascending."""
-    seen: set[int] = set()
-    stack = list(terms)
-    pop = stack.pop
-    while stack:
-        node = pop()
-        kind = type(node)
-        if kind is Var:
-            seen.add(node.index)
-        elif kind is Star:
-            stack.append(node.arg)
-        elif kind is Meet or kind is Join:
-            stack += (node.left, node.right)
-    return tuple(sorted(seen))
+    return code_vars(*map(compile_postfix, terms))
 
 
 def max_var(*terms: Term) -> int:
     """The largest variable index in any of the terms; 0 if there is none."""
-    vs = vars_of(*terms)
-    return vs[-1] if vs else 0
+    return max(vars_of(*terms), default=0)
 
 
 def compile_postfix(t: Term) -> tuple[tuple, ...]:

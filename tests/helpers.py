@@ -531,6 +531,108 @@ def ref_to_text(t, pretty=False):
     return walk(t)
 
 
+# terms.vars_of, max_var and term_to_json before they read compiled code,
+# copied unchanged: the replay oracles for the one walk of a term
+def ref_vars_of(*terms):
+    """The variable indices occurring in any of the terms, ascending."""
+    seen: set[int] = set()
+    stack = list(terms)
+    pop = stack.pop
+    while stack:
+        node = pop()
+        kind = type(node)
+        if kind is Var:
+            seen.add(node.index)
+        elif kind is Star:
+            stack.append(node.arg)
+        elif kind is Meet or kind is Join:
+            stack += (node.left, node.right)
+    return tuple(sorted(seen))
+
+
+def ref_max_var(*terms):
+    """The largest variable index in any of the terms; 0 if there is none."""
+    vs = ref_vars_of(*terms)
+    return vs[-1] if vs else 0
+
+
+def ref_term_to_json(t):
+    """The JSON tree of a term, built with an explicit stack of nodes and of
+    the tags of nodes whose operands are built; nodes are told apart by
+    their exact type, as in ``to_text``."""
+    out: list = []
+    stack: list = [t]
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is str:
+            if node == "star":
+                out[-1] = ["star", out[-1]]
+            else:
+                right = out.pop()
+                out[-1] = [node, out[-1], right]
+        elif kind is Var:
+            out.append(["var", node.index])
+        elif kind is Star:
+            stack += ("star", node.arg)
+        elif kind is Meet or kind is Join:
+            stack += ("meet" if kind is Meet else "join", node.right, node.left)
+        else:
+            out.append(["zero"] if kind is Zero else ["one"])
+    return out[0]
+
+
+# posets.poset_isomorphic before it matched positions on an explicit stack,
+# copied unchanged: the replay oracle for its mappings
+def ref_poset_isomorphic(P, Q):
+    """An order isomorphism P -> Q as an index tuple, or None.
+
+    Deterministic: vertices are matched in a canonical order derived from the
+    refined color profile, and candidates are tried by ascending index.
+    """
+    from palgebra.posets import _refined_colors
+
+    if P.n != Q.n:
+        return None
+    cp, cq = _refined_colors(P), _refined_colors(Q)
+    if sorted(cp) != sorted(cq):
+        return None
+    freq: dict[int, int] = {}
+    for c in cp:
+        freq[c] = freq.get(c, 0) + 1
+    order = sorted(range(P.n), key=lambda i: (freq[cp[i]], cp[i], i))
+    by_color: dict[int, list[int]] = {}
+    for j in range(Q.n):
+        by_color.setdefault(cq[j], []).append(j)
+
+    mapping = [-1] * P.n
+    used = [False] * Q.n
+
+    def rec(pos: int) -> bool:
+        if pos == P.n:
+            return True
+        i = order[pos]
+        for j in by_color.get(cp[i], ()):
+            if used[j]:
+                continue
+            ok = True
+            for i0 in order[:pos]:
+                j0 = mapping[i0]
+                if P.leq(i, i0) != Q.leq(j, j0) or P.leq(i0, i) != Q.leq(j0, j):
+                    ok = False
+                    break
+            if ok:
+                mapping[i] = j
+                used[j] = True
+                if rec(pos + 1):
+                    return True
+                mapping[i] = -1
+                used[j] = False
+        return False
+
+    return tuple(mapping) if rec(0) else None
+
+
 def ref_law_scan(A):
     """The element-by-element law scan ``algebras._law_scan`` replaced: the
     first witness of each failed law, cubic in |A| through the carrier's own

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +17,8 @@ from palgebra.posets import (
     poset_isomorphic,
     upset_closure,
 )
+
+from .helpers import ref_poset_isomorphic
 
 
 def chain(n):
@@ -192,6 +196,46 @@ class TestIsomorphism:
         for a in range(P.n):
             for b in range(P.n):
                 assert P.leq(a, b) == ((rows[f[a]] >> f[b]) & 1 == 1)
+
+    @given(random_posets(), random_posets(), st.randoms(use_true_random=False))
+    @settings(max_examples=60)
+    def test_mappings_replay_the_recursive_search(self, P, Q, rnd):
+        perm = list(range(P.n))
+        rnd.shuffle(perm)
+        rows = [0] * P.n
+        for i in range(P.n):
+            rows[perm[i]] = sum(1 << perm[j] for j in bit_indices(P.up[i]))
+        R = Poset(rows)
+        for X, Y in ((P, R), (R, P), (P, Q), (Q, P)):
+            assert poset_isomorphic(X, Y) == ref_poset_isomorphic(X, Y)
+
+    def test_crowns_replay_the_recursive_search(self):
+        # one 8-crown and two 4-crowns agree on every refined colour, so the
+        # search tells them apart only by backing out of its choices
+        def crowns(*sizes):
+            rows, base = [], 0
+            for m in sizes:  # m minimal points, each below two of m maximal ones
+                rows += [1 << base + i | 1 << base + m + i | 1 << base + m + (i + 1) % m
+                         for i in range(m)]
+                rows += [1 << base + m + i for i in range(m)]
+                base += 2 * m
+            return Poset(rows)
+
+        one, two = crowns(4), crowns(2, 2)
+        assert poset_isomorphic(one, two) is None is ref_poset_isomorphic(one, two)
+        for P in (one, two, crowns(3, 3), crowns(6)):
+            assert poset_isomorphic(P, P) == ref_poset_isomorphic(P, P) is not None
+
+    def test_deeper_than_the_recursion_limit(self):
+        # positions are matched on a stack of their own, not one Python
+        # frame each: a chain of more points than the limit allows frames
+        P, limit = chain(300), sys.getrecursionlimit()
+        sys.setrecursionlimit(200)
+        try:
+            f = poset_isomorphic(P, P)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert f == tuple(range(300))
 
 
 def test_export_dot_shape():

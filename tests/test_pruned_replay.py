@@ -375,6 +375,53 @@ def test_wide_pools_are_rows_per_prefix(monkeypatch):
     assert max(widths) == A.size
 
 
+# ------------------------------------------- one row step, grouped two ways
+#
+# Each depth runs one row step over groups of prefixes: a group per prefix
+# where the pools are wide, one group for all prefixes where they are
+# narrow.  The cases below replay it where both groupings meet in one
+# search, where the witness lies in a later group, and at every budget
+# crossing inside either kind of group; each is run with the groupings as
+# they fall and with every depth forced to one grouping or the other.
+
+# x2 pinned to x1* (narrow), x3 free over free:1,2 (wide), x4 pinned to
+# x3 & x2 (narrow); the conclusion fails at x1 = 1, x3 = 1
+MIXED = QuasiIdentity((Equation(Var(2), Star(Var(1))),
+                       Equation(Var(4), Meet(Var(3), Var(2)))),
+                      Equation(Var(4), Var(3)))
+
+# x2 filtered to the regular elements inside each wide group; the
+# conclusion holds for every x2 at x1 = 0 and x1 = 1 and fails at x1 = 2,
+# the second group of the chunk {1, 2}
+LATER_GROUP = QuasiIdentity((Equation(Star(Star(Var(2))), Var(2)),),
+                            Equation(Join(Join(Var(1), Star(Var(1))), Star(Var(2))), ONE))
+
+
+@pytest.mark.parametrize("wide", [0, decide._WIDE, 10 ** 9], ids=["all-wide", "as-is", "all-narrow"])
+def test_grouped_row_step_replays(wide, monkeypatch):
+    monkeypatch.setattr(decide, "_WIDE", wide)
+    A = ALGEBRAS["free:1,2"]
+    v = _quasi_pruned(MIXED, A, (1, 2, 3, 4))
+    assert v == ref_quasi_pruned(MIXED, A, (1, 2, 3, 4))
+    assert v.witness["valuation"] == {"x1": 1, "x2": 106, "x3": 1, "x4": 0}
+    v = _quasi_pruned(LATER_GROUP, A, (1, 2))
+    assert v == ref_quasi_pruned(LATER_GROUP, A, (1, 2))
+    assert v.witness["valuation"] == {"x1": 2, "x2": 6}
+
+
+@pytest.mark.parametrize("wide", [0, decide._WIDE, 10 ** 9], ids=["all-wide", "as-is", "all-narrow"])
+def test_grouped_row_step_budget_errors_replay(wide, monkeypatch):
+    # every charge of the reference is a crossing, inside the wide groups
+    # of x3 and the narrow ones of x2 and x4 alike
+    monkeypatch.setattr(decide, "_WIDE", wide)
+    A, ample = ALGEBRAS["free:1,2"], config.DEFAULT
+    for q in (MIXED, LATER_GROUP):
+        steps = charge_steps(q, A, monkeypatch)
+        for budget in sorted({used for used, amount, times in steps if amount * times}):
+            monkeypatch.setattr(config, "DEFAULT", dataclasses.replace(ample, budget=budget))
+            assert outcome(_quasi_pruned, q, A) == error_at(steps, budget), (q, budget)
+        monkeypatch.setattr(config, "DEFAULT", ample)
+
 # ------------------------------------------------------- deep searches
 #
 # A search hundreds of variables deep keeps its nodes on a stack of its own,

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +24,7 @@ from palgebra import (
     meet_all,
     parse,
     qb_system,
+    random_term,
     term_from_json,
     term_to_json,
     to_text,
@@ -29,7 +32,7 @@ from palgebra import (
 )
 from palgebra.errors import UnboundVariable
 from palgebra.terms import compile_postfix, eval_postfix
-from .helpers import ref_parse, ref_to_text
+from .helpers import ref_max_var, ref_parse, ref_term_to_json, ref_to_text, ref_vars_of
 
 
 def terms(max_depth=5, k=3):
@@ -270,3 +273,60 @@ class TestNoRecursion:
             nested = Star(Meet(nested, ONE))
         assert to_text(nested).startswith("(" * 5000)
         assert compile_postfix(parse(to_text(nested))) == compile_postfix(nested)
+
+
+def ground_term(rng, depth):
+    """Seeded random term without variables."""
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice((ZERO, ONE))
+    kind = rng.choice((Star, Meet, Join))
+    if kind is Star:
+        return Star(ground_term(rng, depth - 1))
+    return kind(ground_term(rng, depth - 1), ground_term(rng, depth - 1))
+
+
+def flat_json(doc):
+    """A JSON tree as a flat list of array lengths and leaves, read with an
+    explicit stack: == on trees this deep recurses."""
+    out, stack = [], [doc]
+    while stack:
+        node = stack.pop()
+        if type(node) is list:
+            out.append(len(node))
+            stack += reversed(node)
+        else:
+            out.append(node)
+    return out
+
+
+class TestOneWalk:
+    """vars_of, max_var and term_to_json read compiled code: the same
+    results as the tree walks they replaced, at any depth."""
+
+    def test_seeded_random_terms_replay(self):
+        rng = random.Random("one walk")
+        for _ in range(400):
+            t = random_term(rng, rng.randint(0, 7), rng.randint(1, 6))
+            g = ground_term(rng, 5)
+            for args in ((t,), (g,), (t, g), (g, t), (g, g), ()):
+                assert vars_of(*args) == ref_vars_of(*args)
+                assert max_var(*args) == ref_max_var(*args)
+            assert term_to_json(t) == ref_term_to_json(t)
+            assert term_to_json(g) == ref_term_to_json(g)
+
+    def test_100k_node_terms_replay(self):
+        # a left-deep join, a right-deep meet and a star tower
+        join = Var(1)
+        for i in range(50_000):
+            join = Join(join, Var(i % 9 + 1))
+        meet = ZERO
+        for i in range(50_000):
+            meet = Meet(Var(i % 5 + 2), meet)
+        tower = Var(3)
+        for _ in range(100_000):
+            tower = Star(tower)
+        for t in (join, meet, tower):
+            assert vars_of(t) == ref_vars_of(t)
+            assert max_var(t, ONE) == ref_max_var(t, ONE)
+            assert flat_json(term_to_json(t)) == flat_json(ref_term_to_json(t))
+        assert vars_of(join, meet, tower) == tuple(range(1, 10))
