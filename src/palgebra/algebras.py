@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from operator import itemgetter
+from functools import reduce
+from operator import and_, itemgetter, or_
 from typing import Iterator, Sequence, Union
 
 from . import config
@@ -24,6 +25,7 @@ from .posets import (
     enumerate_upsets,
     inclusion_order,
     join_irreducible_points,
+    point_columns,
     poset_isomorphic,
 )
 
@@ -108,9 +110,12 @@ class UpsetMasks:
 
 class UpsetAlgebra:
     """The p-algebra of all upsets of a base poset: the masks of
-    ``UpsetMasks(base)``, numbered."""
+    ``UpsetMasks(base)``, numbered.  Order rows and star classes are read
+    off the base points' columns (``point_columns`` of the elements), built
+    once when first asked for and kept."""
 
-    __slots__ = ("base", "masks", "elements", "index", "size", "zero", "one", "labels", "_star")
+    __slots__ = ("base", "masks", "elements", "index", "size", "zero", "one", "labels",
+                 "_star", "_columns", "_star_classes", "_star_masks")
 
     def __init__(self, base: Poset, labels: Sequence[str] | None = None):
         self.base = base
@@ -122,6 +127,7 @@ class UpsetAlgebra:
         self.one = self.index[self.masks.one]
         self.labels = tuple(labels) if labels is not None else None
         self._star: list[int | None] = [None] * self.size
+        self._columns = self._star_classes = self._star_masks = None
 
     def mask(self, i: int) -> int:
         return self.elements[i]
@@ -141,6 +147,48 @@ class UpsetAlgebra:
 
     def leq(self, i: int, j: int) -> bool:
         return not (self.elements[i] & ~self.elements[j])
+
+    def columns(self) -> list[int]:
+        """Per base point, the mask of the elements that hold it."""
+        if self._columns is None:
+            self._columns = point_columns(self.elements, self.base.n)
+        return self._columns
+
+    def up_row(self, i: int) -> int:
+        """The mask of the elements above i: those holding every point of i."""
+        return reduce(and_, map(self.columns().__getitem__, bit_indices(self.elements[i])),
+                      (1 << self.size) - 1)
+
+    def down_row(self, i: int) -> int:
+        """The mask of the elements below i: those holding no point outside i."""
+        outside = bit_indices(self.masks.one & ~self.elements[i])
+        return (1 << self.size) - 1 & ~reduce(or_, map(self.columns().__getitem__, outside), 0)
+
+    def star_classes(self) -> dict[int, int]:
+        """{s: the mask of the elements whose star is s}.  An upset's star
+        is fixed by the maximal base points it holds, and distinct sets of
+        them give distinct stars (each set is the maximal points of its
+        down-closure), so the classes are the elements split along the
+        columns of those points, at one star per class."""
+        if self._star_classes is None:
+            columns, classes = self.columns(), [(1 << self.size) - 1]
+            for t in bit_indices(self.masks.tops):
+                col = columns[t]
+                classes = [c for part in classes for c in (part & col, part & ~col) if c]
+            self._star_classes = {
+                self.index[self.masks.star(self.elements[c.bit_length() - 1])]: c
+                for c in classes}
+        return self._star_classes
+
+    def star_masks(self) -> dict[int, int]:
+        """{element mask: the mask of its star}, over every element."""
+        if self._star_masks is None:
+            elements, tops = self.elements, self.masks.tops
+            # a class's star, by the maximal points its members hold
+            star_of = {elements[c.bit_length() - 1] & tops: elements[s]
+                       for s, c in self.star_classes().items()}
+            self._star_masks = {m: star_of[m & tops] for m in elements}
+        return self._star_masks
 
     def __repr__(self) -> str:
         return f"UpsetAlgebra(base={self.base.n}, size={self.size})"

@@ -100,7 +100,8 @@ def cmd_free(args) -> int:
     out = {"n": "omega" if n is None else n, "k": args.k,
            "jCount": shown(count_jirr_or_text(n, args.k))}
     if args.export or not args.count_only:
-        indices, poset, _, _, _ = free_skeleton(n, args.k)
+        skeleton = free_skeleton(n, args.k)
+        indices, poset = skeleton.indices, skeleton.poset
         if args.export:
             dot = export_dot(poset, labels=[str(j.to_json_dict()) for j in indices])
             if args.export == "-":

@@ -20,7 +20,7 @@ from operator import and_, eq
 from .algebras import PAlgebra, TableAlgebra, build_chain, build_si, is_isomorphic, tabulate
 from . import config
 from .errors import BudgetExceeded, CapExceeded
-from .free import build_free, free_elements
+from .free import FreeAlgebra, build_free, free_elements
 from .posets import bit_indices
 from .terms import (
     Join,
@@ -33,7 +33,6 @@ from .terms import (
     code_vars,
     compile_postfix,
     json_kind,
-    max_var,
     parse,
     qb_system,
     term_from_json,
@@ -122,23 +121,26 @@ class Verdict:
 def check_identity(e: Equation, n: int | None = None,
                    want_witness: bool = False) -> Verdict:
     """Validity of lhs = rhs at level n (None: the whole variety)."""
+    codes = (compile_postfix(e.lhs), compile_postfix(e.rhs))
+    k = max(code_vars(*codes), default=0)
     try:
-        lhs, rhs = free_elements((e.lhs, e.rhs), n)
+        lhs, rhs = free_elements(codes, n, k)
         if lhs == rhs:
             return Verdict(True, None, "normal-form", 0)
         if not want_witness:
             return Verdict(False, None, "normal-form", 0)
     except CapExceeded:
         pass  # index skeleton too large; decide on the generating algebra
-    witness, used = _sweep_equation(e, n, max_var(e.lhs, e.rhs))
+    witness, used = _sweep_equation(e, n, k, codes)
     if witness is None:
         return Verdict(True, None, "exhaustive", used)
     return Verdict(False, witness, "exhaustive", used)
 
 
-def _sweep_equation(e: Equation, n: int | None, k: int):
+def _sweep_equation(e: Equation, n: int | None, k: int, codes=None):
     """First counter-valuation of lhs = rhs over the level-n generator (2^k at
-    None), in canonical valuation order; None if the identity holds there."""
+    None), in canonical valuation order; None if the identity holds there.
+    codes are the sides compiled, where the caller has them."""
     budget, n_eff = config.DEFAULT.budget, ((1 << k) if n is None else n)
     # the count has exactly k * n_eff + 1 bits while k < 2^(n_eff - 1), as at
     # level omega; from 2^14285 > 10^4300 on it is shown as text, not built
@@ -148,7 +150,7 @@ def _sweep_equation(e: Equation, n: int | None, k: int):
     if total > budget:  # before build_si, whose size cap would fire first
         raise BudgetExceeded("valuation sweep", total, budget)
     v = _quasi_exhaustive(QuasiIdentity((), e), build_si(n_eff),
-                          tuple(range(1, k + 1)))
+                          tuple(range(1, k + 1)), [codes] if codes else None)
     if v.holds:
         return None, v.budget_used
     witness = {"algebra": f"si:{n_eff}", "valuation": v.witness["valuation"],
@@ -210,9 +212,7 @@ class _Rows:
             self.elem, self.index = A.elements, A.index
             self.ops = {"meet": (int.__and__, lambda c: c.__and__),
                         "join": (int.__or__, lambda c: c.__or__)}
-            stars: dict[int, int] = {}
-            self.star = lambda m: stars[m] if m in stars else stars.setdefault(
-                m, A.elements[A.star(A.index[m])])
+            self.star = A.star_masks().__getitem__
         else:
             self.elem = self.index = range(A.size)
             self.ops = {op: (f, lambda c, f=f: lambda x: f(c, x))
@@ -302,10 +302,17 @@ def check_quasi_identity(q: QuasiIdentity, A: PAlgebra,
     """Evaluate premises => conclusion over all valuations into A."""
     if strategy not in ("exhaustive", "pruned"):
         raise ValueError(f"unknown strategy: {strategy!r}")
-    variables = _quasi_vars(q)
+    sides = _compiled(q)
+    variables = code_vars(*(code for pair in sides for code in pair))
     if strategy == "exhaustive":
-        return _quasi_exhaustive(q, A, variables)
-    return _quasi_pruned(q, A, variables)
+        return _quasi_exhaustive(q, A, variables, sides)
+    return _quasi_pruned(q, A, variables, sides)
+
+
+def _compiled(q: QuasiIdentity) -> list[tuple]:
+    """Each premise's sides and then the conclusion's, compiled, as pairs."""
+    return [(compile_postfix(e.lhs), compile_postfix(e.rhs))
+            for e in (*q.premises, q.conclusion)]
 
 
 def _quasi_vars(q: QuasiIdentity) -> tuple[int, ...]:
@@ -318,15 +325,15 @@ def _strategy(size: int, nvars: int) -> str:
     return "exhaustive" if size ** nvars <= config.DEFAULT.budget else "pruned"
 
 
-def _quasi_exhaustive(q, A, variables) -> Verdict:
+def _quasi_exhaustive(q, A, variables, sides=None) -> Verdict:
     """Sweep the valuations in canonical order, the last variable as a row;
-    a ground quasi-identity sweeps the one empty valuation."""
+    a ground quasi-identity sweeps the one empty valuation.  sides is
+    ``_compiled(q)``, where the caller has it."""
     total, budget = A.size ** len(variables), config.DEFAULT.budget
     if total > budget:
         raise BudgetExceeded("valuation sweep", total, budget)
     ev = _Rows(A)
-    prem = [(compile_postfix(p.lhs), compile_postfix(p.rhs)) for p in q.premises]
-    ccl, ccr = compile_postfix(q.conclusion.lhs), compile_postfix(q.conclusion.rhs)
+    *prem, (ccl, ccr) = sides or _compiled(q)
     *head, v = variables or (0,)
     width = A.size if variables else 1
     for rank, tup in enumerate(itertools.product(range(A.size), repeat=len(head))):
@@ -347,7 +354,7 @@ def _quasi_witness(variables, tup, a, b) -> dict:
     }
 
 
-def _quasi_pruned(q, A, variables) -> Verdict:
+def _quasi_pruned(q, A, variables, sides=None) -> Verdict:
     """Backtracking in ascending variable order, planned once per depth and
     run as a frontier of nodes, a node being a prefix of values.
 
@@ -360,9 +367,12 @@ def _quasi_pruned(q, A, variables) -> Verdict:
     the last depth the conclusion is one row over the pool.  A pool is an
     element mask, cut by one AND per side: a var pin by c's bit, a star pin
     by c's star preimages, a bound by c's row, kept per search under
-    (direction, c) and built with |A| ``leq`` calls when first needed.  A
-    pool of at most one element (a bare-variable pin bounds its own side
-    too) is bounded by at most one ``leq`` call and builds no row.
+    (direction, c) and built when first needed.  An upset carrier answers
+    both from its base points' columns (``star_classes``, ``down_row`` and
+    ``up_row``); any other carrier scans: one ``A.star`` per element for
+    the preimages, |A| ``leq`` calls per row.  A pool of at most one
+    element (a bare-variable pin bounds its own side too) is bounded by at
+    most one ``leq`` call and builds no row.
 
     The root is a node searched on its own; its children are taken in
     chunks of 1, 2, 4, ... in order, and each chunk goes depth by depth over
@@ -392,17 +402,15 @@ def _quasi_pruned(q, A, variables) -> Verdict:
     """
     spent = _Budget(config.DEFAULT.budget, "pruned search")
     ev = _Rows(A)
-    prems = []
-    for p in q.premises:
-        cl, cr = compile_postfix(p.lhs), compile_postfix(p.rhs)
-        prems.append((p, cl, cr, code_vars(cl, cr),
-                      (max(code_vars(cl), default=0), max(code_vars(cr), default=0))))
+    *pairs, (ccl, ccr) = sides or _compiled(q)
+    prems = [(p, cl, cr, code_vars(cl, cr),
+              (max(code_vars(cl), default=0), max(code_vars(cr), default=0)))
+             for p, (cl, cr) in zip(q.premises, pairs)]
     for _, cl, cr, vs, _ in prems:
         if not vs:  # ground premise: decide it once up front
             spent.spend()
             if ev.eval(cl, {}) != ev.eval(cr, {}):
                 return Verdict(True, None, "pruned", spent.used)
-    ccl, ccr = compile_postfix(q.conclusion.lhs), compile_postfix(q.conclusion.rhs)
     if not variables:
         spent.spend()
         gap = ev.first_gap(ccl, ccr, {}, None, [0])
@@ -428,8 +436,15 @@ def _quasi_pruned(q, A, variables) -> Verdict:
     leq, full = A.leq, (1 << A.size) - 1
     rows: dict[str, dict[int, int]] = {"below": {}, "above": {}}  # c -> mask of x below/above c
     star_pre: dict[int, int] = {}  # star value -> mask of its preimages
-    if any(pin == "star" for _, sides, _ in plans for _, pin, _ in sides):
-        for x in range(A.size):
+    pins_stars = any(pin == "star" for _, sides, _ in plans for _, pin, _ in sides)
+    if hasattr(A, "star_classes"):  # an upset carrier: off its base points' columns
+        row_of = {"below": A.down_row, "above": A.up_row}
+        if pins_stars:
+            star_pre = A.star_classes()
+    else:
+        row_of = {"below": lambda c: sum(1 << x for x in range(A.size) if leq(x, c)),
+                  "above": lambda c: sum(1 << x for x in range(A.size) if leq(c, x))}
+        for x in range(A.size) if pins_stars else ():
             s = A.star(x)
             star_pre[s] = star_pre.get(s, 0) | 1 << x
     star_paid = False  # the scan for the star preimages is charged once
@@ -442,8 +457,7 @@ def _quasi_pruned(q, A, variables) -> Verdict:
         if pool & (pool - 1) == 0:  # one element: test it, build no row
             x = pool.bit_length() - 1
             return pool if (leq(x, c) if bound == "below" else leq(c, x)) else 0
-        row = rows[bound][c] = sum(1 << x for x in range(A.size)
-                                   if (leq(x, c) if bound == "below" else leq(c, x)))
+        row = rows[bound][c] = row_of[bound](c)
         return pool & row
 
     def elements(p):
@@ -608,11 +622,18 @@ def admissible_in_free(q: QuasiIdentity, n: int | None, k_extra: int = 0) -> Ver
     k_want = max(1, (variables[-1] if variables else 1) + k_extra)
     for k_try in range(k_want, 0, -1):
         try:
-            F = build_free(n, k_try)
-        except CapExceeded:
+            return _check_in_free(q, n, k_try, len(variables))[1]
+        except CapExceeded:  # from build_free: the algebra is over a cap
             continue
-        return check_quasi_identity(q, F.algebra, _strategy(F.size, len(variables)))
     raise CapExceeded("free algebra rank", k_want, 0)
+
+
+def _check_in_free(q: QuasiIdentity, n: int | None, k: int,
+                   nvars: int) -> tuple[FreeAlgebra, Verdict]:
+    """free:n,k and q checked in it (nvars variables): exhaustive when the
+    sweep fits the budget, pruned otherwise."""
+    F = build_free(n, k)
+    return F, check_quasi_identity(q, F.algebra, _strategy(F.size, nvars))
 
 
 # ----------------------------------------------- structural (in)completeness
@@ -690,10 +711,9 @@ def structural_completeness_report(n: int) -> dict:
             "witnesses": witnesses,
         }
     q = qb_quasi_identity(3)
-    admissible = []
+    admissible, nvars = [], len(_quasi_vars(q))
     for k in (1, 2):
-        F = build_free(n, k)
-        v = check_quasi_identity(q, F.algebra, _strategy(F.size, len(_quasi_vars(q))))
+        F, v = _check_in_free(q, n, k, nvars)
         admissible.append({"algebra": f"free:{n},{k}", "size": F.size,
                            "verdict": v.to_json_dict()})
     refuted = check_quasi_identity(q, build_si(3), "exhaustive")
@@ -730,9 +750,11 @@ def random_term(rng: random.Random, max_depth: int = 6, k: int = 3) -> Term:
 
 
 def _pair_report(t1: Term, t2: Term, n: int | None) -> dict:
-    lhs, rhs = free_elements((t1, t2), n)
+    codes = (compile_postfix(t1), compile_postfix(t2))
+    k = max(code_vars(*codes), default=0)
+    lhs, rhs = free_elements(codes, n, k)
     nf_equal = lhs == rhs
-    witness, _ = _sweep_equation(Equation(t1, t2), n, max_var(t1, t2))
+    witness, _ = _sweep_equation(Equation(t1, t2), n, k, codes)
     out = {
         "lhs": to_text(t1),
         "rhs": to_text(t2),

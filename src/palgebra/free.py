@@ -181,6 +181,7 @@ class Skeleton(NamedTuple):
     ops: UpsetMasks  # the free algebra, as upset masks of the poset
     gen_masks: tuple[int, ...]  # x_i as the mask of the indices whose L holds i
     terms: list[Term | None]  # index terms, filled in by term() on first use
+    carrier: list[UpsetAlgebra | None]  # [the free algebra], filled in by algebra()
 
     def term(self, p: int) -> Term:
         """The index term of indices[p], built once and then shared."""
@@ -188,6 +189,15 @@ class Skeleton(NamedTuple):
         if t is None:
             t = self.terms[p] = self.indices[p].term()
         return t
+
+    def algebra(self) -> UpsetAlgebra:
+        """The free algebra, labelled by the index terms, built once and then
+        shared (``build_free`` checks the element cap before reading it)."""
+        A = self.carrier[0]
+        if A is None:
+            labels = [to_text(self.term(p)) for p in range(len(self.indices))]
+            A = self.carrier[0] = UpsetAlgebra(self.poset, labels=labels)
+        return A
 
     def elements(self, codes: Iterable[Sequence[tuple]]) -> list[int]:
         """The upset mask of each compiled term."""
@@ -203,7 +213,7 @@ def _skeleton(n_key: int | None, k: int) -> Skeleton:
     poset = inclusion_order([(every & ~sum(1 << T for T in j.tees)) << k | j.ell for j in indices])
     gen_masks = tuple(sum(1 << p for p, j in enumerate(indices) if (j.ell >> i) & 1)
                       for i in range(k))
-    return Skeleton(indices, poset, UpsetMasks(poset), gen_masks, [None] * len(indices))
+    return Skeleton(indices, poset, UpsetMasks(poset), gen_masks, [None] * len(indices), [None])
 
 
 def count_jirr_or_text(n: int | None, k: int) -> int | str:
@@ -234,7 +244,8 @@ class FreeAlgebra:
     def __init__(self, n, k, skeleton: Skeleton, algebra):
         self.n = n
         self.k = k
-        self.indices, self.poset, _, self.gen_masks, _ = skeleton
+        self.indices, self.poset = skeleton.indices, skeleton.poset
+        self.gen_masks = skeleton.gen_masks
         self.algebra = algebra
         self.gens = tuple(algebra.index[m] for m in self.gen_masks)
 
@@ -252,17 +263,23 @@ class FreeAlgebra:
 
 
 def build_free(n: int | None, k: int) -> FreeAlgebra:
+    """The level-n free algebra on k generators; its carrier is the
+    skeleton's, built once per skeleton."""
     skeleton = free_skeleton(n, k)
-    labels = [to_text(skeleton.term(p)) for p in range(len(skeleton.indices))]
-    algebra = UpsetAlgebra(skeleton.poset, labels=labels)
-    return FreeAlgebra(n, k, skeleton, algebra)
+    built, cap = skeleton.carrier[0], config.DEFAULT.element_cap
+    # outside the cache, so a lowered cap still fires, with the cold build's text
+    if built is not None and built.size > cap:
+        raise CapExceeded("upset count", cap + 1, cap)
+    return FreeAlgebra(n, k, skeleton, skeleton.algebra())
 
 
 def free_elements(terms: Iterable[Term], n: int | None, k: int | None = None) -> list[int]:
     """Each term's element of the level-n free algebra on k generators (by
     default the largest variable index among the terms): an upset mask of
-    free_skeleton's index poset.  Terms are equal there iff masks are."""
-    codes = [compile_postfix(t) for t in terms]
+    free_skeleton's index poset.  Terms are equal there iff masks are.  A
+    term may come compiled (``compile_postfix``'s tuple), as checks that
+    evaluate it again pass it."""
+    codes = [t if type(t) is tuple else compile_postfix(t) for t in terms]
     if k is None:
         k = max(code_vars(*codes), default=0)
     return free_skeleton(n, k).elements(codes)
@@ -350,7 +367,8 @@ def h3_poset(n: int | None, k: int):
     atom's subset belongs to the family) and the 1-class order (the index
     poset itself).  The identity is a pp-morphism from the first onto the
     second."""
-    indices, by_one, _, _, _ = free_skeleton(n, k)
+    skeleton = free_skeleton(n, k)
+    indices, by_one = skeleton.indices, skeleton.poset
     atom_at = {j.tees[0]: p for p, j in enumerate(indices) if j.is_atom}
     rows = [1 << p | (0 if j.is_atom else sum(1 << atom_at[T] for T in j.tees))
             for p, j in enumerate(indices)]

@@ -137,25 +137,45 @@ def _capped(n: int, cap: int | None = None) -> int:
 _DIGITS = [bytes(48 + ((v >> t) & 1) for v in range(256)) for t in range(8)]
 
 
+def _byte_table(masks: Sequence[int], npoints: int) -> tuple[bytes, int]:
+    """The masks as little-endian byte strings of one width, end to end."""
+    nbytes = (npoints + 7) // 8
+    return b"".join([m.to_bytes(nbytes, "little") for m in masks]), nbytes
+
+
+def _columns(table: bytes, nbytes: int) -> list[int]:
+    """``point_columns`` of a byte table, 8 points per byte position: the
+    masks holding each bit are read off the column of bytes in C, as
+    binary digits."""
+    columns = []
+    for q in range(nbytes):
+        backwards = table[q::nbytes][::-1]  # digit j from the right is mask j's
+        columns += [int(backwards.translate(digits) or b"0", 2) for digits in _DIGITS]
+    return columns
+
+
+def point_columns(masks: Sequence[int], npoints: int) -> list[int]:
+    """Per point p < npoints, the mask of the indices i whose masks[i] holds
+    p; every mask must lie below 2^npoints."""
+    return _columns(*_byte_table(masks, npoints))[:npoints]
+
+
 def inclusion_order(masks: Sequence[int]) -> Poset:
     """Distinct nonnegative masks ordered by inclusion: ``up[i]`` holds every
     j whose mask contains mask i, ``down[i]`` every j whose mask it contains.
 
-    The masks are cut into bytes.  At each byte position, the masks that
-    hold each of its 8 bits are read off the column of bytes in C, as
-    binary digits; the up and down rows of each byte value that occurs
-    there are built once and ANDed into every row: O(n * bits / 8) row
-    operations."""
+    At each byte position of the masks, the up and down rows of each byte
+    value that occurs there are built once from the point columns of its 8
+    bits and ANDed into every row: O(n * bits / 8) row operations."""
     n = len(masks)
-    nbytes = (max((m.bit_length() for m in masks), default=0) + 7) // 8
+    table, nbytes = _byte_table(masks, max((m.bit_length() for m in masks), default=0))
+    columns = _columns(table, nbytes)
     every = (1 << n) - 1
-    table = b"".join([m.to_bytes(nbytes, "little") for m in masks])
     up = [every] * n  # the empty mask is below everything
     down = [every] * n  # and the full one above everything
     for q in range(nbytes):
         column = table[q::nbytes]
-        backwards = column[::-1]  # digit j from the right is mask j's
-        holding = [int(backwards.translate(digits), 2) for digits in _DIGITS]
+        holding = columns[8 * q:8 * q + 8]
         up_of, down_of = {}, {}
         for v in set(column):
             row_up = row_down = every

@@ -676,7 +676,9 @@ def ref_law_scan(A):
 
 # decide._quasi_exhaustive before it evaluated the last variable as a row,
 # copied unchanged: the replay oracle for the row sweep
-def ref_quasi_exhaustive(q, A, variables) -> Verdict:
+def ref_quasi_exhaustive(q, A, variables, sides=None) -> Verdict:
+    # sides (the compiled sides ``decide`` passes along) is not read: the
+    # reference compiles its own
     total, budget = A.size ** len(variables), config.DEFAULT.budget
     if total > budget:
         raise BudgetExceeded("valuation sweep", total, budget)

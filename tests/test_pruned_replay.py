@@ -31,6 +31,7 @@ from palgebra import (
     qb_quasi_identity,
     random_term,
 )
+from palgebra.algebras import to_table
 from palgebra.cli import load_algebra, main
 from palgebra import decide
 from palgebra.decide import _Budget, _quasi_pruned, _quasi_vars
@@ -284,14 +285,20 @@ class PairLeq(CountingLeq):
 
 def test_qb3_fast_path_counts(monkeypatch):
     # the closed sides are evaluated as rows over the prefixes, not one
-    # scalar evaluation per node (8,290 before); each bound row is built once
+    # scalar evaluation per node (8,290 before); an upset carrier reads its
+    # bound rows off its point columns, with no leq call (10,000 before)
     calls = []
     rows = decide._Rows.eval
     monkeypatch.setattr(decide._Rows, "eval", lambda *a: calls.append(a) or rows(*a))
     A, q = PairLeq(ALGEBRAS["free:3,2"]), qb_quasi_identity(3)
     assert _quasi_pruned(q, A, (1, 2, 3)) == ref_quasi_pruned(q, ALGEBRAS["free:3,2"], (1, 2, 3))
     assert len(calls) <= A.size
-    assert len(set(A.pairs)) == len(A.pairs)  # no order test is made twice
+    assert A.pairs == []
+    # any other carrier builds each bound row once, with |A| leq calls
+    T = to_table(ALGEBRAS["free:1,2"])
+    A = PairLeq(T)
+    assert _quasi_pruned(q, A, (1, 2, 3)) == ref_quasi_pruned(q, T, (1, 2, 3))
+    assert A.pairs and len(set(A.pairs)) == len(A.pairs)  # no order test is made twice
     assert set(Counter(c for _, c in A.pairs).values()) == {A.size}  # whole rows only
 
 

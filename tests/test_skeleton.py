@@ -1,16 +1,24 @@
 """The index layer as one object per level and rank: ``free.Skeleton``."""
 
+import dataclasses
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import palgebra
 from palgebra import (
+    CapExceeded,
     JIndex,
     Join,
     Meet,
     Star,
     atom_term,
     build_free,
+    config,
     enumerate_jindices,
     free,
     free_elements,
@@ -22,6 +30,8 @@ from palgebra import (
     random_term,
     to_text,
 )
+from palgebra.cli import main
+
 from .helpers import ref_gen_masks, ref_normal_form, ref_to_text
 from .test_upset_masks import TERMS_34
 
@@ -122,6 +132,52 @@ def test_normal_forms_and_labels_read_the_skeleton_terms():
     F = build_free(2, 2)
     assert None not in skeleton.terms  # filled by build_free's labels
     assert F.algebra.labels == tuple(map(to_text, skeleton.terms))
+
+
+def test_one_free_algebra_per_skeleton():
+    # levels 4, 5 and 6 over two variables share the saturated skeleton
+    free._skeleton.cache_clear()
+    A = build_free(4, 2).algebra
+    assert build_free(6, 2).algebra is A
+    assert build_free(5, 2).algebra is A
+    assert free_skeleton(4, 2).carrier == [A]
+    assert build_free(3, 2).algebra is not A  # a skeleton of its own
+    free._skeleton.cache_clear()  # and the algebra goes with the skeleton
+    assert free_skeleton(4, 2).carrier == [None]
+    B = build_free(4, 2).algebra
+    assert B is not A and B.elements == A.elements and B.labels == A.labels
+
+
+def test_a_lowered_element_cap_fires_on_a_cached_algebra(monkeypatch):
+    # free:3,2 has 625 elements; a cap below that is checked on each call,
+    # outside the cache, with the text of the build that passes it
+    free._skeleton.cache_clear()
+    A = build_free(3, 2).algebra
+    monkeypatch.setattr(config, "DEFAULT", dataclasses.replace(config.DEFAULT, element_cap=600))
+    with pytest.raises(CapExceeded) as warm:
+        build_free(3, 2)
+    free._skeleton.cache_clear()
+    with pytest.raises(CapExceeded) as cold:
+        build_free(3, 2)
+    assert str(warm.value) == str(cold.value) == "upset count: 601 exceeds cap 600"
+    assert (warm.value.count, warm.value.cap) == (cold.value.count, cold.value.cap)
+    monkeypatch.undo()
+    assert build_free(3, 2).algebra.elements == A.elements
+
+
+def test_a_report_after_another_prints_the_bytes_it_prints_alone(capsys):
+    # report 5 reads the free algebras report 4 built; run alone, in a
+    # fresh process, it builds them itself
+    src = str(Path(palgebra.__file__).parents[1])
+    alone = subprocess.run([sys.executable, "-m", "palgebra", "report", "5"],
+                           capture_output=True, env={**os.environ, "PYTHONPATH": src},
+                           timeout=120)
+    assert alone.returncode == 0, alone.stderr
+    free._skeleton.cache_clear()
+    assert main(["report", "4"]) == 0
+    capsys.readouterr()
+    assert main(["report", "5"]) == 0
+    assert capsys.readouterr().out.encode() == alone.stdout
 
 
 # The identity workload's strata (level, variables), every term mentioning
