@@ -76,6 +76,21 @@ class TableAlgebra:
     def leq(self, i: int, j: int) -> bool:
         return self.meet_table[i][j] == i
 
+    def up_row(self, i: int) -> int:
+        """The mask of the j with i <= j, read off the meet table as ``leq`` does."""
+        return sum(1 << j for j, m in enumerate(self.meet_table[i]) if m == i)
+
+    def down_row(self, i: int) -> int:
+        """The mask of the j with j <= i."""
+        return sum(1 << j for j, row in enumerate(self.meet_table) if row[i] == j)
+
+    def star_classes(self) -> dict[int, int]:
+        """{s: the mask of the elements whose star is s}."""
+        classes: dict[int, int] = {}
+        for x, s in enumerate(self.star_table):
+            classes[s] = classes.get(s, 0) | 1 << x
+        return classes
+
     def __repr__(self) -> str:
         return f"TableAlgebra(size={self.size})"
 
@@ -112,10 +127,10 @@ class UpsetAlgebra:
     """The p-algebra of all upsets of a base poset: the masks of
     ``UpsetMasks(base)``, numbered.  Order rows and star classes are read
     off the base points' columns (``point_columns`` of the elements), built
-    once when first asked for and kept."""
+    once when first asked for and kept; ``star`` reads ``star_masks``."""
 
     __slots__ = ("base", "masks", "elements", "index", "size", "zero", "one", "labels",
-                 "_star", "_columns", "_star_classes", "_star_masks")
+                 "_columns", "_star_classes", "_star_masks")
 
     def __init__(self, base: Poset, labels: Sequence[str] | None = None):
         self.base = base
@@ -126,7 +141,6 @@ class UpsetAlgebra:
         self.zero = self.index[self.masks.zero]
         self.one = self.index[self.masks.one]
         self.labels = tuple(labels) if labels is not None else None
-        self._star: list[int | None] = [None] * self.size
         self._columns = self._star_classes = self._star_masks = None
 
     def mask(self, i: int) -> int:
@@ -139,11 +153,7 @@ class UpsetAlgebra:
         return self.index[self.elements[i] | self.elements[j]]
 
     def star(self, i: int) -> int:
-        cached = self._star[i]
-        if cached is None:
-            cached = self.index[self.masks.star(self.elements[i])]
-            self._star[i] = cached
-        return cached
+        return self.index[self.star_masks()[self.elements[i]]]
 
     def leq(self, i: int, j: int) -> bool:
         return not (self.elements[i] & ~self.elements[j])
@@ -343,6 +353,9 @@ def build_si(n: int) -> TableAlgebra:
     if n < 0:
         raise ValueError("n must be >= 0")
     cap = config.DEFAULT.element_cap
+    if n >= cap.bit_length():  # 2^n + 1 > cap, told before it is built; from
+        # 2^14285 > 10^4300 on it is shown as text, as in ``_sweep_equation``
+        raise CapExceeded("algebra size", f"2^{n} or more" if n >= 14_285 else (1 << n) + 1, cap)
     size = (1 << n) + 1
     if size > cap:
         raise CapExceeded("algebra size", size, cap)
@@ -444,8 +457,7 @@ def element_order(A: PAlgebra) -> Poset:
     """The order of A on its element indices; ``up[i]`` is the mask of all j >= i."""
     if isinstance(A, UpsetAlgebra):
         return inclusion_order(A.elements)
-    return Poset([sum(1 << j for j, m in enumerate(row) if m == i)
-                  for i, row in enumerate(A.meet_table)], cap=A.size)
+    return Poset(list(map(A.up_row, range(A.size))), cap=A.size)
 
 
 def birkhoff_masks(order: Poset) -> tuple[list[int], list[int]]:

@@ -179,9 +179,8 @@ def is_prime_filter(A, mask: int) -> bool:
     if not members or mask == (1 << A.size) - 1:
         return False
     for a in members:
-        for b in range(A.size):
-            if A.leq(a, b) and not (mask >> b) & 1:
-                return False
+        if A.up_row(a) & ~mask:
+            return False
         for b in members:
             if not (mask >> A.meet(a, b)) & 1:
                 return False

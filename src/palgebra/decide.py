@@ -197,9 +197,10 @@ class _Budget:
 class _Rows:
     """Compiled terms evaluated with every variable but v fixed, for a list of
     candidates for v at once: a value is a row over them, or one value where
-    it does not depend on v.  Tables keep indices and map a scalar's meet or
-    join row, upset carriers keep masks (& and |, star cached per mask), any
-    other carrier uses its operations; meet and join commute in a lattice."""
+    it does not depend on v.  A is a ``PAlgebra`` or a proxy that forwards
+    its attributes.  Tables keep indices and map a scalar's meet or join
+    row, upset carriers keep masks (& and |, star from ``star_masks``); meet
+    and join commute in a lattice."""
 
     def __init__(self, A):
         if hasattr(A, "meet_table"):
@@ -208,16 +209,11 @@ class _Rows:
             self.ops = {"meet": (lambda a, b: M[a][b], lambda c: M[c].__getitem__),
                         "join": (lambda a, b: J[a][b], lambda c: J[c].__getitem__)}
             self.star = A.star_table.__getitem__
-        elif hasattr(A, "elements"):
+        else:
             self.elem, self.index = A.elements, A.index
             self.ops = {"meet": (int.__and__, lambda c: c.__and__),
                         "join": (int.__or__, lambda c: c.__or__)}
             self.star = A.star_masks().__getitem__
-        else:
-            self.elem = self.index = range(A.size)
-            self.ops = {op: (f, lambda c, f=f: lambda x: f(c, x))
-                        for op, f in (("meet", A.meet), ("join", A.join))}
-            self.star = A.star
         self.zero, self.one = self.elem[A.zero], self.elem[A.one]
 
     def eval(self, code, val, v=None, xs=()):
@@ -367,10 +363,8 @@ def _quasi_pruned(q, A, variables, sides=None) -> Verdict:
     the last depth the conclusion is one row over the pool.  A pool is an
     element mask, cut by one AND per side: a var pin by c's bit, a star pin
     by c's star preimages, a bound by c's row, kept per search under
-    (direction, c) and built when first needed.  An upset carrier answers
-    both from its base points' columns (``star_classes``, ``down_row`` and
-    ``up_row``); any other carrier scans: one ``A.star`` per element for
-    the preimages, |A| ``leq`` calls per row.  A pool of at most one
+    (direction, c) and built when first needed.  The carrier answers both
+    (``star_classes``, ``down_row`` and ``up_row``).  A pool of at most one
     element (a bare-variable pin bounds its own side too) is bounded by at
     most one ``leq`` call and builds no row.
 
@@ -435,18 +429,9 @@ def _quasi_pruned(q, A, variables, sides=None) -> Verdict:
         plans.append((v, sides, closing))
     leq, full = A.leq, (1 << A.size) - 1
     rows: dict[str, dict[int, int]] = {"below": {}, "above": {}}  # c -> mask of x below/above c
-    star_pre: dict[int, int] = {}  # star value -> mask of its preimages
+    row_of = {"below": A.down_row, "above": A.up_row}
     pins_stars = any(pin == "star" for _, sides, _ in plans for _, pin, _ in sides)
-    if hasattr(A, "star_classes"):  # an upset carrier: off its base points' columns
-        row_of = {"below": A.down_row, "above": A.up_row}
-        if pins_stars:
-            star_pre = A.star_classes()
-    else:
-        row_of = {"below": lambda c: sum(1 << x for x in range(A.size) if leq(x, c)),
-                  "above": lambda c: sum(1 << x for x in range(A.size) if leq(c, x))}
-        for x in range(A.size) if pins_stars else ():
-            s = A.star(x)
-            star_pre[s] = star_pre.get(s, 0) | 1 << x
+    star_pre = A.star_classes() if pins_stars else {}  # star value -> mask of its preimages
     star_paid = False  # the scan for the star preimages is charged once
     spread: dict[int, list[int] | range] = {}  # a pool mask -> its elements
 

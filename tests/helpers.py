@@ -821,6 +821,26 @@ def ref_quasi_pruned(q, A, variables) -> Verdict:
     return Verdict(False, witness, "pruned", spent.used)
 
 
+def ref_is_prime_filter(A, mask):
+    """congruences.is_prime_filter before upward closure read ``A.up_row``:
+    |A| ``leq`` calls per member."""
+    members = list(bit_indices(mask))
+    if not members or mask == (1 << A.size) - 1:
+        return False
+    for a in members:
+        for b in range(A.size):
+            if A.leq(a, b) and not (mask >> b) & 1:
+                return False
+        for b in members:
+            if not (mask >> A.meet(a, b)) & 1:
+                return False
+    for a in range(A.size):
+        for b in range(A.size):
+            if (mask >> A.join(a, b)) & 1 and not ((mask >> a) & 1 or (mask >> b) & 1):
+                return False
+    return True
+
+
 # congruences.cm_all and cm_posets before the records and orders were read
 # off the Birkhoff masks, copied unchanged: the replay oracles for that route
 def _ref_meet_fold(A, mask):

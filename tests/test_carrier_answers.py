@@ -1,10 +1,15 @@
-"""Upset carriers answer order rows and star classes off their base
-points' columns (``posets.point_columns``).  Each answer is replayed
-against the scan it replaced in the pruned search: a bound row against |A|
-``leq`` calls, the star classes and the mask-to-star map against one
-``A.star`` per element.  The corpus is every upset carrier the tests build:
-``free:0..4`` at ranks 1 and 2, ``dist:0..4``, an upset product and an
-upset JSON file."""
+"""Both carriers answer order rows and star classes themselves: an upset
+carrier off its base points' columns (``posets.point_columns``), a table
+off its meet and star tables.  Each answer is replayed against the scan it
+replaced: a bound row against |A| ``leq`` calls, the star classes and the
+mask-to-star map against one star per element (``UpsetMasks.star`` for an
+upset carrier, whose ``A.star`` reads ``star_masks`` itself),
+``is_prime_filter`` against its double loop and ``element_order`` against
+``Poset.from_leq``.  The corpus is every upset carrier the tests build
+(``free:0..4`` at ranks 1 and 2, ``dist:0..4``, an upset product and an
+upset JSON file), the same as tables, ``si:0..4``, ``chain:2..6``, a
+product table, a Glivenko skeleton, a table JSON file and a table that
+breaks the laws."""
 
 import json
 import random
@@ -12,36 +17,66 @@ import random
 import pytest
 
 from palgebra import (
+    Poset,
+    TableAlgebra,
     UpsetAlgebra,
+    algebra_dumps,
+    build_chain,
     build_free,
+    build_si,
     free_distributive,
+    glivenko,
+    is_prime_filter,
     product,
     qb_quasi_identity,
 )
-from palgebra.algebras import to_table
+from palgebra.algebras import element_order, to_table
 from palgebra.cli import load_algebra
 from palgebra.decide import _quasi_pruned
 from palgebra.posets import point_columns
 
-from .helpers import ref_quasi_pruned
+from .helpers import ref_is_prime_filter, ref_quasi_pruned
 from .test_pruned_replay import CountingLeq
 
-NAMES = ([f"free:{n},{k}" for k in (1, 2) for n in range(5)]
-         + [f"dist:{s}" for s in range(5)] + ["product", "json"])
+UPSETS = ([f"free:{n},{k}" for k in (1, 2) for n in range(5)]
+          + [f"dist:{s}" for s in range(5)] + ["product", "json"])
+TABLES = ([f"si:{n}" for n in range(5)] + [f"chain:{m}" for m in range(2, 7)]
+          + [f"table {name}" for name in UPSETS]
+          + ["product table", "glivenko", "table json", "unlawful"])
+NAMES = UPSETS + TABLES
 
 # an N-shaped poset beside a two-point chain and a lone point, as a file
 UPSET_DOC = {"kind": "upset", "labels": [f"p{i}" for i in range(7)],
              "poset": {"size": 7, "covers": [[0, 2], [1, 2], [1, 3], [4, 5]]}}
 
 
+def unlawful_table(size, seed):
+    """Tables of random entries: meet is no lattice meet, and its relation
+    is not even an order."""
+    rng = random.Random(seed)
+
+    def table():
+        return [[rng.randrange(size) for _ in range(size)] for _ in range(size)]
+
+    return TableAlgebra(table(), table(), [rng.randrange(size) for _ in range(size)], 0, 1)
+
+
 @pytest.fixture(scope="module")
 def carriers(tmp_path_factory):
-    path = tmp_path_factory.mktemp("upsets") / "n-shape.json"
-    path.write_text(json.dumps(UPSET_DOC), encoding="utf-8")
-    out = {name: load_algebra(name) for name in NAMES[:-2]}
+    tmp = tmp_path_factory.mktemp("carriers")
+    (tmp / "n-shape.json").write_text(json.dumps(UPSET_DOC), encoding="utf-8")
+    (tmp / "table.json").write_text(algebra_dumps(product(build_chain(2), build_si(2))),
+                                    encoding="utf-8")
+    out = {name: load_algebra(name) for name in UPSETS[:-2] + TABLES[:10]}
     out["product"] = product(build_free(1, 1).algebra, free_distributive(2))
-    out["json"] = load_algebra(str(path))
-    assert all(isinstance(A, UpsetAlgebra) for A in out.values())
+    out["json"] = load_algebra(str(tmp / "n-shape.json"))
+    assert all(isinstance(out[name], UpsetAlgebra) for name in UPSETS)
+    out.update({f"table {name}": to_table(out[name]) for name in UPSETS})
+    out["product table"] = product(build_si(1), build_chain(3))
+    out["glivenko"] = glivenko(product(build_si(2), build_chain(3)))[1]
+    out["table json"] = load_algebra(str(tmp / "table.json"))
+    out["unlawful"] = unlawful_table(6, 23)
+    assert all(isinstance(out[name], TableAlgebra) for name in TABLES)
     return out
 
 
@@ -50,11 +85,26 @@ def leq_row(A, c, bound):
                if (A.leq(x, c) if bound == "below" else A.leq(c, x)))
 
 
+def ref_star(A, x):
+    """x's star: off the star table, or by ``UpsetMasks.star`` on x's mask."""
+    if isinstance(A, UpsetAlgebra):
+        return A.index[A.masks.star(A.elements[x])]
+    return A.star_table[x]
+
+
 def star_scan(A):
     classes = {}
     for x in range(A.size):
-        classes[A.star(x)] = classes.get(A.star(x), 0) | 1 << x
+        s = ref_star(A, x)
+        classes[s] = classes.get(s, 0) | 1 << x
     return classes
+
+
+def outcome(f):
+    try:
+        return f()
+    except ValueError as exc:
+        return str(exc)
 
 
 def test_point_columns_replay_membership():
@@ -78,7 +128,26 @@ def test_rows_replay_the_leq_scan(carriers, name):
 def test_star_answers_replay_the_star_scan(carriers, name):
     A = carriers[name]
     assert A.star_classes() == star_scan(A)
-    assert A.star_masks() == {A.elements[x]: A.elements[A.star(x)] for x in range(A.size)}
+    assert [A.star(x) for x in range(A.size)] == [ref_star(A, x) for x in range(A.size)]
+    if isinstance(A, UpsetAlgebra):
+        assert A.star_masks() == {m: A.masks.star(m) for m in A.elements}
+
+
+def test_prime_filter_check_replays_the_double_loop(carriers):
+    small = [name for name in NAMES if carriers[name].size <= 9]  # every mask of each
+    assert len(small) == 28
+    for name in small:
+        A = carriers[name]
+        for mask in range(1 << A.size):
+            assert is_prime_filter(A, mask) == ref_is_prime_filter(A, mask), (name, mask)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_element_order_replays_from_leq(carriers, name):
+    A = carriers[name]
+    got = outcome(lambda: element_order(A).up)
+    assert got == outcome(lambda: Poset.from_leq(A.size, A.leq, cap=A.size).up)
+    assert (name == "unlawful") == isinstance(got, str)  # that relation is no order
 
 
 class StarCounting(CountingLeq):
@@ -95,14 +164,11 @@ class StarCounting(CountingLeq):
 
 @pytest.mark.parametrize("name", ["free:2,2", "free:3,2", "free:4,2"])
 def test_the_search_reads_the_carrier_answers(carriers, name):
-    # qb_3 pins x3 by a star and bounds x2 and x3: an upset carrier, even
-    # behind a wrapper, gives both without a leq row or a per-element star;
-    # its table gives the same verdict through the scans
-    q, A = qb_quasi_identity(3), carriers[name]
-    want = ref_quasi_pruned(q, A, (1, 2, 3))
-    wrapped = StarCounting(A)
-    assert _quasi_pruned(q, wrapped, (1, 2, 3)) == want
-    assert (wrapped.calls, wrapped.stars) == (0, 0)
-    table = StarCounting(to_table(A))
-    assert _quasi_pruned(q, table, (1, 2, 3)) == want
-    assert table.calls >= A.size and table.stars >= A.size
+    # qb_3 pins x3 by a star and bounds x2 and x3: either carrier, even
+    # behind a wrapper, gives both without a leq row or a per-element star
+    q = qb_quasi_identity(3)
+    want = ref_quasi_pruned(q, carriers[name], (1, 2, 3))
+    for A in (carriers[name], carriers[f"table {name}"]):
+        wrapped = StarCounting(A)
+        assert _quasi_pruned(q, wrapped, (1, 2, 3)) == want
+        assert (wrapped.calls, wrapped.stars) == (0, 0)

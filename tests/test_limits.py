@@ -246,6 +246,28 @@ class TestCountsTooLongToPrint:
             decide._sweep_equation(Equation(parse(f"x{k}"), parse("x1")), n_eff, k)
         assert exc.value.shown == BudgetExceeded("", ((1 << n_eff) + 1) ** k, 1).shown
 
+    @pytest.mark.parametrize("cmd", ["si", "convert", "dual", "qi"])
+    def test_si_too_large_to_build(self, cmd, tmp_path, capsys):
+        # 2^(10^30) + 1 is refused before it is built: no OverflowError
+        n = 10 ** 30
+        argv = {"si": ["si", str(n)], "convert": ["convert", f"si:{n}"],
+                "dual": ["dual", f"si:{n}"]}.get(cmd)
+        if argv is None:
+            path = tmp_path / "q.json"
+            path.write_text(json.dumps({"conclusion": {"lhs": "x1", "rhs": "x1"}}))
+            argv = ["qi", str(path), "--algebra", f"si:{n}"]
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == ('{"error": "cap-exceeded", "what": "algebra size", '
+                           f'"count": "2^{n} or more", "cap": 4096}}\n')
+
+    @pytest.mark.parametrize("n, shown", [(14284, (1 << 14284) + 1), (14285, "2^14285 or more")])
+    def test_si_size_text_is_the_exact_count(self, n, shown):
+        with pytest.raises(CapExceeded) as exc:
+            build_si(n)
+        assert exc.value.shown == shown == CapExceeded("", (1 << n) + 1, 1).shown
+
     def test_printable_counts_keep_their_digits(self):
         assert CapExceeded("x", 10 ** 4299, 1).shown == 10 ** 4299
         assert str(CapExceeded("x", 10 ** 4300, 1)) == "x: 2^14284 or more exceeds cap 1"

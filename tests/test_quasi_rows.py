@@ -5,9 +5,8 @@ per-valuation sweep it replaced.
 each side over all of the last one's values at once; ``helpers.
 ref_quasi_exhaustive`` is the loop before that change.  Both must give equal
 verdicts: holds, witness, method and budget count.  Each case runs on the
-bare carrier, through a proxy that forwards every attribute (and so takes
-the carrier's own fast path) and through one that shows only the
-operations (the generic path).
+bare carrier and through a proxy that forwards every attribute (and so
+takes the carrier's own path).
 """
 
 import random
@@ -38,16 +37,8 @@ ALGEBRAS = {spec: load_algebra(spec)
             for spec in SMALL + ["free:1,2", "free:2,2", "free:3,2", "free:4,2"]}
 
 
-class OpsOnly:
-    """An algebra seen only through its operations: no tables, no masks."""
-
-    def __init__(self, A):
-        self.size, self.zero, self.one = A.size, A.zero, A.one
-        self.meet, self.join, self.star, self.leq = A.meet, A.join, A.star, A.leq
-
-
 def carriers(A):
-    return A, CountingLeq(A), OpsOnly(A)
+    return A, CountingLeq(A)
 
 
 def assert_replays(q, A):
