@@ -9,7 +9,6 @@ Most functions accept either carrier.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import reduce
 from operator import and_, itemgetter, or_
 from typing import Iterator, Sequence, Union
@@ -28,13 +27,12 @@ from .posets import (
     point_columns,
     poset_isomorphic,
 )
+from .records import Record
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     """One failed law plus a witnessing tuple of element indices."""
-    law: str
-    witness: tuple
+    __slots__ = ("law", "witness")
 
 
 class TableAlgebra:
@@ -423,12 +421,10 @@ def product_many(algebras: Sequence[PAlgebra]) -> PAlgebra:
     return out
 
 
-@dataclass(frozen=True)
-class Quotient:
-    """A quotient algebra; class i has least member reps[i], proj maps down."""
-    algebra: TableAlgebra
-    proj: tuple[int, ...]
-    reps: tuple[int, ...]
+class Quotient(Record):
+    """A quotient algebra (a TableAlgebra); class i has least member reps[i],
+    and the tuple proj maps each element to its class."""
+    __slots__ = ("algebra", "proj", "reps")
 
 
 def quotient(A: PAlgebra, theta, check: bool = True) -> Quotient:
@@ -464,11 +460,7 @@ def birkhoff_masks(order: Poset) -> tuple[list[int], list[int]]:
     """The join-irreducibles ja of an element order and, per element a, the
     mask of all t with ja[t] <= a."""
     ja = join_irreducible_points(order)
-    masks = [0] * order.n
-    for t, p in enumerate(ja):
-        for a in bit_indices(order.up[p]):
-            masks[a] |= 1 << t
-    return ja, masks
+    return ja, point_columns([order.up[p] for p in ja], order.n)
 
 
 def join_irreducibles(A: PAlgebra) -> list[int]:

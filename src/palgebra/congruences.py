@@ -10,12 +10,12 @@ mu+, the storey tag, psi = min 1/mu, and the subcover witness e_mu.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
 
 from . import config
 from .errors import CapExceeded, NotACongruence, NotPrime
 from .posets import Poset, bit_indices, inclusion_order, join_irreducible_points
+from .records import Record
 
 
 class Congruence:
@@ -213,15 +213,11 @@ def i_type_filters(A) -> list[int]:
 
 # ---------------------------------------------------------------- Cm records
 
-@dataclass(frozen=True)
-class CmRecord:
-    """A completely meet-irreducible congruence with its derived data."""
-    mu: Congruence
-    mu_plus: Congruence
-    storey: str
-    one_mask: int
-    psi: int
-    e_mu: int
+class CmRecord(Record):
+    """A completely meet-irreducible congruence mu with its derived data:
+    the congruence mu_plus, the storey ("I" or "II"), and the ints one_mask,
+    psi and e_mu."""
+    __slots__ = ("mu", "mu_plus", "storey", "one_mask", "psi", "e_mu")
 
     @property
     def one_class(self) -> tuple[int, ...]:

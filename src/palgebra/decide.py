@@ -13,15 +13,15 @@ from __future__ import annotations
 import itertools
 import random
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from itertools import accumulate, compress, repeat
 from operator import and_, eq
 
 from .algebras import PAlgebra, TableAlgebra, build_chain, build_si, is_isomorphic, tabulate
 from . import config
-from .errors import BudgetExceeded, CapExceeded
+from .errors import COUNT_BITS_LIMIT, BudgetExceeded, CapExceeded
 from .free import FreeAlgebra, build_free, free_elements
 from .posets import bit_indices
+from .records import Record
 from .terms import (
     Join,
     Meet,
@@ -41,10 +41,9 @@ from .terms import (
 )
 
 
-@dataclass(frozen=True)
-class Equation:
-    lhs: Term
-    rhs: Term
+class Equation(Record):
+    """lhs = rhs, two terms."""
+    __slots__ = ("lhs", "rhs")
 
     def to_json_dict(self) -> dict:
         return {"lhs": to_text(self.lhs), "rhs": to_text(self.rhs)}
@@ -60,10 +59,9 @@ class Equation:
         return cls(_term_in(doc["lhs"], f"{field}.lhs"), _term_in(doc["rhs"], f"{field}.rhs"))
 
 
-@dataclass(frozen=True)
-class QuasiIdentity:
-    premises: tuple[Equation, ...]
-    conclusion: Equation
+class QuasiIdentity(Record):
+    """A tuple of premise equations and a conclusion equation."""
+    __slots__ = ("premises", "conclusion")
 
     def to_json_dict(self) -> dict:
         return {
@@ -103,12 +101,11 @@ def qb_quasi_identity(n: int) -> QuasiIdentity:
                          Equation(*conclusion))
 
 
-@dataclass(frozen=True)
-class Verdict:
-    holds: bool
-    witness: dict | None
-    method: str                 # normal-form | exhaustive | pruned
-    budget_used: int = 0
+class Verdict(Record):
+    """Whether a law holds, a witness dict or None, the method (normal-form,
+    exhaustive or pruned) and the budget used, 0 if not given."""
+    __slots__ = ("holds", "witness", "method", "budget_used")
+    _defaults = {"budget_used": 0}
 
     def to_json_dict(self) -> dict:
         out = {"holds": self.holds, "method": self.method,
@@ -141,10 +138,14 @@ def _sweep_equation(e: Equation, n: int | None, k: int, codes=None):
     """First counter-valuation of lhs = rhs over the level-n generator (2^k at
     None), in canonical valuation order; None if the identity holds there.
     codes are the sides compiled, where the caller has them."""
-    budget, n_eff = config.DEFAULT.budget, ((1 << k) if n is None else n)
-    # the count has exactly k * n_eff + 1 bits while k < 2^(n_eff - 1), as at
-    # level omega; from 2^14285 > 10^4300 on it is shown as text, not built
-    if k * n_eff >= 14_285 and k.bit_length() < n_eff:
+    budget = config.DEFAULT.budget
+    if n is None and k > 14_270:  # k * 2^k, the count's bit length, has over 4,300 digits
+        raise BudgetExceeded("valuation sweep", f"2^(2^{k}) or more", budget)
+    n_eff = (1 << k) if n is None else n
+    # the count has at least k * n_eff + 1 bits, exactly that many while
+    # k < 2^(n_eff - 1), as at level omega; from 2^14285 > 10^4300 on it is
+    # shown as text, not built, and past COUNT_BITS_LIMIT bits from that bound
+    if k * n_eff >= 14_285 and (k.bit_length() < n_eff or k * n_eff > COUNT_BITS_LIMIT):
         raise BudgetExceeded("valuation sweep", f"2^{k * n_eff} or more", budget)
     total = _sweep_count(n_eff, k)
     if total > budget:  # before build_si, whose size cap would fire first

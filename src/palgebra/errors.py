@@ -5,6 +5,9 @@ import sys
 
 # the interpreter's default int-to-text limit, in decimal digits
 _MAX_DIGITS = 4300
+# A count estimated at more bits than this takes over a second to compute
+# exactly; it is shown as "2^N or more" from a lower bound N instead.
+COUNT_BITS_LIMIT = 1 << 23
 
 
 def shown(count: int | str) -> int | str:

@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
 from .algebras import UpsetAlgebra, UpsetMasks, build_si, is_isomorphic, product_many, quotient
 from . import config
 from .congruences import Congruence, principal_congruence
-from .errors import BadIndex, CapExceeded
+from .errors import COUNT_BITS_LIMIT, BadIndex, CapExceeded
 from .posets import (
     Poset,
     bit_indices,
@@ -31,6 +30,7 @@ from .posets import (
     min_elements,
     poset_isomorphic,
 )
+from .records import Record
 from .terms import (
     Star,
     Term,
@@ -44,32 +44,31 @@ from .terms import (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class JIndex:
-    """One join-irreducible index: subset masks over variables 1..k."""
-    k: int
-    tees: tuple[int, ...]  # strictly ascending nonempty family of masks
-    ell: int
+class JIndex(Record):
+    """One join-irreducible index: subset masks over variables 1..k, the
+    family tees (a strictly ascending nonempty tuple) and L = ell."""
+    __slots__ = ("k", "tees", "ell")
 
-    def __post_init__(self):
-        if not self.tees or list(self.tees) != sorted(set(self.tees)):
+    def __init__(self, k: int, tees: tuple[int, ...], ell: int):
+        if not tees or list(tees) != sorted(set(tees)):
             raise BadIndex("the family must be nonempty and strictly ascending")
-        common = (1 << self.k) - 1
-        for T in self.tees:
-            if T >> self.k:
+        common = (1 << k) - 1
+        for T in tees:
+            if T >> k:
                 raise BadIndex("family member exceeds the variable count")
             common &= T
-        if self.ell & ~common:
+        if ell & ~common:
             raise BadIndex("L must be included in every family member")
+        Record.__init__(self, k, tees, ell)
 
     @classmethod
     def _trusted(cls, k: int, tees: tuple[int, ...], ell: int) -> "JIndex":
         """An index valid by construction, made without the checks (as
         ``enumerate_jindices`` makes them; its tests re-validate each one)."""
         j = object.__new__(cls)
-        object.__setattr__(j, "k", k)
-        object.__setattr__(j, "tees", tees)
-        object.__setattr__(j, "ell", ell)
+        _set_k(j, k)
+        _set_tees(j, tees)
+        _set_ell(j, ell)
         return j
 
     @property
@@ -97,6 +96,9 @@ class JIndex:
         tees = tuple(sorted(sum(1 << (i - 1) for i in T) for T in doc["T"]))
         ell = sum(1 << (i - 1) for i in doc["L"])
         return cls(k, tees, ell)
+
+
+_set_k, _set_tees, _set_ell = JIndex.k.__set__, JIndex.tees.__set__, JIndex.ell.__set__
 
 
 def jirr_term(tees: Iterable[int], ell: int, k: int) -> Term:
@@ -217,19 +219,24 @@ def _skeleton(n_key: int | None, k: int) -> Skeleton:
 
 
 def count_jirr_or_text(n: int | None, k: int) -> int | str:
-    """count_jirr(n, k), or the text errors.shown gives it where that is known
-    without the sum: with every family allowed (level omega, or n >= 2^k)
-    and k >= 14, the count lies in [2^(2^k), 2^(2^k + 1)) and has more than
-    4,300 digits."""
+    """count_jirr(n, k), or a text "2^N or more" where that is known without
+    the sum.  With every family allowed (level omega, or n >= 2^k) and
+    k >= 14, the count lies in [2^(2^k), 2^(2^k + 1)) and has more than 4,300
+    digits, as errors.shown would write it.  Where n < 2^k and n * k (about
+    the count's bit length below n = k) passes COUNT_BITS_LIMIT, N is a lower
+    bound: the count is at least 3^k > 2^k and at least its largest term
+    C(2^k, n) >= (2^k / n)^n."""
     if k >= 14 and (n is None or n.bit_length() > k):
         return f"2^{1 << k} or more" if k < 14_000 else f"2^(2^{k}) or more"
+    if n is not None and n.bit_length() <= k and n * k > COUNT_BITS_LIMIT:
+        return f"2^{max(k, n * (k - n.bit_length()))} or more"
     return count_jirr(n, k)
 
 
 def free_skeleton(n: int | None, k: int) -> Skeleton:
     """The level-n, rank-k Skeleton, without materializing elements."""
     _check_level(n, k)
-    n_key = None if n is None else min(n, 1 << k) if n > 0 else 0
+    n_key = None if n is None else n if n.bit_length() <= k else 1 << k  # min(n, 2^k)
     expected, cap = count_jirr_or_text(n_key, k), config.DEFAULT.poset_cap
     # outside the cache, so a lowered cap still fires; a count too long to
     # print passes any cap
@@ -331,13 +338,11 @@ def quotient_to_distributive(n: int | None, k: int, T: int):
     return quo.algebra, is_isomorphic(quo.algebra, D)
 
 
-@dataclass(frozen=True)
-class StoneDecomposition:
-    k: int
-    subset_masks: tuple[int, ...]
-    factors: tuple[UpsetAlgebra, ...]
-    level: str                 # "elements" | "poset"
-    iso: tuple[int, ...] | None
+class StoneDecomposition(Record):
+    """The level-1 free algebra on k generators matched against the product
+    of the factors (UpsetAlgebras), one per subset mask; level is "elements"
+    or "poset", and iso the matching, or None."""
+    __slots__ = ("k", "subset_masks", "factors", "level", "iso")
 
 
 def stone_decompose(k: int) -> StoneDecomposition:

@@ -8,50 +8,63 @@ Empty meets render as 1 and empty joins as 0.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
 from .errors import BadIndex, ParseError, UnboundVariable, UnknownIdentifier
 from .posets import bit_indices
+from .records import Record
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(Record):
+    """A term node.  Parsing and normal forms make nodes in bulk, so the four
+    node classes with fields set their slots through the slots' descriptors,
+    not through ``Record.__init__``."""
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Zero(Term):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class One(Term):
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Var(Term):
-    index: int  # 1-based
+    __slots__ = ("index",)  # 1-based
+
+    def __init__(self, index: int):
+        _set_index(self, index)
 
 
-@dataclass(frozen=True, slots=True)
 class Meet(Term):
-    left: Term
-    right: Term
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Term, right: Term):
+        _set_meet_left(self, left)
+        _set_meet_right(self, right)
 
 
-@dataclass(frozen=True, slots=True)
 class Join(Term):
-    left: Term
-    right: Term
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Term, right: Term):
+        _set_join_left(self, left)
+        _set_join_right(self, right)
 
 
-@dataclass(frozen=True, slots=True)
 class Star(Term):
-    arg: Term
+    __slots__ = ("arg",)
 
+    def __init__(self, arg: Term):
+        _set_arg(self, arg)
+
+
+_set_index = Var.index.__set__
+_set_meet_left, _set_meet_right = Meet.left.__set__, Meet.right.__set__
+_set_join_left, _set_join_right = Join.left.__set__, Join.right.__set__
+_set_arg = Star.arg.__set__
 
 ZERO = Zero()
 ONE = One()
@@ -59,87 +72,97 @@ ONE = One()
 
 # ------------------------------------------------------------------- parsing
 
-_TOKEN = re.compile(r"\s*(?:(x\d+)|([01&|*()∧∨])|([A-Za-z_]\w*))")
-_ALIAS = {"∧": "&", "∨": "|"}
-
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            rest = text[pos:].lstrip()
-            if not rest:
-                break
-            at = len(text) - len(rest)
-            raise ParseError(f"unexpected character {rest[0]!r}", at)
-        if m.group(1):
-            out.append(("var", m.group(1), m.start(1)))
-        elif m.group(2):
-            sym = _ALIAS.get(m.group(2), m.group(2))
-            out.append((sym, sym, m.start(2)))
-        else:
-            raise UnknownIdentifier(f"unknown identifier {m.group(3)!r}", m.start(3))
-        pos = m.end()
-    return out
+# One token per match: a variable, a symbol, an identifier, or any other
+# character, which is an error.  Whitespace separates tokens and is skipped.
+_SCAN = re.compile(r"x\d+|[01&|*()∧∨]|[A-Za-z_]\w*|\S")
+_SYMBOLS = frozenset("01&|*()∧∨")
 
 
 def parse(text: str) -> Term:
-    """The term in text.  Parentheses still open are kept on an explicit
+    """The term in text.  The tokens come from one scan; their positions are
+    found only for an error.  Parentheses still open are kept on an explicit
     stack, so nesting depth is not bounded by the recursion limit."""
-    tokens = _tokenize(text)
-    n = len(tokens)
+    tokens = _SCAN.findall(text)
+    tokens.append("")  # the end of the text
     i = 0
     # per open '(': the join and the meet pending outside it
     frames: list[tuple[Term | None, Term | None]] = []
     join = meet = None
-
-    def here():
-        return tokens[i][2] if i < n else len(text)
-
     while True:  # expecting a primary at token i
-        kind = tokens[i][0] if i < n else None
-        if kind == "(":
+        tok = tokens[i]
+        if tok == "(":
             frames.append((join, meet))
             join = meet = None
             i += 1
             continue
-        if kind == "0":
-            t = ZERO
-        elif kind == "1":
-            t = ONE
-        elif kind == "var":
-            idx = int(tokens[i][1][1:])
+        if tok[:1] == "x" and tok[1:2].isdecimal():
+            try:
+                idx = int(tok[1:])
+            except ValueError as exc:  # more digits than int() converts
+                raise _bad_token(text, tokens) or exc
             if idx < 1:
-                raise UnknownIdentifier("variable indices start at x1", tokens[i][2])
+                raise _error(text, tokens, i, "variable indices start at x1", UnknownIdentifier)
             t = Var(idx)
+        elif tok == "0":
+            t = ZERO
+        elif tok == "1":
+            t = ONE
         else:
-            raise ParseError("expected a term", here())
+            raise _error(text, tokens, i, "expected a term")
         i += 1
+        tok = tokens[i]
         while True:  # t is a whole primary: stars bind first, then & and |
-            while i < n and tokens[i][0] == "*":
-                i += 1
+            while tok == "*":
                 t = Star(t)
+                i += 1
+                tok = tokens[i]
             meet = t if meet is None else Meet(meet, t)
-            kind = tokens[i][0] if i < n else None
-            if kind == "&":
+            if tok == "&" or tok == "∧":
                 i += 1
                 break
             join = meet if join is None else Join(join, meet)
             meet = None
-            if kind == "|":
+            if tok == "|" or tok == "∨":
                 i += 1
                 break
             if not frames:
-                if i < n:
-                    raise ParseError("trailing input", here())
+                if tok:
+                    raise _error(text, tokens, i, "trailing input")
                 return join
-            if kind != ")":
-                raise ParseError("expected ')'", here())
+            if tok != ")":
+                raise _error(text, tokens, i, "expected ')'")
             i += 1
+            tok = tokens[i]
             t = join
             join, meet = frames.pop()
+
+
+def _error(text: str, tokens: list[str], at: int, message: str,
+           kind: type[ParseError] = ParseError) -> ParseError:
+    """The error of a parse that fails at token ``at``, unless some token is
+    an unknown identifier or an unexpected character: the first of those is
+    reported, as a tokenizing pass before parsing would report it."""
+    return _bad_token(text, tokens) or kind(message, _start(text, at))
+
+
+def _bad_token(text: str, tokens: list[str]) -> ParseError | None:
+    """The error of the first unknown identifier or unexpected character
+    among the tokens; None if there is none."""
+    for j, tok in enumerate(tokens[:-1]):
+        if tok in _SYMBOLS or tok[0] == "x" and tok[1:2].isdecimal():
+            continue
+        if tok[0] == "_" or tok[0].isascii() and tok[0].isalpha():
+            return UnknownIdentifier(f"unknown identifier {tok!r}", _start(text, j))
+        return ParseError(f"unexpected character {tok!r}", _start(text, j))
+    return None
+
+
+def _start(text: str, at: int) -> int:
+    """Where token ``at`` starts; the end of text for the end marker."""
+    for j, m in enumerate(_SCAN.finditer(text)):
+        if j == at:
+            return m.start()
+    return len(text)
 
 
 # ------------------------------------------------------------------ printing

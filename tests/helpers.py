@@ -1,6 +1,7 @@
 """Shared fixtures: the small-algebra corpus and independent oracles."""
 
 import math
+import re
 from itertools import product as iproduct
 
 from palgebra import (
@@ -35,7 +36,7 @@ from palgebra import JIndex, Verdict, config, free_skeleton, max_var, vars_of
 from palgebra.algebras import Violation
 from palgebra.decide import _Budget, _operands, _quasi_witness, _sweep_equation
 from palgebra.posets import bit_indices, downset_closure, min_elements
-from palgebra.terms import _tokenize, compile_postfix, eval_postfix
+from palgebra.terms import compile_postfix, eval_postfix
 
 
 def small_corpus():
@@ -301,6 +302,18 @@ def ref_join_irreducible_points(P):
     return [i for i in range(P.n) if lower[i] == 1]
 
 
+
+def ref_birkhoff_masks(order):
+    """``algebras.birkhoff_masks`` as a loop over the up row of each
+    join-irreducible, before it took the rows' point columns."""
+    ja = ref_join_irreducible_points(order)
+    masks = [0] * order.n
+    for t, p in enumerate(ja):
+        for a in bit_indices(order.up[p]):
+            masks[a] |= 1 << t
+    return ja, masks
+
+
 class RefSkeletonOps:
     """Upset-mask arithmetic over an index poset, as ``free.normal_form``
     had it before ``algebras.UpsetMasks``."""
@@ -436,10 +449,40 @@ def ref_h3_subset_leq(indices):
     return subset_leq
 
 
+_TOKEN = re.compile(r"\s*(?:(x\d+)|([01&|*()∧∨])|([A-Za-z_]\w*))")
+_ALIAS = {"∧": "&", "∨": "|"}
+
+
+def ref_tokenize(text):
+    """The tokenizer of ``ref_parse``: one match and a (kind, text, position)
+    tuple per token, raising at the first unexpected character or unknown
+    identifier before any token is parsed."""
+    out = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if m is None:
+            rest = text[pos:].lstrip()
+            if not rest:
+                break
+            at = len(text) - len(rest)
+            raise ParseError(f"unexpected character {rest[0]!r}", at)
+        if m.group(1):
+            out.append(("var", m.group(1), m.start(1)))
+        elif m.group(2):
+            sym = _ALIAS.get(m.group(2), m.group(2))
+            out.append((sym, sym, m.start(2)))
+        else:
+            raise UnknownIdentifier(f"unknown identifier {m.group(3)!r}", m.start(3))
+        pos = m.end()
+    return out
+
+
 def ref_parse(text):
     """The recursive-descent parser ``terms.parse`` replaced: one Python frame
-    per nesting level, same tokens, results and errors."""
-    tokens = _tokenize(text)
+    per nesting level and a separate tokenizing pass; same results and
+    errors."""
+    tokens = ref_tokenize(text)
     n = len(tokens)
     i = 0
 

@@ -21,10 +21,10 @@ from palgebra import (
     product,
     to_table,
 )
-from palgebra.algebras import algebra_to_json_dict, tabulate
+from palgebra.algebras import algebra_to_json_dict, birkhoff_masks, element_order, tabulate
 from palgebra.cli import load_algebra, main
 
-from .helpers import ref_cm_all, ref_cm_posets
+from .helpers import ref_birkhoff_masks, ref_cm_all, ref_cm_posets, small_corpus
 
 SPECS = ([f"si:{n}" for n in range(6)] + [f"chain:{m}" for m in range(2, 9)]
          + [f"dist:{s}" for s in range(5)]
@@ -98,3 +98,13 @@ def test_dual_makes_no_star_closure_or_pairwise_call(monkeypatch, tmp_path, caps
     for spec in specs:
         assert main(["dual", spec]) == 0, spec
         assert json.loads(capsys.readouterr().out)["count"] > 0
+
+
+SMALL = small_corpus()
+
+
+@pytest.mark.parametrize("name, A", SMALL, ids=[name for name, _ in SMALL])
+def test_birkhoff_masks_replay_the_loop(name, A):
+    for B in (A, permuted(A, name)):
+        order = element_order(B)
+        assert birkhoff_masks(order) == ref_birkhoff_masks(order)

@@ -36,6 +36,7 @@ from palgebra import (
 from palgebra.cli import main
 
 LIMIT_NAMES = {"budget", "poset_cap", "element_cap"}
+HUGE = 10 ** 30  # a rank whose 2^k cannot be built
 # primitives that library code calls with an order's own size, and the
 # brute-force oracle that tests run past the default oracle cap
 KEEP_CAP = {"Poset.__init__", "Poset.from_leq", "enumerate_upsets",
@@ -245,6 +246,55 @@ class TestCountsTooLongToPrint:
         with pytest.raises(BudgetExceeded) as exc:
             decide._sweep_equation(Equation(parse(f"x{k}"), parse("x1")), n_eff, k)
         assert exc.value.shown == BudgetExceeded("", ((1 << n_eff) + 1) ** k, 1).shown
+
+    @pytest.mark.parametrize("argv", [["convert", f"free:2,{HUGE}"],
+                                      ["nf", "-n", "2", "--", f"x{HUGE}"],
+                                      ["free", "-n", "2", "-k", str(HUGE), "--count-only"]])
+    def test_huge_rank_is_shown_from_a_lower_bound(self, monkeypatch, capsys, argv):
+        # 2^(10^30) is never built, and the count's sum is never taken
+        def boom(n, k):
+            raise AssertionError("exact index count taken")
+
+        monkeypatch.setattr(free, "count_jirr", boom)
+        text = f"2^{2 * HUGE - 4} or more"  # C(2^k, 2) >= (2^k / 2)^2 >= 2^(2k - 4)
+        code = main(argv)
+        out = capsys.readouterr()
+        if "--count-only" in argv:
+            assert (code, out.err) == (0, "")
+            assert json.loads(out.out) == {"n": 2, "k": HUGE, "jCount": text}
+        else:
+            assert (code, out.out) == (2, "")
+            assert json.loads(out.err) == {"error": "cap-exceeded",
+                                           "what": "join-irreducible index set",
+                                           "count": text, "cap": 2048}
+
+    @pytest.mark.parametrize("variety, k, needed", [("pa2", HUGE, f"2^{2 * HUGE} or more"),
+                                                    ("pa", HUGE, f"2^(2^{HUGE}) or more"),
+                                                    ("pa", 14271, "2^(2^14271) or more")])
+    def test_huge_rank_sweep_is_shown_from_a_lower_bound(self, monkeypatch, capsys,
+                                                        variety, k, needed):
+        def boom(n_eff, k):
+            raise AssertionError("exact valuation count taken")
+
+        monkeypatch.setattr(decide, "_sweep_count", boom)
+        assert main(["eq", "--variety", variety, "--", f"x{k}", "x1"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert json.loads(out.err) == {"error": "budget-exceeded", "what": "valuation sweep",
+                                       "needed": needed, "budget": 10 ** 7}
+
+    def test_lower_bounds_are_below_the_exact_counts(self, monkeypatch):
+        # with no count computed exactly, every text is a true lower bound
+        monkeypatch.setattr(free, "COUNT_BITS_LIMIT", 0)
+        monkeypatch.setattr(decide, "COUNT_BITS_LIMIT", 0)
+        for k in range(1, 9):
+            for n in range(1, 1 << k):
+                text = free.count_jirr_or_text(n, k)
+                assert 1 << int(text[2:-8]) <= free.count_jirr(n, k), (n, k)
+        for n_eff, k in [(1, 14285), (2, 8000), (3, 5000), (4, 16000)]:
+            with pytest.raises(BudgetExceeded) as exc:
+                decide._sweep_equation(Equation(parse(f"x{k}"), parse("x1")), n_eff, k)
+            assert 1 << int(exc.value.shown[2:-8]) <= decide._sweep_count(n_eff, k)
 
     @pytest.mark.parametrize("cmd", ["si", "convert", "dual", "qi"])
     def test_si_too_large_to_build(self, cmd, tmp_path, capsys):

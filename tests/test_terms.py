@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -228,7 +230,14 @@ class TestSchemes:
 
 # token soup: well-formed terms, and every kind of parse error
 PARSE_TOKENS = ["x1", "x2", "x10", "x0", "0", "1", "&", "|", "*", "(", ")", "∧", "∨",
-                " ", "y", "#"]
+                " ", "y", "#", "x", "é", "١"]
+DEEP = "(" * 5000 + "x1" + ")" * 5000
+# a bad character or unknown identifier anywhere wins over any parser error
+PARSE_CASES = {"identifier after a variable": "x1y", "bad character last": "x1 & ) $",
+               "x0 before an identifier": "x0 & foo", "non-ASCII letter": "é",
+               "non-ASCII digit": "x١", "empty": "", "blank": "   ", "deep": DEEP,
+               "deep, one ')' short": DEEP[:-1], "deep, bad character after": DEEP + " $",
+               "deep, identifier at the end": DEEP.replace("x1", "x1 | x2 & (") + " foo"}
 
 
 def parse_outcome(fn, text):
@@ -247,6 +256,22 @@ class TestNoRecursion:
     @settings(max_examples=600)
     def test_parse_replays_the_recursive_parser(self, text):
         assert parse_outcome(parse, text) == parse_outcome(ref_parse, text)
+
+    @pytest.mark.parametrize("text", PARSE_CASES.values(), ids=PARSE_CASES.keys())
+    def test_parse_replays_the_recursive_parser_on_fixed_texts(self, text):
+        # ref_parse takes 4 frames per '(': run it with room for 5,000 of them
+        expected = []
+        limit, stack = sys.getrecursionlimit(), threading.stack_size(1 << 26)
+        sys.setrecursionlimit(max(limit, 25_000))
+        try:
+            worker = threading.Thread(target=lambda: expected.append(parse_outcome(ref_parse, text)))
+            worker.start()
+            worker.join(60)
+        finally:
+            sys.setrecursionlimit(limit)
+            threading.stack_size(stack)
+        assert not worker.is_alive()
+        assert parse_outcome(parse, text) == expected[0]
 
     @given(terms(max_depth=7, k=4), st.booleans())
     @settings(max_examples=300)
