@@ -15,7 +15,7 @@ from typing import Iterator, Sequence, Union
 
 from . import config
 from .congruences import Congruence
-from .errors import CapExceeded, MalformedTables, NotACongruence
+from .errors import CapExceeded, MalformedTables, NotACongruence, shown
 from .posets import (
     Poset,
     bit_indices,
@@ -353,7 +353,7 @@ def build_si(n: int) -> TableAlgebra:
     cap = config.DEFAULT.element_cap
     if n >= cap.bit_length():  # 2^n + 1 > cap, told before it is built; from
         # 2^14285 > 10^4300 on it is shown as text, as in ``_sweep_equation``
-        raise CapExceeded("algebra size", f"2^{n} or more" if n >= 14_285 else (1 << n) + 1, cap)
+        raise CapExceeded("algebra size", shown(n, 1) if n >= 14_285 else (1 << n) + 1, cap)
     size = (1 << n) + 1
     if size > cap:
         raise CapExceeded("algebra size", size, cap)

@@ -53,10 +53,13 @@ def _print_json(doc) -> None:
 def _level(text: str) -> int | None:
     if text in ("omega", "w"):
         return None
-    n = int(text)
-    if n < 0:
-        raise ValueError("level must be >= 0 or omega")
-    return n
+    try:
+        n = int(text)
+        if n >= 0:
+            return n
+    except ValueError:
+        pass
+    raise ValueError(f"bad level {text!r}: use a nonnegative integer or omega")
 
 
 def _variety(text: str) -> int | None:

@@ -18,7 +18,7 @@ from operator import and_, eq
 
 from .algebras import PAlgebra, TableAlgebra, build_chain, build_si, is_isomorphic, tabulate
 from . import config
-from .errors import COUNT_BITS_LIMIT, BudgetExceeded, CapExceeded
+from .errors import COUNT_BITS_LIMIT, BudgetExceeded, CapExceeded, shown
 from .free import FreeAlgebra, build_free, free_elements
 from .posets import bit_indices
 from .records import Record
@@ -140,13 +140,13 @@ def _sweep_equation(e: Equation, n: int | None, k: int, codes=None):
     codes are the sides compiled, where the caller has them."""
     budget = config.DEFAULT.budget
     if n is None and k > 14_270:  # k * 2^k, the count's bit length, has over 4,300 digits
-        raise BudgetExceeded("valuation sweep", f"2^(2^{k}) or more", budget)
+        raise BudgetExceeded("valuation sweep", shown(k, 2), budget)
     n_eff = (1 << k) if n is None else n
     # the count has at least k * n_eff + 1 bits, exactly that many while
     # k < 2^(n_eff - 1), as at level omega; from 2^14285 > 10^4300 on it is
     # shown as text, not built, and past COUNT_BITS_LIMIT bits from that bound
     if k * n_eff >= 14_285 and (k.bit_length() < n_eff or k * n_eff > COUNT_BITS_LIMIT):
-        raise BudgetExceeded("valuation sweep", f"2^{k * n_eff} or more", budget)
+        raise BudgetExceeded("valuation sweep", shown(k * n_eff, 1), budget)
     total = _sweep_count(n_eff, k)
     if total > budget:  # before build_si, whose size cap would fire first
         raise BudgetExceeded("valuation sweep", total, budget)

@@ -10,19 +10,26 @@ _MAX_DIGITS = 4300
 COUNT_BITS_LIMIT = 1 << 23
 
 
-def shown(count: int | str) -> int | str:
+def shown(count: int | str, power: int = 0) -> int | str:
     """count itself, or the text "2^N or more" when it has more decimal digits
     than the default int-to-text limit (or a lower one the interpreter is set
     to); such a count is never converted to text.  Text is a count already
-    shown (one too large to compute, see ``free.count_jirr_or_text``)."""
+    shown (one too large to compute, see ``free.count_jirr_or_text``).
+
+    With power p > 0, count is the top of a tower of p twos, a lower bound
+    too large to build: "2^count or more" for p = 1, "2^(2^count) or more"
+    for p = 2.  Wherever count has too many digits, the text writes 2^N for
+    it instead, with N = bit length - 1, and the tower grows by one."""
     if isinstance(count, str):
         return count
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or _MAX_DIGITS
     digits = min(limit, _MAX_DIGITS)
     # below 2^(3 * digits) = 8^digits, printable without building 10^digits
-    if abs(count).bit_length() <= 3 * digits or abs(count) < 10 ** digits:
+    while abs(count).bit_length() > 3 * digits and abs(count) >= 10 ** digits:
+        count, power = count.bit_length() - 1, power + 1
+    if not power:
         return count
-    return f"2^{count.bit_length() - 1} or more"
+    return "2^(" * (power - 1) + f"2^{count}" + ")" * (power - 1) + " or more"
 
 
 class CapExceeded(Exception):

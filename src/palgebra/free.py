@@ -21,7 +21,7 @@ from typing import Iterable, NamedTuple, Sequence
 from .algebras import UpsetAlgebra, UpsetMasks, build_si, is_isomorphic, product_many, quotient
 from . import config
 from .congruences import Congruence, principal_congruence
-from .errors import COUNT_BITS_LIMIT, BadIndex, CapExceeded
+from .errors import COUNT_BITS_LIMIT, BadIndex, CapExceeded, shown
 from .posets import (
     Poset,
     bit_indices,
@@ -225,11 +225,12 @@ def count_jirr_or_text(n: int | None, k: int) -> int | str:
     digits, as errors.shown would write it.  Where n < 2^k and n * k (about
     the count's bit length below n = k) passes COUNT_BITS_LIMIT, N is a lower
     bound: the count is at least 3^k > 2^k and at least its largest term
-    C(2^k, n) >= (2^k / n)^n."""
+    C(2^k, n) >= (2^k / n)^n.  errors.shown writes the text, so an N too
+    long to print is itself written as 2^M <= N."""
     if k >= 14 and (n is None or n.bit_length() > k):
-        return f"2^{1 << k} or more" if k < 14_000 else f"2^(2^{k}) or more"
+        return shown(1 << k, 1) if k < 14_000 else shown(k, 2)
     if n is not None and n.bit_length() <= k and n * k > COUNT_BITS_LIMIT:
-        return f"2^{max(k, n * (k - n.bit_length()))} or more"
+        return shown(max(k, n * (k - n.bit_length())), 1)
     return count_jirr(n, k)
 
 

@@ -98,8 +98,8 @@ def parse(text: str) -> Term:
         if tok[:1] == "x" and tok[1:2].isdecimal():
             try:
                 idx = int(tok[1:])
-            except ValueError as exc:  # more digits than int() converts
-                raise _bad_token(text, tokens) or exc
+            except ValueError:  # more digits than int() converts
+                raise _error(text, tokens, i, "variable index too long") from None
             if idx < 1:
                 raise _error(text, tokens, i, "variable indices start at x1", UnknownIdentifier)
             t = Var(idx)
@@ -170,16 +170,26 @@ def _start(text: str, at: int) -> int:
 def to_text(t: Term, pretty: bool = False) -> str:
     """Minimal-parenthesis rendering; reparses to an equal tree.
 
-    Walks an explicit stack of literal text and (node, floor) pairs, where a
-    node binding looser than floor (join 1, meet 2, star 3) is parenthesised.
-    Nodes are told apart by their exact type: Term has no subclasses beyond
-    the six below.
+    Walks an explicit stack of literal text and (node, floor) pairs.  The
+    floor says where the node stands: 0 the root, 1 and 2 a join's left and
+    right operand, 3 and 4 a meet's left and right operand, 4 also a star's
+    argument.  A join above floor 1 and a meet above floor 3 are
+    parenthesised.  Nodes are told apart by their exact type: Term has no
+    subclasses beyond the six below.
+
+    A meet at the root or as a join operand (normal forms share their atoms
+    x_T there) is printed in full on its first two visits only.  The first
+    notes its id; the second pushes an (id, start) pair under its operands,
+    and when that pops, the text written since start becomes one string,
+    which later visits write at once.  So a meet that recurs costs its text
+    once more, not once per visit, and one that does not costs one lookup.
     """
     meet_sym, join_sym = (" ∧ ", " ∨ ") if pretty else (" & ", " | ")
     out: list[str] = []
     emit = out.append
     stack: list = [(t, 0)]
     pop = stack.pop
+    shared: dict[int, str | None] = {}  # id -> None once visited, its text once printed twice
     while stack:
         item = pop()
         if type(item) is str:
@@ -193,14 +203,27 @@ def to_text(t: Term, pretty: bool = False) -> str:
                 stack.append(")")
             stack += ((node.right, 2), join_sym, (node.left, 1))
         elif kind is Meet:
-            if floor > 2:
+            if floor > 3:
                 emit("(")
                 stack.append(")")
-            stack += ((node.right, 3), meet_sym, (node.left, 2))
+            elif floor < 3:
+                key = id(node)
+                if key not in shared:
+                    shared[key] = None
+                elif shared[key] is None:
+                    stack.append((key, len(out)))
+                else:
+                    emit(shared[key])
+                    continue
+            stack += ((node.right, 4), meet_sym, (node.left, 3))
         elif kind is Star:  # nothing binds tighter: never wrapped
-            stack += ("*", (node.arg, 3))
+            stack += ("*", (node.arg, 4))
         elif kind is Var:
             emit(f"x{node.index}")
+        elif kind is int:  # a recurring meet's (id, start): its text is done
+            text = shared[node] = "".join(out[floor:])
+            del out[floor:]
+            emit(text)
         else:
             emit("0" if kind is Zero else "1")
     return "".join(out)
@@ -345,22 +368,39 @@ def evaluate(t: Term, A, valuation) -> int:
 
 def meet_all(terms: Sequence[Term]) -> Term:
     """Balanced meet; empty meet is 1."""
-    if not terms:
-        return ONE
-    if len(terms) == 1:
-        return terms[0]
-    mid = (len(terms) + 1) // 2
-    return Meet(meet_all(terms[:mid]), meet_all(terms[mid:]))
+    return _balanced(Meet, terms) if terms else ONE
 
 
 def join_all(terms: Sequence[Term]) -> Term:
     """Balanced join; empty join is 0."""
-    if not terms:
-        return ZERO
+    return _balanced(Join, terms) if terms else ZERO
+
+
+def _balanced(op: type, terms: Sequence[Term]) -> Term:
+    """op over the nonempty terms as a balanced tree: op(left half, right
+    half), the left half the larger, down to single terms.  Built from an
+    explicit stack of index ranges, with None marking where two subtrees
+    are done.  Many normal forms join a single term, returned as it is."""
     if len(terms) == 1:
         return terms[0]
-    mid = (len(terms) + 1) // 2
-    return Join(join_all(terms[:mid]), join_all(terms[mid:]))
+    out: list[Term] = []
+    stack: list = [(0, len(terms))]
+    pop = stack.pop
+    while stack:
+        item = pop()
+        if item is None:
+            right = out.pop()
+            out[-1] = op(out[-1], right)
+            continue
+        lo, hi = item
+        if hi - lo > 2:
+            mid = (lo + hi + 1) // 2
+            stack += (None, (mid, hi), (lo, mid))
+        elif hi - lo == 2:
+            out.append(op(terms[lo], terms[lo + 1]))
+        else:
+            out.append(terms[lo])
+    return out[0]
 
 
 @lru_cache(maxsize=None)

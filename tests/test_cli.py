@@ -133,6 +133,23 @@ class TestNf:
         term = "(" * 1200 + "x1" + ")" * 1200
         assert run(capsys, "nf", "-n", "2", term) == (0, "x1\n", "")
 
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="the interpreter reads integers of any length")
+    def test_variable_index_too_long_to_read(self, capsys):
+        digits = "1" * (sys.get_int_max_str_digits() + 700)
+        assert run(capsys, "nf", "-n", "2", "--", "x" + digits) == (
+            1, "", "parse error: variable index too long (at position 0)\n")
+
+    @pytest.mark.parametrize("level", ["1e3", "-1", "two", ""])
+    def test_bad_level_is_named(self, capsys, level):
+        assert run(capsys, "nf", "-n", level, "x1") == (
+            1, "", f"error: bad level {level!r}: use a nonnegative integer or omega\n")
+
+    def test_bad_level_in_an_algebra_spec_is_named(self, capsys):
+        assert run(capsys, "convert", "free:1e3,2") == (
+            1, "", "error: bad algebra spec 'free:1e3,2': "
+                   "bad level '1e3': use a nonnegative integer or omega\n")
+
     @pytest.mark.parametrize("strategy", ["exhaustive", "pruned"])
     def test_deep_json_term_is_decided(self, capsys, tmp_path, strategy):
         term = '["star", ' * 5000 + '["var", 1]' + "]" * 5000  # x1** in si:1

@@ -34,6 +34,7 @@ from palgebra import (
     to_table,
 )
 from palgebra.cli import main
+from palgebra.errors import shown
 
 LIMIT_NAMES = {"budget", "poset_cap", "element_cap"}
 HUGE = 10 ** 30  # a rank whose 2^k cannot be built
@@ -282,6 +283,53 @@ class TestCountsTooLongToPrint:
         assert out.out == ""
         assert json.loads(out.err) == {"error": "budget-exceeded", "what": "valuation sweep",
                                        "needed": needed, "budget": 10 ** 7}
+
+    # the longest index the interpreter reads: counts of 10^4300 - 1
+    # variables have lower bounds N of 4,301 digits, written 2^(2^M)
+    NINES = 10 ** 4300 - 1
+
+    @pytest.mark.parametrize("argv, exponent", [
+        (["nf", "-n", "3", "--", f"x{NINES}"], 3 * (NINES - 2)),
+        (["eq", f"x{NINES}", "x1", "--variety", "pa2", "--witness"], 2 * NINES),
+        (["free", "-n", "2", "-k", str(NINES), "--count-only"], 2 * (NINES - 2))],
+        ids=["nf", "eq", "free"])
+    def test_a_bound_too_long_to_print_is_nested(self, monkeypatch, capsys, argv, exponent):
+        def boom(*args):
+            raise AssertionError("exact count taken")
+
+        monkeypatch.setattr(free, "count_jirr", boom)
+        monkeypatch.setattr(decide, "_sweep_count", boom)
+        text = f"2^(2^{exponent.bit_length() - 1}) or more"
+        code = main(argv)
+        out = capsys.readouterr()
+        if argv[0] == "free":
+            assert (code, out.err) == (0, "")
+            assert json.loads(out.out) == {"n": 2, "k": self.NINES, "jCount": text}
+        elif argv[0] == "eq":
+            assert (code, out.out) == (2, "")
+            assert json.loads(out.err) == {"error": "budget-exceeded", "what": "valuation sweep",
+                                           "needed": text, "budget": 10 ** 7}
+        else:
+            assert (code, out.out) == (2, "")
+            assert json.loads(out.err) == {"error": "cap-exceeded",
+                                           "what": "join-irreducible index set",
+                                           "count": text, "cap": 2048}
+
+    def test_powers_nest_exponents_too_long_to_print(self):
+        assert shown(5, 1) == "2^5 or more"
+        assert shown(5, 2) == "2^(2^5) or more"
+        assert shown(10 ** 4299, 1) == f"2^{10 ** 4299} or more"
+        assert shown(10 ** 4300, 1) == "2^(2^14284) or more"
+        assert shown(10 ** 4300, 2) == "2^(2^(2^14284)) or more"
+        assert shown("2^7 or more", 2) == "2^7 or more"
+        saved = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(640)
+            assert shown(10 ** 640, 1) == "2^(2^2126) or more"
+            assert free.count_jirr_or_text(None, 5000) == "2^(2^5000) or more"
+            assert free.count_jirr_or_text(None, 13_000) == "2^(2^13000) or more"
+        finally:
+            sys.set_int_max_str_digits(saved)
 
     def test_lower_bounds_are_below_the_exact_counts(self, monkeypatch):
         # with no count computed exactly, every text is a true lower bound

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -205,6 +206,16 @@ def test_normal_forms_replay_the_reference_on_the_workload_strata():
         got, want = normal_form(t, n), ref_normal_form(t, n)
         assert got == want, (to_text(t), n)
         assert to_text(got) == ref_to_text(want), (to_text(t), n)
+
+
+def test_normal_forms_print_recurring_meets():
+    # so the replays here take to_text's path for a meet seen three times
+    # and more: index terms share their atoms x_T
+    recurring = 0
+    for t, n in corpus_forms():
+        visits = Counter(id(u) for u in subterms(normal_form(t, n)) if type(u) is Meet)
+        recurring += max(visits.values(), default=0) >= 3
+    assert recurring >= 40
 
 
 @pytest.mark.parametrize("pretty", [False, True])

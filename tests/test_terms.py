@@ -87,6 +87,25 @@ class TestParse:
         with pytest.raises(UnknownIdentifier):
             parse("x0")
 
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="the interpreter reads integers of any length")
+    def test_variable_index_too_long_to_read(self):
+        digits = "1" * (sys.get_int_max_str_digits() + 700)
+        for text, pos in [(f"x{digits}", 0), (f"x1 & x{digits}*", 5)]:
+            with pytest.raises(ParseError) as e:
+                parse(text)
+            assert type(e.value) is ParseError
+            assert (str(e.value), e.value.pos) == (f"variable index too long (at position {pos})", pos)
+        # an unknown identifier or bad character anywhere still wins
+        for text, pos in [(f"foo | x{digits}", 0), (f"x{digits} | foo", len(digits) + 4)]:
+            with pytest.raises(UnknownIdentifier) as e:
+                parse(text)
+            assert (str(e.value), e.value.pos) == (f"unknown identifier 'foo' (at position {pos})", pos)
+        with pytest.raises(ParseError, match=r"unexpected character '\$' \(at position 0\)"):
+            parse(f"$ x{digits}")
+        limit = sys.get_int_max_str_digits()
+        assert parse("x" + "9" * limit) == Var(10 ** limit - 1)
+
     @given(terms())
     @settings(max_examples=200)
     def test_print_parse_round_trip(self, t):
@@ -298,6 +317,78 @@ class TestNoRecursion:
             nested = Star(Meet(nested, ONE))
         assert to_text(nested).startswith("(" * 5000)
         assert compile_postfix(parse(to_text(nested))) == compile_postfix(nested)
+
+
+@st.composite
+def shared_terms(draw, k=3, steps=10):
+    """A term built bottom-up: each new node takes its operands from the
+    nodes made before it, so the same Meet, Join and Star objects recur as
+    the root, join and meet operands and star arguments."""
+    pool = [ZERO, ONE] + [Var(i) for i in range(1, k + 1)]
+    for _ in range(draw(st.integers(1, steps))):
+        kind = draw(st.sampled_from((Star, Meet, Join)))
+        pick = st.integers(0, len(pool) - 1)
+        pool.append(Star(pool[draw(pick)]) if kind is Star
+                    else kind(pool[draw(pick)], pool[draw(pick)]))
+    return pool[-1]
+
+
+SHARED = {"meet": Meet(Var(1), Star(Var(2))), "join": Join(Var(1), Var(2)),
+          "star": Star(Meet(Var(1), Var(3))), "nested meet": Meet(Join(Meet(Var(1), Var(2)), Var(3)),
+                                                             Meet(Var(1), Var(2)))}
+PLACES = {"root": lambda s: s, "join left": lambda s: Join(s, Var(3)),
+          "join right": lambda s: Join(Var(3), s), "meet left": lambda s: Meet(s, Var(3)),
+          "meet right": lambda s: Meet(Var(3), s), "under a star": Star}
+
+
+class TestSharedSubterms:
+    """to_text writes a meet that recurs from the text of its second visit:
+    the same text as the recursive printer, which prints every visit."""
+
+    @given(shared_terms(), st.booleans())
+    @settings(max_examples=300)
+    def test_replays_the_recursive_printer(self, t, pretty):
+        assert to_text(t, pretty=pretty) == ref_to_text(t, pretty=pretty)
+        assert parse(to_text(t, pretty=pretty)) == t
+
+    @pytest.mark.parametrize("name", SHARED)
+    def test_every_place_three_times(self, name):
+        s = SHARED[name]
+        places = list(PLACES.values())
+        for p1 in places:
+            for p2 in places:
+                for p3 in places:
+                    a, b, c = p1(s), p2(s), p3(s)
+                    for t in (Join(Join(a, b), c), Join(a, Join(b, c)), Meet(Meet(a, b), c),
+                              Star(Join(a, Meet(b, c))), Join(Meet(a, Join(b, s)), Star(c))):
+                        for pretty in (False, True):
+                            assert to_text(t, pretty) == ref_to_text(t, pretty)
+
+    def test_distinct_meets_over_shared_operands(self):
+        # each meet object has a text of its own, whatever its operands share
+        x1, s = Var(1), Meet(Var(1), Var(2))
+        meets = [Meet(x1, Var(i)) for i in range(2, 6)] + [Meet(Var(i), x1) for i in range(2, 6)]
+        meets += [Meet(s, Var(3)), Meet(Var(3), s), Meet(s, s), Meet(Var(1), Var(2))]
+        for t in (join_all(meets * 3), join_all([Star(m) for m in meets] + meets * 2)):
+            for pretty in (False, True):
+                assert to_text(t, pretty) == ref_to_text(t, pretty)
+
+    def test_a_join_of_50000_references_to_one_atom(self):
+        atom = atom_term(0b101, 3)
+        t = join_all([atom] * 50_000)
+        for pretty in (False, True):
+            text = to_text(t, pretty)
+            assert text == ref_to_text(t, pretty)
+            assert text.count(to_text(atom, pretty)) == 50_000
+
+    def test_a_100000_deep_meet_chain_twice_under_a_join(self):
+        # compared as text: == and the recursive printer recurse this deep
+        text = " & ".join(f"x{i % 7 + 1}" for i in range(100_001))
+        chain = parse(text)
+        assert to_text(Join(chain, chain)) == f"{text} | {text}"
+        pretty = text.replace("&", "∧")
+        assert to_text(Join(Star(chain), chain), True) == f"({pretty})* ∨ {pretty}"
+        assert to_text(Join(Join(chain, Var(1)), chain)) == f"{text} | x1 | {text}"
 
 
 def ground_term(rng, depth):
