@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 from functools import reduce
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from operator import and_, itemgetter, or_
 from typing import Iterator, Sequence, Union
 
@@ -81,6 +83,13 @@ class TableAlgebra:
     def down_row(self, i: int) -> int:
         """The mask of the j with j <= i."""
         return sum(1 << j for j, row in enumerate(self.meet_table) if row[i] == j)
+
+    def birkhoff(self) -> tuple[list[int], list[int], list[int]]:
+        """The join-irreducibles ja, ascending, their up rows and, per
+        element a, the mask of the t with ja[t] <= a; off ``element_order``."""
+        order = element_order(self)
+        ja, below = birkhoff_masks(order)
+        return ja, [order.up[p] for p in ja], below
 
     def star_classes(self) -> dict[int, int]:
         """{s: the mask of the elements whose star is s}."""
@@ -171,6 +180,15 @@ class UpsetAlgebra:
         """The mask of the elements below i: those holding no point outside i."""
         outside = bit_indices(self.masks.one & ~self.elements[i])
         return (1 << self.size) - 1 & ~reduce(or_, map(self.columns().__getitem__, outside), 0)
+
+    def birkhoff(self) -> tuple[list[int], list[int], list[int]]:
+        """``TableAlgebra.birkhoff``'s answer, off the columns: the
+        join-irreducibles are the principal upsets up(x) of the base points,
+        and the elements above up(x) are those holding x, column x."""
+        columns, index = self.columns(), self.index
+        by_index = sorted((index[row], x) for x, row in enumerate(self.base.up))
+        ups = [columns[x] for _, x in by_index]
+        return [j for j, _ in by_index], ups, point_columns(ups, self.size)
 
     def star_classes(self) -> dict[int, int]:
         """{s: the mask of the elements whose star is s}.  An upset's star
@@ -502,8 +520,8 @@ def is_isomorphic(A: PAlgebra, B: PAlgebra):
     """
     if A.size != B.size:
         return None
-    ja, ma = birkhoff_masks(element_order(A))
-    jb, mb = birkhoff_masks(element_order(B))
+    ja, _, ma = A.birkhoff()
+    jb, _, mb = B.birkhoff()
     f = poset_isomorphic(inclusion_order([ma[p] for p in ja]),
                          inclusion_order([mb[q] for q in jb]))
     if f is None:
@@ -544,7 +562,7 @@ def to_upset(A: PAlgebra) -> UpsetAlgebra:
     """Rebuild A as the upsets of its reversed join-irreducible poset."""
     if isinstance(A, UpsetAlgebra):
         return A
-    ja, masks = birkhoff_masks(element_order(A))
+    ja, _, masks = A.birkhoff()
     base = inclusion_order([masks[p] for p in ja]).dual()
     if sorted(masks) != sorted(enumerate_upsets(base)):
         raise ValueError("carrier is not the full upset lattice of its join-irreducibles")
@@ -597,42 +615,89 @@ def json_chunks(doc):
     """Text pieces of ``json.dumps(doc, indent=2) + "\\n"``, byte for byte.
 
     The stdlib writes an indented document with its pure-Python encoder,
-    one piece per value; here a list of plain ints (a table row) is one
-    join, and every other scalar and every key goes through ``json.dumps``.
+    one piece per value.  Here each index's digits and each key's text are
+    made once per document: a list of plain ints is one join of looked-up
+    digits, a list of nonempty int rows (a table, a cover list) is checked
+    once and written as one piece per row, so a large table streams, and a
+    str or int is written without ``json.dumps``.
     """
-    yield from _json_pieces(doc, "")
-    yield "\n"
+    digits: list[str] = []  # digits[i] is str(i), for i up to the largest index seen
+    keys: dict[str, str] = {}  # a str key's JSON text
 
+    def int_text(lo: int, hi: int, count: int):
+        """The int -> text map for count ints in lo..hi: a digit lookup when
+        the table is no longer than the ints pay for, else ``str``."""
+        if lo < 0 or hi >= 4 * count + 256:
+            return str
+        if hi >= len(digits):
+            digits.extend(map(str, range(len(digits), hi + 1)))
+        return digits.__getitem__
 
-def _json_pieces(x, pad: str):
-    if isinstance(x, dict):
-        if not x:
-            yield "{}"
-            return
+    def leaf(x, pad: str) -> str | None:
+        """x's text if it is one piece: a scalar, an empty container or a
+        list of plain ints (not bools, which json writes true/false)."""
+        t = type(x)
+        if t is str:
+            return encode_basestring_ascii(x)
+        if t is int:
+            return int.__repr__(x)
+        if isinstance(x, (list, tuple)):
+            if not x:
+                return "[]"
+            if {*map(type, x)} != {int}:
+                return None
+            inner = pad + "  "
+            text = int_text(min(x), max(x), len(x))
+            return "[\n" + inner + (",\n" + inner).join(map(text, x)) + "\n" + pad + "]"
+        if isinstance(x, dict):
+            return None if x else "{}"
+        return json.dumps(x)
+
+    def key_text(key) -> str:
+        if type(key) is not str:  # json writes a non-str key as the string of its value
+            return json.dumps(json.dumps(key))
+        text = keys.get(key)
+        if text is None:
+            text = keys[key] = encode_basestring_ascii(key)
+        return text
+
+    def pieces(x, pad: str):
+        """The pieces of a nonempty dict or list x that is no leaf."""
         inner = pad + "  "
-        sep = "{\n" + inner
-        for key, value in x.items():
-            # json writes a non-str key (int, float, bool, None) as the string of its value
-            yield sep + json.dumps(key if isinstance(key, str) else json.dumps(key)) + ": "
-            yield from _json_pieces(value, inner)
-            sep = ",\n" + inner
-        yield "\n" + pad + "}"
-    elif isinstance(x, (list, tuple)):
-        if not x:
-            yield "[]"
+        head, sep = "[\n" + inner, ",\n" + inner
+        if isinstance(x, dict):
+            head, close = "{\n" + inner, "\n" + pad + "}"
+            items = ((key_text(key) + ": ", value) for key, value in x.items())
+        elif (all(x) and {*map(type, x)} <= {list, tuple}
+              and {*map(type, chain.from_iterable(x))} == {int}):
+            # a table: one check over every entry, then one piece per row
+            row_pad = inner + "  "
+            row_sep, row_end = ",\n" + row_pad, "\n" + inner + "]"
+            text = int_text(min(map(min, x)), max(map(max, x)), sum(map(len, x)))
+            for row in x:
+                yield head + "[\n" + row_pad + row_sep.join(map(text, row)) + row_end
+                head = sep
+            yield "\n" + pad + "]"
             return
-        inner = pad + "  "
-        if all(type(v) is int for v in x):  # not isinstance: a bool is written true/false
-            yield "[\n" + inner + (",\n" + inner).join(map(str, x)) + "\n" + pad + "]"
-            return
-        sep = "[\n" + inner
-        for value in x:
-            yield sep
-            yield from _json_pieces(value, inner)
-            sep = ",\n" + inner
-        yield "\n" + pad + "]"
+        else:
+            close = "\n" + pad + "]"
+            items = (("", value) for value in x)
+        for label, value in items:
+            text = leaf(value, inner)
+            if text is None:
+                yield head + label
+                yield from pieces(value, inner)
+            else:
+                yield head + label + text
+            head = sep
+        yield close
+
+    top = leaf(doc, "")
+    if top is None:
+        yield from pieces(doc, "")
     else:
-        yield json.dumps(x)
+        yield top
+    yield "\n"
 
 
 def algebra_dumps(A: PAlgebra) -> str:
@@ -642,6 +707,6 @@ def algebra_dumps(A: PAlgebra) -> str:
 def algebra_loads(text: str) -> PAlgebra:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an int of too many digits
         raise MalformedTables(f"bad JSON: {exc}") from exc
     return algebra_from_json_dict(doc)

@@ -66,7 +66,10 @@ def _variety(text: str) -> int | None:
     if text == "pa":
         return None
     if text.startswith("pa") and text[2:].isdigit():
-        return int(text[2:])
+        try:
+            return int(text[2:])
+        except ValueError as exc:  # more digits than int() reads
+            raise ValueError(f"bad variety {text!r}: {exc}") from exc
     raise ValueError(f"bad variety {text!r}: use pa or pa<N>")
 
 
@@ -146,7 +149,7 @@ def cmd_qi(args) -> int:
             sys.setrecursionlimit(limit)
     except OSError as exc:
         raise ValueError(f"cannot read quasi-identity file {args.file!r}: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an int of too many digits
         raise ValueError(f"bad JSON in {args.file!r}: {exc}")
     q = QuasiIdentity.from_json_dict(doc)
     A = load_algebra(args.algebra)
@@ -189,10 +192,21 @@ def cmd_convert(args) -> int:
     return 0
 
 
+class _UsageError(Exception):
+    """argparse's usage text and message, for ``main`` to end in exit 1."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        """argparse's usage error, raised instead of exiting 2 (subparsers
+        are made of this class too)."""
+        raise _UsageError(f"{self.format_usage()}{self.prog}: error: {message}\n")
+
+
 @lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and shared after it."""
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="palgebra",
         description="Finite distributive p-algebras: free algebras, normal "
                     "forms, congruence duals, and identity/quasi-identity "
@@ -259,8 +273,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except _UsageError as exc:
+        sys.stderr.write(str(exc))
+        return 1
     try:
         config.DEFAULT  # read PALGEBRA_* up front: a bad value is reported as itself
         return args.fn(args)

@@ -14,7 +14,7 @@ from typing import Hashable, Iterable, Sequence
 
 from . import config
 from .errors import CapExceeded, NotACongruence, NotPrime
-from .posets import Poset, bit_indices, inclusion_order, join_irreducible_points
+from .posets import Poset, bit_indices, inclusion_order
 from .records import Record
 
 
@@ -194,10 +194,7 @@ def is_prime_filter(A, mask: int) -> bool:
 def prime_filters(A) -> list[int]:
     """All prime filters, as element masks: in a finite distributive lattice
     these are exactly the up-sets of join-irreducibles."""
-    from .algebras import element_order
-
-    P = element_order(A)
-    return [P.up[p] for p in join_irreducible_points(P)]
+    return A.birkhoff()[1]
 
 
 def closure_filter(A, mask: int) -> int:
@@ -258,25 +255,24 @@ def cm_from_prime_filter(A, F: int, *, verify: bool = False) -> CmRecord:
 
 def cm_all(A, *, verify: bool = False) -> list[CmRecord]:
     """One record per prime filter F = up(p), p join-irreducible, read off the
-    Birkhoff masks.  With Q the atoms below p, F-bar = {a : a** in F} is the
-    meet of their filters, the I-type filters above it, and F is I-type iff
-    Q = {p}.  Classes: F; F-bar minus F; outside F-bar, one per set of atoms
+    carrier's Birkhoff answer ``A.birkhoff()``.  With Q the atoms below p,
+    F-bar = {a : a** in F} is the meet of their filters, the I-type filters
+    above it, and F is I-type iff Q = {p}.  Classes: F; F-bar minus F; outside F-bar, one per set of atoms
     of Q below.  A lawful A is assumed, as every CLI path checks on load;
     verify=True re-proves from the operations that the filters are prime, mu
     and mu+ compatible and each quotient's subcover of 1 unique, and, within
     the oracle cap, that the records are the lattice's meet-irreducibles."""
-    from .algebras import birkhoff_masks, compatibility_witness, element_order
+    from .algebras import compatibility_witness
 
-    order = element_order(A)
-    ja, below = birkhoff_masks(order)
-    if verify and not all(is_prime_filter(A, order.up[p]) for p in ja):
+    ja, ups, below = A.birkhoff()
+    if verify and not all(is_prime_filter(A, F) for F in ups):
         raise NotPrime("an up-set of a join-irreducible failed the prime check")
     atoms = sum(1 << t for t, p in enumerate(ja) if below[p] == 1 << t)
     records = []
     for t, p in enumerate(ja):
-        F, under, fbar = order.up[p], below[p] & atoms, order.universe
+        F, under, fbar = ups[t], below[p] & atoms, (1 << A.size) - 1
         for q in bit_indices(under):
-            fbar &= order.up[ja[q]]
+            fbar &= ups[q]
         # labels: -1 for F, -2 for F-bar minus F, else the atoms of Q below a
         mu = Congruence([-1 if (F >> a) & 1 else -2 if (fbar >> a) & 1 else m & under
                          for a, m in enumerate(below)])

@@ -256,23 +256,18 @@ def enumerate_upsets(P: Poset, cap: int | None = None) -> list[int]:
     Raises CapExceeded as soon as the count passes ``cap``.
     """
     cap = config.DEFAULT.element_cap if cap is None else cap
-    # Decide membership maximal elements first: including i is legal exactly
-    # when everything strictly above i is already in.
-    order = sorted(range(P.n), key=lambda i: (P.up[i].bit_count(), i))
-    strict_up = [P.up[i] & ~(1 << i) for i in range(P.n)]
-    found: list[int] = []
-    stack = [(0, 0)]  # (next position in order, upset decided so far)
-    while stack:
-        pos, cur = stack.pop()
-        if pos == len(order):
-            if len(found) >= cap:
-                raise CapExceeded("upset count", len(found) + 1, cap)
-            found.append(cur)
-            continue
-        i = order[pos]
-        if not (strict_up[i] & ~cur):
-            stack.append((pos + 1, cur | (1 << i)))
-        stack.append((pos + 1, cur))
+    # Points are taken maximal ones first, so those taken so far are an
+    # upset and ``found`` holds its upsets: adding i to one is legal exactly
+    # when everything strictly above i is already in.  The list only grows.
+    found = [0]
+    for i in sorted(range(P.n), key=lambda i: (P.up[i].bit_count(), i)):
+        if len(found) > cap:
+            break
+        bit = 1 << i
+        need = P.up[i] & ~bit
+        found += [c | bit for c in found if not need & ~c]
+    if len(found) > cap:
+        raise CapExceeded("upset count", cap + 1, cap)
     found.sort(key=lambda m: (m.bit_count(), m))
     return found
 

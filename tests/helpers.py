@@ -424,6 +424,28 @@ def checked_poset(P):
     return Q
 
 
+def ref_enumerate_upsets(P, cap):
+    """``posets.enumerate_upsets`` before it went level by level: one stack
+    push per (position, partial upset), then a sort."""
+    order = sorted(range(P.n), key=lambda i: (P.up[i].bit_count(), i))
+    strict_up = [P.up[i] & ~(1 << i) for i in range(P.n)]
+    found = []
+    stack = [(0, 0)]  # (next position in order, upset decided so far)
+    while stack:
+        pos, cur = stack.pop()
+        if pos == len(order):
+            if len(found) >= cap:
+                raise CapExceeded("upset count", len(found) + 1, cap)
+            found.append(cur)
+            continue
+        i = order[pos]
+        if not (strict_up[i] & ~cur):
+            stack.append((pos + 1, cur | (1 << i)))
+        stack.append((pos + 1, cur))
+    found.sort(key=lambda m: (m.bit_count(), m))
+    return found
+
+
 def ref_from_covers(n, pairs):
     """``Poset.from_covers`` before its topological pass: close by a fixed
     point over the edges, then check every pair."""

@@ -168,6 +168,13 @@ class TestNf:
         code, out, err = run(capsys, "qi", str(path), "--algebra", "si:1")
         assert (code, out, err) == (1, "", "error: input nested too deeply\n")
 
+    def test_int_of_too_many_digits(self, capsys, tmp_path):
+        path = tmp_path / "long.json"
+        path.write_text('{"premises": [], "conclusion": {"lhs": ["var", %s], "rhs": "x1"}}'
+                        % ("1" * 5000))
+        code, out, err = run(capsys, "qi", str(path), "--algebra", "si:1")
+        assert (code, out) == (1, "") and err.startswith(f"error: bad JSON in {str(path)!r}: ")
+
 
 class TestEq:
     def test_axiom_holds_everywhere(self, capsys):
@@ -194,6 +201,10 @@ class TestEq:
     def test_bad_variety(self, capsys):
         code, _, err = run(capsys, "eq", "x1", "x1", "--variety", "boole")
         assert code == 1 and "error" in err
+
+    def test_variety_of_too_many_digits(self, capsys):
+        code, out, err = run(capsys, "eq", "x1", "x1", "--variety", "pa" + "1" * 5000)
+        assert (code, out) == (1, "") and err.startswith("error: bad variety 'pa111")
 
 
 class TestQi:
@@ -628,6 +639,49 @@ class TestFuzzEveryInputKind:
             exit_code(argv)
 
 
+# per subcommand, argv that argparse refuses, the parser that refuses it
+# and the end of its message
+USAGE_ERRORS = [
+    ([], "palgebra", "the following arguments are required: command"),
+    (["bogus"], "palgebra", "invalid choice: 'bogus' (choose from 'free', 'nf', 'eq', 'qi', "
+                            "'si', 'dual', 'report', 'convert')"),
+    (["free", "-n", "2", "--count-only"], "palgebra free",
+     "the following arguments are required: -k"),
+    (["free", "-n", "2", "-k", "x"], "palgebra free", "argument -k: invalid int value: 'x'"),
+    (["nf", "x1"], "palgebra nf", "the following arguments are required: -n"),
+    (["eq", "x1"], "palgebra eq", "the following arguments are required: rhs"),
+    (["eq", "x1", "x1", "--witness=yes"], "palgebra eq",
+     "argument --witness: ignored explicit argument 'yes'"),
+    (["qi", "f.json"], "palgebra qi", "the following arguments are required: --algebra"),
+    (["qi", "f.json", "--algebra", "si:1", "--strategy", "greedy"], "palgebra qi",
+     "argument --strategy: invalid choice: 'greedy' (choose from 'exhaustive', 'pruned')"),
+    (["si", "abc"], "palgebra si", "argument n: invalid int value: 'abc'"),
+    (["si", "1", "2"], "palgebra", "unrecognized arguments: 2"),
+    (["dual"], "palgebra dual", "the following arguments are required: algebra"),
+    (["report", "x"], "palgebra report", "argument n: invalid int value: 'x'"),
+    (["convert", "si:1", "--fast"], "palgebra", "unrecognized arguments: --fast"),
+]
+
+
+@pytest.mark.parametrize("argv, prog, message", USAGE_ERRORS,
+                         ids=[" ".join(argv) or "-" for argv, _, _ in USAGE_ERRORS])
+def test_usage_errors_exit_1(argv, prog, message, capsys):
+    """argparse's refusals end in exit 1, as README says, with argparse's
+    usage line and message on stderr and nothing on stdout."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    *usage, error = err.splitlines()  # a long usage line wraps
+    assert usage[0].startswith(f"usage: {prog} [-h]")
+    assert error.startswith(f"{prog}: error: ") and error.endswith(message)
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["si", "--help"], ["qi", "-h"]], ids=" ".join)
+def test_help_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: palgebra")
+
+
 class TestParserReuse:
     """main builds its parser once; a reused parser answers each call as a
     freshly built one does."""
@@ -675,5 +729,5 @@ class TestParserReuse:
         monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
         fresh = [self.outcome(argv) for argv in calls]
         assert reused == fresh
-        assert reused[6][0] == ("SystemExit", 2) and "required" in reused[6][2]
+        assert reused[6][0] == 1 and "required" in reused[6][2]
         assert [r[0] for r in reused[:6]] == [0, 0, 1, 1, 1, 1]

@@ -1,5 +1,6 @@
 """``cm_all`` and ``cm_posets`` read the records and both record orders off
-the Birkhoff masks of the element order; ``helpers.ref_cm_all`` and
+the carrier's Birkhoff answer (a table's element order, an upset carrier's
+columns); ``helpers.ref_cm_all`` and
 ``helpers.ref_cm_posets`` (F-bar by star-star calls, labels by a scan of the
 I-type filters, orders from pairwise calls) replay them on both carriers,
 their table copies and relabelled table copies."""
@@ -21,7 +22,14 @@ from palgebra import (
     product,
     to_table,
 )
-from palgebra.algebras import algebra_to_json_dict, birkhoff_masks, element_order, tabulate
+from palgebra import algebras
+from palgebra.algebras import (
+    algebra_to_json_dict,
+    birkhoff_masks,
+    element_order,
+    tabulate,
+    to_upset,
+)
 from palgebra.cli import load_algebra, main
 
 from .helpers import ref_birkhoff_masks, ref_cm_all, ref_cm_posets, small_corpus
@@ -98,6 +106,36 @@ def test_dual_makes_no_star_closure_or_pairwise_call(monkeypatch, tmp_path, caps
     for spec in specs:
         assert main(["dual", spec]) == 0, spec
         assert json.loads(capsys.readouterr().out)["count"] > 0
+
+
+# upset carriers: free and dist algebras, and si products rebuilt as upsets
+UPSET_CARRIERS = ([(f"free:{n},{k}", load_algebra(f"free:{n},{k}"))
+                   for k in (1, 2) for n in range(3)]
+                  + [(f"dist:{s}", load_algebra(f"dist:{s}")) for s in range(4)]
+                  + [(f"upset si:{m} x si:{n}", to_upset(product(build_si(m), build_si(n))))
+                     for m, n in [(0, 1), (1, 1), (1, 2), (2, 2)]])
+
+
+@pytest.mark.parametrize("name, A", UPSET_CARRIERS, ids=[name for name, _ in UPSET_CARRIERS])
+def test_upset_answer_is_the_tables(name, A):
+    """An upset carrier's Birkhoff answer, off its columns, gives the records
+    its table copy gives off the element order."""
+    assert isinstance(A, UpsetAlgebra)
+    T = to_table(A)
+    assert A.birkhoff() == T.birkhoff()
+    assert cm_all(A) == cm_all(T)
+    assert cm_all(A, verify=True) == cm_all(T, verify=True)
+
+
+def test_dual_builds_no_element_order(monkeypatch, capsys):
+    """``dual`` of an upset carrier reads its records off the carrier's
+    columns: no element order, no inclusion order of the elements."""
+    main(["dual", "free:2,2"])
+    want = capsys.readouterr().out
+    monkeypatch.setattr(algebras, "element_order", refuse)
+    monkeypatch.setattr(algebras, "inclusion_order", refuse)
+    assert main(["dual", "free:2,2"]) == 0
+    assert capsys.readouterr().out == want
 
 
 SMALL = small_corpus()

@@ -25,9 +25,16 @@ def old_dumps(doc) -> str:
 
 TEXT = st.text(alphabet=st.sampled_from('ax1 "\\/\n\t\x00\x7f∨∧é 😀'), max_size=6)
 SCALARS = st.one_of(st.integers(-(2**70), 2**70), st.booleans(), st.none(), TEXT)
+# table entries: mostly indices, sometimes what the table path must leave to
+# the general one (a bool, a negative, a float) or to str (a long int)
+ENTRIES = st.integers(0, 40) | st.sampled_from([True, False, -1, -(2**70), 2**70, 0.5, 10**6])
+ROWS = st.lists(ENTRIES, max_size=4)
+TABLES = st.lists(ROWS | ROWS.map(tuple), min_size=1, max_size=4)
+# record keys, so that lists of dicts repeat them
+KEYS = st.sampled_from(["mu", "muPlus", "psi", "storey"])
 DOCS = st.recursive(
-    SCALARS | st.lists(st.integers(-300, 300), max_size=5),
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(TEXT, inner, max_size=4),
+    SCALARS | st.lists(st.integers(-300, 300), max_size=5) | TABLES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(TEXT | KEYS, inner, max_size=4),
     max_leaves=25)
 
 
@@ -41,6 +48,8 @@ def test_random_documents(doc):
     [], {}, [[]], {"a": {}}, [True, 1, False, 0], [1, None], [1, 2.5], (1, 2), [(3, 4), ()],
     {1: "int key", 2.5: "float key", False: "bool key", None: "null key"},
     {"∨": ["x1 ∨ x2", "tab\there"]}, 2**200, "",
+    [[0, 1], [1, True]], [[0], []], [(1, 2), (3, -4)], [[2**70, 1]], [[0.5, 1]],
+    [[10**6, 0], [1]], [0, 10**6], [[0, 1], 2], [{"mu": [0, 1]}, {"mu": [1, 0], "psi": 1}],
 ], ids=repr)
 def test_edge_documents(doc):
     assert "".join(json_chunks(doc)) == old_dumps(doc)
@@ -49,6 +58,15 @@ def test_edge_documents(doc):
 @pytest.mark.parametrize("A", [build_si(3), build_chain(5), build_si(2)], ids=repr)
 def test_algebra_dumps(A):
     assert algebra_dumps(A) == old_dumps(algebras.algebra_to_json_dict(A))
+
+
+@pytest.mark.parametrize("A", [build_chain(2), build_si(2), build_si(5)], ids=repr)
+def test_tables_stream_by_row(A):
+    """A table document of size n is written in at least 2n pieces: one per
+    row of meet and of join."""
+    doc = algebras.algebra_to_json_dict(A)
+    pieces = list(json_chunks(doc))
+    assert len(pieces) >= 2 * A.size and "".join(pieces) == old_dumps(doc)
 
 
 def _stdout(argv) -> tuple[int, str]:

@@ -18,7 +18,7 @@ from palgebra.posets import (
     upset_closure,
 )
 
-from .helpers import ref_poset_isomorphic
+from .helpers import ref_enumerate_upsets, ref_poset_isomorphic
 
 
 def chain(n):
@@ -142,6 +142,35 @@ class TestEnumeration:
     def test_enumeration_matches_filter(self, P):
         brute = sorted(m for m in range(P.universe + 1) if is_upset(P, m))
         assert sorted(enumerate_upsets(P)) == brute
+
+
+def upset_replay_posets():
+    """Chains, antichains, cubes and the bases of free algebras of rank 2 and 3."""
+    from palgebra import build_free
+    out = [(f"chain {n}", chain(n)) for n in range(7)]
+    out += [(f"antichain {n}", antichain(n)) for n in range(7)]
+    out += [(f"cube {s}", cube(s)) for s in range(4)]
+    out += [(f"free:{n},{k} base", build_free(n, k).algebra.base)
+            for n, k in [(0, 3), (1, 2), (2, 2), (3, 2), (4, 2), (None, 2)]]
+    return out
+
+
+UPSET_POSETS = upset_replay_posets()
+
+
+@pytest.mark.parametrize("name, P", UPSET_POSETS, ids=[name for name, _ in UPSET_POSETS])
+def test_upsets_replay_the_stack(name, P):
+    """The level-by-level enumeration gives the stack version's list, and
+    with the cap just below the count, its refusal."""
+    want = ref_enumerate_upsets(P, cap=10**9)
+    assert enumerate_upsets(P, cap=len(want)) == want
+    refusals = []
+    for enumerate_ in (enumerate_upsets, ref_enumerate_upsets):
+        with pytest.raises(CapExceeded) as exc:
+            enumerate_(P, cap=len(want) - 1)
+        refusals.append((exc.value.what, exc.value.count, exc.value.cap, str(exc.value)))
+    assert refusals[0] == refusals[1]
+    assert refusals[0][:3] == ("upset count", len(want), len(want) - 1)
 
 
 class TestMorphisms:
