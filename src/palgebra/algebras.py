@@ -137,17 +137,32 @@ class UpsetAlgebra:
     once when first asked for and kept; ``star`` reads ``star_masks``."""
 
     __slots__ = ("base", "masks", "elements", "index", "size", "zero", "one", "labels",
-                 "_columns", "_star_classes", "_star_masks")
+                 "_numbered", "_columns", "_star_classes", "_star_masks")
 
     def __init__(self, base: Poset, labels: Sequence[str] | None = None):
+        self._number(base, enumerate_upsets(base), labels, False)
+
+    @classmethod
+    def _trusted(cls, base: Poset, elements: Sequence[int]) -> "UpsetAlgebra":
+        """Every upset of base, numbered in the order ``elements`` lists
+        them: right by construction, so nothing is enumerated or checked
+        (as ``Poset._trusted``).  An upset document reloads in the order of
+        ``__init__``, so ``algebra_to_json_dict`` writes such a carrier as
+        tables."""
+        A = cls.__new__(cls)
+        A._number(base, elements, None, True)
+        return A
+
+    def _number(self, base: Poset, elements: Sequence[int], labels, numbered: bool) -> None:
         self.base = base
         self.masks = UpsetMasks(base)
-        self.elements = tuple(enumerate_upsets(base))
+        self.elements = tuple(elements)
         self.index = {m: i for i, m in enumerate(self.elements)}
         self.size = len(self.elements)
         self.zero = self.index[self.masks.zero]
         self.one = self.index[self.masks.one]
         self.labels = tuple(labels) if labels is not None else None
+        self._numbered = numbered
         self._columns = self._star_classes = self._star_masks = None
 
     def mask(self, i: int) -> int:
@@ -362,10 +377,12 @@ def tabulate(size: int, meet, join, star, zero: int, one: int, labels=None) -> T
                         row([star(i) for i in rng]), zero, one, labels)
 
 
-def build_si(n: int) -> TableAlgebra:
+def si_carrier(n: int) -> UpsetAlgebra:
     """The subdirectly irreducible member with n atoms: a 2^n-element Boolean
-    algebra with a new top glued above its unit e.  Indices 0..2^n-1 are the
-    Boolean masks, index 2^n is the new top."""
+    algebra with a new top glued above its unit e.  By Birkhoff duality it is
+    the upsets of n atoms a_i (points 0..n-1) above one point b (point n): the
+    sets of atoms and the whole base.  Indices 0..2^n-1 are the Boolean masks,
+    index 2^n is the new top, the whole base; a's star is e ^ a."""
     if n < 0:
         raise ValueError("n must be >= 0")
     cap = config.DEFAULT.element_cap
@@ -375,13 +392,15 @@ def build_si(n: int) -> TableAlgebra:
     size = (1 << n) + 1
     if size > cap:
         raise CapExceeded("algebra size", size, cap)
-    top = size - 1
-    e = top - 1
-    return tabulate(size,
-                    lambda a, b: b if a == top else a if b == top else a & b,
-                    lambda a, b: top if top in (a, b) else a | b,
-                    lambda a: top if a == 0 else 0 if a == top else e ^ a,
-                    0, top)
+    b, whole = 1 << n, (2 << n) - 1
+    base = Poset._trusted([*(1 << i for i in range(n)), whole],
+                          [*(1 << i | b for i in range(n)), b])
+    return UpsetAlgebra._trusted(base, (*range(b), whole))
+
+
+def build_si(n: int) -> TableAlgebra:
+    """``si_carrier(n)``'s tables, in its numbering."""
+    return to_table(si_carrier(n))
 
 
 def si_cond_check(B: TableAlgebra) -> list[tuple[int, int]]:
@@ -575,6 +594,8 @@ def to_upset(A: PAlgebra) -> UpsetAlgebra:
 # -------------------------------------------------------------------- JSON
 
 def algebra_to_json_dict(A: PAlgebra) -> dict:
+    if isinstance(A, UpsetAlgebra) and A._numbered:  # its order is not the reloaded one
+        A = to_table(A)
     if isinstance(A, TableAlgebra):
         return {
             "kind": "table",

@@ -23,8 +23,8 @@ from .algebras import (
     algebra_loads,
     algebra_to_json_dict,
     build_chain,
-    build_si,
     json_chunks,
+    si_carrier,
     violations,
 )
 from .congruences import cm_all, cm_posets
@@ -79,7 +79,7 @@ def load_algebra(spec: str):
     if sep and head in ("si", "chain", "free", "dist"):
         try:
             if head == "si":
-                return build_si(int(tail))
+                return si_carrier(int(tail))
             if head == "chain":
                 return build_chain(int(tail))
             if head == "dist":
@@ -159,7 +159,7 @@ def cmd_qi(args) -> int:
 
 
 def cmd_si(args) -> int:
-    _print_json(algebra_to_json_dict(build_si(args.n)))
+    _print_json(algebra_to_json_dict(si_carrier(args.n)))
     return 0
 
 

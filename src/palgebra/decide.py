@@ -16,7 +16,7 @@ from bisect import bisect_left, bisect_right
 from itertools import accumulate, compress, repeat
 from operator import and_, eq
 
-from .algebras import PAlgebra, TableAlgebra, build_chain, build_si, is_isomorphic, tabulate
+from .algebras import PAlgebra, TableAlgebra, build_chain, is_isomorphic, si_carrier, tabulate
 from . import config
 from .errors import COUNT_BITS_LIMIT, BudgetExceeded, CapExceeded, shown
 from .free import FreeAlgebra, build_free, free_elements
@@ -142,15 +142,17 @@ def _sweep_equation(e: Equation, n: int | None, k: int, codes=None):
     if n is None and k > 14_270:  # k * 2^k, the count's bit length, has over 4,300 digits
         raise BudgetExceeded("valuation sweep", shown(k, 2), budget)
     n_eff = (1 << k) if n is None else n
+    if n_eff == 0 and k >= 14_285:  # the count is 2^k, past 10^4300
+        raise BudgetExceeded("valuation sweep", shown(k, 1), budget)
     # the count has at least k * n_eff + 1 bits, exactly that many while
     # k < 2^(n_eff - 1), as at level omega; from 2^14285 > 10^4300 on it is
     # shown as text, not built, and past COUNT_BITS_LIMIT bits from that bound
     if k * n_eff >= 14_285 and (k.bit_length() < n_eff or k * n_eff > COUNT_BITS_LIMIT):
         raise BudgetExceeded("valuation sweep", shown(k * n_eff, 1), budget)
     total = _sweep_count(n_eff, k)
-    if total > budget:  # before build_si, whose size cap would fire first
+    if total > budget:  # before si_carrier, whose size cap would fire first
         raise BudgetExceeded("valuation sweep", total, budget)
-    v = _quasi_exhaustive(QuasiIdentity((), e), build_si(n_eff),
+    v = _quasi_exhaustive(QuasiIdentity((), e), si_carrier(n_eff),
                           tuple(range(1, k + 1)), [codes] if codes else None)
     if v.holds:
         return None, v.budget_used
@@ -166,15 +168,24 @@ def _sweep_count(n_eff: int, k: int) -> int:
 
 # ------------------------------------------------------- quasi-identities
 
-def _operands(t: Term, op: type) -> list[Term]:
-    """The operands of a nest of ``op`` (Join or Meet) nodes, left to right."""
-    out, stack = [], [t]
-    while stack:
-        s = stack.pop()
-        if isinstance(s, op):
-            stack += (s.right, s.left)
+def _nest_operands(code: tuple, op: str) -> list[tuple]:
+    """The operands of the root nest of ``op`` ("join" or "meet") nodes of
+    compiled code, left to right, each as its own code; a root of another
+    kind is the one operand."""
+    begin, starts = [], []  # begin[i]: where the subterm ending at i starts
+    for i, ins in enumerate(code):
+        if ins[0] in ("meet", "join"):
+            starts.pop()  # the left operand's start is the node's
+        elif ins[0] != "star":
+            starts.append(i)
+        begin.append(starts[-1])
+    out, ends = [], [len(code) - 1]
+    while ends:
+        e = ends.pop()
+        if code[e][0] == op:  # the right operand ends just before it
+            ends += (e - 1, begin[e - 1] - 1)
         else:
-            out.append(s)
+            out.append(code[begin[e]:e + 1])
     return out
 
 
@@ -398,10 +409,10 @@ def _quasi_pruned(q, A, variables, sides=None) -> Verdict:
     spent = _Budget(config.DEFAULT.budget, "pruned search")
     ev = _Rows(A)
     *pairs, (ccl, ccr) = sides or _compiled(q)
-    prems = [(p, cl, cr, code_vars(cl, cr),
+    prems = [(cl, cr, code_vars(cl, cr),
               (max(code_vars(cl), default=0), max(code_vars(cr), default=0)))
-             for p, (cl, cr) in zip(q.premises, pairs)]
-    for _, cl, cr, vs, _ in prems:
+             for cl, cr in pairs]
+    for cl, cr, vs, _ in prems:
         if not vs:  # ground premise: decide it once up front
             spent.spend()
             if ev.eval(cl, {}) != ev.eval(cr, {}):
@@ -413,17 +424,18 @@ def _quasi_pruned(q, A, variables, sides=None) -> Verdict:
     plans = []  # per depth: v, closed sides as (code, pin, bound), closing premises
     for v in variables:
         sides, closing = [], []
-        for p, cl, cr, vs, tops in prems:
+        bare = (("var", v),)
+        for cl, cr, vs, tops in prems:
             if v not in vs:
                 continue
             last = vs[-1] == v
-            for mine, top, code in ((p.lhs, tops[1], cr), (p.rhs, tops[0], cl)):
+            for mine, top, code in ((cl, tops[1], cr), (cr, tops[0], cl)):
                 if top >= v:
                     continue  # the other side is still open at this depth
-                pin = last and ("var" if mine == Var(v) else
-                                "star" if mine == Star(Var(v)) else None)
-                bound = ("below" if Var(v) in _operands(mine, Join) else
-                         "above" if Var(v) in _operands(mine, Meet) else None)
+                pin = last and ("var" if mine == bare else
+                                "star" if mine == (*bare, ("star",)) else None)
+                bound = ("below" if bare in _nest_operands(mine, "join") else
+                         "above" if bare in _nest_operands(mine, "meet") else None)
                 sides.append((code, pin, bound))
             if last:
                 closing.append((cl, cr))
@@ -651,7 +663,7 @@ def three_element_witness(A: PAlgebra, c: int) -> dict | None:
     if w in (A.zero, A.one):
         return None
     sub, elems = subalgebra(A, {A.zero, w, A.one})
-    iso = is_isomorphic(sub, build_si(1))
+    iso = is_isomorphic(sub, si_carrier(1))
     return {"construction": "0, c ∨ c*, 1", "element": c,
             "subuniverse": list(elems), "isomorphicTo": "si:1",
             "verified": iso is not None}
@@ -668,7 +680,7 @@ def five_element_witness(A: PAlgebra, d: int) -> dict | None:
     if top == A.one or len(subset) != 5:
         return None
     sub, elems = subalgebra(A, subset)
-    iso = is_isomorphic(sub, build_si(2))
+    iso = is_isomorphic(sub, si_carrier(2))
     return {"construction": "0, d*, d**, d* ∨ d**, 1", "element": d,
             "subuniverse": list(elems), "isomorphicTo": "si:2",
             "verified": iso is not None}
@@ -687,7 +699,7 @@ def structural_completeness_report(n: int) -> dict:
         if n >= 1:
             witnesses.append({**three_element_witness(build_chain(4), 1), "algebra": "chain:4"})
         if n >= 2:
-            witnesses.append({**five_element_witness(build_si(2), 1), "algebra": "si:2"})
+            witnesses.append({**five_element_witness(si_carrier(2), 1), "algebra": "si:2"})
         return {
             "variety": f"Pa_{n}",
             "n": n,
@@ -702,7 +714,7 @@ def structural_completeness_report(n: int) -> dict:
         F, v = _check_in_free(q, n, k, nvars)
         admissible.append({"algebra": f"free:{n},{k}", "size": F.size,
                            "verdict": v.to_json_dict()})
-    refuted = check_quasi_identity(q, build_si(3), "exhaustive")
+    refuted = check_quasi_identity(q, si_carrier(3), "exhaustive")
     return {
         "variety": f"Pa_{n}",
         "n": n,

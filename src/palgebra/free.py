@@ -18,7 +18,7 @@ import math
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
-from .algebras import UpsetAlgebra, UpsetMasks, build_si, is_isomorphic, product_many, quotient
+from .algebras import UpsetAlgebra, UpsetMasks, is_isomorphic, product_many, quotient, si_carrier
 from . import config
 from .congruences import Congruence, principal_congruence
 from .errors import COUNT_BITS_LIMIT, BadIndex, CapExceeded, shown
@@ -222,16 +222,44 @@ def count_jirr_or_text(n: int | None, k: int) -> int | str:
     """count_jirr(n, k), or a text "2^N or more" where that is known without
     the sum.  With every family allowed (level omega, or n >= 2^k) and
     k >= 14, the count lies in [2^(2^k), 2^(2^k + 1)) and has more than 4,300
-    digits, as errors.shown would write it.  Where n < 2^k and n * k (about
-    the count's bit length below n = k) passes COUNT_BITS_LIMIT, N is a lower
-    bound: the count is at least 3^k > 2^k and at least its largest term
-    C(2^k, n) >= (2^k / n)^n.  errors.shown writes the text, so an N too
-    long to print is itself written as 2^M <= N."""
+    digits, as errors.shown would write it; at level 0 it is 2^k.  Where
+    0 < n < 2^k and n * k (about the count's bit length below n = k) passes
+    COUNT_BITS_LIMIT, or count_jirr would take more than about a second
+    (``_count_is_slow``), N is the lower bound ``_count_floor``.  Such a
+    count has more than 4,300 digits too.  errors.shown writes the text, so
+    an N too long to print is itself written as 2^M <= N."""
     if k >= 14 and (n is None or n.bit_length() > k):
         return shown(1 << k, 1) if k < 14_000 else shown(k, 2)
-    if n is not None and n.bit_length() <= k and n * k > COUNT_BITS_LIMIT:
-        return shown(max(k, n * (k - n.bit_length())), 1)
+    if n == 0:
+        return shown(k, 1) if k >= 14_285 else 1 << k  # 2^14285 > 10^4300
+    if n is not None and n.bit_length() <= k and (n * k > COUNT_BITS_LIMIT
+                                                  or _count_is_slow(n, k)):
+        return shown(_count_floor(n, k), 1)
     return count_jirr(n, k)
+
+
+def _count_is_slow(n: int, k: int) -> bool:
+    """Whether count_jirr(n, k), 0 < n < 2^k, takes more than about a second.
+    Each branch's time was measured at n = 1 to 35,000 (Python 3.11, a
+    2-core x86-64 VM) and fits within a factor of two:
+    - below n = k, the closed form: 2.9e-12 * (n + 4) * (n * k)^1.6 seconds,
+      the powers (2^j + 1)^k of up to n * k bits;
+    - from n = k up, the sum: 1e-10 * (n * d)^2 seconds with
+      d = k - bit length of n + 2, n binomials for each of the about d
+      subset sizes with more than n sets above them."""
+    if n < k:  # in logs, as n * k may pass a float's range; 38.3 = log2(1 / 2.9e-12)
+        return math.log2(n + 4) + 1.6 * math.log2(n * k) > 38.3
+    return n * (k - n.bit_length() + 2) > 100_000
+
+
+def _count_floor(n: int, k: int) -> int:
+    """An N with 2^N <= count_jirr(n, k), for 0 < n < 2^k.  The count is at
+    least 3^k > 2^k, and at least its families of n members,
+    C(2^k, n) >= (2^k / n)^n.  From 2n >= 2^k on, the families of at most
+    half of the 2^k sets number at least 2^(2^k - 1)."""
+    if n.bit_length() == k:  # 2n >= 2^k, so 2^k is no larger than 2n
+        return (1 << k) - 1
+    return max(k, n * (k - n.bit_length()))
 
 
 def free_skeleton(n: int | None, k: int) -> Skeleton:
@@ -394,7 +422,7 @@ def homomorphism_g(n: int | None, k: int, tees, ell: int):
     if n is not None and n != 0 and len(j.tees) > n:
         raise BadIndex("family too large for the level")
     s = len(j.tees)
-    B = build_si(s)
+    B = si_carrier(s)
     top = B.one
     assignment = []
     for i in range(k):

@@ -34,7 +34,7 @@ from palgebra import (
 )
 from palgebra import JIndex, Verdict, config, free_skeleton, max_var, vars_of
 from palgebra.algebras import Violation
-from palgebra.decide import _Budget, _operands, _quasi_witness, _sweep_equation
+from palgebra.decide import _Budget, _quasi_witness, _sweep_equation
 from palgebra.posets import bit_indices, downset_closure, min_elements
 from palgebra.terms import compile_postfix, eval_postfix
 
@@ -762,6 +762,20 @@ def ref_quasi_exhaustive(q, A, variables, sides=None) -> Verdict:
             return Verdict(False, _quasi_witness(variables, tup, a, b),
                            "exhaustive", used)
     return Verdict(True, None, "exhaustive", used)
+
+
+def _operands(t, op):
+    """The operands of a nest of ``op`` (Join or Meet) nodes, left to right:
+    the tree walk ``decide._nest_operands`` replaced, which
+    ``ref_quasi_pruned`` keeps as its own."""
+    out, stack = [], [t]
+    while stack:
+        s = stack.pop()
+        if isinstance(s, op):
+            stack += (s.right, s.left)
+        else:
+            out.append(s)
+    return out
 
 
 # decide._quasi_pruned before its per-depth plan and order-bound rows, copied

@@ -67,7 +67,8 @@ def carriers(tmp_path_factory):
     (tmp / "n-shape.json").write_text(json.dumps(UPSET_DOC), encoding="utf-8")
     (tmp / "table.json").write_text(algebra_dumps(product(build_chain(2), build_si(2))),
                                     encoding="utf-8")
-    out = {name: load_algebra(name) for name in UPSETS[:-2] + TABLES[:10]}
+    out = {name: load_algebra(name) for name in UPSETS[:-2] + TABLES[5:10]}
+    out.update({f"si:{n}": build_si(n) for n in range(5)})  # load_algebra gives the carrier
     out["product"] = product(build_free(1, 1).algebra, free_distributive(2))
     out["json"] = load_algebra(str(tmp / "n-shape.json"))
     assert all(isinstance(out[name], UpsetAlgebra) for name in UPSETS)

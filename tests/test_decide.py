@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from palgebra import (
     BudgetExceeded,
     Equation,
+    Join,
+    Meet,
     QuasiIdentity,
     admissible_in_free,
     atoms,
@@ -28,6 +30,11 @@ from palgebra import (
     three_element_witness,
     to_text,
 )
+from palgebra.decide import _nest_operands
+from palgebra.terms import compile_postfix
+
+from .helpers import _operands
+from .test_terms import terms
 
 
 def eq(lhs, rhs):
@@ -350,3 +357,21 @@ class TestRandomTerm:
         a = [to_text(random_term(random.Random(42), 4, k=2)) for _ in range(3)]
         b = [to_text(random_term(random.Random(42), 4, k=2)) for _ in range(3)]
         assert a == b
+
+
+class TestNestOperands:
+    """The pruned search reads a premise side's root join or meet nest off
+    its compiled code; ``helpers._operands`` is the tree walk it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(terms(max_depth=6, k=4))
+    def test_replays_the_tree_walk(self, t):
+        code = compile_postfix(t)
+        for op, kind in ((Join, "join"), (Meet, "meet")):
+            assert _nest_operands(code, kind) == [compile_postfix(s) for s in _operands(t, op)]
+
+    def test_nests_in_either_association(self):
+        t = parse("(x1 | x2*) | (x3 & x4 | (x1 | x2)**)")
+        assert _nest_operands(compile_postfix(t), "join") == [
+            compile_postfix(parse(s)) for s in ("x1", "x2*", "x3 & x4", "(x1 | x2)**")]
+        assert _nest_operands(compile_postfix(t), "meet") == [compile_postfix(t)]

@@ -344,6 +344,63 @@ class TestCountsTooLongToPrint:
                 decide._sweep_equation(Equation(parse(f"x{k}"), parse("x1")), n_eff, k)
             assert 1 << int(exc.value.shown[2:-8]) <= decide._sweep_count(n_eff, k)
 
+    @pytest.mark.parametrize("argv, text", [
+        (["nf", "-n", "1000", "--", "x1001"], "2^991000 or more"),  # closed form, n < k
+        (["nf", "-n", "1001", "--", "x1000"], "2^990990 or more"),  # the sum, n >= k
+        (["free", "-n", "40000", "-k", "17", "--count-only"], "2^40000 or more"),
+        (["free", "-n", "131000", "-k", "17", "--count-only"], "2^131071 or more"),
+        (["free", "-n", "0", "-k", "20000", "--count-only"], "2^20000 or more"),
+        (["free", "-n", "0", "-k", str(HUGE), "--count-only"], f"2^{HUGE} or more"),
+    ], ids=["closed-form", "sum", "sum-count-only", "half-the-sets", "level-0", "level-0-huge"])
+    def test_slow_counts_are_shown_from_a_lower_bound(self, monkeypatch, capsys, argv, text):
+        # each branch is refused before its sum, which would take seconds to
+        # minutes (at level 0, before 2^k is built)
+        def boom(n, k):
+            raise AssertionError("exact index count taken")
+
+        monkeypatch.setattr(free, "count_jirr", boom)
+        code = main(argv)
+        out = capsys.readouterr()
+        if "--count-only" in argv:
+            assert (code, out.err) == (0, "")
+            assert json.loads(out.out)["jCount"] == text
+        else:
+            assert (code, out.out) == (2, "")
+            assert json.loads(out.err) == {"error": "cap-exceeded",
+                                           "what": "join-irreducible index set",
+                                           "count": text, "cap": 2048}
+
+    @pytest.mark.parametrize("k", [14_285, 20_000, HUGE])
+    def test_level_0_sweep_is_shown_from_the_rank(self, monkeypatch, capsys, k):
+        # at level 0 the index count and the valuation count are both 2^k,
+        # read off k: 2^(10^30) is not built
+        def boom(*args):
+            raise AssertionError("exact count taken")
+
+        if k < HUGE:
+            assert decide._sweep_count(0, k) == 1 << k  # the text is the exact count's
+            assert shown(1 << k) == f"2^{k} or more"
+        monkeypatch.setattr(free, "count_jirr", boom)
+        monkeypatch.setattr(decide, "_sweep_count", boom)
+        assert main(["eq", "--variety", "pa0", "--witness", "--", f"x{k}", "x1"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert json.loads(out.err) == {"error": "budget-exceeded", "what": "valuation sweep",
+                                       "needed": f"2^{k} or more", "budget": 10 ** 7}
+
+    @pytest.mark.parametrize("n, k, slow", [
+        (1000, 1001, True), (100, 20000, True), (1, 8_000_000, True), (1001, 1000, True),
+        (35000, 17, True), (10, 100_000, False), (30, 3000, False), (300, 240, False),
+        (1000, 78, False), (20000, 17, False)])
+    def test_the_slow_branches(self, n, k, slow):
+        # the estimate against this host-independent reading of the timings:
+        # well over a second (True) or well under (False) on a 2-core VM
+        assert free._count_is_slow(n, k) is slow
+
+    @pytest.mark.parametrize("n, k", [(30, 3000), (300, 100), (1000, 30), (2, 4000)])
+    def test_fast_counts_are_exact(self, n, k):
+        assert free.count_jirr_or_text(n, k) == free.count_jirr(n, k)
+
     @pytest.mark.parametrize("cmd", ["si", "convert", "dual", "qi"])
     def test_si_too_large_to_build(self, cmd, tmp_path, capsys):
         # 2^(10^30) + 1 is refused before it is built: no OverflowError
