@@ -11,10 +11,11 @@ backtracking search that solves premises for their last unassigned variable.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from bisect import bisect_left, bisect_right
-from itertools import accumulate, compress, repeat
-from operator import and_, eq
+from itertools import accumulate, compress, count, islice, repeat
+from operator import add, and_, eq, not_, or_
 
 from .algebras import PAlgebra, TableAlgebra, build_chain, is_isomorphic, si_carrier, tabulate
 from . import config
@@ -149,6 +150,8 @@ def _sweep_equation(e: Equation, n: int | None, k: int, codes=None):
     # shown as text, not built, and past COUNT_BITS_LIMIT bits from that bound
     if k * n_eff >= 14_285 and (k.bit_length() < n_eff or k * n_eff > COUNT_BITS_LIMIT):
         raise BudgetExceeded("valuation sweep", shown(k * n_eff, 1), budget)
+    if k * n_eff >= budget.bit_length():  # over 2^(k * n_eff): refused before the count
+        raise BudgetExceeded("valuation sweep", _sweep_needed(n_eff, k), budget)
     total = _sweep_count(n_eff, k)
     if total > budget:  # before si_carrier, whose size cap would fire first
         raise BudgetExceeded("valuation sweep", total, budget)
@@ -164,6 +167,19 @@ def _sweep_equation(e: Equation, n: int | None, k: int, codes=None):
 def _sweep_count(n_eff: int, k: int) -> int:
     """The valuations of k variables into the level-n_eff generator."""
     return ((1 << n_eff) + 1) ** k
+
+
+def _sweep_needed(n_eff: int, k: int) -> int | str:
+    """``_sweep_count`` as an error shows it, for k * n_eff at most
+    ``COUNT_BITS_LIMIT``: the count itself below 2^14285, which ``shown``
+    prints in full; past it "2^N or more", N = k * n_eff + floor(k *
+    log2(1 + 2^-n_eff)) read off floats, or off the count where the
+    fraction is too near a whole number for them to decide."""
+    tail = k * math.log1p(2.0 ** -n_eff) / math.log(2)
+    low = math.floor(tail)
+    if k * n_eff + low < 14_285 or min(tail - low, low + 1 - tail) < 1e-6:
+        return _sweep_count(n_eff, k)
+    return shown(k * n_eff + low, 1)
 
 
 # ------------------------------------------------------- quasi-identities
@@ -206,44 +222,109 @@ class _Budget:
         self.used += amount * times
 
 
+def _lookahead(sides, v) -> int | None:
+    """The first of a depth's closed sides, given as (code, pin, bound, top
+    variable), that pins by star preimages and closes at v, the variable
+    of the depth before; None if there is none, or if a bound before it
+    counts a pool that a side over v has cut.  A child of the depth before
+    whose value of that side has no preimage is then charged as its parent
+    alone decides."""
+    late = False  # a side over v has cut the pools
+    for i, (code, pin, bound, top) in enumerate(sides):
+        if pin == "star" and top == v:
+            return i
+        if pin and top == v:  # a side's pin cuts the pool before its bound counts it
+            late = True
+        if bound and late:
+            return None
+        if bound and top == v:
+            late = True
+    return None
+
+
+class _Cut:
+    """The candidates of one depth, in search order, that became children or
+    were cut by the star-pin lookahead: each one's prefix (``par``) and
+    whether it was kept (``alive``).  A cut child is charged ``cols``,
+    columns over the prefixes as a level's are, but the star scan's, at
+    index ``scan``, only at the first candidate; ``sums`` adds them up per
+    prefix.  The first ``upto`` candidates are charged."""
+    __slots__ = ("par", "alive", "cols", "scan", "sums", "upto", "rank")
+
+    def __init__(self):
+        self.par, self.alive, self.rank = [], [], None
+
+    def price(self, cols, scan, n):
+        """Take the columns over the n prefixes, the scan's index or None."""
+        self.cols, self.scan, self.upto = cols, scan, len(self.par)
+        self.sums = [sum(a * t for i, (a, t) in enumerate(cols)
+                         if type(a) is not list and i != scan)] * n
+        for a, _ in cols:  # a popcount column, times 1
+            if type(a) is list:
+                self.sums = list(map(add, self.sums, a))
+
+    def cost(self) -> int:
+        u = self.upto
+        cut = compress(islice(self.par, u), map(not_, islice(self.alive, u)))
+        return sum(map(self.sums.__getitem__, cut)) + (
+            self.cols[self.scan][0] if self.scan is not None and u else 0)
+
+    def steps(self, m):
+        """Cut candidate m's charges, in order."""
+        p = self.par[m]
+        return [(a[p] if type(a) is list else a, int(m == 0) if i == self.scan else t)
+                for i, (a, t) in enumerate(self.cols)]
+
+    def children(self, k, i):
+        """The children of node i at level k, in search order: (k + 1, j) for
+        the j-th kept candidate, (~k, m) for the cut candidate m."""
+        if self.rank is None:
+            self.rank = list(accumulate(self.alive, initial=0))
+        end = min(bisect_right(self.par, i), self.upto)
+        return [(k + 1, self.rank[m]) if self.alive[m] else (~k, m)
+                for m in range(bisect_left(self.par, i), end)]
+
+
 class _Rows:
     """Compiled terms evaluated with every variable but v fixed, for a list of
     candidates for v at once: a value is a row over them, or one value where
     it does not depend on v.  A is a ``PAlgebra`` or a proxy that forwards
-    its attributes.  Tables keep indices and map a scalar's meet or join
-    row, upset carriers keep masks (& and |, star from ``star_masks``); meet
-    and join commute in a lattice."""
+    its attributes.  Values are held as ``elem`` gives them: ``index`` maps
+    them back.  Tables keep indices and map a scalar's meet or join
+    row, upset carriers keep masks (``&`` and ``|`` from ``operator``, which
+    map faster than the methods of int; star from ``star_masks``); meet and
+    join commute in a lattice."""
 
     def __init__(self, A):
         if hasattr(A, "meet_table"):
             M, J = A.meet_table, A.join_table
             self.elem = self.index = range(A.size)
-            self.ops = {"meet": (lambda a, b: M[a][b], lambda c: M[c].__getitem__),
-                        "join": (lambda a, b: J[a][b], lambda c: J[c].__getitem__)}
+            self.ops = {"meet": (lambda a, b: M[a][b], lambda c, row: map(M[c].__getitem__, row)),
+                        "join": (lambda a, b: J[a][b], lambda c, row: map(J[c].__getitem__, row))}
             self.star = A.star_table.__getitem__
         else:
             self.elem, self.index = A.elements, A.index
-            self.ops = {"meet": (int.__and__, lambda c: c.__and__),
-                        "join": (int.__or__, lambda c: c.__or__)}
+            self.ops = {"meet": (and_, lambda c, row: map(and_, row, repeat(c))),
+                        "join": (or_, lambda c, row: map(or_, row, repeat(c)))}
             self.star = A.star_masks().__getitem__
         self.zero, self.one = self.elem[A.zero], self.elem[A.one]
+        self._xs = self._row = None
 
     def eval(self, code, val, v=None, xs=()):
-        """The value of code at val, with v set to each candidate in xs; a
-        single candidate is evaluated as a scalar.  A variable of val is an
-        element index or a row of them (a list lined up with xs, or with
-        the other rows where no v is given)."""
+        """The value of code at val, with v set to each candidate in xs (as
+        element indices); a single candidate is evaluated as a scalar.  A
+        variable of val is an element as ``elem`` holds it, or a row of them
+        (a list lined up with xs, or with the other rows where no v is
+        given)."""
         stack: list = []
-        push, elem, star, ops = stack.append, self.elem, self.star, self.ops
-        row = list(map(elem.__getitem__, xs)) if len(xs) != 1 else elem[xs[0]]
+        push, star, ops = stack.append, self.star, self.ops
         for ins in code:
             op = ins[0]
             if op == "var":
                 if ins[1] == v:
-                    push(row)
+                    push(self.row(xs))
                 else:
-                    x = val[ins[1]]
-                    push(list(map(elem.__getitem__, x)) if type(x) is list else elem[x])
+                    push(val[ins[1]])
             elif op == "star":
                 a = stack[-1]
                 stack[-1] = list(map(star, a)) if type(a) is list else star(a)
@@ -254,10 +335,19 @@ class _Rows:
                 a = stack[-1]
                 both, by = ops[op]
                 if type(a) is list:
-                    stack[-1] = list(map(both, a, b) if type(b) is list else map(by(b), a))
+                    stack[-1] = list(map(both, a, b) if type(b) is list else by(b, a))
                 else:
-                    stack[-1] = list(map(by(a), b)) if type(b) is list else both(a, b)
+                    stack[-1] = list(by(a, b)) if type(b) is list else both(a, b)
         return stack[-1]
+
+    def row(self, xs):
+        """The candidates xs as ``elem`` holds them, one value for one; kept
+        for the list last asked for, which every side evaluated over it
+        reads (no caller changes a list of candidates in place)."""
+        if xs is not self._xs:
+            self._xs = xs
+            self._row = list(map(self.elem.__getitem__, xs)) if len(xs) != 1 else self.elem[xs[0]]
+        return self._row
 
     def agree(self, pairs, val, v, xs, par=()):
         """The candidates, in order, at which both sides of every pair agree.
@@ -274,6 +364,11 @@ class _Rows:
                 for w in rows:
                     val[w] = list(compress(val[w], ok))
         return xs, par
+
+    def within(self, code, allowed, val, v, xs):
+        """Whether the value of code lies in allowed, at each candidate."""
+        a = self.eval(code, val, v, xs)
+        return list(map(allowed.__contains__, a)) if type(a) is list else [a in allowed] * len(xs)
 
     def first_gap(self, l, r, val, v, xs):
         """(position, lhs, rhs) at the first candidate where l and r differ,
@@ -344,9 +439,10 @@ def _quasi_exhaustive(q, A, variables, sides=None) -> Verdict:
     *prem, (ccl, ccr) = sides or _compiled(q)
     *head, v = variables or (0,)
     width = A.size if variables else 1
+    every = range(width)  # one object, so ``_Rows.row`` builds its row once
     for rank, tup in enumerate(itertools.product(range(A.size), repeat=len(head))):
-        val = dict(zip(head, tup))
-        xs, _ = ev.agree(prem, val, v, range(width))
+        val = dict(zip(head, map(ev.elem.__getitem__, tup)))
+        xs, _ = ev.agree(prem, val, v, every)
         gap = ev.first_gap(ccl, ccr, val, v, xs)
         if gap is not None:
             i, a, b = gap
@@ -378,7 +474,9 @@ def _quasi_pruned(q, A, variables, sides=None) -> Verdict:
     (direction, c) and built when first needed.  The carrier answers both
     (``star_classes``, ``down_row`` and ``up_row``).  A pool of at most one
     element (a bare-variable pin bounds its own side too) is bounded by at
-    most one ``leq`` call and builds no row.
+    most one ``leq`` call and builds no row.  A closing premise that one of
+    its sides pins holds wherever its pin leaves a candidate: it is charged
+    as the others are, but not evaluated.
 
     The root is a node searched on its own; its children are taken in
     chunks of 1, 2, 4, ... in order, and each chunk goes depth by depth over
@@ -396,15 +494,33 @@ def _quasi_pruned(q, A, variables, sides=None) -> Verdict:
     not fit alone becomes a node searched on its own, its children chunked
     in turn.  Such nodes wait on a stack, not on the Python call stack.
 
+    Where the next depth pins its variable by the star preimages of a side
+    S that closes at this depth (x3* = x1 | x2 in qb_3), the plan holds a
+    lookahead (``_lookahead``): the row step that applies the closing
+    premises also cuts each candidate whose value of S has no class in
+    ``star_classes``, so it never becomes a prefix of the next depth and no
+    rows, pools or groups are built for it.  Its node is charged, in search
+    order among its kept siblings, what a node with an empty pool costs:
+    the edge, a unit per closed side, each bound's popcount before its cut,
+    the star scan if it is the first node to need it, and nothing for the
+    closing premises and the conclusion (``_Cut``).  Those popcounts are
+    read off the parent's values, so a cut is planned only where no bound
+    before the pin counts a pool that a side over this depth's variable has
+    cut, as in qb_n.  A node searched on its own keeps its children, and a
+    level of no more than ``_WIDE`` candidates is not cut: its cut would
+    cost more than it saves.
+
     The budget is charged as by the search without plan, rows, masks or
     frontier: each depth keeps its nodes' charges as (amount, times)
     columns in the order that search makes them (the edge into the node,
     one per closed side, the star preimage scan at the first node that
-    needs it, the bound popcounts, the closing filter, the conclusion).  A
-    chunk is charged up to its first witness in search order, at once where
-    the sum fits; otherwise its nodes are charged one column at a time in
-    search order, so the budget runs out at the same step, with the same
-    count, and ``budgetUsed`` is the same.
+    needs it, the bound popcounts, the closing filter, the conclusion), and
+    each cut keeps its candidates in order, which of them it cut, and its
+    charges per parent.  A chunk is charged up to its first witness in
+    search order, at once where the sum fits; otherwise its nodes, cut ones
+    among them, are charged one column at a time in search order, so the
+    budget runs out at the same step, with the same count, and
+    ``budgetUsed`` is the same.
     """
     spent = _Budget(config.DEFAULT.budget, "pruned search")
     ev = _Rows(A)
@@ -421,14 +537,16 @@ def _quasi_pruned(q, A, variables, sides=None) -> Verdict:
         spent.spend()
         gap = ev.first_gap(ccl, ccr, {}, None, [0])
         return Verdict(gap is None, gap and _quasi_witness((), (), *gap[1:]), "pruned", spent.used)
-    plans = []  # per depth: v, closed sides as (code, pin, bound), closing premises
+    # per depth: v, closed sides as (code, pin, bound, top variable), the
+    # closing premises, and those of them that no pin of theirs decides
+    plans = []
     for v in variables:
-        sides, closing = [], []
+        sides, closing, checks = [], [], []
         bare = (("var", v),)
         for cl, cr, vs, tops in prems:
             if v not in vs:
                 continue
-            last = vs[-1] == v
+            last, pinned = vs[-1] == v, False
             for mine, top, code in ((cl, tops[1], cr), (cr, tops[0], cl)):
                 if top >= v:
                     continue  # the other side is still open at this depth
@@ -436,15 +554,24 @@ def _quasi_pruned(q, A, variables, sides=None) -> Verdict:
                                 "star" if mine == (*bare, ("star",)) else None)
                 bound = ("below" if bare in _nest_operands(mine, "join") else
                          "above" if bare in _nest_operands(mine, "meet") else None)
-                sides.append((code, pin, bound))
+                sides.append((code, pin, bound, top))
+                pinned = pinned or bool(pin)
             if last:
                 closing.append((cl, cr))
-        plans.append((v, sides, closing))
+                if not pinned:  # a pinned pool holds only where the premise does
+                    checks.append((cl, cr))
+        plans.append((v, sides, closing, checks))
+    # per depth: the next depth's star pin that cuts this one's candidates;
+    # none at the root, which is searched as a node of its own
+    ahead = [None] + [_lookahead(nxt[1], p[0]) for p, nxt in zip(plans[1:], plans[2:])]
+    ahead.append(None)
     leq, full = A.leq, (1 << A.size) - 1
     rows: dict[str, dict[int, int]] = {"below": {}, "above": {}}  # c -> mask of x below/above c
     row_of = {"below": A.down_row, "above": A.up_row}
-    pins_stars = any(pin == "star" for _, sides, _ in plans for _, pin, _ in sides)
+    pins_stars = any(pin == "star" for _, sides, _, _ in plans for _, pin, _, _ in sides)
     star_pre = A.star_classes() if pins_stars else {}  # star value -> mask of its preimages
+    if any(s is not None for s in ahead):  # the star values, as ``_Rows`` holds them
+        regular = {ev.elem[s] for s in star_pre}
     star_paid = False  # the scan for the star preimages is charged once
     spread: dict[int, list[int] | range] = {}  # a pool mask -> its elements
 
@@ -458,17 +585,52 @@ def _quasi_pruned(q, A, variables, sides=None) -> Verdict:
         row = rows[bound][c] = row_of[bound](c)
         return pool & row
 
+    def narrow(sides, cols, n, ones, charges, scan=False, v=None):
+        """n full pools cut by closed sides in order, the charges appended:
+        a unit per side, the star scan at the first star pin where scan is
+        set (the first node pays it), each bound's popcount before its cut.
+        With v, for the lookahead: a side over v cuts nothing, and no pool
+        it would have cut is counted.  Returns (the pools, the units not yet
+        charged, the index of the scan's column or None)."""
+        pools = start = [full] * n
+        at = None
+        for code, pin, bound, top in sides:
+            ones += 1
+            if pin == "star" and scan:
+                at = len(charges) + 1
+                charges += (1, ones), (A.size, [1] + [0] * (n - 1))
+                ones = scan = 0
+            if not (pin or bound):
+                continue
+            cs = None
+            if v is None or top < v:
+                vals = ev.eval(code, cols)
+                cs = (list(map(ev.index.__getitem__, vals)) if type(vals) is list
+                      else [ev.index[vals]] * n)
+            if cs and pin:
+                pools = list(map(and_, pools, map(star_pre.get, cs, repeat(0)) if pin == "star"
+                                 else map((1).__lshift__, cs)))
+            if bound:
+                charges += (1, ones), (A.size if pools is start else
+                                       list(map(int.bit_count, pools)), 1)
+                ones, got = 0, rows[bound]
+                if cs:
+                    pools = [p & r if r is not None else cut(p, c, bound)
+                             for p, c, r in zip(pools, cs, map(got.get, cs))]
+        return pools, ones, at
+
     def elements(p):
         got = spread.get(p)
         if got is None:
             got = spread[p] = range(A.size) if p == full else bit_indices(p)
         return got
 
-    def charge(levels, pars, upto):
-        """Charge the first upto[k] nodes of each level k: their sum at once
-        if it fits, else node by node in search order, one column at a time,
-        up to the step that runs out."""
-        total = 0
+    def charge(levels, pars, upto, cuts):
+        """Charge the first upto[k] nodes of each level k and the first
+        candidates each cut holds: their sum at once if it fits, else node
+        by node in search order, one column at a time, up to the step that
+        runs out."""
+        total = sum(map(_Cut.cost, cuts.values()))
         for cols, u in zip(levels, upto):
             for a, t in cols:
                 total += (sum(a[:u]) * t if type(a) is list else
@@ -479,9 +641,15 @@ def _quasi_pruned(q, A, variables, sides=None) -> Verdict:
         todo = [(0, i) for i in reversed(range(upto[0]))]
         while todo:
             k, i = todo.pop()
+            if k < 0:  # the candidate i cut at level ~k
+                for a, t in cuts[~k].steps(i):
+                    spent.spend(a, t)
+                continue
             for a, t in levels[k]:
                 spent.spend(a[i] if type(a) is list else a, t[i] if type(t) is list else t)
-            if k + 1 < len(levels):
+            if k in cuts:
+                todo += reversed(cuts[k].children(k, i))
+            elif k + 1 < len(levels):
                 ps = pars[k + 1]
                 todo += ((k + 1, j) for j in reversed(range(
                     bisect_left(ps, i), min(bisect_right(ps, i), upto[k + 1]))))
@@ -490,38 +658,24 @@ def _quasi_pruned(q, A, variables, sides=None) -> Verdict:
         """(how many of the n prefixes at depth were searched, the witness or
         None, the last level's candidates), depth by depth over all their
         prefixes at once; cols holds each assigned variable's values, one per
-        prefix.  With no cap, one prefix's own depth only: a node of its own.
-        None searched (0) where the first prefix's subtree outgrows cap."""
+        prefix, as ``_Rows`` holds them.  With no cap, one prefix's own depth
+        only: a node of its own.  None searched (0) where the first prefix's
+        subtree outgrows cap."""
         nonlocal star_paid
         paid, done, witness, star_at = star_paid, n, None, None
-        spread.clear()
+        if len(spread) > A.size:  # pools recur across chunks, a bound's row say,
+            spread.clear()  # but at most |A| of them outlive one: |A|^2 elements
         levels, pars, upto, par = [], [], [], range(n)  # par: each node's parent
+        cuts: dict[int, _Cut] = {}  # a level -> the candidates its lookahead cut
         while True:
-            v, sides, closing = plans[depth]
-            ones, charges, pools = edge, [], [full] * n
+            v, sides, closing, checks = plans[depth]
+            charges = []
             levels.append(charges)
             pars.append(par)
             upto.append(n)
-            for code, pin, bound in sides:
-                ones += 1
-                if not (pin or bound):
-                    continue
-                vals = ev.eval(code, cols)
-                cs = (list(map(ev.index.__getitem__, vals)) if type(vals) is list
-                      else [ev.index[vals]] * n)
-                if pin == "star":
-                    if not star_paid:  # the first node to need them scans for them
-                        star_paid, star_at = True, len(levels) - 1
-                        charges += (1, ones), (A.size, [1] + [0] * (n - 1))
-                        ones = 0
-                    pools = list(map(and_, pools, map(star_pre.get, cs, repeat(0))))
-                elif pin:
-                    pools = list(map(and_, pools, map((1).__lshift__, cs)))
-                if bound:
-                    charges += (1, ones), (list(map(int.bit_count, pools)), 1)
-                    ones, got = 0, rows[bound]
-                    pools = [p & r if r is not None else cut(p, c, bound)
-                             for p, c, r in zip(pools, cs, map(got.get, cs))]
+            pools, ones, at = narrow(sides, cols, n, edge, charges, not star_paid)
+            if at is not None:  # the first node to need the star preimages scans for them
+                star_paid, star_at = True, len(levels) - 1
             counts = list(map(int.bit_count, pools))
             width = sum(counts)
             if cap is not None and width > cap:
@@ -535,11 +689,17 @@ def _quasi_pruned(q, A, variables, sides=None) -> Verdict:
                 done = u = t
                 for k, ps in enumerate(pars):
                     upto[k] = u = bisect_left(ps, u)
+                for k, c in cuts.items():
+                    c.upto = bisect_left(c.par, upto[k])
                 counts = counts[:u]
                 width = sum(counts)
             last = depth == len(plans) - 1
+            # a node of its own keeps its children, and a narrow level would
+            # pay more for the cut's rows and charges than the cut saves
+            s = ahead[depth] if cap is not None and width > _WIDE else None
+            if s is not None:
+                c, pin_side = _Cut(), plans[depth + 1][1][s][0]
             live, xs, par = list(compress(range(len(counts)), counts)), [], []
-            nxt = {w: [] for w in cols}  # the next depth's columns
             if last:
                 unit, tried = 2 + len(closing), [0] * len(counts)
             # wide pools: a group per prefix, its values fixed; narrow: one group
@@ -550,12 +710,15 @@ def _quasi_pruned(q, A, variables, sides=None) -> Verdict:
                     of += repeat(i, counts[i])
                 val = {w: col[ids[0]] if len(ids) == 1 else list(map(col.__getitem__, of))
                        for w, col in cols.items()}
-                got, of = ev.agree(closing, val, v, got, of)
+                got, of = ev.agree(checks, val, v, got, of)
                 if not last:
+                    if s is not None:  # a child whose pin side has no preimage is cut
+                        ok = ev.within(pin_side, regular, val, v, got)
+                        c.par += of
+                        c.alive += ok
+                        got, of = list(compress(got, ok)), list(compress(of, ok))
                     xs += got
                     par += of
-                    for w, x in val.items():
-                        nxt[w] += x if type(x) is list else repeat(x, len(got))
                     continue
                 gap = ev.first_gap(ccl, ccr, val, v, got)
                 end, lo = len(got) if gap is None else gap[0] + 1, 0
@@ -566,23 +729,36 @@ def _quasi_pruned(q, A, variables, sides=None) -> Verdict:
                     g, a, b = gap
                     hit = of[g]
                     witness = _quasi_witness(
-                        variables, (*(cols[w][hit] for w in variables[:-1]), got[g]), a, b)
+                        variables, (*(ev.index[cols[w][hit]] for w in variables[:-1]), got[g]),
+                        a, b)
                     break
             if closing:
                 charges += (1, ones), (len(closing), counts)
                 ones = 0
             charges.append((1, [ones + k for k in tried] if last else ones))
+            if s is not None and not all(c.alive):  # what its cut children cost
+                scan = not star_paid and not c.alive[0]  # the first candidate was cut
+                after, cols_cut = plans[depth + 1][1], []
+                _, ones, at = narrow(after[:s + 1], cols, n, 1 + len(closing), cols_cut, scan, v)
+                c.price(cols_cut + [(1, ones + len(after) - s - 1)], at, n)
+                cuts[len(levels) - 1] = c
+                if scan:
+                    star_paid, star_at = True, ~(len(levels) - 1)
             if last or cap is None or not xs:
                 break
-            depth, n, edge, cols = depth + 1, len(xs), 1 + len(closing), nxt
-            cols[v] = xs
+            cols = {w: list(map(col.__getitem__, par)) for w, col in cols.items()}
+            depth, n, edge = depth + 1, len(xs), 1 + len(closing)
+            cols[v] = list(map(ev.elem.__getitem__, xs))
         if witness is not None:  # the nodes up to it, and its ancestors
             for k in reversed(range(len(pars))):
+                if k in cuts:  # its candidates up to the kept child on the path
+                    cuts[k].upto = next(islice(compress(count(), cuts[k].alive), below, None)) + 1
                 upto[k] = hit + 1
-                hit = pars[k][hit]
+                below, hit = hit, pars[k][hit]
         # a cut may leave no node at the depth of the scan: the next chunk pays it
-        star_paid = paid or star_at is not None and upto[star_at] > 0
-        charge(levels, pars, upto)
+        star_paid = paid or star_at is not None and (
+            cuts[~star_at].upto if star_at < 0 else upto[star_at]) > 0
+        charge(levels, pars, upto, cuts)
         return done, witness, xs
 
     stack = []  # nodes searched on their own: [depth, cols, children, start, chunk size]
@@ -599,14 +775,14 @@ def _quasi_pruned(q, A, variables, sides=None) -> Verdict:
         if start == len(children):
             stack.pop()
             continue
-        v, _, closing = plans[depth]
+        v, _, closing, _ = plans[depth]
         xs = children[start:start + size]
         sub = {w: col * len(xs) for w, col in cols.items()}
-        sub[v] = xs
+        sub[v] = list(map(ev.elem.__getitem__, xs))
         done, witness, _ = frontier(depth + 1, sub, len(xs), 1 + len(closing),
                                     min(A.size ** 2, spent.limit - spent.used))
         if not done:  # the first child's subtree alone is too wide
-            done, witness = 1, node(depth + 1, {**cols, v: xs[:1]}, 1 + len(closing))
+            done, witness = 1, node(depth + 1, {**cols, v: sub[v][:1]}, 1 + len(closing))
         entry[3:] = start + done, 2 * done
     return Verdict(witness is None, witness, "pruned", spent.used)
 

@@ -370,6 +370,42 @@ class TestCountsTooLongToPrint:
                                            "what": "join-irreducible index set",
                                            "count": text, "cap": 2048}
 
+    @pytest.mark.parametrize("variety, k, needed", [("pa1", 8_000_000, "2^12679700 or more"),
+                                                    ("pa3", 2_700_000, "2^8558797 or more"),
+                                                    ("pa1", 9_013, "2^14285 or more"),
+                                                    ("pa2", 20, 95_367_431_640_625)])
+    def test_sweep_over_budget_is_refused_before_its_count(self, monkeypatch, capsys,
+                                                           variety, k, needed):
+        # 3^8000000 took 2 s to build, 9^2700000 1.3 s; the texts are the
+        # exact counts', their bit lengths less one read off floats
+        def boom(n_eff, k):
+            raise AssertionError("exact valuation count taken")
+
+        if variety == "pa2":  # below 2^14285 the count itself, built at once
+            assert decide._sweep_count(2, k) == needed
+        else:
+            monkeypatch.setattr(decide, "_sweep_count", boom)
+        assert main(["eq", "--variety", variety, "--witness", "--", f"x{k}", "x1"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert json.loads(out.err) == {"error": "budget-exceeded", "what": "valuation sweep",
+                                       "needed": needed, "budget": 10 ** 7}
+
+    @pytest.mark.parametrize("n_eff, k", [(1, 9_012), (1, 9_013), (1, 9_100), (1, 14_000),
+                                          (1, 30_000), (2, 7_000), (2, 7_143), (3, 5_000),
+                                          (5, 3_000), (8, 2_000), (12, 1_300), (0, 20_000)])
+    def test_sweep_needed_is_the_exact_counts_text(self, n_eff, k):
+        assert shown(decide._sweep_needed(n_eff, k)) == shown(decide._sweep_count(n_eff, k))
+
+    def test_sweep_needed_counts_where_floats_cannot_decide(self, monkeypatch):
+        # at level 0 the count is 2^k and k * log2(1 + 1) is whole: too near
+        # a whole number for floats, so the count is built
+        built = []
+        count = decide._sweep_count
+        monkeypatch.setattr(decide, "_sweep_count", lambda n, k: built.append(k) or count(n, k))
+        assert shown(decide._sweep_needed(0, 20_000)) == "2^20000 or more"
+        assert built == [20_000]
+
     @pytest.mark.parametrize("k", [14_285, 20_000, HUGE])
     def test_level_0_sweep_is_shown_from_the_rank(self, monkeypatch, capsys, k):
         # at level 0 the index count and the valuation count are both 2^k,

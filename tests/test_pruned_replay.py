@@ -31,6 +31,7 @@ from palgebra import (
     random_term,
 )
 from palgebra.algebras import to_table
+from palgebra.terms import compile_postfix
 from palgebra.cli import load_algebra, main
 from palgebra import decide
 from palgebra.decide import _Budget, _quasi_pruned, _quasi_vars
@@ -477,3 +478,178 @@ def test_deep_unpinned_depths_find_their_witness(tmp_path, capsys):
     valuation = verdict["witness"].pop("valuation")
     assert valuation == {**{f"x{j}": 0 for j in range(1, 600)}, "x600": 1}
     assert verdict["witness"] == {"conclusion": {"lhs": 1, "rhs": 0}}
+
+
+# ------------------------------------------------- the star-pin lookahead
+#
+# Where a star pin x_j* = S closes at x_{j-1}'s depth, a candidate for
+# x_{j-1} whose S has no star preimage is cut there, never becoming a prefix
+# at x_j's depth, and is charged as that prefix's empty pool would have
+# been.  The search cuts only over levels wider than ``_WIDE`` candidates;
+# ``_WIDE`` = 0 cuts wherever a cut is planned.
+
+_REF = {}
+
+
+def ref_outcome(q, spec):
+    """The reference's outcome at the default budget, once per case."""
+    key = (json.dumps(q.to_json_dict()), spec)
+    if key not in _REF:
+        _REF[key] = outcome(ref_quasi_pruned, q, ALGEBRAS[spec])
+    return _REF[key]
+
+
+class CutLog:
+    """Notes each cut the search prices (whether the first candidate paid
+    the star scan) and each cut candidate the budget walk charges."""
+
+    def __init__(self, monkeypatch):
+        self.cuts, self.scans, self.walked = 0, 0, 0
+        price, steps = decide._Cut.price, decide._Cut.steps
+
+        def logged_price(cut, cols, scan, n):
+            self.cuts += 1
+            self.scans += scan is not None
+            return price(cut, cols, scan, n)
+
+        def logged_steps(cut, m):
+            self.walked += 1
+            return steps(cut, m)
+
+        monkeypatch.setattr(decide._Cut, "price", logged_price)
+        monkeypatch.setattr(decide._Cut, "steps", logged_steps)
+
+
+@pytest.mark.parametrize("wide", [0, decide._WIDE], ids=["cut-everywhere", "as-is"])
+@pytest.mark.parametrize("spec", SPECS)
+def test_qb_n_replays_with_the_lookahead(spec, wide, monkeypatch):
+    monkeypatch.setattr(decide, "_WIDE", wide)
+    log = CutLog(monkeypatch)
+    for n in (2, 3, 4):
+        q = qb_quasi_identity(n)
+        assert outcome(_quasi_pruned, q, ALGEBRAS[spec]) == ref_outcome(q, spec), n
+    if wide == 0 or spec.startswith("free"):
+        assert log.cuts  # qb_3 and qb_4 pin their last variable by S = x1 | ... | x_{n-1}
+
+
+def star_pinned_quasi(rng):
+    """x_k* = S for an S over x1..x_{k-1} that holds x_{k-1}, so that the pin
+    closes one depth early, among 0-2 premises of the other shapes."""
+    k = rng.choice((3, 3, 4))
+    s = term_over(rng, k - 1)
+    s = rng.choice((Join(s, Var(k - 1)), Meet(Var(k - 1), s), Join(Var(k - 2), Var(k - 1))))
+    pin = Equation(Star(Var(k)), s) if rng.random() < 0.5 else Equation(s, Star(Var(k)))
+    others = [premise(rng, rng.choice(SHAPES), rng.randint(1, k), k)
+              for _ in range(rng.randint(0, 2))]
+    others.insert(rng.randint(0, len(others)), pin)
+    return QuasiIdentity(tuple(others), Equation(term_over(rng, k), term_over(rng, k)))
+
+
+@pytest.mark.parametrize("wide", [0, decide._WIDE], ids=["cut-everywhere", "as-is"])
+def test_star_pinned_corpus_replays(wide, monkeypatch):
+    # a small budget keeps the searches short and replays budget errors too
+    monkeypatch.setattr(config, "DEFAULT", dataclasses.replace(config.DEFAULT, budget=20_000))
+    monkeypatch.setattr(decide, "_WIDE", wide)
+    log = CutLog(monkeypatch)
+    rng, errors, cases = random.Random(28), 0, 0
+    for spec in SPECS:
+        for _ in range(20):
+            q = star_pinned_quasi(rng)
+            want = outcome(ref_quasi_pruned, q, ALGEBRAS[spec])
+            assert outcome(_quasi_pruned, q, ALGEBRAS[spec]) == want, (spec, q)
+            errors += isinstance(want, str)
+            cases += 1
+    assert 0 < errors < cases // 3
+    assert log.cuts >= (100 if wide == 0 else 10)
+
+
+# x1 | x1* = x1 keeps x1 at the dense elements, the first of them below 1
+# in si:n, so S = x1 | x2 has no star preimage at the first candidate: the
+# star scan falls on a cut node
+SCAN_ON_CUT = QuasiIdentity((Equation(Join(Var(1), Star(Var(1))), Var(1)),
+                             Equation(Star(Var(3)), Join(Var(1), Var(2)))),
+                            Equation(Join(Var(3), Var(2)), Join(Var(2), Var(3))))
+
+
+@pytest.mark.parametrize("spec", ["si:2", "si:3", "chain:4"])
+def test_lookahead_budget_errors_replay_at_every_crossing(spec, monkeypatch):
+    # every charge of the reference is a crossing: the same error at each,
+    # where a chunk's sum crosses and its walk charges cut candidates too
+    monkeypatch.setattr(decide, "_WIDE", 0)
+    A, ample, rng = ALGEBRAS[spec], config.DEFAULT, random.Random(spec)
+    qs = [qb_quasi_identity(3), qb_quasi_identity(4), SCAN_ON_CUT]
+    qs += [star_pinned_quasi(rng) for _ in range(6)]
+    log = CutLog(monkeypatch)
+    for q in qs:
+        monkeypatch.setattr(config, "DEFAULT", ample)
+        steps = charge_steps(q, A, monkeypatch)
+        assert outcome(_quasi_pruned, q, A) == outcome(ref_quasi_pruned, q, A)
+        for budget in sorted({used for used, amount, times in steps if amount * times}):
+            monkeypatch.setattr(config, "DEFAULT", dataclasses.replace(ample, budget=budget))
+            assert outcome(_quasi_pruned, q, A) == error_at(steps, budget), (q, budget)
+    assert log.cuts and log.walked
+    if spec.startswith("si"):
+        assert log.scans  # SCAN_ON_CUT's first candidate pays the scan
+
+
+def test_qb3_cuts_dead_prefixes_one_depth_early(monkeypatch):
+    # prefixes at x3's depth, counted as the width of the rows the pin side
+    # x1 | x2 is read over there: 2,557 without the lookahead, 31 with it
+    pin_side = compile_postfix(Join(Var(1), Var(2)))
+    widths, rows = [], decide._Rows.eval
+
+    def eval(self, code, val, v=None, xs=()):
+        if code == pin_side and v is None:
+            widths.append(len(val[1]))
+        return rows(self, code, val, v, xs)
+
+    monkeypatch.setattr(decide._Rows, "eval", eval)
+    A, q = ALGEBRAS["free:4,2"], qb_quasi_identity(3)
+    assert _quasi_pruned(q, A, (1, 2, 3)) == ref_quasi_pruned(q, A, (1, 2, 3))
+    assert 0 < sum(widths) <= 64
+    widths.clear()
+    monkeypatch.setattr(decide, "_lookahead", lambda sides, v: None)
+    assert _quasi_pruned(q, A, (1, 2, 3)).budget_used == 2_448_872
+    assert sum(widths) == 2_557
+
+
+# x4 ranges over all of A below the pin x3* = x1 | x2, so a chunk of four
+# x1 values passes |A|^2 prefixes at x4's depth and keeps its leading ones:
+# the candidates cut at x2's depth under the x1 values it drops are not
+# charged there, but in the chunks that search them
+CAP_CUT = QuasiIdentity((Equation(Star(Var(3)), Join(Var(1), Var(2))),),
+                        Equation(Join(Var(4), Var(3)), Join(Var(3), Var(4))))
+
+# x1 | (x2 & x2*) = 1 keeps values of x2 only at x1 = 1, x2 | x2* = x2 keeps
+# the dense ones, and x3* = x2 cuts the first of them below 1, which pays
+# the scan for the preimages; x4 and x5 range over all of A.  A chunk of the
+# x1 just before 1 and 1 itself, kept short by the budget at x5's depth,
+# keeps only that x1: it charges neither the cut nor the scan, and leaves
+# both to the next chunk
+LATE_CUT = QuasiIdentity((Equation(Join(Var(1), Meet(Var(2), Star(Var(2)))), ONE),
+                          Equation(Join(Var(2), Star(Var(2))), Var(2)),
+                          Equation(Star(Var(3)), Var(2))),
+                         Equation(Join(Join(Var(4), Var(3)), Var(5)),
+                                  Join(Var(5), Join(Var(3), Var(4)))))
+
+
+@pytest.mark.parametrize("spec", ["si:3", "chain:5", "dist:3"])
+def test_a_chunk_kept_short_charges_only_its_own_cuts(spec, monkeypatch):
+    monkeypatch.setattr(decide, "_WIDE", 0)
+    log = CutLog(monkeypatch)
+    A = ALGEBRAS[spec]
+    assert outcome(_quasi_pruned, CAP_CUT, A) == outcome(ref_quasi_pruned, CAP_CUT, A)
+    assert log.cuts
+
+
+@pytest.mark.parametrize("spec", ["si:2", "si:3"])
+def test_a_cut_chunk_leaves_the_scan_on_its_cut_to_the_next(spec, monkeypatch):
+    monkeypatch.setattr(decide, "_WIDE", 0)
+    log = CutLog(monkeypatch)
+    A, ample = ALGEBRAS[spec], config.DEFAULT
+    U = ref_quasi_pruned(LATE_CUT, A, (1, 2, 3, 4, 5)).budget_used
+    for budget in range(1, U + 1):
+        monkeypatch.setattr(config, "DEFAULT", dataclasses.replace(ample, budget=budget))
+        assert outcome(_quasi_pruned, LATE_CUT, A) == outcome(ref_quasi_pruned, LATE_CUT, A), \
+            budget
+    assert log.scans
