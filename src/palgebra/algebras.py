@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import json
 from functools import reduce
-from itertools import chain
+from itertools import chain, compress
 from json.encoder import encode_basestring_ascii
-from operator import and_, itemgetter, or_
+from operator import and_, itemgetter, not_, or_
 from typing import Iterator, Sequence, Union
 
 from . import config
@@ -32,15 +32,24 @@ from .posets import (
 from .records import Record
 
 
+# translates the bytes 0 and 1 to the digits b"0" and b"1"; _DIGIT_AT[i]
+# translates the byte i to b"1" and every other byte to b"0"
+_DIGIT = bytes.maketrans(b"\0\1", b"01")
+_DIGIT_AT = [b"0" * i + b"1" + b"0" * (255 - i) for i in range(256)]
+
+
 class Violation(Record):
     """One failed law plus a witnessing tuple of element indices."""
     __slots__ = ("law", "witness")
 
 
 class TableAlgebra:
-    """A p-algebra given by meet/join/star tables over indices 0..size-1."""
+    """A p-algebra given by meet/join/star tables over indices 0..size-1.
+    ``_order`` holds the element order once ``_lawful`` has proved the meet
+    and join tables those of a distributive lattice on it, else None."""
 
-    __slots__ = ("size", "meet_table", "join_table", "star_table", "zero", "one", "labels")
+    __slots__ = ("size", "meet_table", "join_table", "star_table", "zero", "one", "labels",
+                 "_order")
 
     def __init__(self, meet, join, star, zero, one, labels=None):
         n = len(star)
@@ -63,6 +72,7 @@ class TableAlgebra:
         self.zero = zero
         self.one = one
         self.labels = tuple(labels) if labels is not None else None
+        self._order = None
 
     def meet(self, i: int, j: int) -> int:
         return self.meet_table[i][j]
@@ -77,8 +87,15 @@ class TableAlgebra:
         return self.meet_table[i][j] == i
 
     def up_row(self, i: int) -> int:
-        """The mask of the j with i <= j, read off the meet table as ``leq`` does."""
-        return sum(1 << j for j, m in enumerate(self.meet_table[i]) if m == i)
+        """The mask of the j with i <= j, read off the meet table as ``leq``
+        does: the row's tests m == i as binary digits, in C.  Up to 256
+        elements a row is a byte string, and the digits its translation."""
+        row = self.meet_table[i]
+        if self.size <= 256:
+            digits = bytes(row).translate(_DIGIT_AT[i])
+        else:
+            digits = bytes(map(i.__eq__, row)).translate(_DIGIT)
+        return int(digits[::-1], 2)
 
     def down_row(self, i: int) -> int:
         """The mask of the j with j <= i."""
@@ -247,47 +264,72 @@ def validate(A: PAlgebra) -> list[Violation]:
 
 def violations(A: PAlgebra) -> Iterator[Violation]:
     """``validate``'s violations, lazily: the scan runs as far as the caller reads."""
+    A = to_table(A)
     if not _lawful(A):
-        yield from _law_scan(A)
+        yield from _law_scan(A, lattice=A._order is not None)
 
 
 def _lawful(A: PAlgebra) -> bool:
-    """True iff A satisfies every law ``_law_scan`` checks.
+    """True iff A satisfies every law ``_law_scan`` checks, decided in the
+    Birkhoff masks of the meet table's relation ``a <= b iff a & b = a``.
 
-    The meet table's relation ``a <= b iff a & b = a`` must be a partial
-    order (``Poset`` checks) with ``down[a & b] = down[a] & down[b]``, so meet
-    is its meet, and with one as its top, so it is a finite lattice.  There
-    each element is the join of the join-irreducibles below it, so
-    ``below[a | b] = below[a] | below[b]`` on those masks makes the join
-    table the lattice join and every join-irreducible join-prime (Birkhoff:
-    distributivity).  Last, the elements below b* must be those whose meet
-    with b is zero: that gives every star law, and at b = zero it puts the
-    bottom above zero, so zero is the bottom.
+    Its up rows must be reflexive and pairwise distinct (early refusals:
+    the row check below implies both).  Taken as an order (unchecked), they
+    give join-irreducibles ja and, per element a, the mask ``below[a]`` of
+    the t with ja[t] <= a, which must be injective.  Then
+    each row is compared with the masks, packed a few bytes apiece and read
+    in C: ``below[a & b]`` must be ``below[a] & below[b]`` at every b, and
+    ``below[a | b]`` must be ``below[a] | below[b]``.  That makes ``below``
+    an isomorphism onto a family of sets closed under both, so meet and
+    join are those of a distributive lattice, and a <= b iff below[a] lies
+    in below[b]: the up rows were a partial order after all, which the
+    table keeps (``_order``) for ``element_order`` and ``birkhoff``, and
+    which tells ``_law_scan`` that no law in three variables can fail.
+    Last, one must be the top, zero's mask empty (so zero is the bottom),
+    and each ``below[a*]`` the t with below[ja[t]] & below[a] = 0: the
+    largest mask disjoint from below[a], as ``UpsetMasks.star`` computes
+    it, which gives every star law.  Two passes over the rows, and O(|J|)
+    work per element.
     """
     A = to_table(A)
-    M, J, S, zero = A.meet_table, A.join_table, A.star_table, A.zero
-    try:
-        order = element_order(A)
-    except ValueError:  # the meet table's relation is not a partial order
+    M, J, S, n = A.meet_table, A.join_table, A.star_table, A.size
+    if [row[a] for a, row in enumerate(M)] != list(range(n)):
         return False
-    down = order.down
-    if down[A.one] != order.universe:
+    up = list(map(A.up_row, range(n)))
+    if len(set(up)) < n:
         return False
-    below = birkhoff_masks(order)[1]
-    for a in range(A.size):
-        da, ba, Ma = down[a], below[a], M[a]
-        if ([down[m] for m in Ma] != [da & d for d in down]
-                or [below[j] for j in J[a]] != [ba | t for t in below]
-                or down[S[a]] != sum(1 << b for b, m in enumerate(Ma) if m == zero)):
+    order = Poset._trusted(up, point_columns(up, n))
+    ja, below = birkhoff_masks(order)
+    if len(set(below)) < n:
+        return False
+    # the masks packed w bytes apiece, below[b] in slot b: a row of the meet
+    # table must read, slot by slot, as ba in every slot ANDed with them
+    w = len(ja) // 8 + 1
+    slots = [m.to_bytes(w, "little") for m in below]
+    packed, width = int.from_bytes(b"".join(slots), "little"), n * w
+    ones = int.from_bytes(b"\1".ljust(w, b"\0") * n, "little")
+    slot = slots.__getitem__
+    for ba, Ma, Ja in zip(below, M, J):
+        every = ba * ones
+        if (b"".join(map(slot, Ma)) != (every & packed).to_bytes(width, "little")
+                or b"".join(map(slot, Ja)) != (every | packed).to_bytes(width, "little")):
             return False
-    return True
+    A._order = order
+    if order.down[A.one] != order.universe or below[A.zero]:
+        return False
+    ups, bits = [below[p] for p in ja], [1 << t for t in range(len(ja))]
+    return (list(map(below.__getitem__, S))
+            == [sum(compress(bits, map(not_, map(ba.__and__, ups)))) for ba in below])
 
 
-def _law_scan(A: PAlgebra) -> Iterator[Violation]:
+def _law_scan(A: PAlgebra, lattice: bool = False) -> Iterator[Violation]:
     """The per-law witness scan behind ``validate``: the first witness of each
     failed law, yielded as found, with witnesses in lexicographic order.  A
     law is compared one row (all values of its last variable) at a time, so
-    the laws in three variables cost |A|^2 row comparisons."""
+    the laws in three variables cost |A|^2 row comparisons.  With
+    ``lattice``, the caller has proved meet and join those of a distributive
+    lattice (``_lawful`` does, before it looks at zero, one and star), so the
+    associative and distributive laws hold and are not scanned."""
     A = to_table(A)
     rng = range(A.size)
     M, J, S, zero, one = A.meet_table, A.join_table, A.star_table, A.zero, A.one
@@ -324,10 +366,13 @@ def _law_scan(A: PAlgebra) -> Iterator[Violation]:
     yield from law("join-commutative", pairs(J.__getitem__, JT.__getitem__))
     yield from law("absorption-meet", pairs(lambda a: GJ[a](M[a]), lambda a: (a,) * n))
     yield from law("absorption-join", pairs(lambda a: GM[a](J[a]), lambda a: (a,) * n))
-    yield from law("meet-associative", triples(lambda a, b: M[M[a][b]], lambda a, b: GM[b](M[a])))
-    yield from law("join-associative", triples(lambda a, b: J[J[a][b]], lambda a, b: GJ[b](J[a])))
-    yield from law("distributive",
-                   triples(lambda a, b: GJ[b](M[a]), lambda a, b: GM[a](J[M[a][b]])))
+    if not lattice:
+        yield from law("meet-associative",
+                       triples(lambda a, b: M[M[a][b]], lambda a, b: GM[b](M[a])))
+        yield from law("join-associative",
+                       triples(lambda a, b: J[J[a][b]], lambda a, b: GJ[b](J[a])))
+        yield from law("distributive",
+                       triples(lambda a, b: GJ[b](M[a]), lambda a, b: GM[a](J[M[a][b]])))
     yield from law("zero-meet", [((), M[zero], (zero,) * n)])
     yield from law("zero-join", [((), J[zero], ident)])
     yield from law("one-meet", [((), M[one], ident)])
@@ -490,6 +535,8 @@ def element_order(A: PAlgebra) -> Poset:
     """The order of A on its element indices; ``up[i]`` is the mask of all j >= i."""
     if isinstance(A, UpsetAlgebra):
         return inclusion_order(A.elements)
+    if A._order is not None:  # proved by ``_lawful``
+        return A._order
     return Poset(list(map(A.up_row, range(A.size))), cap=A.size)
 
 

@@ -30,6 +30,13 @@ class Congruence:
         self.rep = tuple(least.setdefault(lab, i) for i, lab in enumerate(labels))
         self._classes: tuple[int, ...] | None = None
 
+    @classmethod
+    def _trusted(cls, rep: tuple[int, ...]) -> "Congruence":
+        """The partition whose least members rep already lists."""
+        C = cls.__new__(cls)
+        C.rep, C._classes = rep, None
+        return C
+
     @property
     def size(self) -> int:
         return len(self.rep)
@@ -78,8 +85,8 @@ class Congruence:
         """The smallest partition above self that puts i and j together
         (not closed under the algebra operations)."""
         ri, rj = self.rep[i], self.rep[j]
-        lo, hi = min(ri, rj), max(ri, rj)
-        return Congruence([lo if r == hi else r for r in self.rep])
+        lo, hi = min(ri, rj), max(ri, rj)  # lo stays the least of the merged class
+        return Congruence._trusted(tuple(map({hi: lo}.get, self.rep, self.rep)))
 
     def to_json(self) -> list[int]:
         return list(self.rep)
@@ -273,9 +280,10 @@ def cm_all(A, *, verify: bool = False) -> list[CmRecord]:
         F, under, fbar = ups[t], below[p] & atoms, (1 << A.size) - 1
         for q in bit_indices(under):
             fbar &= ups[q]
-        # labels: -1 for F, -2 for F-bar minus F, else the atoms of Q below a
-        mu = Congruence([-1 if (F >> a) & 1 else -2 if (fbar >> a) & 1 else m & under
-                         for a, m in enumerate(below)])
+        # label a by below[a] & (Q + t): F (above p, so above Q) reads Q + t,
+        # F-bar minus F reads Q (it is empty when p is an atom, Q = {t}), and
+        # the rest read the atoms of Q below them
+        mu = Congruence(map((under | 1 << t).__and__, below))
         if under == 1 << t:
             records.append(CmRecord(mu, full_congruence(A.size), "I", F, psi=p, e_mu=_low_bit(~F)))
         else:

@@ -39,6 +39,17 @@ from palgebra.posets import bit_indices, downset_closure, min_elements
 from palgebra.terms import compile_postfix, eval_postfix
 
 
+def ref_bit_indices(mask):
+    """``posets.bit_indices`` as one Python step per set bit, before dense
+    masks were spread in C."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def small_corpus():
     """(name, algebra) pairs: the si members, chains, small free algebras,
     a product, and a few proper quotients of those."""

@@ -18,7 +18,26 @@ from palgebra.posets import (
     upset_closure,
 )
 
-from .helpers import ref_enumerate_upsets, ref_poset_isomorphic
+from .helpers import ref_bit_indices, ref_enumerate_upsets, ref_poset_isomorphic
+
+
+def bit_masks():
+    """0, single bits, and seeded sparse, dense and full masks of 1 to
+    12,000 bits: both readings, and each side of the gate between them."""
+    import random
+
+    rng = random.Random(15)
+    out = [0] + [1 << i for i in (0, 1, 7, 8, 63, 64, 10_000)]
+    for length in [*range(1, 80), 100, 539, 626, 1025, 10_001, 12_000]:
+        for density in (0.02, 0.1, 0.125, 0.2, 0.5, 0.9, 1.0):
+            mask = sum(1 << i for i in range(length) if rng.random() < density)
+            out.append(mask | 1 << (length - 1))
+    return out
+
+
+def test_bit_indices_replays_the_loop():
+    for mask in bit_masks():
+        assert bit_indices(mask) == ref_bit_indices(mask), mask
 
 
 def chain(n):

@@ -87,15 +87,21 @@ def mutate(A, rng, count):
     return TableAlgebra(M, J, S, bounds["zero"], bounds["one"])
 
 
-def test_row_check_replays_the_scan_on_3000_seeded_tables():
+def seeded_tables():
+    """(trial, base name, table) for 3,000 seeded tables: each a relabelled
+    copy of one of BASES with 0-3 random edits."""
     rng = random.Random(20261018)
-    lawless = upsets = 0
     for trial in range(3000):
         name = rng.choice(sorted(BASES))
         B = BASES[name]
         perm = list(range(B.size))
         rng.shuffle(perm)
-        A = mutate(relabel(B, perm), rng, rng.randint(0, 3))
+        yield trial, name, mutate(relabel(B, perm), rng, rng.randint(0, 3))
+
+
+def test_row_check_replays_the_scan_on_3000_seeded_tables():
+    lawless = upsets = 0
+    for trial, name, A in seeded_tables():
         scan = ref_law_scan(A)
         assert list(_law_scan(A)) == scan, (trial, name)
         assert _lawful(A) == (scan == []), (trial, name, scan)
@@ -212,6 +218,31 @@ def test_cli_stops_the_scan_at_the_first_failed_law(tmp_path, capsys):
         sys.setprofile(None)
     assert (code, out) == (1, "")
     assert err == f"error: algebra file {str(path)!r} violates the laws: {first}\n"
+    assert {"_lawful", "pairs"} <= called and "triples" not in called
+
+
+def test_a_lawless_lattice_skips_the_laws_in_three_variables(tmp_path, capsys):
+    """si:9's 513-element table with one star entry wrong: the row check
+    proves meet and join those of a distributive lattice before it reaches
+    the star, so the scan that names the violation runs no ``triples``."""
+    doc = algebra_to_json_dict(build_si(9))
+    doc["star"][1] = 0
+    path = tmp_path / "bad-si9.json"
+    path.write_text(json.dumps(doc))
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == algebras.__file__:
+            called.add(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        code, out, err = run(capsys, "convert", str(path))
+    finally:
+        sys.setprofile(None)
+    assert (code, out) == (1, "")
+    assert err == (f"error: algebra file {str(path)!r} violates the laws: "
+                   "Violation(law='star-meet', witness=(2, 1))\n")
     assert {"_lawful", "pairs"} <= called and "triples" not in called
 
 
