@@ -30,6 +30,7 @@ from .posets import (
     poset_isomorphic,
 )
 from .records import Record
+from .terms import json_kind
 
 
 # translates the bytes 0 and 1 to the digits b"0" and b"1"; _DIGIT_AT[i]
@@ -45,34 +46,35 @@ class Violation(Record):
 
 class TableAlgebra:
     """A p-algebra given by meet/join/star tables over indices 0..size-1.
-    ``_order`` holds the element order once ``_lawful`` has proved the meet
-    and join tables those of a distributive lattice on it, else None."""
+    ``_lawful`` notes ``_lattice`` once meet and join are proved a
+    distributive lattice's, and keeps ``_carrier`` once every law holds."""
 
     __slots__ = ("size", "meet_table", "join_table", "star_table", "zero", "one", "labels",
-                 "_order")
+                 "_lattice", "_carrier")
 
     def __init__(self, meet, join, star, zero, one, labels=None):
         n = len(star)
         if len(meet) != n or len(join) != n:
             raise MalformedTables("meet/join/star tables disagree on size")
-        # entries must have type int: a float, bool or string is refused, not coerced
+        # entries must have type int: a float, bool or string is refused, not
+        # coerced; each check is one pass in C over every entry of a table
         for name, table in (("meet", meet), ("join", join)):
-            for row in table:
-                if (len(row) != n or not {*map(type, row)} <= {int}
-                        or min(row) < 0 or max(row) >= n):
-                    raise MalformedTables(f"{name} table has a bad row")
+            if n and ({*map(len, table)} != {n}
+                      or list(map(type, chain.from_iterable(table))).count(int) != n * n
+                      or not set(chain.from_iterable(table)) <= set(range(n))):
+                raise MalformedTables(f"{name} table has a bad row")
         if any(type(v) is not int or not 0 <= v < n for v in star):
             raise MalformedTables("star table out of range")
         if any(type(v) is not int or not 0 <= v < n for v in (zero, one)):
             raise MalformedTables("zero/one out of range")
         self.size = n
-        self.meet_table = tuple(tuple(row) for row in meet)
-        self.join_table = tuple(tuple(row) for row in join)
+        self.meet_table = tuple(map(tuple, meet))
+        self.join_table = tuple(map(tuple, join))
         self.star_table = tuple(star)
         self.zero = zero
         self.one = one
         self.labels = tuple(labels) if labels is not None else None
-        self._order = None
+        self._lattice, self._carrier = False, None
 
     def meet(self, i: int, j: int) -> int:
         return self.meet_table[i][j]
@@ -96,24 +98,6 @@ class TableAlgebra:
         else:
             digits = bytes(map(i.__eq__, row)).translate(_DIGIT)
         return int(digits[::-1], 2)
-
-    def down_row(self, i: int) -> int:
-        """The mask of the j with j <= i."""
-        return sum(1 << j for j, row in enumerate(self.meet_table) if row[i] == j)
-
-    def birkhoff(self) -> tuple[list[int], list[int], list[int]]:
-        """The join-irreducibles ja, ascending, their up rows and, per
-        element a, the mask of the t with ja[t] <= a; off ``element_order``."""
-        order = element_order(self)
-        ja, below = birkhoff_masks(order)
-        return ja, [order.up[p] for p in ja], below
-
-    def star_classes(self) -> dict[int, int]:
-        """{s: the mask of the elements whose star is s}."""
-        classes: dict[int, int] = {}
-        for x, s in enumerate(self.star_table):
-            classes[s] = classes.get(s, 0) | 1 << x
-        return classes
 
     def __repr__(self) -> str:
         return f"TableAlgebra(size={self.size})"
@@ -214,9 +198,9 @@ class UpsetAlgebra:
         return (1 << self.size) - 1 & ~reduce(or_, map(self.columns().__getitem__, outside), 0)
 
     def birkhoff(self) -> tuple[list[int], list[int], list[int]]:
-        """``TableAlgebra.birkhoff``'s answer, off the columns: the
-        join-irreducibles are the principal upsets up(x) of the base points,
-        and the elements above up(x) are those holding x, column x."""
+        """The join-irreducibles ja, ascending, their up rows and the masks
+        of the t with ja[t] <= a, off the columns: ja are the principal
+        upsets up(x) of the base points, and column x is the up row of up(x)."""
         columns, index = self.columns(), self.index
         by_index = sorted((index[row], x) for x, row in enumerate(self.base.up))
         ups = [columns[x] for _, x in by_index]
@@ -265,8 +249,8 @@ def validate(A: PAlgebra) -> list[Violation]:
 def violations(A: PAlgebra) -> Iterator[Violation]:
     """``validate``'s violations, lazily: the scan runs as far as the caller reads."""
     A = to_table(A)
-    if not _lawful(A):
-        yield from _law_scan(A, lattice=A._order is not None)
+    if A._carrier is None and not _lawful(A):
+        yield from _law_scan(A, lattice=A._lattice)
 
 
 def _lawful(A: PAlgebra) -> bool:
@@ -282,14 +266,15 @@ def _lawful(A: PAlgebra) -> bool:
     ``below[a | b]`` must be ``below[a] | below[b]``.  That makes ``below``
     an isomorphism onto a family of sets closed under both, so meet and
     join are those of a distributive lattice, and a <= b iff below[a] lies
-    in below[b]: the up rows were a partial order after all, which the
-    table keeps (``_order``) for ``element_order`` and ``birkhoff``, and
-    which tells ``_law_scan`` that no law in three variables can fail.
-    Last, one must be the top, zero's mask empty (so zero is the bottom),
-    and each ``below[a*]`` the t with below[ja[t]] & below[a] = 0: the
-    largest mask disjoint from below[a], as ``UpsetMasks.star`` computes
-    it, which gives every star law.  Two passes over the rows, and O(|J|)
-    work per element.
+    in below[b]: the up rows were a partial order after all, and the
+    table notes (``_lattice``) for ``_law_scan`` that no law in three
+    variables can fail.  Last, one must be the top, zero's mask empty (so
+    zero is the bottom), and each ``below[a*]`` the t with below[ja[t]] &
+    below[a] = 0: the largest mask disjoint from below[a], as
+    ``UpsetMasks.star`` computes it, which gives every star law.  Two passes
+    over the rows, and O(|J|) work per element.  A lawful table keeps its
+    upset carrier: point t has the up row below[ja[t]], element a is the
+    upset below[a].
     """
     A = to_table(A)
     M, J, S, n = A.meet_table, A.join_table, A.star_table, A.size
@@ -314,12 +299,15 @@ def _lawful(A: PAlgebra) -> bool:
         if (b"".join(map(slot, Ma)) != (every & packed).to_bytes(width, "little")
                 or b"".join(map(slot, Ja)) != (every | packed).to_bytes(width, "little")):
             return False
-    A._order = order
+    A._lattice = True
     if order.down[A.one] != order.universe or below[A.zero]:
         return False
     ups, bits = [below[p] for p in ja], [1 << t for t in range(len(ja))]
-    return (list(map(below.__getitem__, S))
-            == [sum(compress(bits, map(not_, map(ba.__and__, ups)))) for ba in below])
+    if (list(map(below.__getitem__, S))
+            != [sum(compress(bits, map(not_, map(ba.__and__, ups)))) for ba in below]):
+        return False
+    A._carrier = UpsetAlgebra._trusted(Poset._trusted(ups, point_columns(ups, len(ja))), below)
+    return True
 
 
 def _law_scan(A: PAlgebra, lattice: bool = False) -> Iterator[Violation]:
@@ -465,14 +453,24 @@ def si_cond_check(B: TableAlgebra) -> list[tuple[int, int]]:
     return bad
 
 
-def build_chain(m: int) -> TableAlgebra:
-    """The m-element chain with 0* = 1 and x* = 0 elsewhere (m >= 2)."""
+def chain_carrier(m: int) -> UpsetAlgebra:
+    """The m-element chain with 0* = 1 and x* = 0 elsewhere (m >= 2): the
+    upsets of an (m-1)-point chain whose point t lies below points 0..t-1.
+    Index i is the upset of the i highest points, the mask 2^i - 1."""
     if m < 2:
         raise ValueError("chains need at least two elements")
     cap = config.DEFAULT.element_cap
     if m > cap:
         raise CapExceeded("algebra size", m, cap)
-    return tabulate(m, min, max, lambda a: m - 1 if a == 0 else 0, 0, m - 1)
+    whole = (1 << (m - 1)) - 1
+    base = Poset._trusted([(2 << t) - 1 for t in range(m - 1)],
+                          [whole & -(1 << t) for t in range(m - 1)])
+    return UpsetAlgebra._trusted(base, [(1 << i) - 1 for i in range(m)])
+
+
+def build_chain(m: int) -> TableAlgebra:
+    """``chain_carrier(m)``'s tables, in its numbering."""
+    return to_table(chain_carrier(m))
 
 
 def product(A: PAlgebra, B: PAlgebra) -> PAlgebra:
@@ -535,8 +533,6 @@ def element_order(A: PAlgebra) -> Poset:
     """The order of A on its element indices; ``up[i]`` is the mask of all j >= i."""
     if isinstance(A, UpsetAlgebra):
         return inclusion_order(A.elements)
-    if A._order is not None:  # proved by ``_lawful``
-        return A._order
     return Poset(list(map(A.up_row, range(A.size))), cap=A.size)
 
 
@@ -586,8 +582,8 @@ def is_isomorphic(A: PAlgebra, B: PAlgebra):
     """
     if A.size != B.size:
         return None
-    ja, _, ma = A.birkhoff()
-    jb, _, mb = B.birkhoff()
+    ja, _, ma = upset_carrier(A).birkhoff()
+    jb, _, mb = upset_carrier(B).birkhoff()
     f = poset_isomorphic(inclusion_order([ma[p] for p in ja]),
                          inclusion_order([mb[q] for q in jb]))
     if f is None:
@@ -624,18 +620,28 @@ def to_table(A: PAlgebra) -> TableAlgebra:
     return tabulate(A.size, A.meet, A.join, A.star, A.zero, A.one)
 
 
+def upset_carrier(A: PAlgebra) -> UpsetAlgebra:
+    """A as the upsets of a base poset, in A's own numbering: A itself if it
+    is no table, else the carrier ``_lawful`` proves and keeps, checked on
+    the first call.  A lawless table is refused with its first violation."""
+    if not isinstance(A, TableAlgebra):
+        return A
+    problem = next(violations(A), None)
+    if problem is not None:
+        raise MalformedTables(f"the tables violate the laws: {problem}")
+    return A._carrier
+
+
 def to_upset(A: PAlgebra) -> UpsetAlgebra:
-    """Rebuild A as the upsets of its reversed join-irreducible poset."""
+    """Rebuild A as the upsets of its reversed join-irreducible poset, the
+    base of ``upset_carrier(A)``, numbered as ``UpsetAlgebra`` numbers them."""
     if isinstance(A, UpsetAlgebra):
         return A
-    ja, _, masks = A.birkhoff()
-    base = inclusion_order([masks[p] for p in ja]).dual()
-    if sorted(masks) != sorted(enumerate_upsets(base)):
-        raise ValueError("carrier is not the full upset lattice of its join-irreducibles")
+    C = upset_carrier(A)
     labels = None
-    if A.labels is not None:
-        labels = [A.labels[p] for p in ja]
-    return UpsetAlgebra(base, labels=labels)
+    if A.labels is not None:  # point t's up row is its join-irreducible
+        labels = [A.labels[C.index[row]] for row in C.base.up]
+    return UpsetAlgebra(C.base, labels=labels)
 
 
 # -------------------------------------------------------------------- JSON
@@ -665,9 +671,20 @@ def algebra_from_json_dict(doc: dict) -> PAlgebra:
     try:
         kind = doc["kind"]
         if kind == "table":
-            return TableAlgebra(doc["meet"], doc["join"], doc["star"], doc["zero"], doc["one"])
+            A = TableAlgebra(doc["meet"], doc["join"], doc["star"], doc["zero"], doc["one"])
+            size = doc["size"]
+            if type(size) is not int:
+                raise ValueError(f"table size must be an integer, got {json_kind(size)}")
+            if size != A.size:
+                raise ValueError(f"table size {size} for {A.size} rows")
+            return A
         if kind == "upset":
-            poset, labels = doc["poset"], [str(s) for s in doc["labels"]]
+            poset, labels = doc["poset"], doc["labels"]
+            if type(labels) is not list:
+                raise ValueError(f"labels must be a list of strings, got {json_kind(labels)}")
+            for i, label in enumerate(labels):
+                if type(label) is not str:
+                    raise ValueError(f"labels[{i}] must be a string, got {json_kind(label)}")
             if type(poset["size"]) is not int:
                 raise ValueError(f"poset size must be an integer, got {poset['size']!r}")
             if len(labels) != poset["size"]:

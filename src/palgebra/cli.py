@@ -22,7 +22,7 @@ from .algebras import (
     TableAlgebra,
     algebra_loads,
     algebra_to_json_dict,
-    build_chain,
+    chain_carrier,
     json_chunks,
     si_carrier,
     violations,
@@ -81,7 +81,7 @@ def load_algebra(spec: str):
             if head == "si":
                 return si_carrier(int(tail))
             if head == "chain":
-                return build_chain(int(tail))
+                return chain_carrier(int(tail))
             if head == "dist":
                 return free_distributive(int(tail))
             n_text, _, k_text = tail.partition(",")

@@ -201,7 +201,8 @@ def is_prime_filter(A, mask: int) -> bool:
 def prime_filters(A) -> list[int]:
     """All prime filters, as element masks: in a finite distributive lattice
     these are exactly the up-sets of join-irreducibles."""
-    return A.birkhoff()[1]
+    from .algebras import upset_carrier
+    return upset_carrier(A).birkhoff()[1]
 
 
 def closure_filter(A, mask: int) -> int:
@@ -261,17 +262,17 @@ def cm_from_prime_filter(A, F: int, *, verify: bool = False) -> CmRecord:
 
 
 def cm_all(A, *, verify: bool = False) -> list[CmRecord]:
-    """One record per prime filter F = up(p), p join-irreducible, read off the
-    carrier's Birkhoff answer ``A.birkhoff()``.  With Q the atoms below p,
-    F-bar = {a : a** in F} is the meet of their filters, the I-type filters
-    above it, and F is I-type iff Q = {p}.  Classes: F; F-bar minus F; outside F-bar, one per set of atoms
-    of Q below.  A lawful A is assumed, as every CLI path checks on load;
-    verify=True re-proves from the operations that the filters are prime, mu
-    and mu+ compatible and each quotient's subcover of 1 unique, and, within
-    the oracle cap, that the records are the lattice's meet-irreducibles."""
-    from .algebras import compatibility_witness
+    """One record per prime filter F = up(p), p join-irreducible, read off
+    ``upset_carrier(A).birkhoff()`` (a lawless table is refused).  With Q
+    the atoms below p, F-bar = {a : a** in F} is the meet of their filters,
+    the I-type filters above it, and F is I-type iff Q = {p}.  Classes: F;
+    F-bar minus F; outside F-bar, one per set of atoms of Q below.
+    verify=True re-proves from the operations that the filters are prime,
+    mu and mu+ compatible and each quotient's subcover of 1 unique, and,
+    within the oracle cap, that the records are the lattice's meet-irreducibles."""
+    from .algebras import compatibility_witness, upset_carrier
 
-    ja, ups, below = A.birkhoff()
+    ja, ups, below = upset_carrier(A).birkhoff()
     if verify and not all(is_prime_filter(A, F) for F in ups):
         raise NotPrime("an up-set of a join-irreducible failed the prime check")
     atoms = sum(1 << t for t, p in enumerate(ja) if below[p] == 1 << t)

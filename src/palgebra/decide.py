@@ -17,7 +17,8 @@ from bisect import bisect_left, bisect_right
 from itertools import accumulate, compress, count, islice, repeat
 from operator import add, and_, eq, not_, or_
 
-from .algebras import PAlgebra, TableAlgebra, build_chain, is_isomorphic, si_carrier, tabulate
+from .algebras import (PAlgebra, TableAlgebra, chain_carrier, is_isomorphic, si_carrier, tabulate,
+                       upset_carrier)
 from . import config
 from .errors import COUNT_BITS_LIMIT, BudgetExceeded, CapExceeded, shown
 from .free import FreeAlgebra, build_free, free_elements
@@ -288,25 +289,16 @@ class _Cut:
 class _Rows:
     """Compiled terms evaluated with every variable but v fixed, for a list of
     candidates for v at once: a value is a row over them, or one value where
-    it does not depend on v.  A is a ``PAlgebra`` or a proxy that forwards
-    its attributes.  Values are held as ``elem`` gives them: ``index`` maps
-    them back.  Tables keep indices and map a scalar's meet or join
-    row, upset carriers keep masks (``&`` and ``|`` from ``operator``, which
-    map faster than the methods of int; star from ``star_masks``); meet and
-    join commute in a lattice."""
+    it does not depend on v.  A is an upset carrier (``upset_carrier``) or a
+    proxy that forwards its attributes.  Values are held as masks, as
+    ``elem`` gives them, and ``index`` maps them back; meet and join are
+    ``&`` and ``|`` from ``operator``, which map faster than the methods of
+    int, and commute; star is read off ``star_masks``."""
 
     def __init__(self, A):
-        if hasattr(A, "meet_table"):
-            M, J = A.meet_table, A.join_table
-            self.elem = self.index = range(A.size)
-            self.ops = {"meet": (lambda a, b: M[a][b], lambda c, row: map(M[c].__getitem__, row)),
-                        "join": (lambda a, b: J[a][b], lambda c, row: map(J[c].__getitem__, row))}
-            self.star = A.star_table.__getitem__
-        else:
-            self.elem, self.index = A.elements, A.index
-            self.ops = {"meet": (and_, lambda c, row: map(and_, row, repeat(c))),
-                        "join": (or_, lambda c, row: map(or_, row, repeat(c)))}
-            self.star = A.star_masks().__getitem__
+        self.elem, self.index, self.star = A.elements, A.index, A.star_masks().__getitem__
+        self.ops = {"meet": (and_, lambda c, row: map(and_, row, repeat(c))),
+                    "join": (or_, lambda c, row: map(or_, row, repeat(c)))}
         self.zero, self.one = self.elem[A.zero], self.elem[A.one]
         self._xs = self._row = None
 
@@ -402,14 +394,14 @@ def _each(value):
 
 def check_quasi_identity(q: QuasiIdentity, A: PAlgebra,
                          strategy: str = "exhaustive") -> Verdict:
-    """Evaluate premises => conclusion over all valuations into A."""
+    """Evaluate premises => conclusion over all valuations into A, searched
+    as ``upset_carrier(A)``: a lawless table is refused."""
     if strategy not in ("exhaustive", "pruned"):
         raise ValueError(f"unknown strategy: {strategy!r}")
     sides = _compiled(q)
     variables = code_vars(*(code for pair in sides for code in pair))
-    if strategy == "exhaustive":
-        return _quasi_exhaustive(q, A, variables, sides)
-    return _quasi_pruned(q, A, variables, sides)
+    search = _quasi_exhaustive if strategy == "exhaustive" else _quasi_pruned
+    return search(q, upset_carrier(A), variables, sides)
 
 
 def _compiled(q: QuasiIdentity) -> list[tuple]:
@@ -873,7 +865,7 @@ def structural_completeness_report(n: int) -> dict:
         names = ["Pa_-1", "Pa_0", "Pa_1", "Pa_2"]
         witnesses = []
         if n >= 1:
-            witnesses.append({**three_element_witness(build_chain(4), 1), "algebra": "chain:4"})
+            witnesses.append({**three_element_witness(chain_carrier(4), 1), "algebra": "chain:4"})
         if n >= 2:
             witnesses.append({**five_element_witness(si_carrier(2), 1), "algebra": "si:2"})
         return {

@@ -1,15 +1,17 @@
-"""Both carriers answer order rows and star classes themselves: an upset
-carrier off its base points' columns (``posets.point_columns``), a table
-off its meet and star tables.  Each answer is replayed against the scan it
-replaced: a bound row against |A| ``leq`` calls, the star classes and the
-mask-to-star map against one star per element (``UpsetMasks.star`` for an
-upset carrier, whose ``A.star`` reads ``star_masks`` itself),
-``is_prime_filter`` against its double loop and ``element_order`` against
-``Poset.from_leq``.  The corpus is every upset carrier the tests build
-(``free:0..4`` at ranks 1 and 2, ``dist:0..4``, an upset product and an
-upset JSON file), the same as tables, ``si:0..4``, ``chain:2..6``, a
-product table, a Glivenko skeleton, a table JSON file and a table that
-breaks the laws."""
+"""An upset carrier answers order rows and star classes off its base
+points' columns (``posets.point_columns``), and a table answers them
+through its upset carrier in its own numbering (``upset_carrier``); a table
+answers its up rows off its meet table too.  Each answer is replayed
+against the scan it replaced, run on the algebra itself: a bound row
+against |A| ``leq`` calls, the star classes and the mask-to-star map
+against one star per element (``UpsetMasks.star`` for an upset carrier,
+whose ``A.star`` reads ``star_masks`` itself), ``is_prime_filter`` against
+its double loop and ``element_order`` against ``Poset.from_leq``.  The
+corpus is every upset carrier the tests build (``free:0..4`` at ranks 1
+and 2, ``dist:0..4``, an upset product and an upset JSON file), the same
+as tables, ``si:0..4``, ``chain:2..6``, a product table, a Glivenko
+skeleton, a table JSON file and a table that breaks the laws, which has no
+upset carrier."""
 
 import json
 import random
@@ -17,6 +19,7 @@ import random
 import pytest
 
 from palgebra import (
+    MalformedTables,
     Poset,
     TableAlgebra,
     UpsetAlgebra,
@@ -29,6 +32,8 @@ from palgebra import (
     is_prime_filter,
     product,
     qb_quasi_identity,
+    upset_carrier,
+    validate,
 )
 from palgebra.algebras import element_order, to_table
 from palgebra.cli import load_algebra
@@ -67,8 +72,10 @@ def carriers(tmp_path_factory):
     (tmp / "n-shape.json").write_text(json.dumps(UPSET_DOC), encoding="utf-8")
     (tmp / "table.json").write_text(algebra_dumps(product(build_chain(2), build_si(2))),
                                     encoding="utf-8")
-    out = {name: load_algebra(name) for name in UPSETS[:-2] + TABLES[5:10]}
-    out.update({f"si:{n}": build_si(n) for n in range(5)})  # load_algebra gives the carrier
+    out = {name: load_algebra(name) for name in UPSETS[:-2]}
+    # load_algebra gives si:n and chain:m as upset carriers
+    out.update({f"si:{n}": build_si(n) for n in range(5)})
+    out.update({f"chain:{m}": build_chain(m) for m in range(2, 7)})
     out["product"] = product(build_free(1, 1).algebra, free_distributive(2))
     out["json"] = load_algebra(str(tmp / "n-shape.json"))
     assert all(isinstance(out[name], UpsetAlgebra) for name in UPSETS)
@@ -108,6 +115,16 @@ def outcome(f):
         return str(exc)
 
 
+def answering(A):
+    """The carrier that answers for A, which is A's upset carrier; None for
+    the lawless table, which must be refused."""
+    if not isinstance(A, TableAlgebra) or validate(A) == []:
+        return upset_carrier(A)
+    with pytest.raises(MalformedTables, match="the tables violate the laws: Violation"):
+        upset_carrier(A)
+    return None
+
+
 def test_point_columns_replay_membership():
     rng = random.Random(22)
     for width in (0, 1, 7, 8, 9, 16, 17, 70):
@@ -120,18 +137,24 @@ def test_point_columns_replay_membership():
 @pytest.mark.parametrize("name", NAMES)
 def test_rows_replay_the_leq_scan(carriers, name):
     A = carriers[name]
+    C = answering(A)
+    assert (C is None) == (name == "unlawful")
     for c in range(A.size):
-        assert A.down_row(c) == leq_row(A, c, "below"), (name, c)
         assert A.up_row(c) == leq_row(A, c, "above"), (name, c)
+        if C is not None:
+            assert C.down_row(c) == leq_row(A, c, "below"), (name, c)
+            assert C.up_row(c) == leq_row(A, c, "above"), (name, c)
 
 
 @pytest.mark.parametrize("name", NAMES)
 def test_star_answers_replay_the_star_scan(carriers, name):
     A = carriers[name]
-    assert A.star_classes() == star_scan(A)
-    assert [A.star(x) for x in range(A.size)] == [ref_star(A, x) for x in range(A.size)]
-    if isinstance(A, UpsetAlgebra):
-        assert A.star_masks() == {m: A.masks.star(m) for m in A.elements}
+    C = answering(A)
+    if C is None:
+        return
+    assert C.star_classes() == star_scan(A)
+    assert [C.star(x) for x in range(A.size)] == [ref_star(A, x) for x in range(A.size)]
+    assert C.star_masks() == {m: C.masks.star(m) for m in C.elements}
 
 
 def test_prime_filter_check_replays_the_double_loop(carriers):
@@ -165,11 +188,13 @@ class StarCounting(CountingLeq):
 
 @pytest.mark.parametrize("name", ["free:2,2", "free:3,2", "free:4,2"])
 def test_the_search_reads_the_carrier_answers(carriers, name):
-    # qb_3 pins x3 by a star and bounds x2 and x3: either carrier, even
-    # behind a wrapper, gives both without a leq row or a per-element star
+    # qb_3 pins x3 by a star and bounds x2 and x3: the upset carrier, and a
+    # table's, even behind a wrapper, give both without a leq row or a
+    # per-element star
     q = qb_quasi_identity(3)
     want = ref_quasi_pruned(q, carriers[name], (1, 2, 3))
-    for A in (carriers[name], carriers[f"table {name}"]):
+    assert ref_quasi_pruned(q, carriers[f"table {name}"], (1, 2, 3)) == want
+    for A in (carriers[name], upset_carrier(carriers[f"table {name}"])):
         wrapped = StarCounting(A)
         assert _quasi_pruned(q, wrapped, (1, 2, 3)) == want
         assert (wrapped.calls, wrapped.stars) == (0, 0)

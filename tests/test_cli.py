@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from palgebra import (
     Config,
+    TableAlgebra,
     algebra_dumps,
     algebra_from_json_dict,
     algebra_to_json_dict,
@@ -420,6 +421,21 @@ class TestUpsetFiles:
         assert err == ("error: bad algebra document: "
                        "cover [0, True] mentions elements outside 0..2\n")
 
+    @pytest.mark.parametrize("labels, message", [
+        ("ab", "labels must be a list of strings, got a string"),
+        ([1, None], "labels[0] must be a string, got a number"),
+        (["a", None], "labels[1] must be a string, got null"),
+        (["a", ["b"]], "labels[1] must be a string, got an array"),
+        ({"a": 0, "b": 1}, "labels must be a list of strings, got an object"),
+    ])
+    def test_labels_that_are_no_strings_rejected(self, capsys, tmp_path, labels, message):
+        f = tmp_path / "alg.json"
+        f.write_text(json.dumps({"kind": "upset", "labels": labels,
+                                 "poset": {"size": 2, "covers": [[0, 1]]}}))
+        code, out, err = run(capsys, "convert", str(f))
+        assert (code, out) == (1, "")
+        assert err == f"error: bad algebra document: {message}\n"
+
     def test_short_label_list_rejected(self, capsys, tmp_path):
         f = tmp_path / "alg.json"
         f.write_text(json.dumps({"kind": "upset", "labels": ["a"],
@@ -477,6 +493,11 @@ class TestNonIntegerEntries:
         (("one",), 1.0, "zero/one out of range"),
         (("zero",), False, "zero/one out of range"),
         (("one",), True, "zero/one out of range"),
+        (("meet", 0, 1), -1, "meet table has a bad row"),
+        (("join", 1, 0), 2, "join table has a bad row"),
+        (("meet", 1), [1], "meet table has a bad row"),
+        (("join", 0), [0, 1, 1], "join table has a bad row"),
+        (("meet", 0, 0), "0", "meet table has a bad row"),
     ])
     def test_table_documents(self, capsys, tmp_path, command, path, value, message):
         doc = self.mutate(algebra_to_json_dict(build_si(0)), path, value)
@@ -485,6 +506,21 @@ class TestNonIntegerEntries:
         code, out, err = run(capsys, command, str(f))
         assert (code, out) == (1, "")
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("size, message", [
+        (99, "table size 99 for 1 rows"),
+        (2, "table size 2 for 1 rows"),
+        (1.0, "table size must be an integer, got a number"),
+        (True, "table size must be an integer, got a boolean"),
+        ("1", "table size must be an integer, got a string"),
+    ])
+    def test_table_size(self, capsys, tmp_path, size, message):
+        doc = {**algebra_to_json_dict(TableAlgebra([[0]], [[0]], [0], 0, 0)), "size": size}
+        f = tmp_path / "alg.json"
+        f.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "convert", str(f))
+        assert (code, out) == (1, "")
+        assert err == f"error: bad algebra document: {message}\n"
 
     def test_upset_size(self, capsys, tmp_path):
         f = tmp_path / "alg.json"

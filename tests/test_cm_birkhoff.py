@@ -1,6 +1,6 @@
 """``cm_all`` and ``cm_posets`` read the records and both record orders off
-the carrier's Birkhoff answer (a table's element order, an upset carrier's
-columns); ``helpers.ref_cm_all`` and
+the Birkhoff answer of the upset carrier (its columns; a table's carrier
+is the one its law check proved); ``helpers.ref_cm_all`` and
 ``helpers.ref_cm_posets`` (F-bar by star-star calls, labels by a scan of the
 I-type filters, orders from pairwise calls) replay them on both carriers,
 their table copies and relabelled table copies."""
@@ -29,6 +29,7 @@ from palgebra.algebras import (
     element_order,
     tabulate,
     to_upset,
+    upset_carrier,
 )
 from palgebra.cli import load_algebra, main
 
@@ -118,11 +119,15 @@ UPSET_CARRIERS = ([(f"free:{n},{k}", load_algebra(f"free:{n},{k}"))
 
 @pytest.mark.parametrize("name, A", UPSET_CARRIERS, ids=[name for name, _ in UPSET_CARRIERS])
 def test_upset_answer_is_the_tables(name, A):
-    """An upset carrier's Birkhoff answer, off its columns, gives the records
-    its table copy gives off the element order."""
+    """An upset carrier's Birkhoff answer, off its columns, is the loop over
+    its table copy's element order, and gives the records its table copy
+    gives through its own carrier."""
     assert isinstance(A, UpsetAlgebra)
     T = to_table(A)
-    assert A.birkhoff() == T.birkhoff()
+    order = element_order(T)
+    ja, below = ref_birkhoff_masks(order)
+    assert A.birkhoff() == (ja, [order.up[p] for p in ja], below)
+    assert upset_carrier(T).birkhoff() == A.birkhoff()
     assert cm_all(A) == cm_all(T)
     assert cm_all(A, verify=True) == cm_all(T, verify=True)
 

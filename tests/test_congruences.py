@@ -7,6 +7,7 @@ from palgebra import (
     Congruence,
     NotACongruence,
     NotPrime,
+    UpsetAlgebra,
     all_congruences,
     atoms,
     build_chain,
@@ -36,7 +37,6 @@ from palgebra import (
     quotient,
     regular_elements,
 )
-from palgebra import algebras
 from .helpers import brute_is_congruence, small_corpus
 
 CORPUS = small_corpus()
@@ -278,16 +278,16 @@ class TestVerifySwitch:
     def test_planted_fault_is_caught_only_when_verifying(self, monkeypatch):
         # with every join-irreducible read as an atom every filter looks
         # I-type, so mu glues too much
-        masks = algebras.birkhoff_masks
+        answer = UpsetAlgebra.birkhoff
 
-        def every_point_an_atom(order):
-            ja, below = masks(order)
+        def every_point_an_atom(self):
+            ja, ups, below = answer(self)
             below = list(below)
             for t, p in enumerate(ja):
                 below[p] = 1 << t
-            return ja, below
+            return ja, ups, below
 
-        monkeypatch.setattr(algebras, "birkhoff_masks", every_point_an_atom)
+        monkeypatch.setattr(UpsetAlgebra, "birkhoff", every_point_an_atom)
         C = build_chain(4)
         with pytest.raises(NotACongruence):
             cm_all(C, verify=True)
@@ -295,9 +295,13 @@ class TestVerifySwitch:
 
     def test_planted_non_prime_filter_is_caught(self, monkeypatch):
         # the bottom's filter is the whole algebra, which is not prime
-        masks = algebras.birkhoff_masks
-        monkeypatch.setattr(algebras, "birkhoff_masks",
-                            lambda order: ([0] + masks(order)[0], masks(order)[1]))
+        answer = UpsetAlgebra.birkhoff
+
+        def bottom_first(self):
+            ja, ups, below = answer(self)
+            return [0] + ja, [(1 << self.size) - 1] + ups, below
+
+        monkeypatch.setattr(UpsetAlgebra, "birkhoff", bottom_first)
         with pytest.raises(NotPrime):
             cm_all(build_chain(4), verify=True)
 

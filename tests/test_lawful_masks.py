@@ -1,5 +1,5 @@
-"""A table's laws are checked in its Birkhoff masks, and the order that check
-proves is kept: ``element_order`` and ``birkhoff`` read it, so ``dual`` of a
+"""A table's laws are checked in its Birkhoff masks, and the upset carrier
+that check proves is kept (``upset_carrier`` reads it), so ``dual`` of a
 table file builds one element order.  ``cm_all`` labels each record's
 classes by one AND per element and ``merge_classes`` keeps the least members
 it has; both replay what they replaced (``helpers.ref_cm_all``, and
@@ -11,12 +11,12 @@ import random
 
 import pytest
 
-from palgebra import (Congruence, Poset, TableAlgebra, algebras, build_chain, build_si, cm_all,
-                      product, to_table)
+from palgebra import (Congruence, Poset, TableAlgebra, UpsetAlgebra, algebras, build_chain,
+                      build_si, cm_all, product, to_table)
 from palgebra.algebras import _law_scan, _lawful, element_order, violations
 from palgebra.cli import load_algebra, main
 
-from .helpers import checked_poset, ref_cm_all, ref_law_scan
+from .helpers import checked_poset, ref_birkhoff_masks, ref_cm_all, ref_law_scan
 from .test_table_golden import PRODUCTS, file_name, table_doc
 from .test_validate import BASES, mutate, relabel, seeded_tables
 
@@ -26,23 +26,31 @@ LATTICE_LAWS = {"meet-idempotent", "join-idempotent", "meet-commutative", "join-
                 "distributive"}
 
 
-def test_the_kept_order_is_the_checked_one():
-    lawful = kept = 0
+def test_the_kept_carrier_is_the_checked_one():
+    lawful = lattices = 0
     corpus = [(-1, name, to_table(B)) for name, B in BASES.items()]
     for trial, name, A in corpus + list(seeded_tables()):
-        assert A._order is None
+        assert A._carrier is None and not A._lattice
         ok = _lawful(A)
-        if A._order is None:
+        assert (A._carrier is not None) == ok, (trial, name)
+        if not A._lattice:
             assert not ok, (trial, name)
             continue
-        kept += 1
-        assert checked_poset(A._order) == Poset.from_leq(A.size, A.leq), (trial, name)
-        assert element_order(A) is A._order
-        if ok:
-            lawful += 1
-        else:  # kept only for a lawless table whose lattice laws all hold
+        lattices += 1
+        if not ok:  # a lawless table noted a lattice only where its lattice laws all hold
             assert not {v.law for v in ref_law_scan(A)} & LATTICE_LAWS, (trial, name)
-    assert lawful > 500 and kept > lawful
+            continue
+        lawful += 1
+        C, rng = A._carrier, range(A.size)
+        assert (C.size, C.zero, C.one) == (A.size, A.zero, A.one), (trial, name)
+        assert checked_poset(C.base) == C.base, (trial, name)
+        assert [[C.meet(a, b) for b in rng] for a in rng] == [list(r) for r in A.meet_table]
+        assert [[C.join(a, b) for b in rng] for a in rng] == [list(r) for r in A.join_table]
+        assert [C.star(a) for a in rng] == list(A.star_table), (trial, name)
+        order = Poset.from_leq(A.size, A.leq)
+        ja, below = ref_birkhoff_masks(order)
+        assert C.birkhoff() == (ja, [order.up[p] for p in ja], below), (trial, name)
+    assert lawful > 500 and lattices > lawful
 
 
 # masks of 3 bytes (16 join-irreducibles) and of 2 (8), and rows of more
@@ -77,7 +85,7 @@ def test_an_unchecked_table_gets_the_validated_order():
                        [0, 0, 0], 0, 0)
     with pytest.raises(ValueError, match="not transitive"):
         element_order(cyc)
-    assert not _lawful(cyc) and cyc._order is None
+    assert not _lawful(cyc) and cyc._carrier is None and not cyc._lattice
 
 
 def test_dual_of_a_table_file_builds_one_element_order(monkeypatch, tmp_path, capsys):
@@ -132,7 +140,7 @@ def test_cm_all_replays_the_reference(name, factors, tmp_path):
         path = tmp_path / name
         path.write_text(json.dumps(table_doc(factors)), encoding="utf-8")
         A = load_algebra(str(path))
-        assert isinstance(A._order, Poset)  # checked on load, so its order is kept
+        assert isinstance(A._carrier, UpsetAlgebra)  # checked on load, so its carrier is kept
         carriers = [A, algebras.algebra_loads(path.read_text())]  # kept and unchecked
     for A in carriers:
         assert cm_all(A) == ref_cm_all(A)

@@ -453,6 +453,26 @@ class TestCountsTooLongToPrint:
         assert out.err == ('{"error": "cap-exceeded", "what": "algebra size", '
                            f'"count": "2^{n} or more", "cap": 4096}}\n')
 
+    @pytest.mark.parametrize("cmd", ["convert", "dual", "qi"])
+    def test_chain_too_large_to_build(self, cmd, tmp_path, capsys, monkeypatch):
+        # a chain of 10^30 elements is refused before its base is built
+        m = 10 ** 30
+
+        def boom(*args):
+            raise AssertionError("a poset was built before the cap check")
+
+        monkeypatch.setattr(palgebra.Poset, "_trusted", boom)
+        argv = [cmd, f"chain:{m}"]
+        if cmd == "qi":
+            path = tmp_path / "q.json"
+            path.write_text(json.dumps({"conclusion": {"lhs": "x1", "rhs": "x1"}}))
+            argv = ["qi", str(path), "--algebra", f"chain:{m}"]
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == ('{"error": "cap-exceeded", "what": "algebra size", '
+                           f'"count": {m}, "cap": 4096}}\n')
+
     @pytest.mark.parametrize("n, shown", [(14284, (1 << 14284) + 1), (14285, "2^14285 or more")])
     def test_si_size_text_is_the_exact_count(self, n, shown):
         with pytest.raises(CapExceeded) as exc:

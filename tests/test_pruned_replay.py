@@ -30,7 +30,7 @@ from palgebra import (
     qb_quasi_identity,
     random_term,
 )
-from palgebra.algebras import to_table
+from palgebra.algebras import to_table, upset_carrier
 from palgebra.terms import compile_postfix
 from palgebra.cli import load_algebra, main
 from palgebra import decide
@@ -304,9 +304,9 @@ def test_qb3_fast_path_counts(monkeypatch):
     assert len(calls) <= A.size
     assert A.pairs == []
     assert A.rows and len(set(A.rows)) == len(A.rows)  # no row is built twice
-    # a table reads its rows off its meet table, with no leq call either
+    # a table is searched in its upset carrier, with no leq call either
     T = to_table(ALGEBRAS["free:1,2"])
-    A = PairLeq(T)
+    A = PairLeq(upset_carrier(T))
     assert _quasi_pruned(q, A, (1, 2, 3)) == ref_quasi_pruned(q, T, (1, 2, 3))
     assert A.pairs == []
     assert A.rows and len(set(A.rows)) == len(A.rows)
