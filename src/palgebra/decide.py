@@ -14,8 +14,8 @@ import itertools
 import math
 import random
 from bisect import bisect_left, bisect_right
-from itertools import accumulate, compress, count, islice, repeat
-from operator import add, and_, eq, not_, or_
+from itertools import accumulate, compress, repeat
+from operator import and_, eq, or_
 
 from .algebras import (PAlgebra, TableAlgebra, chain_carrier, is_isomorphic, si_carrier, tabulate,
                        upset_carrier)
@@ -223,67 +223,11 @@ class _Budget:
         self.used += amount * times
 
 
-def _lookahead(sides, v) -> int | None:
-    """The first of a depth's closed sides, given as (code, pin, bound, top
-    variable), that pins by star preimages and closes at v, the variable
-    of the depth before; None if there is none, or if a bound before it
-    counts a pool that a side over v has cut.  A child of the depth before
-    whose value of that side has no preimage is then charged as its parent
-    alone decides."""
-    late = False  # a side over v has cut the pools
-    for i, (code, pin, bound, top) in enumerate(sides):
-        if pin == "star" and top == v:
-            return i
-        if pin and top == v:  # a side's pin cuts the pool before its bound counts it
-            late = True
-        if bound and late:
-            return None
-        if bound and top == v:
-            late = True
-    return None
-
-
-class _Cut:
-    """The candidates of one depth, in search order, that became children or
-    were cut by the star-pin lookahead: each one's prefix (``par``) and
-    whether it was kept (``alive``).  A cut child is charged ``cols``,
-    columns over the prefixes as a level's are, but the star scan's, at
-    index ``scan``, only at the first candidate; ``sums`` adds them up per
-    prefix.  The first ``upto`` candidates are charged."""
-    __slots__ = ("par", "alive", "cols", "scan", "sums", "upto", "rank")
-
-    def __init__(self):
-        self.par, self.alive, self.rank = [], [], None
-
-    def price(self, cols, scan, n):
-        """Take the columns over the n prefixes, the scan's index or None."""
-        self.cols, self.scan, self.upto = cols, scan, len(self.par)
-        self.sums = [sum(a * t for i, (a, t) in enumerate(cols)
-                         if type(a) is not list and i != scan)] * n
-        for a, _ in cols:  # a popcount column, times 1
-            if type(a) is list:
-                self.sums = list(map(add, self.sums, a))
-
-    def cost(self) -> int:
-        u = self.upto
-        cut = compress(islice(self.par, u), map(not_, islice(self.alive, u)))
-        return sum(map(self.sums.__getitem__, cut)) + (
-            self.cols[self.scan][0] if self.scan is not None and u else 0)
-
-    def steps(self, m):
-        """Cut candidate m's charges, in order."""
-        p = self.par[m]
-        return [(a[p] if type(a) is list else a, int(m == 0) if i == self.scan else t)
-                for i, (a, t) in enumerate(self.cols)]
-
-    def children(self, k, i):
-        """The children of node i at level k, in search order: (k + 1, j) for
-        the j-th kept candidate, (~k, m) for the cut candidate m."""
-        if self.rank is None:
-            self.rank = list(accumulate(self.alive, initial=0))
-        end = min(bisect_right(self.par, i), self.upto)
-        return [(k + 1, self.rank[m]) if self.alive[m] else (~k, m)
-                for m in range(bisect_left(self.par, i), end)]
+def _lookahead(sides, v):
+    """The code of the first of a depth's closed sides, given as (code, pin,
+    bound, top variable), that pins by star preimages and closes at v, the
+    variable of the depth before; None if there is none."""
+    return next((code for code, pin, _, top in sides if pin == "star" and top == v), None)
 
 
 class _Rows:
@@ -488,31 +432,26 @@ def _quasi_pruned(q, A, variables, sides=None) -> Verdict:
 
     Where the next depth pins its variable by the star preimages of a side
     S that closes at this depth (x3* = x1 | x2 in qb_3), the plan holds a
-    lookahead (``_lookahead``): the row step that applies the closing
-    premises also cuts each candidate whose value of S has no class in
-    ``star_classes``, so it never becomes a prefix of the next depth and no
-    rows, pools or groups are built for it.  Its node is charged, in search
-    order among its kept siblings, what a node with an empty pool costs:
-    the edge, a unit per closed side, each bound's popcount before its cut,
-    the star scan if it is the first node to need it, and nothing for the
-    closing premises and the conclusion (``_Cut``).  Those popcounts are
-    read off the parent's values, so a cut is planned only where no bound
-    before the pin counts a pool that a side over this depth's variable has
-    cut, as in qb_n.  A node searched on its own keeps its children, and a
-    level of no more than ``_WIDE`` candidates is not cut: its cut would
-    cost more than it saves.
+    lookahead (``_lookahead``): at every depth but the root, the row step
+    that applies the closing premises also cuts each candidate whose value
+    of S has no class in ``star_classes``, in chunks and in nodes searched
+    on their own alike, so it never becomes a prefix of the next depth and
+    no rows, pools or groups are built for it.  A cut candidate is no node:
+    it pays the closing filter it passed and nothing more.  The root is not
+    cut: its cut costs a row over all of A, which an early witness does not
+    repay.
 
-    The budget is charged as by the search without plan, rows, masks or
-    frontier: each depth keeps its nodes' charges as (amount, times)
-    columns in the order that search makes them (the edge into the node,
-    one per closed side, the star preimage scan at the first node that
-    needs it, the bound popcounts, the closing filter, the conclusion), and
-    each cut keeps its candidates in order, which of them it cut, and its
-    charges per parent.  A chunk is charged up to its first witness in
-    search order, at once where the sum fits; otherwise its nodes, cut ones
-    among them, are charged one column at a time in search order, so the
-    budget runs out at the same step, with the same count, and
-    ``budgetUsed`` is the same.
+    The budget is charged as by a search one node at a time, without plan,
+    rows, masks or frontier, that cuts the same candidates: each depth
+    keeps its nodes' charges as (amount, times) columns in the order that
+    search makes them (the edge into the node, one per closed side, the
+    bound popcounts, the closing filter, the conclusion).  A chunk is
+    charged up to its first witness in search order, at once where the sum
+    fits; otherwise its nodes are charged one column at a time in search
+    order, so the budget runs out at the same step, with the same count,
+    and ``budgetUsed`` is the same.  What is cut depends only on the plan
+    and the depth, never on a chunk's width or the budget left, so
+    ``budgetUsed`` does not either.
     """
     spent = _Budget(config.DEFAULT.budget, "pruned search")
     ev = _Rows(A)
@@ -553,18 +492,15 @@ def _quasi_pruned(q, A, variables, sides=None) -> Verdict:
                 if not pinned:  # a pinned pool holds only where the premise does
                     checks.append((cl, cr))
         plans.append((v, sides, closing, checks))
-    # per depth: the next depth's star pin that cuts this one's candidates;
-    # none at the root, which is searched as a node of its own
+    # per depth: the side of the next depth's star pin that cuts this one's
+    # candidates; none at the root
     ahead = [None] + [_lookahead(nxt[1], p[0]) for p, nxt in zip(plans[1:], plans[2:])]
     ahead.append(None)
     leq, full = A.leq, (1 << A.size) - 1
     rows: dict[str, dict[int, int]] = {"below": {}, "above": {}}  # c -> mask of x below/above c
     row_of = {"below": A.down_row, "above": A.up_row}
-    pins_stars = any(pin == "star" for _, sides, _, _ in plans for _, pin, _, _ in sides)
-    star_pre = A.star_classes() if pins_stars else {}  # star value -> mask of its preimages
-    if any(s is not None for s in ahead):  # the star values, as ``_Rows`` holds them
-        regular = {ev.elem[s] for s in star_pre}
-    star_paid = False  # the scan for the star preimages is charged once
+    star_pre = A.star_classes()  # star value -> mask of its preimages
+    regular = {ev.elem[s] for s in star_pre}  # the star values, as ``_Rows`` holds them
     spread: dict[int, list[int] | range] = {}  # a pool mask -> its elements
 
     def cut(pool, c, bound):
@@ -577,39 +513,28 @@ def _quasi_pruned(q, A, variables, sides=None) -> Verdict:
         row = rows[bound][c] = row_of[bound](c)
         return pool & row
 
-    def narrow(sides, cols, n, ones, charges, scan=False, v=None):
+    def narrow(sides, cols, n, ones, charges):
         """n full pools cut by closed sides in order, the charges appended:
-        a unit per side, the star scan at the first star pin where scan is
-        set (the first node pays it), each bound's popcount before its cut.
-        With v, for the lookahead: a side over v cuts nothing, and no pool
-        it would have cut is counted.  Returns (the pools, the units not yet
-        charged, the index of the scan's column or None)."""
+        a unit per side, each bound's popcount before its cut.  Returns the
+        pools and the units not yet charged."""
         pools = start = [full] * n
-        at = None
-        for code, pin, bound, top in sides:
+        for code, pin, bound, _ in sides:
             ones += 1
-            if pin == "star" and scan:
-                at = len(charges) + 1
-                charges += (1, ones), (A.size, [1] + [0] * (n - 1))
-                ones = scan = 0
             if not (pin or bound):
                 continue
-            cs = None
-            if v is None or top < v:
-                vals = ev.eval(code, cols)
-                cs = (list(map(ev.index.__getitem__, vals)) if type(vals) is list
-                      else [ev.index[vals]] * n)
-            if cs and pin:
+            vals = ev.eval(code, cols)
+            cs = (list(map(ev.index.__getitem__, vals)) if type(vals) is list
+                  else [ev.index[vals]] * n)
+            if pin:
                 pools = list(map(and_, pools, map(star_pre.get, cs, repeat(0)) if pin == "star"
                                  else map((1).__lshift__, cs)))
             if bound:
                 charges += (1, ones), (A.size if pools is start else
                                        list(map(int.bit_count, pools)), 1)
                 ones, got = 0, rows[bound]
-                if cs:
-                    pools = [p & r if r is not None else cut(p, c, bound)
-                             for p, c, r in zip(pools, cs, map(got.get, cs))]
-        return pools, ones, at
+                pools = [p & r if r is not None else cut(p, c, bound)
+                         for p, c, r in zip(pools, cs, map(got.get, cs))]
+        return pools, ones
 
     def elements(p):
         got = spread.get(p)
@@ -617,12 +542,11 @@ def _quasi_pruned(q, A, variables, sides=None) -> Verdict:
             got = spread[p] = range(A.size) if p == full else bit_indices(p)
         return got
 
-    def charge(levels, pars, upto, cuts):
-        """Charge the first upto[k] nodes of each level k and the first
-        candidates each cut holds: their sum at once if it fits, else node
-        by node in search order, one column at a time, up to the step that
-        runs out."""
-        total = sum(map(_Cut.cost, cuts.values()))
+    def charge(levels, pars, upto):
+        """Charge the first upto[k] nodes of each level k: their sum at once
+        if it fits, else node by node in search order, one column at a time,
+        up to the step that runs out."""
+        total = 0
         for cols, u in zip(levels, upto):
             for a, t in cols:
                 total += (sum(a[:u]) * t if type(a) is list else
@@ -633,15 +557,9 @@ def _quasi_pruned(q, A, variables, sides=None) -> Verdict:
         todo = [(0, i) for i in reversed(range(upto[0]))]
         while todo:
             k, i = todo.pop()
-            if k < 0:  # the candidate i cut at level ~k
-                for a, t in cuts[~k].steps(i):
-                    spent.spend(a, t)
-                continue
             for a, t in levels[k]:
                 spent.spend(a[i] if type(a) is list else a, t[i] if type(t) is list else t)
-            if k in cuts:
-                todo += reversed(cuts[k].children(k, i))
-            elif k + 1 < len(levels):
+            if k + 1 < len(levels):
                 ps = pars[k + 1]
                 todo += ((k + 1, j) for j in reversed(range(
                     bisect_left(ps, i), min(bisect_right(ps, i), upto[k + 1]))))
@@ -653,21 +571,17 @@ def _quasi_pruned(q, A, variables, sides=None) -> Verdict:
         prefix, as ``_Rows`` holds them.  With no cap, one prefix's own depth
         only: a node of its own.  None searched (0) where the first prefix's
         subtree outgrows cap."""
-        nonlocal star_paid
-        paid, done, witness, star_at = star_paid, n, None, None
+        done, witness = n, None
         if len(spread) > A.size:  # pools recur across chunks, a bound's row say,
             spread.clear()  # but at most |A| of them outlive one: |A|^2 elements
         levels, pars, upto, par = [], [], [], range(n)  # par: each node's parent
-        cuts: dict[int, _Cut] = {}  # a level -> the candidates its lookahead cut
         while True:
             v, sides, closing, checks = plans[depth]
             charges = []
             levels.append(charges)
             pars.append(par)
             upto.append(n)
-            pools, ones, at = narrow(sides, cols, n, edge, charges, not star_paid)
-            if at is not None:  # the first node to need the star preimages scans for them
-                star_paid, star_at = True, len(levels) - 1
+            pools, ones = narrow(sides, cols, n, edge, charges)
             counts = list(map(int.bit_count, pools))
             width = sum(counts)
             if cap is not None and width > cap:
@@ -676,21 +590,13 @@ def _quasi_pruned(q, A, variables, sides=None) -> Verdict:
                 for ps in reversed(pars):
                     t = ps[t]
                 if not t:
-                    star_paid = paid
                     return 0, None, None
                 done = u = t
                 for k, ps in enumerate(pars):
                     upto[k] = u = bisect_left(ps, u)
-                for k, c in cuts.items():
-                    c.upto = bisect_left(c.par, upto[k])
                 counts = counts[:u]
                 width = sum(counts)
-            last = depth == len(plans) - 1
-            # a node of its own keeps its children, and a narrow level would
-            # pay more for the cut's rows and charges than the cut saves
-            s = ahead[depth] if cap is not None and width > _WIDE else None
-            if s is not None:
-                c, pin_side = _Cut(), plans[depth + 1][1][s][0]
+            last, pin_side = depth == len(plans) - 1, ahead[depth]
             live, xs, par = list(compress(range(len(counts)), counts)), [], []
             if last:
                 unit, tried = 2 + len(closing), [0] * len(counts)
@@ -704,10 +610,8 @@ def _quasi_pruned(q, A, variables, sides=None) -> Verdict:
                        for w, col in cols.items()}
                 got, of = ev.agree(checks, val, v, got, of)
                 if not last:
-                    if s is not None:  # a child whose pin side has no preimage is cut
+                    if pin_side is not None:  # a child whose pin side has no preimage is cut
                         ok = ev.within(pin_side, regular, val, v, got)
-                        c.par += of
-                        c.alive += ok
                         got, of = list(compress(got, ok)), list(compress(of, ok))
                     xs += got
                     par += of
@@ -728,14 +632,6 @@ def _quasi_pruned(q, A, variables, sides=None) -> Verdict:
                 charges += (1, ones), (len(closing), counts)
                 ones = 0
             charges.append((1, [ones + k for k in tried] if last else ones))
-            if s is not None and not all(c.alive):  # what its cut children cost
-                scan = not star_paid and not c.alive[0]  # the first candidate was cut
-                after, cols_cut = plans[depth + 1][1], []
-                _, ones, at = narrow(after[:s + 1], cols, n, 1 + len(closing), cols_cut, scan, v)
-                c.price(cols_cut + [(1, ones + len(after) - s - 1)], at, n)
-                cuts[len(levels) - 1] = c
-                if scan:
-                    star_paid, star_at = True, ~(len(levels) - 1)
             if last or cap is None or not xs:
                 break
             cols = {w: list(map(col.__getitem__, par)) for w, col in cols.items()}
@@ -743,14 +639,9 @@ def _quasi_pruned(q, A, variables, sides=None) -> Verdict:
             cols[v] = list(map(ev.elem.__getitem__, xs))
         if witness is not None:  # the nodes up to it, and its ancestors
             for k in reversed(range(len(pars))):
-                if k in cuts:  # its candidates up to the kept child on the path
-                    cuts[k].upto = next(islice(compress(count(), cuts[k].alive), below, None)) + 1
                 upto[k] = hit + 1
-                below, hit = hit, pars[k][hit]
-        # a cut may leave no node at the depth of the scan: the next chunk pays it
-        star_paid = paid or star_at is not None and (
-            cuts[~star_at].upto if star_at < 0 else upto[star_at]) > 0
-        charge(levels, pars, upto, cuts)
+                hit = pars[k][hit]
+        charge(levels, pars, upto)
         return done, witness, xs
 
     stack = []  # nodes searched on their own: [depth, cols, children, start, chunk size]

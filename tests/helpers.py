@@ -33,9 +33,10 @@ from palgebra import (
     to_text,
 )
 from palgebra import JIndex, Verdict, config, free_skeleton, max_var, vars_of
-from palgebra.algebras import Violation
+from palgebra.algebras import Violation, upset_carrier
 from palgebra.decide import _Budget, _quasi_witness, _sweep_equation
-from palgebra.posets import bit_indices, downset_closure, min_elements
+from palgebra.posets import (bit_indices, downset_closure, inclusion_order, min_elements,
+                             poset_isomorphic)
 from palgebra.terms import compile_postfix, eval_postfix
 
 
@@ -658,6 +659,42 @@ def ref_term_to_json(t):
     return out[0]
 
 
+# algebras.is_isomorphic before it read the map off the Birkhoff masks and
+# left the operations unchecked, copied unchanged: the replay oracle for it
+def ref_is_isomorphic(A, B):
+    """An operation-preserving bijection A -> B as an index tuple, or None.
+
+    Matches the join-irreducible skeleton posets first, then verifies every
+    operation of the induced map."""
+    if A.size != B.size:
+        return None
+    ja, _, ma = upset_carrier(A).birkhoff()
+    jb, _, mb = upset_carrier(B).birkhoff()
+    f = poset_isomorphic(inclusion_order([ma[p] for p in ja]),
+                         inclusion_order([mb[q] for q in jb]))
+    if f is None:
+        return None
+    mapping = []
+    for m in ma:
+        img = B.zero
+        for t in bit_indices(m):
+            img = B.join(img, jb[f[t]])
+        mapping.append(img)
+    if len(set(mapping)) != A.size:
+        return None
+    for a in range(A.size):
+        if mapping[A.star(a)] != B.star(mapping[a]):
+            return None
+        for b in range(A.size):
+            if mapping[A.meet(a, b)] != B.meet(mapping[a], mapping[b]):
+                return None
+            if mapping[A.join(a, b)] != B.join(mapping[a], mapping[b]):
+                return None
+    if mapping[A.zero] != B.zero or mapping[A.one] != B.one:
+        return None
+    return tuple(mapping)
+
+
 # posets.poset_isomorphic before it matched positions on an explicit stack,
 # copied unchanged: the replay oracle for its mappings
 def ref_poset_isomorphic(P, Q):
@@ -789,15 +826,20 @@ def _operands(t, op):
     return out
 
 
-# decide._quasi_pruned before its per-depth plan and order-bound rows, copied
-# unchanged: the replay oracle for that search
+# decide._quasi_pruned before its per-depth plan and order-bound rows, with
+# two rules of the planned search added: a candidate whose next-depth star
+# pin side has no preimage is skipped uncharged, and the star preimages are
+# found with no charge.  The replay oracle for that search
 def ref_quasi_pruned(q, A, variables) -> Verdict:
     """Backtracking in ascending variable order.  Premises are checked the
     moment their last variable is assigned; a premise one variable short of
     closed either pins that variable down (bare variable / starred variable
     against a closed side) or, failing a recognizable shape, filters the
     candidate pool by direct evaluation.  Bare join/meet operands of premises
-    with one closed side contribute order bounds even earlier."""
+    with one closed side contribute order bounds even earlier.  Below the
+    root and above the last depth, a candidate is skipped, uncharged, where
+    the first side that pins the next variable w by star preimages (w* = S,
+    S closing at this depth) has no preimage."""
     spent = _Budget(config.DEFAULT.budget, "pruned search")
     prems = []
     for p in q.premises:
@@ -815,7 +857,6 @@ def ref_quasi_pruned(q, A, variables) -> Verdict:
     def star_preimages() -> dict[int, tuple[int, ...]]:
         nonlocal star_pre
         if star_pre is None:
-            spent.spend(A.size)
             acc: dict[int, list[int]] = {}
             for x in range(A.size):
                 acc.setdefault(A.star(x), []).append(x)
@@ -879,6 +920,23 @@ def ref_quasi_pruned(q, A, variables) -> Verdict:
             pool = kept
         return pool
 
+    def star_pin_side(depth: int):
+        """The code of S in the first w* = S over w = variables[depth + 1]
+        whose S closes at variables[depth]; None at the root and the last
+        depth."""
+        if not 0 < depth < len(variables) - 1:
+            return None
+        v, w = variables[depth], variables[depth + 1]
+        for p, cl, cr, vs in prems:
+            if max(vs, default=0) != w:
+                continue
+            for mine, other, other_code in ((p.lhs, p.rhs, cr), (p.rhs, p.lhs, cl)):
+                if mine == Star(Var(w)) and max(vars_of(other), default=0) == v:
+                    return other_code
+        return None
+
+    ahead = [star_pin_side(d) for d in range(len(variables))]
+
     def search(depth: int):
         if depth == len(variables):
             spent.spend()
@@ -889,8 +947,12 @@ def ref_quasi_pruned(q, A, variables) -> Verdict:
             return None
         v = variables[depth]
         for x in candidates(v):
-            spent.spend()
             val[v] = x
+            if ahead[depth] is not None and \
+                    eval_postfix(ahead[depth], A, val) not in star_preimages():
+                del val[v]
+                continue
+            spent.spend()
             ok = True
             for p, cl, cr, vs in prems:
                 if v in vs and vs <= val.keys():

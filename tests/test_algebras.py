@@ -18,6 +18,7 @@ from palgebra import (
     build_chain,
     build_free,
     build_si,
+    chain_carrier,
     compatibility_witness,
     dense_elements,
     glivenko,
@@ -30,6 +31,7 @@ from palgebra import (
     product_many,
     quotient,
     regular_elements,
+    si_carrier,
     si_cond_check,
     to_table,
     to_upset,
@@ -40,6 +42,7 @@ from .helpers import (
     brute_atoms,
     brute_join_irreducibles,
     brute_pseudocomplement,
+    ref_is_isomorphic,
     small_corpus,
 )
 
@@ -248,6 +251,29 @@ class TestIsomorphism:
         assert is_isomorphic(build_si(1), build_chain(3)) is not None
         assert is_isomorphic(build_si(0), build_chain(2)) is not None
         assert is_isomorphic(build_si(2), product(build_si(1), build_si(1))) is None
+
+    def test_replays_the_operation_check(self):
+        # the map read off the Birkhoff masks is the one the old function
+        # built by joins and then checked operation by operation
+        corpus = [f(n) for n in range(4) for f in (si_carrier, build_si)]
+        corpus += [f(m) for m in range(2, 10) for f in (chain_carrier, build_chain)]
+        si, ch = build_si, build_chain
+        corpus += [product(a, b) for a, b in (
+            (si(0), si(0)), (si(1), si(0)), (si(0), si(1)), (si(1), si(1)), (si(2), si(0)),
+            (ch(3), ch(3)), (ch(2), ch(4)), (ch(4), ch(2)), (ch(2), ch(3)), (ch(3), si(1)),
+            (si(1), ch(3)), (product(si(0), si(0)), product(si(0), si(0))))]
+        corpus += [glivenko(A)[1] for A in (si(3), ch(5), product(si(2), ch(3)),
+                                            product(si(1), si(2)))]
+        specs = ("dist:2", "dist:3", "free:0,1", "free:1,1", "free:2,1", "free:0,2", "free:1,2")
+        corpus += [cli.load_algebra(s) for s in specs]
+        corpus += [to_table(cli.load_algebra(s)) for s in ("dist:2", "free:1,1", "free:1,2")]
+        found = 0
+        for A in corpus:
+            for B in corpus:
+                f = is_isomorphic(A, B)
+                assert f == ref_is_isomorphic(A, B), (A, B)
+                found += f is not None
+        assert found >= 140
 
 
 class TestQuotient:

@@ -3,7 +3,9 @@
 ``pruned_golden.json`` holds what ``report 3`` ... ``report 6`` and ``qi`` of
 qb_2 and qb_3 on free:1..4,2 with ``--strategy pruned`` printed, and their
 exit codes, before the search cut dead prefixes one depth early; their
-verdicts, witnesses and ``budgetUsed`` stay those bytes.
+verdicts and witnesses stay those bytes.  Their ``budgetUsed`` fields were
+taken again from ``helpers.ref_quasi_pruned`` once cut candidates and the
+star preimage scan were no longer charged; nothing else in the file moved.
 """
 
 import json

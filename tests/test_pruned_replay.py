@@ -364,8 +364,8 @@ def test_frontier_holds_no_more_prefixes_than_budget_units(monkeypatch):
 
 # x1 | (x2 & x2*) = 1 keeps values of x2 only where x1 = 1, and x3* = x2 pins
 # x3 to the star preimages of x2: a chunk cut short by the budget right after
-# x1 = 1 has no node at x3's depth, and leaves the scan for the preimages to
-# the next chunk, where the search one node at a time makes it
+# x1 = 1 has no node at x3's depth, and leaves every node below it to the
+# next chunk; such chunks replay at every budget
 LATE_STAR = QuasiIdentity((Equation(Join(Var(1), Meet(Var(2), Star(Var(2)))), ONE),
                            Equation(Star(Var(3)), Var(2))),
                           Equation(Join(Var(4), Var(3)), Var(4)))
@@ -482,11 +482,13 @@ def test_deep_unpinned_depths_find_their_witness(tmp_path, capsys):
 
 # ------------------------------------------------- the star-pin lookahead
 #
-# Where a star pin x_j* = S closes at x_{j-1}'s depth, a candidate for
-# x_{j-1} whose S has no star preimage is cut there, never becoming a prefix
-# at x_j's depth, and is charged as that prefix's empty pool would have
-# been.  The search cuts only over levels wider than ``_WIDE`` candidates;
-# ``_WIDE`` = 0 cuts wherever a cut is planned.
+# Where a star pin x_j* = S closes at x_{j-1}'s depth, x_{j-1} not the
+# first variable, a candidate for x_{j-1} whose S has no star preimage is
+# cut there, never becoming a prefix at x_j's depth, and is charged nothing
+# past the closing filter it passed; the reference skips it the same way.
+# The cut is the same at every ``_WIDE``, which only groups prefixes: the
+# ``cut-everywhere`` cases run with ``_WIDE`` = 0, every prefix a group of
+# its own, the ``as-is`` cases with the grouping as it falls.
 
 _REF = {}
 
@@ -500,24 +502,18 @@ def ref_outcome(q, spec):
 
 
 class CutLog:
-    """Notes each cut the search prices (whether the first candidate paid
-    the star scan) and each cut candidate the budget walk charges."""
+    """Counts the candidates the lookahead cuts: those ``_Rows.within``
+    finds without a star preimage."""
 
     def __init__(self, monkeypatch):
-        self.cuts, self.scans, self.walked = 0, 0, 0
-        price, steps = decide._Cut.price, decide._Cut.steps
+        self.cuts, within = 0, decide._Rows.within
 
-        def logged_price(cut, cols, scan, n):
-            self.cuts += 1
-            self.scans += scan is not None
-            return price(cut, cols, scan, n)
+        def logged(rows, code, allowed, val, v, xs):
+            ok = within(rows, code, allowed, val, v, xs)
+            self.cuts += ok.count(False)
+            return ok
 
-        def logged_steps(cut, m):
-            self.walked += 1
-            return steps(cut, m)
-
-        monkeypatch.setattr(decide._Cut, "price", logged_price)
-        monkeypatch.setattr(decide._Cut, "steps", logged_steps)
+        monkeypatch.setattr(decide._Rows, "within", logged)
 
 
 @pytest.mark.parametrize("wide", [0, decide._WIDE], ids=["cut-everywhere", "as-is"])
@@ -528,8 +524,7 @@ def test_qb_n_replays_with_the_lookahead(spec, wide, monkeypatch):
     for n in (2, 3, 4):
         q = qb_quasi_identity(n)
         assert outcome(_quasi_pruned, q, ALGEBRAS[spec]) == ref_outcome(q, spec), n
-    if wide == 0 or spec.startswith("free"):
-        assert log.cuts  # qb_3 and qb_4 pin their last variable by S = x1 | ... | x_{n-1}
+    assert log.cuts  # qb_3 and qb_4 pin their last variable by S = x1 | ... | x_{n-1}
 
 
 def star_pinned_quasi(rng):
@@ -560,24 +555,24 @@ def test_star_pinned_corpus_replays(wide, monkeypatch):
             errors += isinstance(want, str)
             cases += 1
     assert 0 < errors < cases // 3
-    assert log.cuts >= (100 if wide == 0 else 10)
+    assert log.cuts >= 100
 
 
 # x1 | x1* = x1 keeps x1 at the dense elements, the first of them below 1
 # in si:n, so S = x1 | x2 has no star preimage at the first candidate: the
-# star scan falls on a cut node
-SCAN_ON_CUT = QuasiIdentity((Equation(Join(Var(1), Star(Var(1))), Var(1)),
-                             Equation(Star(Var(3)), Join(Var(1), Var(2)))),
-                            Equation(Join(Var(3), Var(2)), Join(Var(2), Var(3))))
+# first candidate for x2 is cut
+FIRST_CUT = QuasiIdentity((Equation(Join(Var(1), Star(Var(1))), Var(1)),
+                           Equation(Star(Var(3)), Join(Var(1), Var(2)))),
+                          Equation(Join(Var(3), Var(2)), Join(Var(2), Var(3))))
 
 
 @pytest.mark.parametrize("spec", ["si:2", "si:3", "chain:4"])
 def test_lookahead_budget_errors_replay_at_every_crossing(spec, monkeypatch):
     # every charge of the reference is a crossing: the same error at each,
-    # where a chunk's sum crosses and its walk charges cut candidates too
+    # where a chunk's sum crosses and its walk passes over cut candidates
     monkeypatch.setattr(decide, "_WIDE", 0)
     A, ample, rng = ALGEBRAS[spec], config.DEFAULT, random.Random(spec)
-    qs = [qb_quasi_identity(3), qb_quasi_identity(4), SCAN_ON_CUT]
+    qs = [qb_quasi_identity(3), qb_quasi_identity(4), FIRST_CUT]
     qs += [star_pinned_quasi(rng) for _ in range(6)]
     log = CutLog(monkeypatch)
     for q in qs:
@@ -587,9 +582,7 @@ def test_lookahead_budget_errors_replay_at_every_crossing(spec, monkeypatch):
         for budget in sorted({used for used, amount, times in steps if amount * times}):
             monkeypatch.setattr(config, "DEFAULT", dataclasses.replace(ample, budget=budget))
             assert outcome(_quasi_pruned, q, A) == error_at(steps, budget), (q, budget)
-    assert log.cuts and log.walked
-    if spec.startswith("si"):
-        assert log.scans  # SCAN_ON_CUT's first candidate pays the scan
+    assert log.cuts
 
 
 def test_qb3_cuts_dead_prefixes_one_depth_early(monkeypatch):
@@ -609,23 +602,22 @@ def test_qb3_cuts_dead_prefixes_one_depth_early(monkeypatch):
     assert 0 < sum(widths) <= 64
     widths.clear()
     monkeypatch.setattr(decide, "_lookahead", lambda sides, v: None)
-    assert _quasi_pruned(q, A, (1, 2, 3)).budget_used == 2_448_872
+    assert _quasi_pruned(q, A, (1, 2, 3)).budget_used == 2_448_246
     assert sum(widths) == 2_557
 
 
 # x4 ranges over all of A below the pin x3* = x1 | x2, so a chunk of four
 # x1 values passes |A|^2 prefixes at x4's depth and keeps its leading ones:
-# the candidates cut at x2's depth under the x1 values it drops are not
-# charged there, but in the chunks that search them
+# the candidates at x2's depth under the x1 values it drops are filtered,
+# cut and charged in the chunks that search them, not there
 CAP_CUT = QuasiIdentity((Equation(Star(Var(3)), Join(Var(1), Var(2))),),
                         Equation(Join(Var(4), Var(3)), Join(Var(3), Var(4))))
 
 # x1 | (x2 & x2*) = 1 keeps values of x2 only at x1 = 1, x2 | x2* = x2 keeps
-# the dense ones, and x3* = x2 cuts the first of them below 1, which pays
-# the scan for the preimages; x4 and x5 range over all of A.  A chunk of the
-# x1 just before 1 and 1 itself, kept short by the budget at x5's depth,
-# keeps only that x1: it charges neither the cut nor the scan, and leaves
-# both to the next chunk
+# the dense ones, and x3* = x2 cuts the first of them below 1; x4 and x5
+# range over all of A.  A chunk of the x1 just before 1 and 1 itself, kept
+# short by the budget at x5's depth, keeps only that x1 and leaves the cut
+# to the next chunk
 LATE_CUT = QuasiIdentity((Equation(Join(Var(1), Meet(Var(2), Star(Var(2)))), ONE),
                           Equation(Join(Var(2), Star(Var(2))), Var(2)),
                           Equation(Star(Var(3)), Var(2))),
@@ -652,4 +644,30 @@ def test_a_cut_chunk_leaves_the_scan_on_its_cut_to_the_next(spec, monkeypatch):
         monkeypatch.setattr(config, "DEFAULT", dataclasses.replace(ample, budget=budget))
         assert outcome(_quasi_pruned, LATE_CUT, A) == outcome(ref_quasi_pruned, LATE_CUT, A), \
             budget
-    assert log.scans
+    assert log.cuts
+
+
+@pytest.mark.parametrize("corpus", ["shaped", "star-pinned"])
+def test_the_lookahead_changes_no_verdict_and_raises_no_charge(corpus, monkeypatch):
+    # the search with its lookahead off is an oracle for the one with it on:
+    # the same verdict and witness and no lower ``budgetUsed``, and a budget
+    # error with the lookahead on fires with it off too, at the same budget
+    monkeypatch.setattr(config, "DEFAULT", dataclasses.replace(config.DEFAULT, budget=20_000))
+    rng, quasi = ((random.Random(10), shaped_quasi) if corpus == "shaped" else
+                  (random.Random(28), star_pinned_quasi))
+    dropped = errors = 0
+    for spec in SPECS:
+        for _ in range(20):
+            q, A = quasi(rng), ALGEBRAS[spec]
+            on = outcome(_quasi_pruned, q, A)
+            with monkeypatch.context() as m:
+                m.setattr(decide, "_lookahead", lambda sides, v: None)
+                off = outcome(_quasi_pruned, q, A)
+            if isinstance(on, str):
+                assert isinstance(off, str), (spec, q)
+                errors += 1
+            elif isinstance(off, dict):
+                used_on, used_off = on.pop("budgetUsed"), off.pop("budgetUsed")
+                assert on == off and used_on <= used_off, (spec, q)
+                dropped += used_on < used_off
+    assert errors and dropped
