@@ -9,11 +9,12 @@ Most functions accept either carrier.
 from __future__ import annotations
 
 import json
+from collections import deque
 from functools import reduce
-from itertools import chain, compress
+from itertools import chain, compress, repeat
 from json.encoder import encode_basestring_ascii
 from operator import and_, itemgetter, not_, or_
-from typing import Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from . import config
 from .congruences import Congruence
@@ -88,6 +89,16 @@ class TableAlgebra:
     def leq(self, i: int, j: int) -> bool:
         return self.meet_table[i][j] == i
 
+    def meet_row(self, i: int) -> tuple[int, ...]:
+        """The meets of i with 0..size-1, as ``UpsetAlgebra.meet_row``."""
+        return self.meet_table[i]
+
+    def join_row(self, i: int) -> tuple[int, ...]:
+        return self.join_table[i]
+
+    def star_row(self) -> tuple[int, ...]:
+        return self.star_table
+
     def up_row(self, i: int) -> int:
         """The mask of the j with i <= j, read off the meet table as ``leq``
         does: the row's tests m == i as binary digits, in C.  Up to 256
@@ -135,10 +146,11 @@ class UpsetAlgebra:
     """The p-algebra of all upsets of a base poset: the masks of
     ``UpsetMasks(base)``, numbered.  Order rows and star classes are read
     off the base points' columns (``point_columns`` of the elements), built
-    once when first asked for and kept; ``star`` reads ``star_masks``."""
+    once when first asked for and kept, as is the element order; ``star``
+    reads ``star_masks``."""
 
     __slots__ = ("base", "masks", "elements", "index", "size", "zero", "one", "labels",
-                 "_numbered", "_columns", "_star_classes", "_star_masks")
+                 "_numbered", "_columns", "_order", "_star_classes", "_star_masks")
 
     def __init__(self, base: Poset, labels: Sequence[str] | None = None):
         self._number(base, enumerate_upsets(base), labels, False)
@@ -164,7 +176,7 @@ class UpsetAlgebra:
         self.one = self.index[self.masks.one]
         self.labels = tuple(labels) if labels is not None else None
         self._numbered = numbered
-        self._columns = self._star_classes = self._star_masks = None
+        self._columns = self._order = self._star_classes = self._star_masks = None
 
     def mask(self, i: int) -> int:
         return self.elements[i]
@@ -181,11 +193,47 @@ class UpsetAlgebra:
     def leq(self, i: int, j: int) -> bool:
         return not (self.elements[i] & ~self.elements[j])
 
+    def meet_row(self, i: int) -> Iterable[int]:
+        """The meets of i with 0..size-1: j at each j <= i, i at each j >= i."""
+        order = self.order()
+        return self._row(i, and_, order.down[i], order.up[i])
+
+    def join_row(self, i: int) -> Iterable[int]:
+        """The joins of i with 0..size-1: j at each j >= i, i at each j <= i."""
+        order = self.order()
+        return self._row(i, or_, order.up[i], order.down[i])
+
+    def _row(self, i: int, op, same: int, fixed: int) -> Iterable[int]:
+        """Row i of op (and_ or or_), in C: j at each j in the mask same, i
+        at each j in fixed, and the rest computed on the masks and looked up
+        in ``index``.  Where under half the elements are comparable to i,
+        every entry is looked up."""
+        n, elements, at = self.size, self.elements, self.index.__getitem__
+        rest = (1 << n) - 1 & ~(same | fixed)
+        if 2 * rest.bit_count() > n:
+            return map(at, map(op, elements, repeat(elements[i])))
+        row = list(range(n))
+        deque(map(row.__setitem__, bit_indices(fixed), repeat(i)), maxlen=0)
+        rest = bit_indices(rest)
+        looked_up = map(at, map(op, map(elements.__getitem__, rest), repeat(elements[i])))
+        deque(map(row.__setitem__, rest, looked_up), maxlen=0)
+        return row
+
+    def star_row(self) -> tuple[int, ...]:
+        """The stars of 0..size-1, looked up in C."""
+        return tuple(map(self.index.__getitem__, map(self.star_masks().__getitem__, self.elements)))
+
     def columns(self) -> list[int]:
         """Per base point, the mask of the elements that hold it."""
         if self._columns is None:
             self._columns = point_columns(self.elements, self.base.n)
         return self._columns
+
+    def order(self) -> Poset:
+        """The order of the elements: inclusion of their masks."""
+        if self._order is None:
+            self._order = inclusion_order(self.elements)
+        return self._order
 
     def up_row(self, i: int) -> int:
         """The mask of the elements above i: those holding every point of i."""
@@ -375,19 +423,30 @@ def _law_scan(A: PAlgebra, lattice: bool = False) -> Iterator[Violation]:
 
 
 def compatibility_witness(A: PAlgebra, rep: Sequence[int]):
-    """None if the partition is operation-compatible, else a witness tuple."""
-    rng = range(A.size)
-    for i in rng:
+    """None if the partition is operation-compatible, else a witness tuple:
+    at the least i that is not its class's least member r and breaks
+    compatibility, ("star", i, r) if i* and r* lie in distinct classes, else
+    ("meet", i, r, c) or ("join", i, r, c) at the least c where the rows of
+    i and r fall in distinct classes, meet first.  Each row is mapped to its
+    classes in C, and r's rows are kept until its class's last member."""
+    at, kept = rep.__getitem__, {}
+    last = dict(zip(rep, range(A.size)))  # per r, the last i with rep[i] = r
+
+    def rows(i):
+        return tuple(map(at, A.meet_row(i))), tuple(map(at, A.join_row(i)))
+
+    for i in range(A.size):
         r = rep[i]
         if r == i:
             continue
         if rep[A.star(i)] != rep[A.star(r)]:
             return ("star", i, r)
-        for c in rng:
-            if rep[A.meet(i, c)] != rep[A.meet(r, c)]:
-                return ("meet", i, r, c)
-            if rep[A.join(i, c)] != rep[A.join(r, c)]:
-                return ("join", i, r, c)
+        (mi, ji), (mr, jr) = rows(i), kept.pop(r, None) or rows(r)
+        if last[r] != i:
+            kept[r] = mr, jr
+        if mi != mr or ji != jr:
+            c = next(c for c in range(A.size) if mi[c] != mr[c] or ji[c] != jr[c])
+            return ("meet" if mi[c] != mr[c] else "join", i, r, c)
     return None
 
 
@@ -530,10 +589,14 @@ def quotient(A: PAlgebra, theta, check: bool = True) -> Quotient:
 # ------------------------------------------------------ structural inventory
 
 def element_order(A: PAlgebra) -> Poset:
-    """The order of A on its element indices; ``up[i]`` is the mask of all j >= i."""
-    if isinstance(A, UpsetAlgebra):
-        return inclusion_order(A.elements)
-    return Poset(list(map(A.up_row, range(A.size))), cap=A.size)
+    """The order of A on its element indices; ``up[i]`` is the mask of all j >= i.
+    A table its law check has proved reads its kept carrier's order; any
+    other table's up rows must pass ``Poset``'s check."""
+    if isinstance(A, TableAlgebra):
+        if A._carrier is None:
+            return Poset(list(map(A.up_row, range(A.size))), cap=A.size)
+        A = A._carrier
+    return A.order()
 
 
 def birkhoff_masks(order: Poset) -> tuple[list[int], list[int]]:
@@ -631,16 +694,47 @@ def to_upset(A: PAlgebra) -> UpsetAlgebra:
 
 # -------------------------------------------------------------------- JSON
 
-def algebra_to_json_dict(A: PAlgebra) -> dict:
-    if isinstance(A, UpsetAlgebra) and A._numbered:  # its order is not the reloaded one
-        A = to_table(A)
-    if isinstance(A, TableAlgebra):
+class _Indices(Record):
+    """Index data the library has proved: ints in ``range(size)``, read off
+    a checked table or a carrier's ``index``.  With no ``row`` it is the
+    list ``values``; with one, the table whose rows are ``row(v)`` for v in
+    ``values``, each made as ``json_chunks`` writes it.  The writer prints
+    it through its digit table, with no check."""
+    __slots__ = ("size", "values", "row")
+
+    def __init__(self, size: int, values, row=None):
+        _set_size(self, size)
+        _set_values(self, values)
+        _set_row(self, row)
+
+
+_set_size, _set_values, _set_row = (_Indices.size.__set__, _Indices.values.__set__,
+                                    _Indices.row.__set__)
+
+
+def proved_indices(size: int, values: Sequence[int]) -> _Indices:
+    """``values``, ints the caller has proved to lie in ``range(size)``, for
+    ``json_chunks`` to write without checking them."""
+    return _Indices(size, values)
+
+
+def _lists(size: int, values, row=None) -> list:
+    """``_Indices``' data as plain lists."""
+    return list(values) if row is None else [list(row(v)) for v in values]
+
+
+def _algebra_doc(A: PAlgebra, indices) -> dict:
+    """A's document, its index data made by ``indices(size, values, row)``.
+    A table's rows and a numbered carrier's (si:n, chain:m, whose order is
+    not the one an upset document reloads in) are read off A, not copied."""
+    if isinstance(A, TableAlgebra) or A._numbered:
+        n, rng = A.size, range(A.size)
         return {
             "kind": "table",
-            "size": A.size,
-            "meet": [list(row) for row in A.meet_table],
-            "join": [list(row) for row in A.join_table],
-            "star": list(A.star_table),
+            "size": n,
+            "meet": indices(n, rng, A.meet_row),
+            "join": indices(n, rng, A.join_row),
+            "star": indices(n, A.star_row()),
             "zero": A.zero,
             "one": A.one,
         }
@@ -650,6 +744,18 @@ def algebra_to_json_dict(A: PAlgebra) -> dict:
         "poset": {"size": A.base.n, "covers": [list(c) for c in A.base.covers()]},
         "labels": list(labels),
     }
+
+
+def algebra_to_json_dict(A: PAlgebra) -> dict:
+    """A's JSON document, in plain mutable lists."""
+    return _algebra_doc(A, _lists)
+
+
+def proved_algebra_doc(A: PAlgebra) -> dict:
+    """``algebra_to_json_dict(A)`` with its index data proved, for
+    ``json_chunks`` to write unchecked: each table row is made off A as it
+    is written, so no table is built or held."""
+    return _algebra_doc(A, _Indices)
 
 
 def algebra_from_json_dict(doc: dict) -> PAlgebra:
@@ -688,20 +794,30 @@ def json_chunks(doc):
     one piece per value.  Here each index's digits and each key's text are
     made once per document: a list of plain ints is one join of looked-up
     digits, a list of nonempty int rows (a table, a cover list) is checked
-    once and written as one piece per row, so a large table streams, and a
-    str or int is written without ``json.dumps``.
+    once and written as one piece per row, and a str or int is written
+    without ``json.dumps``.  Proved index data (``_Indices``) is looked up
+    unchecked, and its table rows are made one at a time, so a large table
+    streams and no row outlives its write.
     """
     digits: list[str] = []  # digits[i] is str(i), for i up to the largest index seen
     keys: dict[str, str] = {}  # a str key's JSON text
+
+    def digits_to(hi: int):
+        """The int -> text map by lookup, for ints in 0..hi."""
+        if hi >= len(digits):
+            digits.extend(map(str, range(len(digits), hi + 1)))
+        return digits.__getitem__
 
     def int_text(lo: int, hi: int, count: int):
         """The int -> text map for count ints in lo..hi: a digit lookup when
         the table is no longer than the ints pay for, else ``str``."""
         if lo < 0 or hi >= 4 * count + 256:
             return str
-        if hi >= len(digits):
-            digits.extend(map(str, range(len(digits), hi + 1)))
-        return digits.__getitem__
+        return digits_to(hi)
+
+    def int_list(x, text, pad: str) -> str:
+        inner = pad + "  "
+        return "[\n" + inner + (",\n" + inner).join(map(text, x)) + "\n" + pad + "]"
 
     def leaf(x, pad: str) -> str | None:
         """x's text if it is one piece: a scalar, an empty container or a
@@ -711,14 +827,16 @@ def json_chunks(doc):
             return encode_basestring_ascii(x)
         if t is int:
             return int.__repr__(x)
+        if t is _Indices:
+            if not x.values:
+                return "[]"
+            return None if x.row is not None else int_list(x.values, digits_to(x.size - 1), pad)
         if isinstance(x, (list, tuple)):
             if not x:
                 return "[]"
             if {*map(type, x)} != {int}:
                 return None
-            inner = pad + "  "
-            text = int_text(min(x), max(x), len(x))
-            return "[\n" + inner + (",\n" + inner).join(map(text, x)) + "\n" + pad + "]"
+            return int_list(x, int_text(min(x), max(x), len(x)), pad)
         if isinstance(x, dict):
             return None if x else "{}"
         return json.dumps(x)
@@ -731,23 +849,31 @@ def json_chunks(doc):
             text = keys[key] = encode_basestring_ascii(key)
         return text
 
+    def table(rows, text, head: str, pad: str):
+        """One piece per row of a table of nonempty int rows."""
+        inner = pad + "  "
+        sep, row_pad = ",\n" + inner, inner + "  "
+        row_sep, row_end = ",\n" + row_pad, "\n" + inner + "]"
+        for row in rows:
+            yield head + "[\n" + row_pad + row_sep.join(map(text, row)) + row_end
+            head = sep
+        yield "\n" + pad + "]"
+
     def pieces(x, pad: str):
         """The pieces of a nonempty dict or list x that is no leaf."""
         inner = pad + "  "
         head, sep = "[\n" + inner, ",\n" + inner
+        if type(x) is _Indices:
+            yield from table(map(x.row, x.values), digits_to(x.size - 1), head, pad)
+            return
         if isinstance(x, dict):
             head, close = "{\n" + inner, "\n" + pad + "}"
             items = ((key_text(key) + ": ", value) for key, value in x.items())
         elif (all(x) and {*map(type, x)} <= {list, tuple}
               and {*map(type, chain.from_iterable(x))} == {int}):
             # a table: one check over every entry, then one piece per row
-            row_pad = inner + "  "
-            row_sep, row_end = ",\n" + row_pad, "\n" + inner + "]"
             text = int_text(min(map(min, x)), max(map(max, x)), sum(map(len, x)))
-            for row in x:
-                yield head + "[\n" + row_pad + row_sep.join(map(text, row)) + row_end
-                head = sep
-            yield "\n" + pad + "]"
+            yield from table(x, text, head, pad)
             return
         else:
             close = "\n" + pad + "]"
@@ -771,7 +897,7 @@ def json_chunks(doc):
 
 
 def algebra_dumps(A: PAlgebra) -> str:
-    return "".join(json_chunks(algebra_to_json_dict(A)))
+    return "".join(json_chunks(proved_algebra_doc(A)))
 
 
 def algebra_loads(text: str) -> PAlgebra:

@@ -15,15 +15,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from . import config
 from .algebras import (
     TableAlgebra,
     algebra_loads,
-    algebra_to_json_dict,
     chain_carrier,
     json_chunks,
+    proved_algebra_doc,
+    proved_indices,
     si_carrier,
     violations,
 )
@@ -159,7 +160,7 @@ def cmd_qi(args) -> int:
 
 
 def cmd_si(args) -> int:
-    _print_json(algebra_to_json_dict(si_carrier(args.n)))
+    _print_json(proved_algebra_doc(si_carrier(args.n)))
     return 0
 
 
@@ -170,7 +171,7 @@ def cmd_dual(args) -> int:
     _print_json({
         "algebra": args.algebra,
         "count": len(records),
-        "records": [r.to_json_dict() for r in records],
+        "records": [r.to_json_dict(partial(proved_indices, A.size)) for r in records],
         "bySubset": {"covers": sorted(by_subset.covers())},
         "byOneClass": {"covers": sorted(by_one.covers())},
         "storeys": {
@@ -187,8 +188,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_convert(args) -> int:
-    A = load_algebra(args.algebra)
-    _print_json(algebra_to_json_dict(A))
+    _print_json(proved_algebra_doc(load_algebra(args.algebra)))
     return 0
 
 

@@ -26,8 +26,10 @@ class Congruence:
     def __init__(self, labels: Iterable[Hashable]):
         """Any class labels, e.g. tuples; each is replaced by the least
         index that carries it."""
-        least: dict = {}
-        self.rep = tuple(least.setdefault(lab, i) for i, lab in enumerate(labels))
+        labels = tuple(labels)
+        # over the labels reversed, each label's last write is its least index
+        least = dict(zip(labels[::-1], range(len(labels) - 1, -1, -1)))
+        self.rep = tuple(map(least.__getitem__, labels))
         self._classes: tuple[int, ...] | None = None
 
     @classmethod
@@ -88,9 +90,6 @@ class Congruence:
         lo, hi = min(ri, rj), max(ri, rj)  # lo stays the least of the merged class
         return Congruence._trusted(tuple(map({hi: lo}.get, self.rep, self.rep)))
 
-    def to_json(self) -> list[int]:
-        return list(self.rep)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Congruence) and self.rep == other.rep
 
@@ -120,11 +119,11 @@ def _union(parent: list[int], x: int, y: int) -> bool:
 
 
 def identity_congruence(size: int) -> Congruence:
-    return Congruence(range(size))
+    return Congruence._trusted(tuple(range(size)))
 
 
 def full_congruence(size: int) -> Congruence:
-    return Congruence([0] * size)
+    return Congruence._trusted((0,) * size)
 
 
 def principal_congruence(A, a: int, b: int) -> Congruence:
@@ -228,12 +227,14 @@ class CmRecord(Record):
     def one_class(self) -> tuple[int, ...]:
         return tuple(bit_indices(self.one_mask))
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, indices=list) -> dict:
+        """The record as JSON; its index lists are passed through ``indices``
+        (``dual`` writes them as ``algebras.proved_indices``)."""
         return {
-            "mu": self.mu.to_json(),
-            "muPlus": self.mu_plus.to_json(),
+            "mu": indices(self.mu.rep),
+            "muPlus": indices(self.mu_plus.rep),
             "storey": self.storey,
-            "oneClass": list(self.one_class),
+            "oneClass": indices(self.one_class),
             "psi": self.psi,
             "eMu": self.e_mu,
         }
@@ -286,10 +287,10 @@ def cm_all(A, *, verify: bool = False) -> list[CmRecord]:
         # the rest read the atoms of Q below them
         mu = Congruence(map((under | 1 << t).__and__, below))
         if under == 1 << t:
-            records.append(CmRecord(mu, full_congruence(A.size), "I", F, psi=p, e_mu=_low_bit(~F)))
+            records.append(CmRecord(mu, full_congruence(A.size), "I", F, p, _low_bit(~F)))
         else:
             e = _low_bit(fbar & ~F)
-            records.append(CmRecord(mu, mu.merge_classes(_low_bit(F), e), "II", F, psi=p, e_mu=e))
+            records.append(CmRecord(mu, mu.merge_classes(_low_bit(F), e), "II", F, p, e))
     if not verify:
         return records
     for r in records:

@@ -973,6 +973,24 @@ def ref_quasi_pruned(q, A, variables) -> Verdict:
     return Verdict(False, witness, "pruned", spent.used)
 
 
+def ref_compatibility_witness(A, rep):
+    """``algebras.compatibility_witness`` as one loop over the pairs (i, c):
+    the star check first, then meet before join at each c."""
+    rng = range(A.size)
+    for i in rng:
+        r = rep[i]
+        if r == i:
+            continue
+        if rep[A.star(i)] != rep[A.star(r)]:
+            return ("star", i, r)
+        for c in rng:
+            if rep[A.meet(i, c)] != rep[A.meet(r, c)]:
+                return ("meet", i, r, c)
+            if rep[A.join(i, c)] != rep[A.join(r, c)]:
+                return ("join", i, r, c)
+    return None
+
+
 def ref_is_prime_filter(A, mask):
     """congruences.is_prime_filter before upward closure read ``A.up_row``:
     |A| ``leq`` calls per member."""

@@ -19,8 +19,18 @@ from palgebra.algebras import json_chunks
 from .test_cli import QB3
 
 
+def as_lists(data):
+    """Proved index data (``algebras._Indices``, which ``dual``, ``si`` and
+    ``convert`` print) as the plain lists it stands for."""
+    if type(data) is not algebras._Indices:
+        raise TypeError(f"{type(data).__name__} is not JSON serializable")
+    if data.row is None:
+        return list(data.values)
+    return [list(data.row(v)) for v in data.values]
+
+
 def old_dumps(doc) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, indent=2, default=as_lists) + "\n"
 
 
 TEXT = st.text(alphabet=st.sampled_from('ax1 "\\/\n\t\x00\x7f∨∧é 😀'), max_size=6)
