@@ -696,10 +696,11 @@ def to_upset(A: PAlgebra) -> UpsetAlgebra:
 
 class _Indices(Record):
     """Index data the library has proved: ints in ``range(size)``, read off
-    a checked table or a carrier's ``index``.  With no ``row`` it is the
-    list ``values``; with one, the table whose rows are ``row(v)`` for v in
-    ``values``, each made as ``json_chunks`` writes it.  The writer prints
-    it through its digit table, with no check."""
+    a checked table, a carrier's ``index`` or a poset's covers.  With no
+    ``row`` it is the list ``values``; with one, the table whose rows are
+    ``row(v)`` for v in ``values``, each nonempty and made as
+    ``json_chunks`` writes it.  The writer prints it through its digit
+    table, with no check."""
     __slots__ = ("size", "values", "row")
 
     def __init__(self, size: int, values, row=None):
@@ -712,10 +713,11 @@ _set_size, _set_values, _set_row = (_Indices.size.__set__, _Indices.values.__set
                                     _Indices.row.__set__)
 
 
-def proved_indices(size: int, values: Sequence[int]) -> _Indices:
-    """``values``, ints the caller has proved to lie in ``range(size)``, for
-    ``json_chunks`` to write without checking them."""
-    return _Indices(size, values)
+def proved_indices(size: int, values, row=None) -> _Indices:
+    """``values`` (or with ``row``, the table of rows ``row(v)``), ints the
+    caller has proved to lie in ``range(size)``, for ``json_chunks`` to
+    write without checking them."""
+    return _Indices(size, values, row)
 
 
 def _lists(size: int, values, row=None) -> list:
@@ -741,7 +743,7 @@ def _algebra_doc(A: PAlgebra, indices) -> dict:
     labels = A.labels if A.labels is not None else tuple(str(i) for i in range(A.base.n))
     return {
         "kind": "upset",
-        "poset": {"size": A.base.n, "covers": [list(c) for c in A.base.covers()]},
+        "poset": {"size": A.base.n, "covers": indices(A.base.n, A.base.covers(), tuple)},
         "labels": list(labels),
     }
 
@@ -755,7 +757,7 @@ def proved_algebra_doc(A: PAlgebra) -> dict:
     """``algebra_to_json_dict(A)`` with its index data proved, for
     ``json_chunks`` to write unchecked: each table row is made off A as it
     is written, so no table is built or held."""
-    return _algebra_doc(A, _Indices)
+    return _algebra_doc(A, proved_indices)
 
 
 def algebra_from_json_dict(doc: dict) -> PAlgebra:
@@ -791,37 +793,26 @@ def json_chunks(doc):
     """Text pieces of ``json.dumps(doc, indent=2) + "\\n"``, byte for byte.
 
     The stdlib writes an indented document with its pure-Python encoder,
-    one piece per value.  Here each index's digits and each key's text are
-    made once per document: a list of plain ints is one join of looked-up
-    digits, a list of nonempty int rows (a table, a cover list) is checked
-    once and written as one piece per row, and a str or int is written
-    without ``json.dumps``.  Proved index data (``_Indices``) is looked up
-    unchecked, and its table rows are made one at a time, so a large table
-    streams and no row outlives its write.
+    one piece per value, and so does this writer, with each key's text made
+    once per document and a str or int written without ``json.dumps``.
+    Ints reach it by one route of their own: proved index data
+    (``proved_indices``), printed unchecked through a table of the digits of
+    0..size-1 made once per document.  A list of it is one piece, and a
+    table one piece per row, each row made as it is written, so a large
+    table streams and no row outlives its write.
     """
-    digits: list[str] = []  # digits[i] is str(i), for i up to the largest index seen
+    digits: list[str] = []  # digits[i] is str(i), for i up to the largest size seen
     keys: dict[str, str] = {}  # a str key's JSON text
 
-    def digits_to(hi: int):
-        """The int -> text map by lookup, for ints in 0..hi."""
-        if hi >= len(digits):
-            digits.extend(map(str, range(len(digits), hi + 1)))
+    def digits_to(size: int):
+        """The int -> text map by lookup, for ints in range(size)."""
+        if size > len(digits):
+            digits.extend(map(str, range(len(digits), size)))
         return digits.__getitem__
-
-    def int_text(lo: int, hi: int, count: int):
-        """The int -> text map for count ints in lo..hi: a digit lookup when
-        the table is no longer than the ints pay for, else ``str``."""
-        if lo < 0 or hi >= 4 * count + 256:
-            return str
-        return digits_to(hi)
-
-    def int_list(x, text, pad: str) -> str:
-        inner = pad + "  "
-        return "[\n" + inner + (",\n" + inner).join(map(text, x)) + "\n" + pad + "]"
 
     def leaf(x, pad: str) -> str | None:
         """x's text if it is one piece: a scalar, an empty container or a
-        list of plain ints (not bools, which json writes true/false)."""
+        list of proved indices."""
         t = type(x)
         if t is str:
             return encode_basestring_ascii(x)
@@ -830,13 +821,13 @@ def json_chunks(doc):
         if t is _Indices:
             if not x.values:
                 return "[]"
-            return None if x.row is not None else int_list(x.values, digits_to(x.size - 1), pad)
-        if isinstance(x, (list, tuple)):
-            if not x:
-                return "[]"
-            if {*map(type, x)} != {int}:
+            if x.row is not None:
                 return None
-            return int_list(x, int_text(min(x), max(x), len(x)), pad)
+            inner = pad + "  "
+            return ("[\n" + inner + (",\n" + inner).join(map(digits_to(x.size), x.values))
+                    + "\n" + pad + "]")
+        if isinstance(x, (list, tuple)):
+            return None if x else "[]"
         if isinstance(x, dict):
             return None if x else "{}"
         return json.dumps(x)
@@ -849,32 +840,21 @@ def json_chunks(doc):
             text = keys[key] = encode_basestring_ascii(key)
         return text
 
-    def table(rows, text, head: str, pad: str):
-        """One piece per row of a table of nonempty int rows."""
-        inner = pad + "  "
-        sep, row_pad = ",\n" + inner, inner + "  "
-        row_sep, row_end = ",\n" + row_pad, "\n" + inner + "]"
-        for row in rows:
-            yield head + "[\n" + row_pad + row_sep.join(map(text, row)) + row_end
-            head = sep
-        yield "\n" + pad + "]"
-
     def pieces(x, pad: str):
         """The pieces of a nonempty dict or list x that is no leaf."""
         inner = pad + "  "
         head, sep = "[\n" + inner, ",\n" + inner
-        if type(x) is _Indices:
-            yield from table(map(x.row, x.values), digits_to(x.size - 1), head, pad)
+        if type(x) is _Indices:  # a table: one piece per row
+            text, row_pad = digits_to(x.size), inner + "  "
+            row_sep, row_end = ",\n" + row_pad, "\n" + inner + "]"
+            for row in map(x.row, x.values):
+                yield head + "[\n" + row_pad + row_sep.join(map(text, row)) + row_end
+                head = sep
+            yield "\n" + pad + "]"
             return
         if isinstance(x, dict):
             head, close = "{\n" + inner, "\n" + pad + "}"
             items = ((key_text(key) + ": ", value) for key, value in x.items())
-        elif (all(x) and {*map(type, x)} <= {list, tuple}
-              and {*map(type, chain.from_iterable(x))} == {int}):
-            # a table: one check over every entry, then one piece per row
-            text = int_text(min(map(min, x)), max(map(max, x)), sum(map(len, x)))
-            yield from table(x, text, head, pad)
-            return
         else:
             close = "\n" + pad + "]"
             items = (("", value) for value in x)

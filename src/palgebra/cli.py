@@ -167,13 +167,14 @@ def cmd_si(args) -> int:
 def cmd_dual(args) -> int:
     A = load_algebra(args.algebra)
     records = cm_all(A)
+    n = len(records)
     by_subset, by_one = cm_posets(records)
     _print_json({
         "algebra": args.algebra,
-        "count": len(records),
+        "count": n,
         "records": [r.to_json_dict(partial(proved_indices, A.size)) for r in records],
-        "bySubset": {"covers": sorted(by_subset.covers())},
-        "byOneClass": {"covers": sorted(by_one.covers())},
+        "bySubset": {"covers": proved_indices(n, by_subset.covers(), tuple)},
+        "byOneClass": {"covers": proved_indices(n, by_one.covers(), tuple)},
         "storeys": {
             "I": sum(1 for r in records if r.storey == "I"),
             "II": sum(1 for r in records if r.storey == "II"),

@@ -10,11 +10,12 @@ mu+, the storey tag, psi = min 1/mu, and the subcover witness e_mu.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Hashable, Iterable, Sequence
 
 from . import config
 from .errors import CapExceeded, NotACongruence, NotPrime
-from .posets import Poset, bit_indices, inclusion_order
+from .posets import Poset, bit_indices, inclusion_order, point_columns
 from .records import Record
 
 
@@ -180,21 +181,29 @@ def all_congruences(A, cap: int | None = None) -> list[Congruence]:
 
 # ------------------------------------------------------------- prime filters
 
+# translate the binary digits of a mask, least first, to 1 at each member
+# (_MEMBER) or at each outsider (_OUTSIDER) and 0 elsewhere
+_MEMBER = bytes.maketrans(b"01", b"\0\1")
+_OUTSIDER = bytes.maketrans(b"01", b"\1\0")
+
+
 def is_prime_filter(A, mask: int) -> bool:
-    members = list(bit_indices(mask))
-    if not members or mask == (1 << A.size) - 1:
+    """Whether mask is a prime filter of A: a proper nonempty upset closed
+    under meet whose complement is closed under join.  Each member's up row
+    and meet row and each outsider's join row are read whole, through a
+    membership list, in C."""
+    n = A.size
+    if not mask or mask == (1 << n) - 1:
         return False
-    for a in members:
-        if A.up_row(a) & ~mask:
-            return False
-        for b in members:
-            if not (mask >> A.meet(a, b)) & 1:
-                return False
-    for a in range(A.size):
-        for b in range(A.size):
-            if (mask >> A.join(a, b)) & 1 and not ((mask >> a) & 1 or (mask >> b) & 1):
-                return False
-    return True
+    digits = format(mask, f"0{n}b")[::-1].encode()
+    inside, outside = digits.translate(_MEMBER), digits.translate(_OUTSIDER)
+    members = bit_indices(mask)
+    if any(A.up_row(a) & ~mask for a in members):
+        return False
+    if not all(all(map(inside.__getitem__, compress(A.meet_row(a), inside))) for a in members):
+        return False
+    return not any(any(map(inside.__getitem__, compress(A.join_row(a), outside)))
+                   for a in bit_indices(mask ^ (1 << n) - 1))
 
 
 def prime_filters(A) -> list[int]:
@@ -328,13 +337,14 @@ def cm_subset(r: CmRecord, s: CmRecord) -> bool:
 def cm_posets(records: Sequence[CmRecord]) -> tuple[Poset, Poset]:
     """(inclusion order, 1-class order) over ``cm_all(A)`` for a lawful A.
     Distinct records compare by inclusion only as a storey-II record below a
-    storey-I one whose 1-class holds its own."""
+    storey-I one whose 1-class holds its own: an order by construction, as
+    only storey-I records lie above others and none lies above them."""
     by_one = inclusion_order([sum(1 << s for s, t in enumerate(records) if r.one_mask >> t.psi & 1)
                               for r in records])  # F_s lies in F_r iff psi_s is in F_r
     i_mask = sum(1 << s for s, r in enumerate(records) if r.storey == "I")
-    by_subset = Poset([1 << i | (by_one.up[i] & i_mask if r.storey == "II" else 0)
-                       for i, r in enumerate(records)], cap=len(records))
-    return by_subset, by_one
+    up = [1 << i | (by_one.up[i] & i_mask if r.storey == "II" else 0)
+          for i, r in enumerate(records)]
+    return Poset._trusted(up, point_columns(up, len(up))), by_one
 
 
 def _low_bit(mask: int) -> int:

@@ -28,6 +28,7 @@ from .posets import (
     disjoint_union,
     inclusion_order,
     min_elements,
+    point_columns,
     poset_isomorphic,
 )
 from .records import Record
@@ -398,15 +399,16 @@ def stone_decompose(k: int) -> StoneDecomposition:
 def h3_poset(n: int | None, k: int):
     """The two orders carried by the same index set: plain congruence
     inclusion (reflexive pairs plus non-atom-below-atom pairs where the
-    atom's subset belongs to the family) and the 1-class order (the index
-    poset itself).  The identity is a pp-morphism from the first onto the
+    atom's subset belongs to the family; an order by construction, as an
+    atom lies below nothing else) and the 1-class order (the index poset
+    itself).  The identity is a pp-morphism from the first onto the
     second."""
     skeleton = free_skeleton(n, k)
     indices, by_one = skeleton.indices, skeleton.poset
     atom_at = {j.tees[0]: p for p, j in enumerate(indices) if j.is_atom}
     rows = [1 << p | (0 if j.is_atom else sum(1 << atom_at[T] for T in j.tees))
             for p, j in enumerate(indices)]
-    by_subset = Poset(rows, cap=len(indices))
+    by_subset = Poset._trusted(rows, point_columns(rows, len(rows)))
     return by_subset, by_one, tuple(range(len(indices)))
 
 

@@ -30,6 +30,7 @@ from palgebra import (
     free_distributive,
     glivenko,
     is_prime_filter,
+    prime_filters,
     product,
     qb_quasi_identity,
     upset_carrier,
@@ -164,6 +165,34 @@ def test_prime_filter_check_replays_the_double_loop(carriers):
         A = carriers[name]
         for mask in range(1 << A.size):
             assert is_prime_filter(A, mask) == ref_is_prime_filter(A, mask), (name, mask)
+
+
+def near_misses(A, count, seed):
+    """Prime filters and masks near them: one bit flipped (often no upset),
+    the union of two (an upset not closed under meet) and the meet of two
+    (a filter that need not be prime), and random masks."""
+    rng = random.Random(seed)
+    filters = prime_filters(A)
+    out = filters[:4]
+    while len(out) < count:
+        f, g = rng.choice(filters), rng.choice(filters)
+        out.append((f ^ 1 << rng.randrange(A.size), f | g, f & g,
+                    rng.getrandbits(A.size))[rng.randrange(4)])
+    return out
+
+
+# the double loop costs |A|^2 joins a mask: few masks of the 539-element free:2,2
+BIG = [("free:2,2", 12), ("table free:2,2", 12), ("si:4", 64), ("chain:9", 64), ("dist:3", 64)]
+
+
+@pytest.mark.parametrize("name, count", BIG, ids=[name for name, _ in BIG])
+def test_prime_filter_check_replays_near_misses(name, count):
+    A = load_algebra(name.removeprefix("table "))
+    A = to_table(A) if name.startswith("table ") else A
+    masks = near_misses(A, count, name)
+    got = [is_prime_filter(A, mask) for mask in masks]
+    assert got == [ref_is_prime_filter(A, mask) for mask in masks]
+    assert True in got and False in got
 
 
 @pytest.mark.parametrize("name", NAMES)

@@ -27,7 +27,7 @@ from palgebra import (
 )
 from palgebra.cli import main
 from palgebra.posets import inclusion_order
-from .helpers import ref_h3_subset_leq
+from .helpers import checked_poset, ref_h3_subset_leq
 from .test_algebras import ORDER_CORPUS
 
 SMALL = [(n, k) for k in range(4) for n in (0, 1, 2, 3, None)]
@@ -112,7 +112,8 @@ class TestReplay:
     def test_h3_subset_rows_are_the_pairwise_order(self, n, k):
         indices = free_skeleton(n, k).indices
         want = Poset.from_leq(len(indices), ref_h3_subset_leq(indices), cap=len(indices))
-        assert h3_poset(n, k)[0].up == want.up
+        got = h3_poset(n, k)[0]
+        assert (checked_poset(got).up, got.down) == (want.up, want.down)
 
     def test_free_distributive_base_is_the_subset_cube(self):
         for s in range(5):

@@ -372,7 +372,7 @@ LATE_STAR = QuasiIdentity((Equation(Join(Var(1), Meet(Var(2), Star(Var(2)))), ON
 
 
 @pytest.mark.parametrize("spec", ["si:2", "si:3"])
-def test_a_cut_chunk_leaves_the_star_scan_to_the_next(spec, monkeypatch):
+def test_a_chunk_cut_short_above_the_pin_replays_at_every_budget(spec, monkeypatch):
     A, ample = ALGEBRAS[spec], config.DEFAULT
     U = ref_quasi_pruned(LATE_STAR, A, (1, 2, 3, 4)).budget_used
     for budget in range(1, U + 1):
@@ -626,7 +626,7 @@ LATE_CUT = QuasiIdentity((Equation(Join(Var(1), Meet(Var(2), Star(Var(2)))), ONE
 
 
 @pytest.mark.parametrize("spec", ["si:3", "chain:5", "dist:3"])
-def test_a_chunk_kept_short_charges_only_its_own_cuts(spec, monkeypatch):
+def test_a_chunk_kept_short_by_the_cap_replays_its_cuts(spec, monkeypatch):
     monkeypatch.setattr(decide, "_WIDE", 0)
     log = CutLog(monkeypatch)
     A = ALGEBRAS[spec]
@@ -635,7 +635,7 @@ def test_a_chunk_kept_short_charges_only_its_own_cuts(spec, monkeypatch):
 
 
 @pytest.mark.parametrize("spec", ["si:2", "si:3"])
-def test_a_cut_chunk_leaves_the_scan_on_its_cut_to_the_next(spec, monkeypatch):
+def test_a_chunk_kept_short_before_its_cut_replays_at_every_budget(spec, monkeypatch):
     monkeypatch.setattr(decide, "_WIDE", 0)
     log = CutLog(monkeypatch)
     A, ample = ALGEBRAS[spec], config.DEFAULT
