@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import chain, compress, repeat
 from json.encoder import encode_basestring_ascii
 from operator import and_, itemgetter, not_, or_
@@ -474,16 +474,23 @@ def si_carrier(n: int) -> UpsetAlgebra:
     algebra with a new top glued above its unit e.  By Birkhoff duality it is
     the upsets of n atoms a_i (points 0..n-1) above one point b (point n): the
     sets of atoms and the whole base.  Indices 0..2^n-1 are the Boolean masks,
-    index 2^n is the new top, the whole base; a's star is e ^ a."""
+    index 2^n is the new top, the whole base; a's star is e ^ a.  Built once
+    per n and then shared (``_si_carrier``)."""
     if n < 0:
         raise ValueError("n must be >= 0")
     cap = config.DEFAULT.element_cap
+    # outside the cache, so a lowered cap still fires on a carrier built before
     if n >= cap.bit_length():  # 2^n + 1 > cap, told before it is built; from
         # 2^14285 > 10^4300 on it is shown as text, as in ``_sweep_equation``
         raise CapExceeded("algebra size", shown(n, 1) if n >= 14_285 else (1 << n) + 1, cap)
     size = (1 << n) + 1
     if size > cap:
         raise CapExceeded("algebra size", size, cap)
+    return _si_carrier(n)
+
+
+@lru_cache(maxsize=None)  # si_carrier checks the caps before every lookup
+def _si_carrier(n: int) -> UpsetAlgebra:
     b, whole = 1 << n, (2 << n) - 1
     base = Poset._trusted([*(1 << i for i in range(n)), whole],
                           [*(1 << i | b for i in range(n)), b])
@@ -515,12 +522,18 @@ def si_cond_check(B: TableAlgebra) -> list[tuple[int, int]]:
 def chain_carrier(m: int) -> UpsetAlgebra:
     """The m-element chain with 0* = 1 and x* = 0 elsewhere (m >= 2): the
     upsets of an (m-1)-point chain whose point t lies below points 0..t-1.
-    Index i is the upset of the i highest points, the mask 2^i - 1."""
+    Index i is the upset of the i highest points, the mask 2^i - 1.  Built
+    once per m and then shared (``_chain_carrier``)."""
     if m < 2:
         raise ValueError("chains need at least two elements")
     cap = config.DEFAULT.element_cap
-    if m > cap:
+    if m > cap:  # outside the cache, as in si_carrier
         raise CapExceeded("algebra size", m, cap)
+    return _chain_carrier(m)
+
+
+@lru_cache(maxsize=None)  # chain_carrier checks the cap before every lookup
+def _chain_carrier(m: int) -> UpsetAlgebra:
     whole = (1 << (m - 1)) - 1
     base = Poset._trusted([(2 << t) - 1 for t in range(m - 1)],
                           [whole & -(1 << t) for t in range(m - 1)])

@@ -1,11 +1,11 @@
 """Run-wide knobs: size caps, sweep budget, RNG seed; DEFAULT is read on first use."""
 
 import os
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Config:
+class Config(NamedTuple):
+    """Immutable; ``DEFAULT._replace(budget=1000)`` is a copy with one knob changed."""
     poset_cap: int = 2048        # largest base poset we will build
     element_cap: int = 4096      # largest algebra we will materialize
     oracle_cap: int = 12         # largest |A| for the brute-force congruence oracle
@@ -16,12 +16,12 @@ class Config:
 def from_env() -> Config:
     """Defaults, each overridable through PALGEBRA_<FIELD>."""
     values = {}
-    for f in fields(Config):
-        name = f"PALGEBRA_{f.name.upper()}"
+    for field in Config._fields:
+        name = f"PALGEBRA_{field.upper()}"
         raw = os.environ.get(name)
         if raw is not None:
             try:
-                values[f.name] = int(raw)
+                values[field] = int(raw)
             except ValueError:
                 raise ValueError(f"{name} must be an integer, got {raw!r}") from None
     return Config(**values)

@@ -120,25 +120,42 @@ def _check_level(n: int | None, k: int) -> None:
 
 def enumerate_jindices(n: int | None, k: int) -> list[JIndex]:
     """All indices at level n over k variables, canonically sorted."""
+    return _index_rows(n, k)[0]
+
+
+def _index_rows(n: int | None, k: int) -> tuple[list[JIndex], list[int], list[int]]:
+    """The indices at level n over k variables in ``sort_key`` order, with
+    each one's mask in the index poset and its L.  Families come by size,
+    each size in lexicographic order, and each family's L ascending, which
+    is that order, so nothing is sorted.  A family's bits are summed once,
+    for all its L.  The mask of (family, L) is the subsets outside the
+    family, shifted past k bits, then L: mask i lies within mask j iff
+    fam_j lies within fam_i and L_i within L_j, which is ``base_leq``."""
     _check_level(n, k)
-    subsets = range(1 << k)
-    if n == 0:
-        return [JIndex._trusted(k, (T,), T) for T in subsets]
-    n_eff = (1 << k) if n is None else min(n, 1 << k)
-    out = []
+    every, all_vars = (1 << (1 << k)) - 1, (1 << k) - 1
+    # level 0 keeps the 2^k atom indices (T, L = T) alone
+    n_eff = 1 if n == 0 else (1 << k) if n is None else min(n, 1 << k)
+    make = JIndex._trusted
+    indices: list[JIndex] = []
+    masks: list[int] = []
+    ells: list[int] = []
     for size in range(1, n_eff + 1):
-        for fam in itertools.combinations(subsets, size):
-            common = (1 << k) - 1
+        for fam in itertools.combinations(range(1 << k), size):
+            common = all_vars
+            bits = 0
             for T in fam:
                 common &= T
-            ell = common
-            while True:
-                out.append(JIndex._trusted(k, fam, ell))
-                if ell == 0:
+                bits |= 1 << T
+            head = (every & ~bits) << k
+            ell = common if n == 0 else 0
+            while True:  # the submasks of common, ascending
+                indices.append(make(k, fam, ell))
+                masks.append(head | ell)
+                ells.append(ell)
+                if ell == common:
                     break
-                ell = (ell - 1) & common
-    out.sort(key=JIndex.sort_key)
-    return out
+                ell = (ell - common) & common
+    return indices, masks, ells
 
 
 @lru_cache(maxsize=None)  # free_skeleton checks it before every cache lookup
@@ -210,13 +227,10 @@ class Skeleton(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _skeleton(n_key: int | None, k: int) -> Skeleton:
-    indices = tuple(enumerate_jindices(n_key, k))
-    # mask i within mask j iff fam_j within fam_i and L_i within L_j: base_leq
-    every = (1 << (1 << k)) - 1
-    poset = inclusion_order([(every & ~sum(1 << T for T in j.tees)) << k | j.ell for j in indices])
-    gen_masks = tuple(sum(1 << p for p, j in enumerate(indices) if (j.ell >> i) & 1)
-                      for i in range(k))
-    return Skeleton(indices, poset, UpsetMasks(poset), gen_masks, [None] * len(indices), [None])
+    indices, masks, ells = _index_rows(n_key, k)
+    poset = inclusion_order(masks)
+    return Skeleton(tuple(indices), poset, UpsetMasks(poset), tuple(point_columns(ells, k)),
+                    [None] * len(indices), [None])
 
 
 def count_jirr_or_text(n: int | None, k: int) -> int | str:
@@ -342,11 +356,21 @@ def normal_form(t: Term, n: int | None, k: int | None = None) -> Term:
 def free_distributive(s: int) -> UpsetAlgebra:
     """The free bounded distributive lattice on s generators as a p-algebra:
     upsets of the subset cube ordered by inclusion.  The base has a single
-    maximal node, so every nonzero element is dense."""
+    maximal node, so every nonzero element is dense.  Built once per s and
+    then shared (``_free_distributive``)."""
     if s < 0:
         raise ValueError("s must be >= 0")
     if s > 4:
         raise CapExceeded("distributive generator count", s, 4)
+    D, cap = _free_distributive(s), config.DEFAULT.element_cap
+    # outside the cache, so a lowered cap still fires, with the cold build's text
+    if D.size > cap:
+        raise CapExceeded("upset count", cap + 1, cap)
+    return D
+
+
+@lru_cache(maxsize=None)  # free_distributive checks the caps on every call
+def _free_distributive(s: int) -> UpsetAlgebra:
     cube = inclusion_order(range(1 << s))
     labels = ["{" + ",".join(str(i + 1) for i in bit_indices(m)) + "}"
               for m in range(1 << s)]

@@ -409,16 +409,49 @@ def atom_term(T: int, k: int) -> Term:
     variables 1..k (bit i-1 stands for x_i)."""
     if T >> k:
         raise BadIndex(f"subset mask {T:#x} exceeds {k} variables")
-    factors = [Var(i + 1) if (T >> i) & 1 else Star(Var(i + 1)) for i in range(k)]
-    return meet_all(factors)
+    return meet_all([_literal(i + 1, 1 - ((T >> i) & 1)) for i in range(k)])
 
 
-def index_term(fam: Sequence[int], ell: int, k: int) -> Term:
+@lru_cache(maxsize=None)
+def _literal(i: int, stars: int) -> Term:
+    """x_i under 0, 1 or 2 stars, one object per process."""
+    t = Var(i)
+    for _ in range(stars):
+        t = Star(t)
+    return t
+
+
+@lru_cache(maxsize=None)
+def _atom_join(fam: tuple[int, ...], k: int) -> Term:
+    """``join_all`` of the atoms x_T over the nonempty fam: one half of a
+    family head, shared by every family that splits into it."""
+    return join_all([atom_term(T, k) for T in fam])
+
+
+@lru_cache(maxsize=None)
+def family_head(fam: tuple[int, ...], k: int) -> Term:
+    """(join of x_T over fam)**, for a family of two or more members: one
+    object per family, which the index terms of all its L share.  The join
+    is ``join_all``'s balanced tree, put together from its two halves (the
+    first the larger), each built by ``_balanced`` and memoised in
+    ``_atom_join``, so families that split into the same half share it."""
+    mid = (len(fam) + 1) // 2
+    return Star(Star(Join(_atom_join(fam[:mid], k), _atom_join(fam[mid:], k))))
+
+
+@lru_cache(maxsize=None)
+def _variables_meet(ell: int) -> Term:
+    """``meet_all`` of x_i for i in the nonempty mask ell."""
+    return meet_all([_literal(i + 1, 0) for i in bit_indices(ell)])
+
+
+def index_term(fam: tuple[int, ...], ell: int, k: int) -> Term:
     """p^L_T: (join of x_T over the family)** meet the variables of L, for an
     already valid index: fam strictly ascending, nonempty, within k
     variables, and ell inside every member (``free.jirr_term`` checks raw
-    index data first).  The atoms x_T come from the memoised atom_term, so
-    index terms share them.
+    index data first).  Its parts come from memos, so index terms share
+    them: the family head (``family_head``, with the atoms x_T it joins),
+    the meet of L's variables and the literals.
 
     Two families take shorter forms that are equal to p^L_T in every
     p-algebra: the full family of all 2^k subsets gives 1, and a singleton
@@ -429,20 +462,13 @@ def index_term(fam: Sequence[int], ell: int, k: int) -> Term:
         return ONE
     if len(fam) == 1:
         T = fam[0]
-        factors = []
-        for i in range(k):
-            v = Var(i + 1)
-            if (ell >> i) & 1:
-                factors.append(v)
-            elif (T >> i) & 1:
-                factors.append(Star(Star(v)))
-            else:
-                factors.append(Star(v))
-        return meet_all(factors)
-    head = Star(Star(join_all([atom_term(T, k) for T in fam])))
+        # per variable: 0 stars in L, 2 in T - L, 1 outside T
+        return meet_all([_literal(i + 1, 0 if (ell >> i) & 1 else 1 + ((T >> i) & 1))
+                         for i in range(k)])
+    head = family_head(fam, k)
     if not ell:
         return head
-    return Meet(head, meet_all([Var(i + 1) for i in bit_indices(ell)]))
+    return Meet(head, _variables_meet(ell))
 
 
 def ib_term(m: int) -> Term:

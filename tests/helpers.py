@@ -1,5 +1,6 @@
 """Shared fixtures: the small-algebra corpus and independent oracles."""
 
+import itertools
 import math
 import re
 from itertools import product as iproduct
@@ -353,6 +354,62 @@ def ref_gen_masks(indices, k):
         sum(1 << p for p, j in enumerate(indices) if (j.ell >> i) & 1)
         for i in range(k)
     )
+
+
+def ref_skeleton(n, k):
+    """(indices, up rows, down rows, gen_masks) of the level-n, rank-k index
+    layer as ``free._skeleton`` built it before its one-pass enumeration:
+    every family's L listed downwards, all indices sorted by
+    ``JIndex.sort_key``, and each index's family bits and each generator's
+    mask summed on their own."""
+    subsets = range(1 << k)
+    if n == 0:
+        indices = [JIndex(k, (T,), T) for T in subsets]
+    else:
+        n_eff = (1 << k) if n is None else min(n, 1 << k)
+        indices = []
+        for size in range(1, n_eff + 1):
+            for fam in itertools.combinations(subsets, size):
+                common = (1 << k) - 1
+                for T in fam:
+                    common &= T
+                ell = common
+                while True:
+                    indices.append(JIndex(k, fam, ell))
+                    if ell == 0:
+                        break
+                    ell = (ell - 1) & common
+        indices.sort(key=JIndex.sort_key)
+    every = (1 << (1 << k)) - 1
+    poset = inclusion_order([(every & ~sum(1 << T for T in j.tees)) << k | j.ell
+                             for j in indices])
+    return tuple(indices), poset.up, poset.down, ref_gen_masks(indices, k)
+
+
+def ref_index_term(fam, ell, k):
+    """``terms.index_term`` as it built every term from nothing, before it
+    took the family head, the meet of L and the literals from memos, with
+    the atoms x_T built as ``atom_term`` built them then."""
+    if len(fam) == 1 << k:
+        return ONE
+    if len(fam) == 1:
+        T = fam[0]
+        factors = []
+        for i in range(k):
+            v = Var(i + 1)
+            if (ell >> i) & 1:
+                factors.append(v)
+            elif (T >> i) & 1:
+                factors.append(Star(Star(v)))
+            else:
+                factors.append(Star(v))
+        return meet_all(factors)
+    atoms = [meet_all([Var(i + 1) if (T >> i) & 1 else Star(Var(i + 1)) for i in range(k)])
+             for T in fam]
+    head = Star(Star(join_all(atoms)))
+    if not ell:
+        return head
+    return Meet(head, meet_all([Var(i + 1) for i in bit_indices(ell)]))
 
 
 def ref_count_jirr(n, k):

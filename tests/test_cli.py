@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import io
 import json
 import os
@@ -531,8 +530,7 @@ class TestNonIntegerEntries:
         assert err == "error: bad algebra document: poset size must be an integer, got True\n"
 
     def test_chain_over_the_element_cap(self, capsys, monkeypatch):
-        monkeypatch.setattr(config, "DEFAULT", dataclasses.replace(config.DEFAULT,
-                                                                   element_cap=100))
+        monkeypatch.setattr(config, "DEFAULT", config.DEFAULT._replace(element_cap=100))
         code, out, err = run(capsys, "convert", "chain:101")
         assert (code, out) == (2, "")
         assert json.loads(err) == {"error": "cap-exceeded", "what": "algebra size",
@@ -659,8 +657,7 @@ class TestFuzzEveryInputKind:
         exit_code([command, spec])
 
     @settings(max_examples=200, deadline=None)
-    @given(name=st.sampled_from([f"PALGEBRA_{f.name.upper()}"
-                                 for f in dataclasses.fields(Config)]),
+    @given(name=st.sampled_from([f"PALGEBRA_{f.upper()}" for f in Config._fields]),
            value=st.one_of(st.integers(-3, 5000).map(str),
                            st.text(st.characters(blacklist_categories=("Cs",),
                                                  blacklist_characters="\x00"), max_size=6)),

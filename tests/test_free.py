@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import math
@@ -203,7 +202,7 @@ class TestBuild:
         with pytest.raises(CapExceeded):
             build_free(1, 3)  # 233280 elements
         monkeypatch.setattr(config, "DEFAULT",
-                            dataclasses.replace(config.DEFAULT, poset_cap=100))
+                            config.DEFAULT._replace(poset_cap=100))
         with pytest.raises(CapExceeded):
             build_free(3, 3)  # 144 indices
 

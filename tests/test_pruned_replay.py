@@ -7,7 +7,6 @@ the same budget error), and the new one must call ``leq`` no more often.
 """
 
 import ast
-import dataclasses
 import json
 import random
 import sys
@@ -101,7 +100,7 @@ class CountingLeq:
 def test_shaped_corpus_replays(monkeypatch):
     # a small budget keeps unpinned searches short and replays the budget
     # error too, whose text holds the count at which it fired
-    monkeypatch.setattr(config, "DEFAULT", dataclasses.replace(config.DEFAULT, budget=20_000))
+    monkeypatch.setattr(config, "DEFAULT", config.DEFAULT._replace(budget=20_000))
     rng = random.Random(10)
     errors = cases = 0
     for spec in SPECS:
@@ -191,7 +190,7 @@ def test_budget_errors_replay_at_every_crossing(spec, monkeypatch):
         U = ref_quasi_pruned(q, A, _quasi_vars(q)).budget_used
         for budget in {*range(1, U, 1 if U <= 300 else U // 30), *range(max(1, U - 3), U)}:
             monkeypatch.setattr(config, "DEFAULT",
-                                dataclasses.replace(config.DEFAULT, budget=budget))
+                                config.DEFAULT._replace(budget=budget))
             want = outcome(ref_quasi_pruned, q, A)
             assert want.startswith("pruned search: ")
             assert outcome(_quasi_pruned, q, A) == want, (q, budget)
@@ -266,7 +265,7 @@ def test_budget_errors_replay_in_chunks(spec, monkeypatch):
         else:
             budgets = {*range(1, U, U // 30), *range(U - 3, U)}
         for budget in sorted(budgets):
-            monkeypatch.setattr(config, "DEFAULT", dataclasses.replace(ample, budget=budget))
+            monkeypatch.setattr(config, "DEFAULT", ample._replace(budget=budget))
             assert outcome(_quasi_pruned, q, A) == error_at(steps, budget), (q, budget)
     assert ("charge", "chunk") in SiteBudget.sites  # a chunk's sum crossed, then its walk
 
@@ -354,7 +353,7 @@ def test_frontier_holds_at_most_a_squared_prefixes(monkeypatch):
 def test_frontier_holds_no_more_prefixes_than_budget_units(monkeypatch):
     # each prefix costs a unit at least, so a chunk never grows past the
     # units left; here the budget runs out inside the first x1's subtree
-    monkeypatch.setattr(config, "DEFAULT", dataclasses.replace(config.DEFAULT, budget=5000))
+    monkeypatch.setattr(config, "DEFAULT", config.DEFAULT._replace(budget=5000))
     A, widths = ALGEBRAS["free:1,2"], widest_rows(monkeypatch)
     want = outcome(ref_quasi_pruned, WIDE, A)
     assert want.startswith("pruned search: ")
@@ -376,7 +375,7 @@ def test_a_chunk_cut_short_above_the_pin_replays_at_every_budget(spec, monkeypat
     A, ample = ALGEBRAS[spec], config.DEFAULT
     U = ref_quasi_pruned(LATE_STAR, A, (1, 2, 3, 4)).budget_used
     for budget in range(1, U + 1):
-        monkeypatch.setattr(config, "DEFAULT", dataclasses.replace(ample, budget=budget))
+        monkeypatch.setattr(config, "DEFAULT", ample._replace(budget=budget))
         assert outcome(_quasi_pruned, LATE_STAR, A) == outcome(ref_quasi_pruned, LATE_STAR, A), \
             budget
 
@@ -435,7 +434,7 @@ def test_grouped_row_step_budget_errors_replay(wide, monkeypatch):
     for q in (MIXED, LATER_GROUP):
         steps = charge_steps(q, A, monkeypatch)
         for budget in sorted({used for used, amount, times in steps if amount * times}):
-            monkeypatch.setattr(config, "DEFAULT", dataclasses.replace(ample, budget=budget))
+            monkeypatch.setattr(config, "DEFAULT", ample._replace(budget=budget))
             assert outcome(_quasi_pruned, q, A) == error_at(steps, budget), (q, budget)
         monkeypatch.setattr(config, "DEFAULT", ample)
 
@@ -543,7 +542,7 @@ def star_pinned_quasi(rng):
 @pytest.mark.parametrize("wide", [0, decide._WIDE], ids=["cut-everywhere", "as-is"])
 def test_star_pinned_corpus_replays(wide, monkeypatch):
     # a small budget keeps the searches short and replays budget errors too
-    monkeypatch.setattr(config, "DEFAULT", dataclasses.replace(config.DEFAULT, budget=20_000))
+    monkeypatch.setattr(config, "DEFAULT", config.DEFAULT._replace(budget=20_000))
     monkeypatch.setattr(decide, "_WIDE", wide)
     log = CutLog(monkeypatch)
     rng, errors, cases = random.Random(28), 0, 0
@@ -580,7 +579,7 @@ def test_lookahead_budget_errors_replay_at_every_crossing(spec, monkeypatch):
         steps = charge_steps(q, A, monkeypatch)
         assert outcome(_quasi_pruned, q, A) == outcome(ref_quasi_pruned, q, A)
         for budget in sorted({used for used, amount, times in steps if amount * times}):
-            monkeypatch.setattr(config, "DEFAULT", dataclasses.replace(ample, budget=budget))
+            monkeypatch.setattr(config, "DEFAULT", ample._replace(budget=budget))
             assert outcome(_quasi_pruned, q, A) == error_at(steps, budget), (q, budget)
     assert log.cuts
 
@@ -641,7 +640,7 @@ def test_a_chunk_kept_short_before_its_cut_replays_at_every_budget(spec, monkeyp
     A, ample = ALGEBRAS[spec], config.DEFAULT
     U = ref_quasi_pruned(LATE_CUT, A, (1, 2, 3, 4, 5)).budget_used
     for budget in range(1, U + 1):
-        monkeypatch.setattr(config, "DEFAULT", dataclasses.replace(ample, budget=budget))
+        monkeypatch.setattr(config, "DEFAULT", ample._replace(budget=budget))
         assert outcome(_quasi_pruned, LATE_CUT, A) == outcome(ref_quasi_pruned, LATE_CUT, A), \
             budget
     assert log.cuts
@@ -652,7 +651,7 @@ def test_the_lookahead_changes_no_verdict_and_raises_no_charge(corpus, monkeypat
     # the search with its lookahead off is an oracle for the one with it on:
     # the same verdict and witness and no lower ``budgetUsed``, and a budget
     # error with the lookahead on fires with it off too, at the same budget
-    monkeypatch.setattr(config, "DEFAULT", dataclasses.replace(config.DEFAULT, budget=20_000))
+    monkeypatch.setattr(config, "DEFAULT", config.DEFAULT._replace(budget=20_000))
     rng, quasi = ((random.Random(10), shaped_quasi) if corpus == "shaped" else
                   (random.Random(28), star_pinned_quasi))
     dropped = errors = 0

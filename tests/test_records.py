@@ -14,7 +14,6 @@ from palgebra import (
     ONE,
     ZERO,
     CmRecord,
-    Config,
     Equation,
     JIndex,
     Join,
@@ -102,10 +101,12 @@ def test_term_nodes_keep_their_size():
     assert not hasattr(X1, "__dict__") and not hasattr(Zero(), "__dict__")
 
 
-def test_config_is_the_only_dataclass():
+def test_no_class_is_a_dataclass():
+    # config.Config is a NamedTuple, so importing the CLI imports no
+    # dataclasses (test_stdlib_only.py)
     found = {obj for mod in list(sys.modules.values())
              if mod is not None and mod.__name__.split(".")[0] == "palgebra"
              for obj in vars(mod).values()
              if inspect.isclass(obj) and dataclasses.is_dataclass(obj)
              and obj.__module__.startswith("palgebra")}
-    assert found == {Config}
+    assert found == set()

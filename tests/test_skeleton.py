@@ -1,6 +1,5 @@
 """The index layer as one object per level and rank: ``free.Skeleton``."""
 
-import dataclasses
 import os
 import random
 import subprocess
@@ -154,7 +153,7 @@ def test_a_lowered_element_cap_fires_on_a_cached_algebra(monkeypatch):
     # outside the cache, with the text of the build that passes it
     free._skeleton.cache_clear()
     A = build_free(3, 2).algebra
-    monkeypatch.setattr(config, "DEFAULT", dataclasses.replace(config.DEFAULT, element_cap=600))
+    monkeypatch.setattr(config, "DEFAULT", config.DEFAULT._replace(element_cap=600))
     with pytest.raises(CapExceeded) as warm:
         build_free(3, 2)
     free._skeleton.cache_clear()
