@@ -47,11 +47,10 @@ class Violation(Record):
 
 class TableAlgebra:
     """A p-algebra given by meet/join/star tables over indices 0..size-1.
-    ``_lawful`` notes ``_lattice`` once meet and join are proved a
-    distributive lattice's, and keeps ``_carrier`` once every law holds."""
+    ``_lawful`` keeps ``_carrier`` once every law holds."""
 
     __slots__ = ("size", "meet_table", "join_table", "star_table", "zero", "one", "labels",
-                 "_lattice", "_carrier")
+                 "_carrier")
 
     def __init__(self, meet, join, star, zero, one, labels=None):
         n = len(star)
@@ -75,7 +74,7 @@ class TableAlgebra:
         self.zero = zero
         self.one = one
         self.labels = tuple(labels) if labels is not None else None
-        self._lattice, self._carrier = False, None
+        self._carrier = None
 
     def meet(self, i: int, j: int) -> int:
         return self.meet_table[i][j]
@@ -150,7 +149,8 @@ class UpsetAlgebra:
     reads ``star_masks``."""
 
     __slots__ = ("base", "masks", "elements", "index", "size", "zero", "one", "labels",
-                 "_numbered", "_columns", "_order", "_star_classes", "_star_masks")
+                 "_numbered", "_columns", "_order", "_star_classes", "_star_masks",
+                 "_up_rows", "_down_rows")
 
     def __init__(self, base: Poset, labels: Sequence[str] | None = None):
         self._number(base, enumerate_upsets(base), labels, False)
@@ -177,6 +177,7 @@ class UpsetAlgebra:
         self.labels = tuple(labels) if labels is not None else None
         self._numbered = numbered
         self._columns = self._order = self._star_classes = self._star_masks = None
+        self._up_rows, self._down_rows = {}, {}  # element -> its up (down) row
 
     def mask(self, i: int) -> int:
         return self.elements[i]
@@ -237,13 +238,21 @@ class UpsetAlgebra:
 
     def up_row(self, i: int) -> int:
         """The mask of the elements above i: those holding every point of i."""
-        return reduce(and_, map(self.columns().__getitem__, bit_indices(self.elements[i])),
-                      (1 << self.size) - 1)
+        row = self._up_rows.get(i)
+        if row is None:
+            row = self._up_rows[i] = reduce(
+                and_, map(self.columns().__getitem__, bit_indices(self.elements[i])),
+                (1 << self.size) - 1)
+        return row
 
     def down_row(self, i: int) -> int:
         """The mask of the elements below i: those holding no point outside i."""
-        outside = bit_indices(self.masks.one & ~self.elements[i])
-        return (1 << self.size) - 1 & ~reduce(or_, map(self.columns().__getitem__, outside), 0)
+        row = self._down_rows.get(i)
+        if row is None:
+            outside = bit_indices(self.masks.one & ~self.elements[i])
+            row = self._down_rows[i] = (1 << self.size) - 1 & ~reduce(
+                or_, map(self.columns().__getitem__, outside), 0)
+        return row
 
     def birkhoff(self) -> tuple[list[int], list[int], list[int]]:
         """The join-irreducibles ja, ascending, their up rows and the masks
@@ -297,13 +306,15 @@ def validate(A: PAlgebra) -> list[Violation]:
 def violations(A: PAlgebra) -> Iterator[Violation]:
     """``validate``'s violations, lazily: the scan runs as far as the caller reads."""
     A = to_table(A)
-    if A._carrier is None and not _lawful(A):
-        yield from _law_scan(A, lattice=A._lattice)
+    lawful = A._carrier is not None or _lawful(A)
+    if not lawful:
+        yield from _law_scan(A, lattice=lawful is False)
 
 
-def _lawful(A: PAlgebra) -> bool:
+def _lawful(A: TableAlgebra) -> bool | None:
     """True iff A satisfies every law ``_law_scan`` checks, decided in the
-    Birkhoff masks of the meet table's relation ``a <= b iff a & b = a``.
+    Birkhoff masks of the meet table's relation ``a <= b iff a & b = a``;
+    if not, False once meet and join are proved a distributive lattice's, else None.
 
     Its up rows must be reflexive and pairwise distinct (early refusals:
     the row check below implies both).  Taken as an order (unchecked), they
@@ -314,27 +325,26 @@ def _lawful(A: PAlgebra) -> bool:
     ``below[a | b]`` must be ``below[a] | below[b]``.  That makes ``below``
     an isomorphism onto a family of sets closed under both, so meet and
     join are those of a distributive lattice, and a <= b iff below[a] lies
-    in below[b]: the up rows were a partial order after all, and the
-    table notes (``_lattice``) for ``_law_scan`` that no law in three
-    variables can fail.  Last, one must be the top, zero's mask empty (so
-    zero is the bottom), and each ``below[a*]`` the t with below[ja[t]] &
-    below[a] = 0: the largest mask disjoint from below[a], as
+    in below[b]: the up rows were a partial order after all, and no law in
+    three variables can fail (so ``_law_scan`` skips them).  Last, one must
+    be the top, zero's mask empty (so zero is the bottom), and each
+    ``below[a*]`` the t with below[ja[t]] & below[a] = 0: the largest mask
+    disjoint from below[a], as
     ``UpsetMasks.star`` computes it, which gives every star law.  Two passes
     over the rows, and O(|J|) work per element.  A lawful table keeps its
     upset carrier: point t has the up row below[ja[t]], element a is the
     upset below[a].
     """
-    A = to_table(A)
     M, J, S, n = A.meet_table, A.join_table, A.star_table, A.size
     if [row[a] for a, row in enumerate(M)] != list(range(n)):
-        return False
+        return None
     up = list(map(A.up_row, range(n)))
     if len(set(up)) < n:
-        return False
+        return None
     order = Poset._trusted(up, point_columns(up, n))
     ja, below = birkhoff_masks(order)
     if len(set(below)) < n:
-        return False
+        return None
     # the masks packed w bytes apiece, below[b] in slot b: a row of the meet
     # table must read, slot by slot, as ba in every slot ANDed with them
     w = len(ja) // 8 + 1
@@ -346,8 +356,7 @@ def _lawful(A: PAlgebra) -> bool:
         every = ba * ones
         if (b"".join(map(slot, Ma)) != (every & packed).to_bytes(width, "little")
                 or b"".join(map(slot, Ja)) != (every | packed).to_bytes(width, "little")):
-            return False
-    A._lattice = True
+            return None
     if order.down[A.one] != order.universe or below[A.zero]:
         return False
     ups, bits = [below[p] for p in ja], [1 << t for t in range(len(ja))]
@@ -358,7 +367,7 @@ def _lawful(A: PAlgebra) -> bool:
     return True
 
 
-def _law_scan(A: PAlgebra, lattice: bool = False) -> Iterator[Violation]:
+def _law_scan(A: TableAlgebra, lattice: bool = False) -> Iterator[Violation]:
     """The per-law witness scan behind ``validate``: the first witness of each
     failed law, yielded as found, with witnesses in lexicographic order.  A
     law is compared one row (all values of its last variable) at a time, so
@@ -366,7 +375,6 @@ def _law_scan(A: PAlgebra, lattice: bool = False) -> Iterator[Violation]:
     ``lattice``, the caller has proved meet and join those of a distributive
     lattice (``_lawful`` does, before it looks at zero, one and star), so the
     associative and distributive laws hold and are not scanned."""
-    A = to_table(A)
     rng = range(A.size)
     M, J, S, zero, one = A.meet_table, A.join_table, A.star_table, A.zero, A.one
 

@@ -406,13 +406,12 @@ def _quasi_pruned(q, A, variables, sides=None) -> Verdict:
     filter the pool by evaluation as a row over it (see ``_Rows``), and at
     the last depth the conclusion is one row over the pool.  A pool is an
     element mask, cut by one AND per side: a var pin by c's bit, a star pin
-    by c's star preimages, a bound by c's row, kept per search under
-    (direction, c) and built when first needed.  The carrier answers both
-    (``star_classes``, ``down_row`` and ``up_row``).  A pool of at most one
-    element (a bare-variable pin bounds its own side too) is bounded by at
-    most one ``leq`` call and builds no row.  A closing premise that one of
-    its sides pins holds wherever its pin leaves a candidate: it is charged
-    as the others are, but not evaluated.
+    by c's star preimages, a bound by c's row.  The carrier answers both
+    (``star_classes``, ``down_row`` and ``up_row``) and keeps each answer.
+    An empty pool, or c alone (a bare-variable pin bounds its own side
+    too), is left as it is and asks for no row.  A closing premise that one
+    of its sides pins holds wherever its pin leaves a candidate: it is
+    charged as the others are, but not evaluated.
 
     The root is a node searched on its own; its children are taken in
     chunks of 1, 2, 4, ... in order, and each chunk goes depth by depth over
@@ -496,22 +495,10 @@ def _quasi_pruned(q, A, variables, sides=None) -> Verdict:
     # candidates; none at the root
     ahead = [None] + [_lookahead(nxt[1], p[0]) for p, nxt in zip(plans[1:], plans[2:])]
     ahead.append(None)
-    leq, full = A.leq, (1 << A.size) - 1
-    rows: dict[str, dict[int, int]] = {"below": {}, "above": {}}  # c -> mask of x below/above c
-    row_of = {"below": A.down_row, "above": A.up_row}
+    full = (1 << A.size) - 1
     star_pre = A.star_classes()  # star value -> mask of its preimages
     regular = {ev.elem[s] for s in star_pre}  # the star values, as ``_Rows`` holds them
     spread: dict[int, list[int] | range] = {}  # a pool mask -> its elements
-
-    def cut(pool, c, bound):
-        """The pool's elements below (above) c, where c has no row yet."""
-        if not pool or pool == 1 << c:  # empty, or c itself: nothing to cut
-            return pool
-        if pool & (pool - 1) == 0:  # one element: test it, build no row
-            x = pool.bit_length() - 1
-            return pool if (leq(x, c) if bound == "below" else leq(c, x)) else 0
-        row = rows[bound][c] = row_of[bound](c)
-        return pool & row
 
     def narrow(sides, cols, n, ones, charges):
         """n full pools cut by closed sides in order, the charges appended:
@@ -531,9 +518,8 @@ def _quasi_pruned(q, A, variables, sides=None) -> Verdict:
             if bound:
                 charges += (1, ones), (A.size if pools is start else
                                        list(map(int.bit_count, pools)), 1)
-                ones, got = 0, rows[bound]
-                pools = [p & r if r is not None else cut(p, c, bound)
-                         for p, c, r in zip(pools, cs, map(got.get, cs))]
+                ones, row = 0, A.down_row if bound == "below" else A.up_row
+                pools = [p if not p or p == 1 << c else p & row(c) for p, c in zip(pools, cs)]
         return pools, ones
 
     def elements(p):

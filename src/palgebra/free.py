@@ -94,9 +94,17 @@ class JIndex(Record):
 
     @classmethod
     def from_json_dict(cls, doc: dict, k: int) -> "JIndex":
-        tees = tuple(sorted(sum(1 << (i - 1) for i in T) for T in doc["T"]))
-        ell = sum(1 << (i - 1) for i in doc["L"])
-        return cls(k, tees, ell)
+        tees = tuple(sorted(_variable_mask(T, k, "each member of T") for T in doc["T"]))
+        return cls(k, tees, _variable_mask(doc["L"], k, "L"))
+
+
+def _variable_mask(numbers, k: int, what: str) -> int:
+    """The mask of distinct variable numbers 1..k (bit i-1 for x_i)."""
+    if (type(numbers) is not list
+            or any(type(i) is not int or not 1 <= i <= k for i in numbers)
+            or len({*numbers}) < len(numbers)):
+        raise BadIndex(f"{what} must list distinct variable numbers from 1 to {k}")
+    return sum(1 << (i - 1) for i in numbers)
 
 
 _set_k, _set_tees, _set_ell = JIndex.k.__set__, JIndex.tees.__set__, JIndex.ell.__set__
@@ -200,24 +208,6 @@ class Skeleton(NamedTuple):
     poset: Poset
     ops: UpsetMasks  # the free algebra, as upset masks of the poset
     gen_masks: tuple[int, ...]  # x_i as the mask of the indices whose L holds i
-    terms: list[Term | None]  # index terms, filled in by term() on first use
-    carrier: list[UpsetAlgebra | None]  # [the free algebra], filled in by algebra()
-
-    def term(self, p: int) -> Term:
-        """The index term of indices[p], built once and then shared."""
-        t = self.terms[p]
-        if t is None:
-            t = self.terms[p] = self.indices[p].term()
-        return t
-
-    def algebra(self) -> UpsetAlgebra:
-        """The free algebra, labelled by the index terms, built once and then
-        shared (``build_free`` checks the element cap before reading it)."""
-        A = self.carrier[0]
-        if A is None:
-            labels = [to_text(self.term(p)) for p in range(len(self.indices))]
-            A = self.carrier[0] = UpsetAlgebra(self.poset, labels=labels)
-        return A
 
     def elements(self, codes: Iterable[Sequence[tuple]]) -> list[int]:
         """The upset mask of each compiled term."""
@@ -229,8 +219,14 @@ class Skeleton(NamedTuple):
 def _skeleton(n_key: int | None, k: int) -> Skeleton:
     indices, masks, ells = _index_rows(n_key, k)
     poset = inclusion_order(masks)
-    return Skeleton(tuple(indices), poset, UpsetMasks(poset), tuple(point_columns(ells, k)),
-                    [None] * len(indices), [None])
+    return Skeleton(tuple(indices), poset, UpsetMasks(poset), tuple(point_columns(ells, k)))
+
+
+@lru_cache(maxsize=None)  # build_free checks the caps on every call
+def _free_carrier(n_key: int | None, k: int) -> UpsetAlgebra:
+    """The free algebra of ``_skeleton(n_key, k)``, labelled by the index terms."""
+    skeleton = _skeleton(n_key, k)
+    return UpsetAlgebra(skeleton.poset, labels=[to_text(j.term()) for j in skeleton.indices])
 
 
 def count_jirr_or_text(n: int | None, k: int) -> int | str:
@@ -314,14 +310,19 @@ class FreeAlgebra:
 
 
 def build_free(n: int | None, k: int) -> FreeAlgebra:
-    """The level-n free algebra on k generators; its carrier is the
-    skeleton's, built once per skeleton."""
-    skeleton = free_skeleton(n, k)
-    built, cap = skeleton.carrier[0], config.DEFAULT.element_cap
-    # outside the cache, so a lowered cap still fires, with the cold build's text
-    if built is not None and built.size > cap:
+    """The level-n free algebra on k generators; its carrier is built once
+    per skeleton (``_free_carrier``, keyed as ``_skeleton``)."""
+    skeleton = free_skeleton(n, k)  # checks the poset cap, so 2^k is small
+    A = _free_carrier(None if n is None else min(n, 1 << k), k)
+    return FreeAlgebra(n, k, skeleton, _within_element_cap(A))
+
+
+def _within_element_cap(A: UpsetAlgebra) -> UpsetAlgebra:
+    """A cached carrier, refused above a lowered element cap as its cold build is."""
+    cap = config.DEFAULT.element_cap
+    if A.size > cap:
         raise CapExceeded("upset count", cap + 1, cap)
-    return FreeAlgebra(n, k, skeleton, skeleton.algebra())
+    return A
 
 
 def free_elements(terms: Iterable[Term], n: int | None, k: int | None = None) -> list[int]:
@@ -348,7 +349,7 @@ def normal_form(t: Term, n: int | None, k: int | None = None) -> Term:
     # the indices are in sort_key order, so ascending positions list the
     # heads canonically; no head joins to ZERO
     heads = bit_indices(min_elements(skeleton.poset, mask))
-    return join_all([skeleton.term(p) for p in heads])
+    return join_all([skeleton.indices[p].term() for p in heads])
 
 
 # --------------------------------------------------- free distributive D(s)
@@ -362,11 +363,7 @@ def free_distributive(s: int) -> UpsetAlgebra:
         raise ValueError("s must be >= 0")
     if s > 4:
         raise CapExceeded("distributive generator count", s, 4)
-    D, cap = _free_distributive(s), config.DEFAULT.element_cap
-    # outside the cache, so a lowered cap still fires, with the cold build's text
-    if D.size > cap:
-        raise CapExceeded("upset count", cap + 1, cap)
-    return D
+    return _within_element_cap(_free_distributive(s))
 
 
 @lru_cache(maxsize=None)  # free_distributive checks the caps on every call

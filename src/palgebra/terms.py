@@ -257,11 +257,14 @@ def json_kind(value) -> str:
             else "an array" if isinstance(value, (list, tuple)) else "an object")
 
 
+_ARITY = {"zero": 0, "one": 0, "var": 1, "star": 1, "meet": 2, "join": 2}
+
+
 def term_from_json(doc) -> Term:
     """The term of a JSON tree: ["zero"], ["one"], ["var", i], ["star", t],
-    ["meet", l, r] or ["join", l, r].  Read with an explicit stack, operands
-    left to right, so a malformed document fails where a recursive reader
-    would."""
+    ["meet", l, r] or ["join", l, r], and no other node (``_ARITY``).  Read
+    with an explicit stack, operands left to right, so a malformed document
+    fails where a recursive reader would."""
     out: list[Term] = []
     stack: list = [(doc, 0)]  # a node and how many of its operands are read
     try:
@@ -271,14 +274,18 @@ def term_from_json(doc) -> Term:
                 raise ParseError('bad term document: a term is an array such as ["var", 1], '
                                  f"got {json_kind(node)}", 0)
             tag = node[0]
+            arity = _ARITY.get(tag) if type(tag) is str else None
+            if arity is None:
+                raise ParseError(f"bad term tag {tag!r}", 0)
+            if len(node) != arity + 1:
+                raise ParseError(f"bad term document: {tag!r} takes {arity} operand"
+                                 f"{'' if arity == 1 else 's'}, got {len(node) - 1}", 0)
             if tag == "zero" or tag == "one":
                 out.append(ZERO if tag == "zero" else ONE)
             elif tag == "var":  # a float, bool, string or index below 1 is refused
                 if type(node[1]) is not int or node[1] < 1:
                     raise ParseError("variable indices start at x1", 0)
                 out.append(Var(node[1]))
-            elif tag not in ("star", "meet", "join"):
-                raise ParseError(f"bad term tag {tag!r}", 0)
             elif done < (1 if tag == "star" else 2):
                 stack += ((node, done + 1), (node[done + 1], 0))
             elif tag == "star":
@@ -445,13 +452,14 @@ def _variables_meet(ell: int) -> Term:
     return meet_all([_literal(i + 1, 0) for i in bit_indices(ell)])
 
 
+@lru_cache(maxsize=None)
 def index_term(fam: tuple[int, ...], ell: int, k: int) -> Term:
     """p^L_T: (join of x_T over the family)** meet the variables of L, for an
     already valid index: fam strictly ascending, nonempty, within k
     variables, and ell inside every member (``free.jirr_term`` checks raw
-    index data first).  Its parts come from memos, so index terms share
-    them: the family head (``family_head``, with the atoms x_T it joins),
-    the meet of L's variables and the literals.
+    index data first).  One object per index; its parts come from memos
+    too, so index terms share them: the family head (``family_head``, with
+    the atoms x_T it joins), the meet of L's variables and the literals.
 
     Two families take shorter forms that are equal to p^L_T in every
     p-algebra: the full family of all 2^k subsets gives 1, and a singleton

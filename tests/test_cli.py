@@ -286,6 +286,23 @@ class TestQi:
         assert err == ('parse error: bad term document: a term is an array such as '
                        '["var", 1], got an object (at position 0)\n')
 
+    @pytest.mark.parametrize("lhs, message", [
+        (["meet", ["var", 1], ["var", 2], ["var", 3]], "'meet' takes 2 operands, got 3"),
+        (["star", ["var", 1], ["var", 2]], "'star' takes 1 operand, got 2"),
+        (["zero", 5], "'zero' takes 0 operands, got 1"),
+        (["var", 1, 2], "'var' takes 1 operand, got 2"),
+        (["join", ["var", 1]], "'join' takes 2 operands, got 1"),
+    ])
+    def test_json_node_with_other_operand_counts_is_refused(self, capsys, tmp_path, lhs,
+                                                            message):
+        # x1 & x2 & x3 = x1 & x2 fails on si:1; read as x1 & x2 it held
+        f = tmp_path / "q.json"
+        f.write_text(json.dumps({"conclusion": {"lhs": lhs, "rhs": ["meet", ["var", 1],
+                                                                     ["var", 2]]}}))
+        code, out, err = run(capsys, "qi", str(f), "--algebra", "si:1")
+        assert (code, out) == (1, "")
+        assert err == f"parse error: bad term document: {message} (at position 0)\n"
+
     @pytest.mark.parametrize("index", [1.5, True, "2", 0, -1])
     def test_json_variable_must_be_an_index_from_one(self, capsys, tmp_path, index):
         f = tmp_path / "q.json"

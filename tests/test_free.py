@@ -78,6 +78,24 @@ class TestJIndex:
         assert JIndex.from_json_dict(j.to_json_dict(), 3) == j
         assert j.to_json_dict() == {"T": [[1, 2], [1, 2, 3]], "L": [1]}
 
+    @pytest.mark.parametrize("doc", [
+        {"T": [[1, 1]], "L": []},  # read as T = {x2} by adding bits
+        {"T": [[1, 2]], "L": [1, 1]},  # read as L = {x2}
+        {"T": [[0]], "L": []},  # a negative shift
+        {"T": [[True]], "L": []},  # read as x1
+        {"T": [[1]], "L": [True]},
+        {"T": [[1.0]], "L": []},
+        {"T": [["1"]], "L": []},
+        {"T": [[3]], "L": []},  # past k
+        {"T": [[1, 2]], "L": [10 ** 9]},  # refused before any shift
+        {"T": [3], "L": []},  # a member that is no list
+        {"T": [[[1]]], "L": []},
+        {"T": [[1, 2]], "L": "12"},
+    ])
+    def test_json_refuses_what_is_no_variable_set(self, doc):
+        with pytest.raises(BadIndex):
+            JIndex.from_json_dict(doc, 2)
+
     def test_base_leq(self):
         small = JIndex(2, (0b01, 0b11), 0)
         big = JIndex(2, (0b01,), 0b01)

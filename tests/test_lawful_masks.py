@@ -30,14 +30,13 @@ def test_the_kept_carrier_is_the_checked_one():
     lawful = lattices = 0
     corpus = [(-1, name, to_table(B)) for name, B in BASES.items()]
     for trial, name, A in corpus + list(seeded_tables()):
-        assert A._carrier is None and not A._lattice
-        ok = _lawful(A)
-        assert (A._carrier is not None) == ok, (trial, name)
-        if not A._lattice:
-            assert not ok, (trial, name)
+        assert A._carrier is None
+        ok = _lawful(A)  # None: no lattice proved; False: a lattice, lawless
+        assert ok in (True, False, None) and (A._carrier is not None) == bool(ok), (trial, name)
+        if ok is None:
             continue
         lattices += 1
-        if not ok:  # a lawless table noted a lattice only where its lattice laws all hold
+        if not ok:  # a lawless table proves a lattice only where its lattice laws all hold
             assert not {v.law for v in ref_law_scan(A)} & LATTICE_LAWS, (trial, name)
             continue
         lawful += 1
@@ -73,7 +72,7 @@ def test_wide_masks_and_long_rows_replay_the_row_scan(name):
         rng.shuffle(perm)
         A = mutate(relabel(B, perm), rng, rng.randint(1, 2) if trial else 0)
         scan = list(_law_scan(A))
-        assert _lawful(A) == (scan == []), (name, trial)
+        assert (_lawful(A) is True) == (scan == []), (name, trial)
         assert list(violations(A)) == scan, (name, trial)
         lawful += scan == []
     assert 0 < lawful < trials
@@ -85,7 +84,7 @@ def test_an_unchecked_table_gets_the_validated_order():
                        [0, 0, 0], 0, 0)
     with pytest.raises(ValueError, match="not transitive"):
         element_order(cyc)
-    assert not _lawful(cyc) and cyc._carrier is None and not cyc._lattice
+    assert _lawful(cyc) is None and cyc._carrier is None
 
 
 def test_dual_of_a_table_file_builds_one_element_order(monkeypatch, tmp_path, capsys):

@@ -1,9 +1,10 @@
 """The planned pruned search against the search it replaced.
 
-``decide._quasi_pruned`` plans each depth once and keeps its order-bound
-rows for the whole search; ``helpers.ref_quasi_pruned`` is the search before
-that change.  Both must give the same verdict, witness and budget count (or
-the same budget error), and the new one must call ``leq`` no more often.
+``decide._quasi_pruned`` plans each depth once and reads its order-bound
+rows off the carrier, which keeps them; ``helpers.ref_quasi_pruned`` is the
+search before that change.  Both must give the same verdict, witness and
+budget count (or the same budget error), and the new one must call ``leq``
+no more often.
 """
 
 import ast
@@ -29,7 +30,7 @@ from palgebra import (
     qb_quasi_identity,
     random_term,
 )
-from palgebra.algebras import to_table, upset_carrier
+from palgebra.algebras import UpsetAlgebra, to_table, upset_carrier
 from palgebra.terms import compile_postfix
 from palgebra.cli import load_algebra, main
 from palgebra import decide
@@ -270,45 +271,51 @@ def test_budget_errors_replay_in_chunks(spec, monkeypatch):
     assert ("charge", "chunk") in SiteBudget.sites  # a chunk's sum crossed, then its walk
 
 
-class PairLeq(CountingLeq):
-    """An algebra whose ``leq`` calls are kept as argument pairs, and whose
-    order rows as (direction, element) keys."""
+class KeptRows(dict):
+    """A carrier's kept order rows, each (direction, c) noted as it is built."""
 
-    def __init__(self, A):
-        super().__init__(A)
-        self.pairs, self.rows = [], []
+    def __init__(self, direction, built):
+        super().__init__()
+        self.direction, self.built = direction, built
 
-    def leq(self, i, j):
-        self.pairs.append((i, j))
-        return super().leq(i, j)
+    def __setitem__(self, c, row):
+        self.built.append((self.direction, c))
+        super().__setitem__(c, row)
 
-    def up_row(self, i):
-        self.rows.append(("above", i))
-        return self.A.up_row(i)
 
-    def down_row(self, i):
-        self.rows.append(("below", i))
-        return self.A.down_row(i)
+def counted_rows(A, built):
+    """A, its row slots emptied and counting each row built into built."""
+    A._up_rows, A._down_rows = KeptRows("above", built), KeptRows("below", built)
+    return A
 
 
 def test_qb3_fast_path_counts(monkeypatch):
     # the closed sides are evaluated as rows over the prefixes, not one
-    # scalar evaluation per node (8,290 before); an upset carrier reads its
-    # bound rows off its point columns, with no leq call (10,000 before)
-    calls = []
-    rows = decide._Rows.eval
+    # scalar evaluation per node (8,290 before); the bound rows are read off
+    # the carrier, which builds each once and keeps it, with no leq call on
+    # any carrier (10,000 before)
+    q, free32, T = qb_quasi_identity(3), ALGEBRAS["free:3,2"], to_table(ALGEBRAS["free:1,2"])
+    want = ref_quasi_pruned(q, free32, (1, 2, 3)), ref_quasi_pruned(q, T, (1, 2, 3))
+    calls, pairs = [], []
+    rows, leq = decide._Rows.eval, UpsetAlgebra.leq
     monkeypatch.setattr(decide._Rows, "eval", lambda *a: calls.append(a) or rows(*a))
-    A, q = PairLeq(ALGEBRAS["free:3,2"]), qb_quasi_identity(3)
-    assert _quasi_pruned(q, A, (1, 2, 3)) == ref_quasi_pruned(q, ALGEBRAS["free:3,2"], (1, 2, 3))
+    monkeypatch.setattr(UpsetAlgebra, "leq", lambda A, i, j: pairs.append((i, j)) or leq(A, i, j))
+    built = []
+    A = counted_rows(UpsetAlgebra._trusted(free32.base, free32.elements), built)
+    assert _quasi_pruned(q, A, (1, 2, 3)) == want[0]
     assert len(calls) <= A.size
-    assert A.pairs == []
-    assert A.rows and len(set(A.rows)) == len(A.rows)  # no row is built twice
-    # a table is searched in its upset carrier, with no leq call either
-    T = to_table(ALGEBRAS["free:1,2"])
-    A = PairLeq(upset_carrier(T))
-    assert _quasi_pruned(q, A, (1, 2, 3)) == ref_quasi_pruned(q, T, (1, 2, 3))
-    assert A.pairs == []
-    assert A.rows and len(set(A.rows)) == len(A.rows)
+    assert built and len(set(built)) == len(built)  # no row is built twice
+    # nor again by a second search on the carrier, which reads the kept rows
+    first = list(built)
+    assert _quasi_pruned(q, A, (1, 2, 3)) == want[0]
+    assert built == first
+    # a table is searched in its upset carrier, each row built once there too
+    built = []
+    A = counted_rows(upset_carrier(T), built)
+    for _ in range(2):
+        assert _quasi_pruned(q, A, (1, 2, 3)) == want[1]
+    assert built and len(set(built)) == len(built)
+    assert pairs == []
 
 
 def test_decide_evaluates_terms_only_as_rows():

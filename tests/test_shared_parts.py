@@ -118,7 +118,7 @@ def test_clearing_every_cache_starts_cold():
         skeleton = free_skeleton(2, 2)
         return {"si": si_carrier(2), "chain": chain_carrier(4), "dist": free_distributive(2),
                 "skeleton": skeleton, "free": free.build_free(2, 2).algebra,
-                "term": skeleton.term(len(skeleton.indices) - 1),
+                "term": skeleton.indices[-1].term(),
                 "atom": atom_term(0b101, 3), "head": family_head((1, 3, 5), 3)}
 
     before = built()
@@ -137,5 +137,5 @@ def test_clearing_every_cache_starts_cold():
 def test_the_term_memos_are_functools_caches():
     # so that clearing them is one cache_clear each, with no dict aside
     for fn in (terms.atom_term, terms.family_head, terms._atom_join, terms._literal,
-               terms._variables_meet, free._skeleton):
+               terms._variables_meet, terms.index_term, free._skeleton, free._free_carrier):
         assert callable(fn.cache_clear) and fn.cache_info().maxsize is None

@@ -28,6 +28,7 @@ from palgebra import (
     normal_form,
     parse,
     random_term,
+    terms,
     to_text,
 )
 from palgebra.cli import main
@@ -59,6 +60,7 @@ def test_each_level_and_rank_is_built_once():
     # levels 4 and 9 over two variables are both the saturated key 4;
     # omega keeps a key of its own
     free._skeleton.cache_clear()
+    free._free_carrier.cache_clear()
     levels = [(0, 2), (1, 1), (2, 2), (4, 2), (9, 2), (None, 2)]
     for n, k in levels:
         free_elements([parse("x1 | x1*")], n, k)
@@ -67,7 +69,10 @@ def test_each_level_and_rank_is_built_once():
         h3_poset(n, k)
     info = free._skeleton.cache_info()
     assert (info.misses, info.currsize) == (5, 5)
-    assert info.hits == 4 * len(levels) - 5
+    # the five free carriers are built once too, and each reads its
+    # skeleton once more: five hits besides the calls above
+    assert free._free_carrier.cache_info()[1:] == (5, None, 5)
+    assert info.hits == 4 * len(levels) - 5 + 5
 
 
 def test_build_free_keeps_the_skeleton_objects():
@@ -111,52 +116,64 @@ def test_enumerated_indices_pass_the_checks(n, k):
 
 @pytest.mark.parametrize("n, k", GEN_CASES, ids=[f"{n},{k}" for n, k in GEN_CASES])
 def test_index_terms_are_built_once(n, k):
-    free._skeleton.cache_clear()
-    skeleton = free_skeleton(n, k)
-    assert skeleton.terms == [None] * len(skeleton.indices)
-    for p, j in enumerate(skeleton.indices):
-        t = skeleton.term(p)
-        assert t == j.term()
-        assert skeleton.term(p) is t
-    assert None not in skeleton.terms
-    free._skeleton.cache_clear()  # and the terms go with the skeleton
-    assert free_skeleton(n, k).terms == [None] * len(skeleton.indices)
+    # one object per index, kept by index_term's memo, not by the skeleton
+    memo = terms.index_term
+    memo.cache_clear()
+    indices = free_skeleton(n, k).indices
+    built = [j.term() for j in indices]
+    assert memo.cache_info()[:] == (0, len(indices), None, len(indices))
+    assert all(j.term() is t for j, t in zip(indices, built))
+    assert memo.cache_info().hits == len(indices)
+    free._skeleton.cache_clear()  # the terms outlive the skeleton
+    assert all(j.term() is t for j, t in zip(free_skeleton(n, k).indices, built))
+    memo.cache_clear()  # and go with the memo
+    assert [j.term() for j in indices] == built
+    assert memo.cache_info().misses == len(indices)
 
 
 def test_normal_forms_and_labels_read_the_skeleton_terms():
-    free._skeleton.cache_clear()
-    skeleton = free_skeleton(2, 2)
+    # the skeleton's index terms, from index_term's memo
+    free._free_carrier.cache_clear()
+    indices = free_skeleton(2, 2).indices
+    built = [j.term() for j in indices]
     form = normal_form(parse("x1 | x2*"), 2)
-    joinands = [u for u in subterms(form) if any(u is t for t in skeleton.terms)]
+    joinands = [u for u in subterms(form) if any(u is t for t in built)]
     assert len(joinands) >= 2
+    before = terms.index_term.cache_info()
     F = build_free(2, 2)
-    assert None not in skeleton.terms  # filled by build_free's labels
-    assert F.algebra.labels == tuple(map(to_text, skeleton.terms))
+    after = terms.index_term.cache_info()
+    assert (after.misses, after.hits) == (before.misses, before.hits + len(indices))
+    assert F.algebra.labels == tuple(map(to_text, built))
 
 
 def test_one_free_algebra_per_skeleton():
     # levels 4, 5 and 6 over two variables share the saturated skeleton
-    free._skeleton.cache_clear()
+    free._free_carrier.cache_clear()
     A = build_free(4, 2).algebra
     assert build_free(6, 2).algebra is A
     assert build_free(5, 2).algebra is A
-    assert free_skeleton(4, 2).carrier == [A]
+    assert free._free_carrier(4, 2) is A  # kept under (min(n, 2^k), k)
+    assert free._free_carrier.cache_info().currsize == 1
     assert build_free(3, 2).algebra is not A  # a skeleton of its own
-    free._skeleton.cache_clear()  # and the algebra goes with the skeleton
-    assert free_skeleton(4, 2).carrier == [None]
+    free._free_carrier.cache_clear()  # and the algebra goes with its cache
     B = build_free(4, 2).algebra
     assert B is not A and B.elements == A.elements and B.labels == A.labels
+
+
+def test_the_skeleton_holds_the_index_layer_alone():
+    # no cache rides on the NamedTuple: terms and carrier have caches of their own
+    assert free.Skeleton._fields == ("indices", "poset", "ops", "gen_masks")
 
 
 def test_a_lowered_element_cap_fires_on_a_cached_algebra(monkeypatch):
     # free:3,2 has 625 elements; a cap below that is checked on each call,
     # outside the cache, with the text of the build that passes it
-    free._skeleton.cache_clear()
+    free._free_carrier.cache_clear()
     A = build_free(3, 2).algebra
     monkeypatch.setattr(config, "DEFAULT", config.DEFAULT._replace(element_cap=600))
     with pytest.raises(CapExceeded) as warm:
         build_free(3, 2)
-    free._skeleton.cache_clear()
+    free._free_carrier.cache_clear()
     with pytest.raises(CapExceeded) as cold:
         build_free(3, 2)
     assert str(warm.value) == str(cold.value) == "upset count: 601 exceeds cap 600"

@@ -130,6 +130,21 @@ class TestJson:
         with pytest.raises(ParseError):
             term_from_json(["quux"])
 
+    @pytest.mark.parametrize("doc, tag", [
+        (["meet", ["var", 1], ["var", 2], ["var", 3]], "meet"),
+        (["join", ["var", 1]], "join"),
+        (["star", ["var", 1], ["var", 2]], "star"),
+        (["star"], "star"),
+        (["zero", 5], "zero"),
+        (["one", ["var", 1]], "one"),
+        (["var", 1, 2], "var"),
+        (["var"], "var"),
+        (["meet", ["var", 1], ["star", ["one"], ["zero"]]], "star"),  # nested
+    ])
+    def test_every_node_has_its_tags_operand_count(self, doc, tag):
+        with pytest.raises(ParseError, match=f"bad term document: '{tag}' takes"):
+            term_from_json(doc)
+
     def test_round_trip_5000_deep(self):
         # compared as text and code: == on trees this deep recurses
         t = Var(1)
