@@ -17,7 +17,7 @@ from operator import and_, itemgetter, not_, or_
 from typing import Iterable, Iterator, Sequence, Union
 
 from . import config
-from .congruences import Congruence
+from .congruences import Congruence, is_dual_congruence
 from .errors import CapExceeded, MalformedTables, NotACongruence, shown
 from .posets import (
     Poset,
@@ -435,8 +435,13 @@ def compatibility_witness(A: PAlgebra, rep: Sequence[int]):
     at the least i that is not its class's least member r and breaks
     compatibility, ("star", i, r) if i* and r* lie in distinct classes, else
     ("meet", i, r, c) or ("join", i, r, c) at the least c where the rows of
-    i and r fall in distinct classes, meet first.  Each row is mapped to its
-    classes in C, and r's rows are kept until its class's last member."""
+    i and r fall in distinct classes, meet first.  A lawful A's congruences
+    are found in its dual; the scan runs for a witness, or on a lawless table.
+    It maps each row to its classes in C, and keeps r's rows until its
+    class's last member."""
+    lawful = isinstance(A, UpsetAlgebra) or A._carrier is not None or _lawful(A)
+    if lawful and is_dual_congruence(upset_carrier(A), rep):
+        return None
     at, kept = rep.__getitem__, {}
     last = dict(zip(rep, range(A.size)))  # per r, the last i with rep[i] = r
 

@@ -8,7 +8,7 @@ class Config(NamedTuple):
     """Immutable; ``DEFAULT._replace(budget=1000)`` is a copy with one knob changed."""
     poset_cap: int = 2048        # largest base poset we will build
     element_cap: int = 4096      # largest algebra we will materialize
-    oracle_cap: int = 12         # largest |A| for the brute-force congruence oracle
+    oracle_cap: int = 12         # largest |A| whose whole congruence lattice is listed
     budget: int = 10_000_000     # valuation sweeps are capped at |A|**vars <= budget
     seed: int = 0
 

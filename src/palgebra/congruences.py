@@ -1,21 +1,25 @@
 """Congruences of finite p-algebras.
 
-Principal congruences by Mal'cev-style closure, the congruence lattice as a
-join-closure oracle for small carriers, and the completely meet-irreducible
-records: every prime filter F determines a unique congruence whose 1-class is
-F, built from the filter F-bar = {a : a** in F} and the I-type prime filters
-above it, all read off the Birkhoff masks.  Records carry the unique cover
-mu+, the storey tag, psi = min 1/mu, and the subcover witness e_mu.
+Read off the dual of ``upset_carrier(A)``: Y -> theta(Y), where a ~ b iff
+a & Y == b & Y, maps the p-closed sets of base points (those holding
+max(up(y)) with each y) order-reversingly onto Con(A).  The completely
+meet-irreducible records: every prime filter F determines a unique
+congruence whose 1-class is F, built from F-bar = {a : a** in F} and the
+I-type prime filters above it, all read off the Birkhoff masks.  Records
+carry the unique cover mu+, the storey tag, psi = min 1/mu, and the
+subcover witness e_mu.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import compress
 from typing import Hashable, Iterable, Sequence
 
 from . import config
 from .errors import CapExceeded, NotACongruence, NotPrime
-from .posets import Poset, bit_indices, inclusion_order, point_columns
+from .posets import (Poset, bit_indices, enumerate_upsets, inclusion_order, is_upset,
+                     point_columns)
 from .records import Record
 
 
@@ -75,11 +79,20 @@ class Congruence:
         return all(other.rep[i] == other.rep[r] for i, r in enumerate(self.rep))
 
     def join(self, other: "Congruence") -> "Congruence":
-        parent = list(range(self.size))
-        for i in range(self.size):
-            _union(parent, i, self.rep[i])
-            _union(parent, i, other.rep[i])
-        return Congruence([_find(parent, i) for i in range(self.size)])
+        """The least partition above both, by union-find under least roots:
+        self's classes are a forest already, each hung off its least member."""
+        parent = list(self.rep)
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for i, j in enumerate(other.rep):
+            ri, rj = find(i), find(j)
+            parent[max(ri, rj)] = min(ri, rj)
+        return Congruence._trusted(tuple(map(find, range(self.size))))
 
     def meet(self, other: "Congruence") -> "Congruence":
         return Congruence(zip(self.rep, other.rep))
@@ -101,24 +114,6 @@ class Congruence:
         return f"Congruence({self.num_classes} classes on {self.size})"
 
 
-def _find(parent: list[int], x: int) -> int:
-    """Root of x in a union-find forest, halving the path on the way."""
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
-
-
-def _union(parent: list[int], x: int, y: int) -> bool:
-    """Merge the trees of x and y under the smaller root; False if they
-    were one tree already."""
-    rx, ry = _find(parent, x), _find(parent, y)
-    if rx == ry:
-        return False
-    parent[max(rx, ry)] = min(rx, ry)
-    return True
-
-
 def identity_congruence(size: int) -> Congruence:
     return Congruence._trusted(tuple(range(size)))
 
@@ -128,55 +123,55 @@ def full_congruence(size: int) -> Congruence:
 
 
 def principal_congruence(A, a: int, b: int) -> Congruence:
-    """Theta(a,b): close {(a,b)} under star and under meet/join with every
-    fixed side argument, interleaved with equivalence closure."""
-    parent = list(range(A.size))
-    pending: list[tuple[int, int]] = []
-
-    def union(x, y):
-        if _union(parent, x, y):
-            pending.append((x, y))
-
-    union(a, b)
-    while pending:
-        x, y = pending.pop()
-        union(A.star(x), A.star(y))
-        for c in range(A.size):
-            union(A.meet(x, c), A.meet(y, c))
-            union(A.join(x, c), A.join(y, c))
-    return Congruence([_find(parent, i) for i in range(A.size)])
+    """Theta(a,b), the least congruence with a ~ b."""
+    return congruence_closure(A, [(a, b)])
 
 
 def congruence_closure(A, pairs: Sequence[tuple[int, int]]) -> Congruence:
-    """Smallest congruence of A containing all the given pairs."""
-    out = identity_congruence(A.size)
+    """Smallest congruence of A containing all the given pairs: theta(Y) of
+    the points whose p-closed row misses every a xor b (a lawless table is
+    refused)."""
+    from .algebras import upset_carrier
+
+    C = upset_carrier(A)
+    split = 0
     for a, b in pairs:
-        if not out.same(a, b):
-            out = out.join(principal_congruence(A, a, b))
-    return out
+        split |= C.elements[a] ^ C.elements[b]
+    return _theta(C, sum(1 << y for y, row in enumerate(_p_closed_order(C).up) if not row & split))
 
 
 def all_congruences(A, cap: int | None = None) -> list[Congruence]:
-    """The whole congruence lattice, by join-closing the principal ones.
-    Exponential in the worst case; guarded by the oracle cap."""
+    """The whole congruence lattice sorted by ``rep``: theta(Y) of every
+    upset Y of the p-closed order.  Guarded by the oracle cap."""
+    from .algebras import upset_carrier
+
     cap = config.DEFAULT.oracle_cap if cap is None else cap
     if A.size > cap:
         raise CapExceeded("carrier for congruence-lattice enumeration", A.size, cap)
-    seen = {identity_congruence(A.size)}
-    for a in range(A.size):
-        for b in range(a + 1, A.size):
-            seen.add(principal_congruence(A, a, b))
-    frontier = list(seen)
-    while frontier:
-        fresh = []
-        for th in frontier:
-            for other in list(seen):
-                j = th.join(other)
-                if j not in seen:
-                    seen.add(j)
-                    fresh.append(j)
-        frontier = fresh
-    return sorted(seen, key=lambda c: c.rep)
+    C = upset_carrier(A)
+    return sorted(map(partial(_theta, C), enumerate_upsets(_p_closed_order(C))),
+                  key=lambda c: c.rep)
+
+
+def _p_closed_order(C) -> Poset:
+    """The order on the upset carrier C's base points in which y lies below
+    itself and the maximal points above it; its upsets are the p-closed sets."""
+    tops = C.masks.tops
+    up = [1 << y | row & tops for y, row in enumerate(C.base.up)]
+    return Poset._trusted(up, point_columns(up, len(up)))
+
+
+def _theta(C, Y: int) -> Congruence:
+    return Congruence(map(Y.__and__, C.elements))
+
+
+def is_dual_congruence(C, rep: Sequence[int]) -> bool:
+    """Whether rep, a list of least members, is a congruence of the upset
+    carrier C: Y, the points whose column is a union of rep's classes, must
+    be p-closed and theta(Y) rep's partition."""
+    digits = [format(column, f"0{C.size}b")[::-1].encode() for column in C.columns()]
+    Y = sum(1 << y for y, d in enumerate(digits) if bytes(map(d.__getitem__, rep)) == d)
+    return is_upset(_p_closed_order(C), Y) and _theta(C, Y).rep == tuple(rep)
 
 
 # ------------------------------------------------------------- prime filters
@@ -278,11 +273,13 @@ def cm_all(A, *, verify: bool = False) -> list[CmRecord]:
     the I-type filters above it, and F is I-type iff Q = {p}.  Classes: F;
     F-bar minus F; outside F-bar, one per set of atoms of Q below.
     verify=True re-proves from the operations that the filters are prime,
-    mu and mu+ compatible and each quotient's subcover of 1 unique, and,
-    within the oracle cap, that the records are the lattice's meet-irreducibles."""
+    mu and mu+ compatible and each quotient's subcover of 1 unique, and that
+    the records are theta of the points' p-closed rows: the completely
+    meet-irreducible congruences, read in the dual."""
     from .algebras import compatibility_witness, upset_carrier
 
-    ja, ups, below = upset_carrier(A).birkhoff()
+    C = upset_carrier(A)
+    ja, ups, below = C.birkhoff()
     if verify and not all(is_prime_filter(A, F) for F in ups):
         raise NotPrime("an up-set of a join-irreducible failed the prime check")
     atoms = sum(1 << t for t, p in enumerate(ja) if below[p] == 1 << t)
@@ -309,18 +306,8 @@ def cm_all(A, *, verify: bool = False) -> list[CmRecord]:
                 raise NotACongruence(f"{tag} construction broke compatibility at {w}")
         if not _unique_subcover_check(A, r.mu, r.one_mask):
             raise NotACongruence("quotient lacks a unique subcover of 1")
-    if A.size <= config.DEFAULT.oracle_cap:
-        lattice = all_congruences(A)
-        expected = set()
-        for th in lattice:
-            bound = full_congruence(A.size)
-            for ph in lattice:
-                if ph != th and th.refines(ph):
-                    bound = bound.meet(ph)
-            if bound != th:
-                expected.add(th)
-        if expected != {r.mu for r in records}:
-            raise RuntimeError("record construction disagrees with the lattice oracle")
+    if {r.mu for r in records} != set(map(partial(_theta, C), _p_closed_order(C).up)):
+        raise RuntimeError("record construction disagrees with the dual's meet-irreducibles")
     return records
 
 

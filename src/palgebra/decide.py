@@ -20,7 +20,7 @@ from operator import and_, eq, or_
 from .algebras import (PAlgebra, TableAlgebra, chain_carrier, is_isomorphic, si_carrier, tabulate,
                        upset_carrier)
 from . import config
-from .errors import COUNT_BITS_LIMIT, BudgetExceeded, CapExceeded, shown
+from .errors import COUNT_BITS_LIMIT, BudgetExceeded, CapExceeded, ParseError, shown
 from .free import FreeAlgebra, build_free, free_elements
 from .posets import bit_indices
 from .records import Record
@@ -92,7 +92,10 @@ def _term_in(obj, field: str) -> Term:
     if isinstance(obj, str):
         return parse(obj)
     if isinstance(obj, (list, tuple)):
-        return term_from_json(obj)
+        try:
+            return term_from_json(obj)
+        except ParseError as exc:
+            raise ParseError(f"{field}: {exc}") from exc
     raise ValueError(f'{field} must be a term, as text or as an array such as ["var", 1], '
                      f"got {json_kind(obj)}")
 

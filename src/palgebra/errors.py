@@ -73,10 +73,11 @@ class BadIndex(Exception):
 
 
 class ParseError(Exception):
-    """Term syntax error; ``pos`` is the 0-based offset in the input."""
+    """Term syntax error; ``pos`` is the 0-based offset in the input, None
+    in a JSON term, which has no offset."""
 
-    def __init__(self, message: str, pos: int):
-        super().__init__(f"{message} (at position {pos})")
+    def __init__(self, message: str, pos: int | None = None):
+        super().__init__(message if pos is None else f"{message} (at position {pos})")
         self.pos = pos
 
 

@@ -94,6 +94,8 @@ class JIndex(Record):
 
     @classmethod
     def from_json_dict(cls, doc: dict, k: int) -> "JIndex":
+        if type(doc) is not dict or type(doc.get("T")) is not list or "L" not in doc:
+            raise BadIndex("an index document is an object with a list T and a list L")
         tees = tuple(sorted(_variable_mask(T, k, "each member of T") for T in doc["T"]))
         return cls(k, tees, _variable_mask(doc["L"], k, "L"))
 

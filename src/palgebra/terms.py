@@ -264,7 +264,7 @@ def term_from_json(doc) -> Term:
     """The term of a JSON tree: ["zero"], ["one"], ["var", i], ["star", t],
     ["meet", l, r] or ["join", l, r], and no other node (``_ARITY``).  Read
     with an explicit stack, operands left to right, so a malformed document
-    fails where a recursive reader would."""
+    fails where a recursive reader would, with a ParseError of no position."""
     out: list[Term] = []
     stack: list = [(doc, 0)]  # a node and how many of its operands are read
     try:
@@ -272,19 +272,19 @@ def term_from_json(doc) -> Term:
             node, done = stack.pop()
             if not isinstance(node, (list, tuple)):
                 raise ParseError('bad term document: a term is an array such as ["var", 1], '
-                                 f"got {json_kind(node)}", 0)
+                                 f"got {json_kind(node)}")
             tag = node[0]
             arity = _ARITY.get(tag) if type(tag) is str else None
             if arity is None:
-                raise ParseError(f"bad term tag {tag!r}", 0)
+                raise ParseError(f"bad term tag {tag!r}")
             if len(node) != arity + 1:
                 raise ParseError(f"bad term document: {tag!r} takes {arity} operand"
-                                 f"{'' if arity == 1 else 's'}, got {len(node) - 1}", 0)
+                                 f"{'' if arity == 1 else 's'}, got {len(node) - 1}")
             if tag == "zero" or tag == "one":
                 out.append(ZERO if tag == "zero" else ONE)
             elif tag == "var":  # a float, bool, string or index below 1 is refused
                 if type(node[1]) is not int or node[1] < 1:
-                    raise ParseError("variable indices start at x1", 0)
+                    raise ParseError("variable indices start at x1")
                 out.append(Var(node[1]))
             elif done < (1 if tag == "star" else 2):
                 stack += ((node, done + 1), (node[done + 1], 0))
@@ -294,7 +294,7 @@ def term_from_json(doc) -> Term:
                 right = out.pop()
                 out[-1] = (Meet if tag == "meet" else Join)(out[-1], right)
     except (TypeError, IndexError, ValueError) as exc:
-        raise ParseError(f"bad term document: {exc}", 0) from exc
+        raise ParseError(f"bad term document: {exc}") from exc
     return out[0]
 
 

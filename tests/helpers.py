@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 import re
 from itertools import product as iproduct
 
@@ -28,13 +29,12 @@ from palgebra import (
     join_all,
     meet_all,
     normal_form,
-    principal_congruence,
     product,
     quotient,
     to_text,
 )
 from palgebra import JIndex, Verdict, config, free_skeleton, max_var, vars_of
-from palgebra.algebras import Violation, upset_carrier
+from palgebra.algebras import Violation, tabulate, to_table, upset_carrier
 from palgebra.decide import _Budget, _quasi_witness, _sweep_equation
 from palgebra.posets import (bit_indices, downset_closure, inclusion_order, min_elements,
                              poset_isomorphic)
@@ -64,12 +64,26 @@ def small_corpus():
         ("si:1 x si:1", product(build_si(1), build_si(1))),
     ]
     c4 = build_chain(4)
-    out.append(("chain:4 / theta(1,2)", quotient(c4, principal_congruence(c4, 1, 2)).algebra))
+    out.append(("chain:4 / theta(1,2)", quotient(c4, ref_principal_congruence(c4, 1, 2)).algebra))
     f11 = build_free(1, 1).algebra
     out.append(("free:1,1 / glivenko", quotient(f11, glivenko(f11)[0]).algebra))
     b2 = build_si(2)
-    out.append(("si:2 / theta(1,3)", quotient(b2, principal_congruence(b2, 1, 3)).algebra))
+    out.append(("si:2 / theta(1,3)", quotient(b2, ref_principal_congruence(b2, 1, 3)).algebra))
     return out
+
+
+def permuted(A, seed):
+    """A's table copy with its elements relabelled by a seeded shuffle."""
+    T = to_table(A)
+    perm = list(range(T.size))
+    random.Random(seed).shuffle(perm)
+    inv = [0] * T.size
+    for i, p in enumerate(perm):
+        inv[p] = i
+    return tabulate(T.size,
+                    lambda i, j: perm[T.meet(inv[i], inv[j])],
+                    lambda i, j: perm[T.join(inv[i], inv[j])],
+                    lambda i: perm[T.star(inv[i])], perm[T.zero], perm[T.one])
 
 
 def leq_pairs(A):
@@ -1048,6 +1062,94 @@ def ref_compatibility_witness(A, rep):
     return None
 
 
+# congruences.principal_congruence, congruence_closure and all_congruences
+# before they were read off the dual poset, with the union-find they used:
+# the operation-level oracles for the dual route
+def _ref_find(parent, x):
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _ref_union(parent, x, y):
+    rx, ry = _ref_find(parent, x), _ref_find(parent, y)
+    if rx == ry:
+        return False
+    parent[max(rx, ry)] = min(rx, ry)
+    return True
+
+
+def ref_join(theta, phi):
+    """``Congruence.join`` before it read theta's classes as its forest:
+    every element united with its least member in each."""
+    from palgebra import Congruence
+
+    parent = list(range(theta.size))
+    for i in range(theta.size):
+        _ref_union(parent, i, theta.rep[i])
+        _ref_union(parent, i, phi.rep[i])
+    return Congruence([_ref_find(parent, i) for i in range(theta.size)])
+
+
+def ref_principal_congruence(A, a, b):
+    """Theta(a,b): close {(a,b)} under star and under meet/join with every
+    fixed side argument, interleaved with equivalence closure."""
+    from palgebra import Congruence
+
+    parent = list(range(A.size))
+    pending = []
+
+    def union(x, y):
+        if _ref_union(parent, x, y):
+            pending.append((x, y))
+
+    union(a, b)
+    while pending:
+        x, y = pending.pop()
+        union(A.star(x), A.star(y))
+        for c in range(A.size):
+            union(A.meet(x, c), A.meet(y, c))
+            union(A.join(x, c), A.join(y, c))
+    return Congruence([_ref_find(parent, i) for i in range(A.size)])
+
+
+def ref_congruence_closure(A, pairs):
+    """The join of the principal congruences of the pairs not yet related."""
+    from palgebra import identity_congruence
+
+    out = identity_congruence(A.size)
+    for a, b in pairs:
+        if not out.same(a, b):
+            out = ref_join(out, ref_principal_congruence(A, a, b))
+    return out
+
+
+def ref_all_congruences(A, cap=None):
+    """The whole congruence lattice, by join-closing the principal ones,
+    sorted by ``rep``; guarded by the oracle cap."""
+    from palgebra import identity_congruence
+
+    cap = config.DEFAULT.oracle_cap if cap is None else cap
+    if A.size > cap:
+        raise CapExceeded("carrier for congruence-lattice enumeration", A.size, cap)
+    seen = {identity_congruence(A.size)}
+    for a in range(A.size):
+        for b in range(a + 1, A.size):
+            seen.add(ref_principal_congruence(A, a, b))
+    frontier = list(seen)
+    while frontier:
+        fresh = []
+        for th in frontier:
+            for other in list(seen):
+                j = ref_join(th, other)
+                if j not in seen:
+                    seen.add(j)
+                    fresh.append(j)
+        frontier = fresh
+    return sorted(seen, key=lambda c: c.rep)
+
+
 def ref_is_prime_filter(A, mask):
     """congruences.is_prime_filter before upward closure read ``A.up_row``:
     |A| ``leq`` calls per member."""
@@ -1079,9 +1181,11 @@ def _ref_meet_fold(A, mask):
 
 def ref_cm_all(A, *, verify=False):
     """One record per prime filter F, F-bar by |A| star-star calls per
-    filter and the labels by a scan of every I-type filter."""
-    from palgebra import (CmRecord, Congruence, NotACongruence, NotPrime,
-                          all_congruences, closure_filter, compatibility_witness,
+    filter and the labels by a scan of every I-type filter.  verify=True
+    re-proves from the operations alone: ``ref_compatibility_witness`` on mu
+    and mu+, and, within the oracle cap, the meet-irreducibles of
+    ``ref_all_congruences``."""
+    from palgebra import (CmRecord, Congruence, NotACongruence, NotPrime, closure_filter,
                           full_congruence, is_prime_filter, prime_filters)
     from palgebra.congruences import _unique_subcover_check
 
@@ -1111,13 +1215,13 @@ def ref_cm_all(A, *, verify=False):
         return records
     for r in records:
         for cong, tag in ((r.mu, "mu"), (r.mu_plus, "mu-plus")):
-            w = compatibility_witness(A, cong.rep)
+            w = ref_compatibility_witness(A, cong.rep)
             if w is not None:
                 raise NotACongruence(f"{tag} construction broke compatibility at {w}")
         if not _unique_subcover_check(A, r.mu, r.one_mask):
             raise NotACongruence("quotient lacks a unique subcover of 1")
     if A.size <= config.DEFAULT.oracle_cap:
-        lattice = all_congruences(A)
+        lattice = ref_all_congruences(A)
         expected = set()
         for th in lattice:
             bound = full_congruence(A.size)

@@ -283,8 +283,8 @@ class TestQi:
         f.write_text(json.dumps({"conclusion": {"lhs": ["star", {"op": "var"}], "rhs": "1"}}))
         code, out, err = run(capsys, "qi", str(f), "--algebra", "si:1")
         assert (code, out) == (1, "")
-        assert err == ('parse error: bad term document: a term is an array such as '
-                       '["var", 1], got an object (at position 0)\n')
+        assert err == ('parse error: conclusion.lhs: bad term document: a term is an array '
+                       'such as ["var", 1], got an object\n')
 
     @pytest.mark.parametrize("lhs, message", [
         (["meet", ["var", 1], ["var", 2], ["var", 3]], "'meet' takes 2 operands, got 3"),
@@ -301,7 +301,16 @@ class TestQi:
                                                                      ["var", 2]]}}))
         code, out, err = run(capsys, "qi", str(f), "--algebra", "si:1")
         assert (code, out) == (1, "")
-        assert err == f"parse error: bad term document: {message} (at position 0)\n"
+        assert err == f"parse error: conclusion.lhs: bad term document: {message}\n"
+
+    def test_a_malformed_json_premise_names_its_field(self, capsys, tmp_path):
+        f = tmp_path / "q.json"
+        f.write_text(json.dumps({"premises": [{"lhs": "x1", "rhs": ["meet", ["var", 1]]}],
+                                 "conclusion": {"lhs": "x1", "rhs": "x1"}}))
+        code, out, err = run(capsys, "qi", str(f), "--algebra", "si:1")
+        assert (code, out) == (1, "")
+        assert err == ("parse error: premises[0].rhs: bad term document: "
+                       "'meet' takes 2 operands, got 1\n")
 
     @pytest.mark.parametrize("index", [1.5, True, "2", 0, -1])
     def test_json_variable_must_be_an_index_from_one(self, capsys, tmp_path, index):
@@ -309,7 +318,7 @@ class TestQi:
         f.write_text(json.dumps({"conclusion": {"lhs": ["var", index], "rhs": "1"}}))
         code, out, err = run(capsys, "qi", str(f), "--algebra", "si:1", "--strategy", "pruned")
         assert (code, out) == (1, "")
-        assert err == "parse error: variable indices start at x1 (at position 0)\n"
+        assert err == "parse error: conclusion.lhs: variable indices start at x1\n"
 
 
 class TestSiDualReport:

@@ -6,7 +6,6 @@ I-type filters, orders from pairwise calls) replay them on both carriers,
 their table copies and relabelled table copies."""
 
 import json
-import random
 
 import pytest
 
@@ -27,32 +26,18 @@ from palgebra.algebras import (
     algebra_to_json_dict,
     birkhoff_masks,
     element_order,
-    tabulate,
     to_upset,
     upset_carrier,
 )
 from palgebra.cli import load_algebra, main
 
-from .helpers import checked_poset, ref_birkhoff_masks, ref_cm_all, ref_cm_posets, small_corpus
+from .helpers import (checked_poset, permuted, ref_birkhoff_masks, ref_cm_all, ref_cm_posets,
+                      small_corpus)
 
 SPECS = ([f"si:{n}" for n in range(6)] + [f"chain:{m}" for m in range(2, 9)]
          + [f"dist:{s}" for s in range(5)]
          + [f"free:{n},{k}" for k in (1, 2) for n in ("0", "1", "2", "3", "4", "omega")]
          + ["free:0,3"])
-
-
-def permuted(A, seed):
-    """A's table copy with its elements relabelled by a seeded shuffle."""
-    T = to_table(A)
-    perm = list(range(T.size))
-    random.Random(seed).shuffle(perm)
-    inv = [0] * T.size
-    for i, p in enumerate(perm):
-        inv[p] = i
-    return tabulate(T.size,
-                    lambda i, j: perm[T.meet(inv[i], inv[j])],
-                    lambda i, j: perm[T.join(inv[i], inv[j])],
-                    lambda i: perm[T.star(inv[i])], perm[T.zero], perm[T.one])
 
 
 def corpus():

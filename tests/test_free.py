@@ -96,6 +96,13 @@ class TestJIndex:
         with pytest.raises(BadIndex):
             JIndex.from_json_dict(doc, 2)
 
+    @pytest.mark.parametrize("doc", [{"T": [[1]]}, {"L": []}, {"T": 5, "L": []}, [[1], []],
+                                     "T"])
+    def test_json_refuses_what_is_no_index_document(self, doc):
+        # no T or no L, a T that is no list, a document that is no object
+        with pytest.raises(BadIndex, match="an index document is an object with a list T"):
+            JIndex.from_json_dict(doc, 2)
+
     def test_base_leq(self):
         small = JIndex(2, (0b01, 0b11), 0)
         big = JIndex(2, (0b01,), 0b01)
