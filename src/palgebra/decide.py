@@ -14,6 +14,7 @@ import itertools
 import math
 import random
 from bisect import bisect_left, bisect_right
+from functools import lru_cache
 from itertools import accumulate, compress, repeat
 from operator import and_, eq, or_
 
@@ -345,16 +346,21 @@ def check_quasi_identity(q: QuasiIdentity, A: PAlgebra,
     as ``upset_carrier(A)``: a lawless table is refused."""
     if strategy not in ("exhaustive", "pruned"):
         raise ValueError(f"unknown strategy: {strategy!r}")
-    sides = _compiled(q)
+    return _search(_compiled(q), upset_carrier(A), strategy)
+
+
+def _search(sides, A, strategy: str) -> Verdict:
+    """A quasi-identity, given as ``_compiled`` sides, searched over the
+    upset carrier A by strategy."""
     variables = code_vars(*(code for pair in sides for code in pair))
     search = _quasi_exhaustive if strategy == "exhaustive" else _quasi_pruned
-    return search(q, upset_carrier(A), variables, sides)
+    return search(None, A, variables, sides)  # given sides, q is not read
 
 
-def _compiled(q: QuasiIdentity) -> list[tuple]:
+def _compiled(q: QuasiIdentity) -> tuple[tuple, ...]:
     """Each premise's sides and then the conclusion's, compiled, as pairs."""
-    return [(compile_postfix(e.lhs), compile_postfix(e.rhs))
-            for e in (*q.premises, q.conclusion)]
+    return tuple((compile_postfix(e.lhs), compile_postfix(e.rhs))
+                 for e in (*q.premises, q.conclusion))
 
 
 def _quasi_vars(q: QuasiIdentity) -> tuple[int, ...]:
@@ -677,9 +683,23 @@ def admissible_in_free(q: QuasiIdentity, n: int | None, k_extra: int = 0) -> Ver
 def _check_in_free(q: QuasiIdentity, n: int | None, k: int,
                    nvars: int) -> tuple[FreeAlgebra, Verdict]:
     """free:n,k and q checked in it (nvars variables): exhaustive when the
-    sweep fits the budget, pruned otherwise."""
-    F = build_free(n, k)
-    return F, check_quasi_identity(q, F.algebra, _strategy(F.size, nvars))
+    sweep fits the budget, pruned otherwise.  The verdict is decided once
+    per saturated level, min(n, 2^k), as the carrier is built once
+    (``_free_verdict``); each call gets a copy of its own."""
+    F = build_free(n, k)  # checks the caps, outside the verdict cache
+    v = _free_verdict(_compiled(q), None if n is None else min(n, 1 << k), k,
+                      _strategy(F.size, nvars), config.DEFAULT.budget)
+    witness = v.witness and {part: dict(values) for part, values in v.witness.items()}
+    return F, Verdict(v.holds, witness, v.method, v.budget_used)
+
+
+@lru_cache(maxsize=None)  # _check_in_free checks the caps before every lookup
+def _free_verdict(sides: tuple, n_key: int | None, k: int, strategy: str,
+                  budget: int) -> Verdict:
+    """The ``_compiled`` sides searched by strategy in free:n_key,k.  budget
+    is ``config.DEFAULT.budget``, which the strategy and the search read: a
+    verdict is kept per budget.  A ``BudgetExceeded`` is not kept."""
+    return _search(sides, build_free(n_key, k).algebra, strategy)
 
 
 # ----------------------------------------------- structural (in)completeness

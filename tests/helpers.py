@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import re
+import sys
 from itertools import product as iproduct
 
 from palgebra import (
@@ -25,6 +26,7 @@ from palgebra import (
     build_chain,
     build_free,
     build_si,
+    check_quasi_identity,
     glivenko,
     join_all,
     meet_all,
@@ -35,10 +37,21 @@ from palgebra import (
 )
 from palgebra import JIndex, Verdict, config, free_skeleton, max_var, vars_of
 from palgebra.algebras import Violation, tabulate, to_table, upset_carrier
-from palgebra.decide import _Budget, _quasi_witness, _sweep_equation
+from palgebra.decide import _Budget, _quasi_vars, _quasi_witness, _strategy, _sweep_equation
 from palgebra.posets import (bit_indices, downset_closure, inclusion_order, min_elements,
                              poset_isomorphic)
 from palgebra.terms import compile_postfix, eval_postfix
+
+
+def clear_every_cache():
+    """Every ``cache_clear`` in palgebra's modules, as a round of the
+    benchmark calls them to start cold."""
+    for name, mod in list(sys.modules.items()):
+        if name == "palgebra" or name.startswith("palgebra."):
+            for obj in list(vars(mod).values()):
+                clear = getattr(obj, "cache_clear", None)
+                if callable(clear):
+                    clear()
 
 
 def ref_bit_indices(mask):
@@ -477,6 +490,27 @@ def ref_check_identity(e, n=None, want_witness=False):
         pass
     witness, used = _sweep_equation(e, n_eff, k)
     return Verdict(witness is None, witness, "exhaustive", used)
+
+
+def ref_check_in_free(q, n, k, nvars):
+    """``decide._check_in_free`` before it kept its verdicts: free:n,k built
+    and q decided in it cold, by the strategy the library picks, with no
+    memo."""
+    F = build_free(n, k)
+    return F, check_quasi_identity(q, F.algebra, _strategy(F.size, nvars))
+
+
+def ref_admissible_in_free(q, n, k_extra=0):
+    """``decide.admissible_in_free`` with each rank decided by
+    ``ref_check_in_free``."""
+    variables = _quasi_vars(q)
+    k_want = max(1, (variables[-1] if variables else 1) + k_extra)
+    for k_try in range(k_want, 0, -1):
+        try:
+            return ref_check_in_free(q, n, k_try, len(variables))[1]
+        except CapExceeded:
+            continue
+    raise CapExceeded("free algebra rank", k_want, 0)
 
 
 def ref_pair_report(t1, t2, n):

@@ -4,8 +4,6 @@ literals, and the built-in carriers si:n, chain:m and dist:s once per size.
 Each fast path is replayed against the code it replaced (``helpers``), and
 each cache against a cold build."""
 
-import sys
-
 import pytest
 
 import palgebra.cli  # noqa: F401  (every module of the package is loaded)
@@ -22,7 +20,7 @@ from palgebra import (
 )
 from palgebra.terms import compile_postfix, family_head, to_text
 
-from .helpers import ref_index_term, ref_skeleton
+from .helpers import clear_every_cache, ref_index_term, ref_skeleton
 
 TERM_GRID = [(n, k) for k in range(4) for n in (0, 1, 2, 3, 4, None)] + [(2, 4), (3, 4)]
 SKELETON_GRID = TERM_GRID + [(n, 4) for n in (0, 1, 4)]  # (2, 4) and (3, 4) are in already
@@ -100,17 +98,6 @@ def test_a_lowered_element_cap_fires_on_a_cached_carrier(make, size, cap, monkey
     assert warm.value.cap == cap
     monkeypatch.undo()
     assert make(size).elements == A.elements
-
-
-def clear_every_cache():
-    """Every ``cache_clear`` in palgebra's modules, as a round of the
-    benchmark calls them to start cold."""
-    for name, mod in list(sys.modules.items()):
-        if name == "palgebra" or name.startswith("palgebra."):
-            for obj in list(vars(mod).values()):
-                clear = getattr(obj, "cache_clear", None)
-                if callable(clear):
-                    clear()
 
 
 def test_clearing_every_cache_starts_cold():

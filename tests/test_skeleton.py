@@ -19,6 +19,7 @@ from palgebra import (
     atom_term,
     build_free,
     config,
+    decide,
     enumerate_jindices,
     free,
     free_elements,
@@ -183,8 +184,9 @@ def test_a_lowered_element_cap_fires_on_a_cached_algebra(monkeypatch):
 
 
 def test_a_report_after_another_prints_the_bytes_it_prints_alone(capsys):
-    # report 5 reads the free algebras report 4 built; run alone, in a
-    # fresh process, it builds them itself
+    # report 5 reads the free algebras report 4 built, and the verdicts it
+    # found in them; run alone, in a fresh process, it builds and decides
+    # them itself
     src = str(Path(palgebra.__file__).parents[1])
     alone = subprocess.run([sys.executable, "-m", "palgebra", "report", "5"],
                            capture_output=True, env={**os.environ, "PYTHONPATH": src},
@@ -193,8 +195,12 @@ def test_a_report_after_another_prints_the_bytes_it_prints_alone(capsys):
     free._skeleton.cache_clear()
     assert main(["report", "4"]) == 0
     capsys.readouterr()
+    before = decide._free_verdict.cache_info()
     assert main(["report", "5"]) == 0
     assert capsys.readouterr().out.encode() == alone.stdout
+    # free:5,1 is free:4,1 and free:5,2 is free:4,2: both verdicts are read
+    after = decide._free_verdict.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 2, before.misses)
 
 
 # The identity workload's strata (level, variables), every term mentioning
